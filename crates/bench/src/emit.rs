@@ -1,17 +1,15 @@
-//! The shared **bench-emit-v1** JSON schema all `bench_*_json` bins emit.
+//! The **bench-emit-v1** JSON schema every `bench_json` suite emits.
 //!
-//! Six bins used to hand-roll six ad-hoc JSON shapes; nothing downstream
-//! could consume them generically. Now every bin builds a [`Doc`] — a
-//! benchmark name, the quick/optimized flags, a [`Host`] fingerprint, and
-//! named [`Series`] of [`Point`]s over declared scale axes with
-//! `seconds`/`joules` as first-class metrics — and `bench_index_json`
-//! merges the emitted files into the **bench-index-v1** manifest
-//! (`BENCH_INDEX.json`) that `perfmodel` ingests for scaling-law fitting
-//! and the CI perf-regression gate. The reader lives in
+//! A suite builds a [`Doc`] — a benchmark name, the quick/optimized flags,
+//! a [`Host`] fingerprint, and named [`Series`] of [`Point`]s over declared
+//! scale axes with `seconds`/`joules` as first-class metrics — and
+//! `bench_json` merges the emitted files into the **bench-index-v1**
+//! manifest (`BENCH_INDEX.json`) that `perfmodel` ingests for scaling-law
+//! fitting and the CI perf-regression gate. The reader lives in
 //! `perfmodel::ingest`; this writer and that parser are pinned to each
 //! other by round-trip tests.
 
-use std::io::Write as _;
+use perfmodel::json::escape;
 
 /// Host identity recorded in every emitted document, so fitted models and
 /// regression flags are never compared across machines by accident.
@@ -141,14 +139,9 @@ impl Doc {
         }
     }
 
-    /// Appends a series.
-    pub fn push(&mut self, s: Series) {
-        self.series.push(s);
-    }
-
-    /// Builder-style [`Doc::push`].
+    /// Appends a series, builder-style.
     pub fn with(mut self, s: Series) -> Doc {
-        self.push(s);
+        self.series.push(s);
         self
     }
 
@@ -208,14 +201,9 @@ impl Doc {
         out
     }
 
-    /// Writes the document to `path`, exiting the process with a message
-    /// on I/O failure (the bins' shared error policy).
-    pub fn write_or_exit(&self, path: &str) {
-        let mut file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(1);
-        });
-        file.write_all(self.to_json().as_bytes()).expect("write JSON");
+    /// Series names in emission order.
+    pub fn series_names(&self) -> Vec<&str> {
+        self.series.iter().map(|s| s.name.as_str()).collect()
     }
 }
 
@@ -239,54 +227,6 @@ fn num_map(pairs: &[(String, f64)]) -> String {
         .map(|(k, v)| format!("\"{}\": {}", escape(k), num(*v)))
         .collect();
     format!("{{{}}}", body.join(", "))
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The `--quick` / `--out PATH` argument convention every bin shares.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cli {
-    /// Shrink workloads for CI smoke runs.
-    pub quick: bool,
-    /// Output path.
-    pub out: String,
-}
-
-/// Parses the shared CLI convention, exiting with usage on anything else.
-pub fn parse_cli(bin: &str, default_out: &str) -> Cli {
-    let mut cli = Cli {
-        quick: false,
-        out: default_out.to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => cli.quick = true,
-            "--out" => {
-                cli.out = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown argument {other}; usage: {bin} [--quick] [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    cli
 }
 
 #[cfg(test)]

@@ -1,20 +1,9 @@
-//! `candle-bench` — the Criterion benchmark harness of the reproduction.
+//! `candle-bench` — the machine-readable benchmark artifacts.
 //!
-//! The library crate is intentionally empty: all content lives in the
-//! `benches/` targets, one per paper table/figure plus the ablation
-//! microbenchmarks DESIGN.md §6 calls out:
-//!
-//! * `csv_methods` — real measurements of the three CSV reader strategies
-//!   on wide vs narrow files (the live counterpart of Tables 3/4);
-//! * `collective_algorithms` — ring vs naive allreduce, broadcast scaling,
-//!   tensor-fusion planning;
-//! * `kernels` — matmul/conv/softmax primitives at benchmark shapes;
-//! * `training` — full functional epochs, single vs multi-worker;
-//! * `paper_tables`, `paper_figures` — timed regeneration of every table
-//!   and figure (their output doubles as the paper report).
-//!
-//! The `src/bin/bench_*_json` emitters share the [`emit`] module's
-//! **bench-emit-v1** schema, and `bench_index_json` merges their output
-//! into the `BENCH_INDEX.json` manifest `perfmodel` fits and gates on.
+//! [`emit`] is the **bench-emit-v1** writer; the one binary, `bench_json`,
+//! runs the `experiments::measure_*` drivers behind the report's tables and
+//! writes one `BENCH_*.json` per suite plus the `BENCH_INDEX.json` manifest
+//! `perfmodel_check` gates on. End-to-end wall-clock regression is the job
+//! of `benchmark/` (see `BENCHMARK.json`), not of this crate.
 
 pub mod emit;

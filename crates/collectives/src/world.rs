@@ -17,19 +17,7 @@ where
     T: Send,
     F: Fn(&mut Communicator) -> T + Send + Sync,
 {
-    assert!(n > 0, "worker count must be positive");
-    let world = Communicator::world(n);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = world
-            .into_iter()
-            .map(|mut comm| scope.spawn(move || f(&mut comm)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker rank panicked"))
-            .collect()
-    })
+    run_workers_owned(n, |mut comm| f(&mut comm))
 }
 
 /// Like [`run_workers`], but hands each worker *ownership* of its

@@ -2,21 +2,20 @@
 //! consumer is busy with shard *k*.
 //!
 //! The related work's data-loading pipelines overlap ingest with compute;
-//! here that is a [`Prefetcher`] holding a small [`parx::WorkerPool`] and a
-//! bounded look-ahead window (`depth`, default 2 — double buffering). The
-//! iterator yields shards strictly in order with their training-ready
-//! [`Tensor`] view, and counts how often the next shard was already decoded
-//! (`ready_hits`) versus how long the consumer had to block (`waits`,
-//! `wait_time`) — the numbers the pipeline's phase profile reports.
+//! here that is a [`Prefetcher`]: a [`parx::Window`] on a small private
+//! [`parx::WorkerPool`] with a bounded look-ahead (`depth`, default 2 —
+//! double buffering). The iterator yields shards strictly in order with
+//! their training-ready [`Tensor`] view, and counts how often the next shard
+//! was already decoded (`ready_hits`) versus how long the consumer had to
+//! block (`waits`, `wait_time`) — the numbers the pipeline's phase profile
+//! reports.
 
 use crate::store::CachedDataset;
 use crate::CacheError;
 use dataio::Frame;
-use parx::WorkerPool;
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use parx::{Window, WorkerPool};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tensor::Tensor;
 
 /// Look-ahead window used by the convenience constructors: decode one
@@ -70,24 +69,10 @@ impl PrefetchStats {
     }
 }
 
-type Slot = (usize, Result<Prefetched, CacheError>);
-
 /// An ordered, background-decoded iterator over a dataset's shards.
 pub struct Prefetcher {
-    dataset: Arc<CachedDataset>,
-    _pool: WorkerPool,
-    order: Vec<usize>,
-    /// Next position in `order` to hand to the consumer.
-    next_pos: usize,
-    /// Positions submitted to the pool so far.
-    submitted: usize,
-    /// Completions received back from the pool so far.
-    received: usize,
-    depth: usize,
-    tx: Sender<Slot>,
-    rx: Receiver<Slot>,
-    /// Out-of-order completions parked until their position comes up.
-    parked: HashMap<usize, Result<Prefetched, CacheError>>,
+    window: Window<Result<Prefetched, CacheError>>,
+    total: usize,
     stats: PrefetchStats,
 }
 
@@ -103,26 +88,17 @@ impl Prefetcher {
         depth: usize,
         threads: usize,
     ) -> Self {
-        assert!(depth > 0, "prefetch depth must be positive");
-        let (tx, rx) = channel();
-        let mut p = Self {
-            dataset,
-            _pool: WorkerPool::new(threads),
-            order,
-            next_pos: 0,
-            submitted: 0,
-            received: 0,
-            depth,
-            tx,
-            rx,
-            parked: HashMap::new(),
+        let total = order.len();
+        let pool = Arc::new(WorkerPool::new(threads));
+        let window = Window::new(pool, total, depth, move |pos| decode(&dataset, order[pos]));
+        Self {
+            window,
+            total,
             stats: PrefetchStats {
                 depth,
                 ..PrefetchStats::default()
             },
-        };
-        p.fill_window();
-        p
+        }
     }
 
     /// Prefetches every shard in manifest order (double-buffered).
@@ -140,113 +116,61 @@ impl Prefetcher {
 
     /// Counters accumulated so far (final after the iterator is drained).
     pub fn stats(&self) -> PrefetchStats {
-        self.stats
+        PrefetchStats {
+            decoded: self.window.completed(),
+            max_in_flight: self.window.max_in_flight(),
+            ..self.stats
+        }
     }
 
     /// Shards this prefetcher will yield.
     pub fn len_total(&self) -> usize {
-        self.order.len()
+        self.total
     }
 
     /// Decodes currently in flight on the background workers (submitted,
     /// completion not yet received) — the live queue depth.
     pub fn in_flight(&self) -> usize {
-        self.submitted - self.received
-    }
-
-    /// Keeps `depth` decodes in flight.
-    fn fill_window(&mut self) {
-        while self.submitted < self.order.len() && self.submitted < self.next_pos + self.depth {
-            let pos = self.submitted;
-            self.submitted += 1;
-            let shard_index = self.order[pos];
-            let dataset = Arc::clone(&self.dataset);
-            let tx = self.tx.clone();
-            self._pool.submit(move || {
-                let result = dataset.load_shard(shard_index).and_then(|frame| {
-                    let tensor =
-                        Tensor::from_vec([frame.nrows(), frame.ncols()], frame.to_f32_matrix())
-                            .map_err(|e| {
-                                CacheError::Corrupt(format!("shard tensor shape: {e:?}"))
-                            })?;
-                    Ok(Prefetched {
-                        index: shard_index,
-                        start_row: frame_start_row(&dataset, shard_index),
-                        frame,
-                        tensor,
-                    })
-                });
-                // The consumer may have been dropped mid-iteration; that
-                // just discards the decoded shard.
-                let _ = tx.send((pos, result));
-            });
-        }
-        self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight());
-    }
-
-    /// Blocks until the completion for `pos` arrives, parking any
-    /// out-of-order completions received in the meantime.
-    fn wait_for(&mut self, pos: usize) -> Result<Prefetched, CacheError> {
-        loop {
-            if let Some(result) = self.parked.remove(&pos) {
-                return result;
-            }
-            let (got_pos, result) = self
-                .rx
-                .recv()
-                .expect("prefetch workers never hang up while tasks are in flight");
-            self.stats.decoded += 1;
-            self.received += 1;
-            if got_pos == pos {
-                return result;
-            }
-            self.parked.insert(got_pos, result);
-        }
+        self.window.in_flight()
     }
 }
 
-fn frame_start_row(dataset: &CachedDataset, shard_index: usize) -> usize {
-    dataset
+/// Loads shard `shard_index` and builds its training-ready tensor view.
+fn decode(dataset: &CachedDataset, shard_index: usize) -> Result<Prefetched, CacheError> {
+    let frame = dataset.load_shard(shard_index)?;
+    let tensor = Tensor::from_vec([frame.nrows(), frame.ncols()], frame.to_f32_matrix())
+        .map_err(|e| CacheError::Corrupt(format!("shard tensor shape: {e:?}")))?;
+    let start_row = dataset
         .manifest()
         .shards
         .get(shard_index)
         .map(|s| s.start_row)
-        .unwrap_or(0)
+        .unwrap_or(0);
+    Ok(Prefetched {
+        index: shard_index,
+        start_row,
+        frame,
+        tensor,
+    })
 }
 
 impl Iterator for Prefetcher {
     type Item = Result<Prefetched, CacheError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_pos >= self.order.len() {
-            return None;
+        let (item, blocked) = self.window.next()?;
+        match blocked {
+            None => self.stats.ready_hits += 1,
+            Some(wait) => {
+                self.stats.waits += 1;
+                self.stats.wait_ns += wait.as_nanos();
+            }
         }
-        let pos = self.next_pos;
-        // Drain without blocking first: anything already decoded counts
-        // toward ready_hits when it covers the position we need.
-        while let Ok((got_pos, result)) = self.rx.try_recv() {
-            self.stats.decoded += 1;
-            self.received += 1;
-            self.parked.insert(got_pos, result);
-        }
-        let item = if let Some(result) = self.parked.remove(&pos) {
-            self.stats.ready_hits += 1;
-            result
-        } else {
-            let start = Instant::now();
-            let result = self.wait_for(pos);
-            self.stats.waits += 1;
-            self.stats.wait_ns += start.elapsed().as_nanos();
-            result
-        };
-        self.next_pos += 1;
-        self.fill_window();
         Some(item)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.order.len() - self.next_pos;
-        (left, Some(left))
+        self.window.size_hint()
     }
 }
 

@@ -4,44 +4,15 @@
 //! the same shape performs **zero** heap allocations — no per-row `Vec`s,
 //! no token vectors, no fragment frames.
 //!
-//! Mirrors `dlframe/tests/alloc_hot_path.rs`: a counting global allocator
-//! wraps `System`, a warm-up phase establishes capacity, then the counter
-//! must not move across repeated steady-state passes.
+//! Mirrors `dlframe/tests/alloc_hot_path.rs`: [`parx::CountingAlloc`] is
+//! the global allocator, a warm-up phase establishes capacity, then this
+//! thread's counter must not move across repeated steady-state passes.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation-path call (alloc / alloc_zeroed / realloc) and
-/// delegates to the system allocator. Deallocations are free and uncounted.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
+use dataio::csv::turbo::{parse_into, scan, StructuralIndex};
+use parx::{thread_allocs, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-use dataio::csv::turbo::{parse_into, scan, StructuralIndex};
 
 /// A numeric CSV buffer shaped like a (shrunken) NT3 slice: `rows` records
 /// of 24 mixed int/decimal/scientific fields.
@@ -74,12 +45,13 @@ fn steady_state_turbo_parse_allocates_nothing() {
     assert_eq!(idx.rows(), 600);
     assert_eq!(columns.len(), 24);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
+    assert!(before > 0, "building the buffer allocated: the counter must have seen it");
     for _ in 0..5 {
         scan(&bytes, &mut idx).unwrap();
         assert!(parse_into(&bytes, &idx, &mut columns, 1));
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = thread_allocs();
     assert_eq!(
         after - before,
         0,
@@ -95,7 +67,8 @@ fn steady_state_turbo_parse_allocates_nothing() {
 
 /// Multi-threaded parses pay a constant per-call cost (scoped thread
 /// spawns), never a per-row cost: octupling the row count must not grow
-/// the allocation count of a warm parse.
+/// the allocation count of a warm parse. The count is the calling thread's,
+/// which parses the first quarter of the rows itself.
 #[test]
 fn parallel_parse_allocations_are_row_count_independent() {
     let count_warm_passes = |rows: usize, passes: usize| -> u64 {
@@ -104,12 +77,12 @@ fn parallel_parse_allocations_are_row_count_independent() {
         let mut columns: Vec<Vec<f64>> = Vec::new();
         scan(&bytes, &mut idx).unwrap();
         assert!(parse_into(&bytes, &idx, &mut columns, 4));
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = thread_allocs();
         for _ in 0..passes {
             scan(&bytes, &mut idx).unwrap();
             assert!(parse_into(&bytes, &idx, &mut columns, 4));
         }
-        ALLOCS.load(Ordering::Relaxed) - before
+        thread_allocs() - before
     };
     let small = count_warm_passes(500, 4);
     let big = count_warm_passes(4000, 4);

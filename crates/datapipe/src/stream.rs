@@ -2,7 +2,7 @@
 //!
 //! An [`EpochStream`] yields a job's batches strictly in order while
 //! assembling up to `queue_depth` batches ahead on the service's shared
-//! [`parx::WorkerPool`] — the same double-buffering discipline as
+//! [`parx::WorkerPool`] — the same [`parx::Window`] as
 //! `datacache::Prefetcher`, lifted from shards to shuffled batches. The
 //! bounded window is the backpressure: a slow consumer never accumulates
 //! more than `queue_depth` assembled batches of memory, and a fast
@@ -18,11 +18,9 @@ use crate::permute::EpochPermutation;
 use crate::pool::ShardLease;
 use crate::service::JobHandle;
 use datacache::CacheError;
-use std::collections::HashMap;
+use parx::Window;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::Instant;
 use tensor::Tensor;
 
 /// How an epoch walks the rows.
@@ -47,14 +45,10 @@ pub struct Batch {
     pub y: Tensor,
 }
 
-/// Everything a background assembly task needs, shared by `Arc`.
+/// Everything a background assembly task needs: the immutable slice of a
+/// [`JobHandle`] plus the epoch's permutation.
 struct AssembleCtx {
-    job: JobContext,
     perm: Option<EpochPermutation>,
-}
-
-/// The immutable slice of a [`JobHandle`] the tasks capture.
-struct JobContext {
     pool: Arc<crate::pool::ShardPool>,
     dataset: Arc<datacache::CachedDataset>,
     dataset_key: u64,
@@ -68,19 +62,11 @@ struct JobContext {
     shard_starts: Vec<usize>,
 }
 
-type Slot = (usize, Result<Batch, CacheError>);
-
 /// An ordered, background-assembled iterator over one job's epoch.
 pub struct EpochStream {
-    ctx: Arc<AssembleCtx>,
-    workers: Arc<parx::WorkerPool>,
+    window: Window<Result<Batch, CacheError>>,
+    counters: Arc<crate::service::JobCounters>,
     total: usize,
-    next_pos: usize,
-    submitted: usize,
-    depth: usize,
-    tx: Sender<Slot>,
-    rx: Receiver<Slot>,
-    parked: HashMap<usize, Result<Batch, CacheError>>,
 }
 
 impl EpochStream {
@@ -93,80 +79,39 @@ impl EpochStream {
                 Some(EpochPermutation::for_job_epoch(nrows, spec.seed, epoch))
             }
         };
-        let ctx = Arc::new(AssembleCtx {
-            job: JobContext {
-                pool: Arc::clone(job.pool()),
-                dataset: Arc::clone(job.dataset()),
-                dataset_key: spec.dataset,
-                counters: Arc::clone(job.counters()),
-                features: spec.features,
-                batch: spec.batch.max(1),
-                nrows,
-                ncols: job.dataset().ncols(),
-                shard_starts: job
-                    .dataset()
-                    .manifest()
-                    .shards
-                    .iter()
-                    .map(|s| s.start_row)
-                    .collect(),
-            },
+        let ctx = AssembleCtx {
             perm,
-        });
-        let total = nrows.div_ceil(ctx.job.batch);
-        let (tx, rx) = channel();
-        let mut stream = Self {
-            ctx,
-            workers: Arc::clone(job.workers()),
-            total,
-            next_pos: 0,
-            submitted: 0,
-            depth: job.service().config().queue_depth.max(1),
-            tx,
-            rx,
-            parked: HashMap::new(),
+            pool: Arc::clone(job.pool()),
+            dataset: Arc::clone(job.dataset()),
+            dataset_key: spec.dataset,
+            counters: Arc::clone(job.counters()),
+            features: spec.features,
+            batch: spec.batch.max(1),
+            nrows,
+            ncols: job.dataset().ncols(),
+            shard_starts: job
+                .dataset()
+                .manifest()
+                .shards
+                .iter()
+                .map(|s| s.start_row)
+                .collect(),
         };
-        stream.fill_window();
-        stream
+        let total = nrows.div_ceil(ctx.batch);
+        // The bounded window is the backpressure bound.
+        let depth = job.service().config().queue_depth.max(1);
+        Self {
+            counters: Arc::clone(job.counters()),
+            window: Window::new(Arc::clone(job.workers()), total, depth, move |pos| {
+                assemble(&ctx, pos)
+            }),
+            total,
+        }
     }
 
     /// Batches this stream will yield.
     pub fn len_total(&self) -> usize {
         self.total
-    }
-
-    /// Keeps `depth` assemblies in flight (the backpressure bound).
-    fn fill_window(&mut self) {
-        while self.submitted < self.total && self.submitted < self.next_pos + self.depth {
-            let pos = self.submitted;
-            self.submitted += 1;
-            let ctx = Arc::clone(&self.ctx);
-            let tx = self.tx.clone();
-            self.workers.submit(move || {
-                let result = assemble(&ctx, pos);
-                // The consumer may have been dropped mid-epoch; that just
-                // discards the assembled batch.
-                let _ = tx.send((pos, result));
-            });
-        }
-    }
-
-    /// Blocks until the completion for `pos` arrives, parking any
-    /// out-of-order completions received in the meantime.
-    fn wait_for(&mut self, pos: usize) -> Result<Batch, CacheError> {
-        loop {
-            if let Some(result) = self.parked.remove(&pos) {
-                return result;
-            }
-            let (got_pos, result) = self
-                .rx
-                .recv()
-                .expect("assembly workers never hang up while tasks are in flight");
-            if got_pos == pos {
-                return result;
-            }
-            self.parked.insert(got_pos, result);
-        }
     }
 }
 
@@ -174,47 +119,32 @@ impl Iterator for EpochStream {
     type Item = Result<Batch, CacheError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next_pos >= self.total {
-            return None;
-        }
-        let pos = self.next_pos;
-        while let Ok((got_pos, result)) = self.rx.try_recv() {
-            self.parked.insert(got_pos, result);
-        }
-        let counters = Arc::clone(&self.ctx.job.counters);
-        let item = if let Some(result) = self.parked.remove(&pos) {
-            result
-        } else {
-            let start = Instant::now();
-            let result = self.wait_for(pos);
+        let (item, blocked) = self.window.next()?;
+        let counters = &self.counters;
+        if let Some(wait) = blocked {
             counters.waits.fetch_add(1, Ordering::Relaxed);
             counters
                 .wait_ns
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            result
-        };
+                .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
+        }
         if let Ok(batch) = &item {
             counters.batches.fetch_add(1, Ordering::Relaxed);
             counters
                 .rows
                 .fetch_add(batch.x.shape().dims()[0] as u64, Ordering::Relaxed);
         }
-        self.next_pos += 1;
-        self.fill_window();
         Some(item)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.total - self.next_pos;
-        (left, Some(left))
+        self.window.size_hint()
     }
 }
 
 /// Gathers batch `pos`: maps each slot through the permutation, leases
 /// the owning shards from the shared pool (one lease per shard per
 /// batch), and copies rows into fresh x/y tensors.
-fn assemble(ctx: &AssembleCtx, pos: usize) -> Result<Batch, CacheError> {
-    let job = &ctx.job;
+fn assemble(job: &AssembleCtx, pos: usize) -> Result<Batch, CacheError> {
     let start = pos * job.batch;
     let end = (start + job.batch).min(job.nrows);
     let rows = end - start;
@@ -224,7 +154,7 @@ fn assemble(ctx: &AssembleCtx, pos: usize) -> Result<Batch, CacheError> {
     let mut leases: Vec<Option<ShardLease>> = Vec::new();
     leases.resize_with(job.shard_starts.len(), || None);
     for (k, slot) in (start..end).enumerate() {
-        let row = match &ctx.perm {
+        let row = match &job.perm {
             Some(p) => p.apply(slot),
             None => slot,
         };

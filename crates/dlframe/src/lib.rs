@@ -22,7 +22,6 @@
 //! dropout all draw from `xrng` streams owned by the model.
 
 mod activation;
-pub mod checkpoint;
 mod data;
 mod history;
 mod layers;
@@ -32,9 +31,6 @@ mod optimizer;
 mod schedule;
 
 pub use activation::Activation;
-pub use checkpoint::{
-    load as load_checkpoint, restore_model, save_model, Checkpoint, CheckpointError,
-};
 pub use data::Dataset;
 pub use history::{EpochStats, History};
 pub use layers::{ActivationLayer, Conv1D, Dense, Dropout, Flatten, Layer, MaxPooling1D, Reshape3};

@@ -2,39 +2,11 @@
 //! layer caches, and batch buffers are warm, repeated `train_batch` calls
 //! perform **zero** heap allocations.
 //!
-//! A counting global allocator wraps `System`; the test runs a warm-up
-//! phase, snapshots the allocation counter, trains three more epochs, and
-//! asserts the counter did not move.
+//! [`parx::CountingAlloc`] is the global allocator; the test runs a
+//! warm-up phase, snapshots this thread's allocation counter, trains three
+//! more epochs, and asserts the counter did not move.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation-path call (alloc / alloc_zeroed / realloc) and
-/// delegates to the system allocator. Deallocations are free and uncounted.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
+use parx::{thread_allocs, CountingAlloc};
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -88,14 +60,15 @@ fn train_batch_steady_state_allocates_nothing() {
             model.train_batch(&bx, &by, &mut sync).unwrap();
         }
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
+    assert!(before > 0, "building the model allocated: the counter must have seen it");
     for _ in 0..3 {
         for idx in &batches {
             data.batch_into(idx, &mut bx, &mut by);
             model.train_batch(&bx, &by, &mut sync).unwrap();
         }
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = thread_allocs();
     assert_eq!(
         after - before,
         0,

@@ -13,6 +13,7 @@
 //!    the warm [`LoadMethod::BinaryCache`].
 
 use crate::report::{format_table, Experiment};
+use crate::scratch::scratch;
 use cluster::calib::Bench;
 use cluster::{io, LoadMethod, Machine};
 use datacache::{CacheStore, Prefetcher};
@@ -56,12 +57,7 @@ pub fn measure_cache_comparison(
     cols: usize,
     shards: usize,
 ) -> Option<CacheComparison> {
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_cache_table_{}_{rows}x{cols}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).ok()?;
+    let dir = scratch("cache_table").ok()?;
     let csv = dir.join("data.csv");
     let spec = SyntheticSpec {
         rows,
@@ -104,7 +100,6 @@ pub fn measure_cache_comparison(
     let warm_prefetch_s = prefetch_start.elapsed().as_secs_f64();
     let prefetch_stats = pf.stats();
 
-    std::fs::remove_dir_all(&dir).ok();
     Some(CacheComparison {
         pandas_s: pandas_stats.elapsed.as_secs_f64(),
         pandas_mib_s: pandas_stats.throughput_mib_s(),

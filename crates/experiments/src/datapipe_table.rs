@@ -16,6 +16,7 @@
 //!    cold load plus J−1 warm shard streams, at Summit contention.
 
 use crate::report::{format_table, Experiment};
+use crate::scratch::scratch;
 use cluster::calib::Bench;
 use cluster::{fleet_load_seconds, DataPlane, LoadMethod, Machine};
 use dataio::{generate, ClassSpec, SyntheticSpec};
@@ -73,12 +74,7 @@ pub fn measure_datapipe_comparison(
     cols: usize,
     shards: usize,
 ) -> Option<DatapipeComparison> {
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_datapipe_{}_{rows}x{cols}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).ok()?;
+    let dir = scratch("datapipe").ok()?;
     let key = 0xDA7A;
     let batch = 64;
     let spec = dataset_spec(rows, cols);
@@ -170,7 +166,6 @@ pub fn measure_datapipe_comparison(
     }
     let independent_wall_s = independent_start.elapsed().as_secs_f64();
 
-    std::fs::remove_dir_all(&dir).ok();
     Some(DatapipeComparison {
         jobs,
         rows,

@@ -17,6 +17,7 @@
 //!    and joules for ASHA vs the brute-force sweep it replaces.
 
 use crate::report::{format_table, Experiment};
+use crate::scratch::scratch;
 use candle::{BenchId, HyperParams};
 use cluster::{LoadMethod, Machine};
 use dataio::{generate, ClassSpec, SyntheticSpec};
@@ -89,12 +90,7 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
         reduction: 2,
         rungs: 4,
     };
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_hpo_{}_{rows}x{cols}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).ok()?;
+    let dir = scratch("hpo").ok()?;
 
     let spec = SyntheticSpec {
         rows,
@@ -170,7 +166,6 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
     }
     let (brute_best_id, brute_best_acc, _) = brute_best?;
 
-    std::fs::remove_dir_all(&dir).ok();
     Some(HpoMeasurement {
         resume_bit_exact: report.winner_outcome().params_hash == winner_full_hash,
         worker_fingerprints,
@@ -254,14 +249,9 @@ pub fn table_hpo(quick: bool) -> Experiment {
         "\nModelled P1B2 fleet on Summit (6 GPUs per trial, 16 trials, epochs \
          scaled to the rung schedule):\n",
     );
-    let modelled_dir = std::env::temp_dir().join(format!(
-        "candle_repro_hpo_modelled_{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&modelled_dir).ok();
-    let modelled = std::fs::create_dir_all(&modelled_dir)
+    let modelled = scratch("hpo_modelled")
         .ok()
-        .and_then(|_| {
+        .and_then(|modelled_dir| {
             let asha = AshaConfig {
                 min_epochs: 1,
                 reduction: 2,
@@ -297,7 +287,6 @@ pub fn table_hpo(quick: bool) -> Experiment {
             }
             Some((report, full_time, full_joules))
         });
-    std::fs::remove_dir_all(&modelled_dir).ok();
     match modelled {
         Some((report, full_time, full_joules)) => {
             text.push_str(&format_table(

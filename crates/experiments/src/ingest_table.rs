@@ -9,6 +9,7 @@
 //! throughput, and the turbo engine's per-phase breakdown.
 
 use crate::report::{format_table, Experiment};
+use crate::scratch::scratch;
 use dataio::csv::IngestPhases;
 use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
 use std::time::Instant;
@@ -39,17 +40,11 @@ impl IngestComparison {
 
 /// Times every read strategy on the NT3-like wide file and the P1B3-like
 /// narrow file. `quick` shrinks the widths so the debug test suite stays
-/// fast; the full mode matches the `table_cache` NT3 geometry.
-pub fn measure_ingest_comparison(quick: bool) -> Vec<IngestComparison> {
+/// fast; the full mode matches the `table_cache` NT3 geometry. An I/O
+/// failure is an error naming the file and strategy, never a shorter table.
+pub fn measure_ingest_comparison(quick: bool) -> Result<Vec<IngestComparison>, String> {
     let reps = if quick { 2 } else { 3 };
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_ingest_table_{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return Vec::new();
-    }
+    let dir = scratch("ingest_table").map_err(|e| e.to_string())?;
     let geometries: Vec<(String, SyntheticSpec, bool)> = vec![
         (
             {
@@ -86,9 +81,8 @@ pub fn measure_ingest_comparison(quick: bool) -> Vec<IngestComparison> {
     let mut out = Vec::new();
     for (geometry, spec, nt3) in geometries {
         let path = dir.join(format!("{}x{}.csv", spec.rows, spec.cols));
-        if write_csv_dataset(&path, &generate(&spec)).is_err() {
-            continue;
-        }
+        write_csv_dataset(&path, &generate(&spec))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         for strategy in [
             ReadStrategy::PandasDefault,
             ReadStrategy::ChunkedLowMemory,
@@ -100,9 +94,9 @@ pub fn measure_ingest_comparison(quick: bool) -> Vec<IngestComparison> {
             let mut best_phases = None;
             for _ in 0..reps {
                 let start = Instant::now();
-                let Ok((frame, stats)) = read_csv(&path, strategy) else {
-                    break;
-                };
+                let (frame, stats) = read_csv(&path, strategy).map_err(|e| {
+                    format!("{} failed on {}: {e}", strategy.label(), path.display())
+                })?;
                 let s = start.elapsed().as_secs_f64();
                 std::hint::black_box(&frame);
                 if s < best {
@@ -111,21 +105,17 @@ pub fn measure_ingest_comparison(quick: bool) -> Vec<IngestComparison> {
                     best_phases = stats.ingest;
                 }
             }
-            if best.is_finite() {
-                out.push(IngestComparison {
-                    geometry: geometry.clone(),
-                    strategy,
-                    seconds: best,
-                    mib_s: best_mib,
-                    phases: best_phases,
-                    nt3,
-                });
-            }
+            out.push(IngestComparison {
+                geometry: geometry.clone(),
+                strategy,
+                seconds: best,
+                mib_s: best_mib,
+                phases: best_phases,
+                nt3,
+            });
         }
-        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
-    out
+    Ok(out)
 }
 
 /// The ingest-engine experiment: all four strategies at both geometries,
@@ -134,7 +124,7 @@ pub fn measure_ingest_comparison(quick: bool) -> Vec<IngestComparison> {
 /// beats the chunked strategy wall-clock at the NT3-shaped file. Debug
 /// timings are too distorted to gate on.
 pub fn table_ingest(quick: bool) -> Experiment {
-    let rows = measure_ingest_comparison(quick);
+    let rows = measure_ingest_comparison(quick).unwrap_or_else(|e| panic!("table_ingest: {e}"));
     if crate::gate::timed_asserts_enabled(quick) {
         let time_of = |s: ReadStrategy| {
             rows.iter()
@@ -198,7 +188,7 @@ mod tests {
 
     #[test]
     fn measures_every_strategy_at_both_geometries() {
-        let rows = measure_ingest_comparison(true);
+        let rows = measure_ingest_comparison(true).unwrap();
         assert_eq!(rows.len(), 8, "4 strategies x 2 geometries");
         assert_eq!(rows.iter().filter(|r| r.nt3).count(), 4);
         for r in &rows {
@@ -224,7 +214,7 @@ mod tests {
     #[cfg(not(debug_assertions))]
     #[test]
     fn turbo_beats_chunked_at_nt3_geometry() {
-        let rows = measure_ingest_comparison(false);
+        let rows = measure_ingest_comparison(false).unwrap();
         let time_of = |s: ReadStrategy| {
             rows.iter()
                 .find(|r| r.nt3 && r.strategy == s)

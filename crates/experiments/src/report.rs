@@ -123,11 +123,10 @@ mod tests {
             title: "T",
             text: "body\n".into(),
         };
-        let dir = std::env::temp_dir().join("candle_repro_report_tests");
+        let dir = crate::scratch::scratch("report_tests").unwrap();
         let path = e.write_to(&dir).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("test_exp"));
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   energy chapters of the paper are exactly why.
 
 use crate::report::{format_table, secs, Experiment};
+use crate::scratch::scratch;
 use cluster::calib::Bench;
 use resil::{run_resilient, summit_recovery_sweep, FaultEvent, FaultKind, FaultPlan, ResilSpec};
 
-fn measured_spec(name: &str, epochs: usize, plan: FaultPlan) -> ResilSpec {
+fn measured_spec(dir: std::path::PathBuf, epochs: usize, plan: FaultPlan) -> ResilSpec {
     ResilSpec {
         bench: Bench::Nt3,
         workers: 2,
@@ -30,7 +31,7 @@ fn measured_spec(name: &str, epochs: usize, plan: FaultPlan) -> ResilSpec {
         seed: 2025,
         checkpoint_every: 2,
         keep: 2,
-        dir: std::env::temp_dir().join(format!("table_resil_{name}_{}", std::process::id())),
+        dir,
         plan,
         record_timeline: false,
     }
@@ -48,9 +49,10 @@ pub fn table_resil(quick: bool) -> Experiment {
     // Crash one epoch past the last checkpoint: one epoch of work is lost
     // and must be re-trained after the restore.
     let crash_epoch = 3;
-    let healthy = measured_spec("healthy", epochs, FaultPlan::none());
+    let dir = scratch("table_resil").expect("scratch dir");
+    let healthy = measured_spec(dir.join("healthy"), epochs, FaultPlan::none());
     let faulted = measured_spec(
-        "faulted",
+        dir.join("faulted"),
         epochs,
         FaultPlan::manual(vec![FaultEvent {
             epoch: crash_epoch,
@@ -59,8 +61,6 @@ pub fn table_resil(quick: bool) -> Experiment {
     );
     let reference = run_resilient(&healthy).expect("healthy run");
     let recovered = run_resilient(&faulted).expect("faulted run");
-    std::fs::remove_dir_all(&healthy.dir).ok();
-    std::fs::remove_dir_all(&faulted.dir).ok();
     assert_eq!(
         recovered.final_hash, reference.final_hash,
         "resumed run is not bit-identical to the uninterrupted run"

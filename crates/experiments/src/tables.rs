@@ -184,10 +184,9 @@ pub fn table4() -> Experiment {
 /// the paper's two geometries (wide-few-rows vs narrow-many-rows).
 fn local_csv_validation() -> String {
     use dataio::{read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
-    let dir = std::env::temp_dir().join("candle_repro_table3");
-    if std::fs::create_dir_all(&dir).is_err() {
+    let Ok(dir) = crate::scratch::scratch("table3") else {
         return "  (temp dir unavailable; skipped)\n".into();
-    }
+    };
     let mut rows = Vec::new();
     for (label, spec) in [
         (
@@ -241,7 +240,6 @@ fn local_csv_validation() -> String {
         let chunked: f64 = cells[2].trim_end_matches('s').parse().unwrap_or(1.0);
         cells.push(format!("{:.2}x", pandas_time / chunked.max(1e-9)));
         rows.push(cells);
-        let _ = std::fs::remove_file(&path);
     }
     format_table(
         &[

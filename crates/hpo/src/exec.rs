@@ -315,11 +315,7 @@ impl TrialExecutor for LocalExecutor {
                     found: Some(state.epoch),
                 });
             }
-            model.set_flat_params(&state.params);
-            let opt = model.optimizer_mut().expect("model is compiled");
-            opt.import_slots(state.slots);
-            opt.set_learning_rate(state.lr);
-            model.set_rng_states(&state.rank_rngs[0]);
+            state.restore_into(&mut model, 0).map_err(HpoError::Ckpt)?;
             out.ckpt_wall_s += ckpt_start.elapsed().as_secs_f64();
         }
         self.train_segment(&mut model, id, params, from_epochs, to_epochs, &mut out)?;
@@ -327,13 +323,7 @@ impl TrialExecutor for LocalExecutor {
         // Pause at the boundary: persist everything a bit-exact
         // continuation needs, GC'd to the store's retention.
         let ckpt_start = Instant::now();
-        let state = TrainState {
-            epoch: to_epochs as u64,
-            lr: model.optimizer().expect("compiled").learning_rate(),
-            params: model.flat_params(),
-            slots: model.optimizer().expect("compiled").export_slots(),
-            rank_rngs: vec![model.rng_states()],
-        };
+        let state = TrainState::capture(to_epochs as u64, &model);
         out.params_hash = state.params_hash();
         let path = self.store.save(id, &state).map_err(HpoError::Ckpt)?;
         out.ckpt_wall_s += ckpt_start.elapsed().as_secs_f64();

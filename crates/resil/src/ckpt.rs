@@ -27,7 +27,7 @@
 
 use crate::ResilError;
 use datacache::format::{fnv1a64, put_u16, put_u32, put_u64};
-use dlframe::SlotSnapshot;
+use dlframe::{Sequential, SlotSnapshot};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every checkpoint file ("Resilience CheckPoint v1").
@@ -60,6 +60,58 @@ impl TrainState {
     /// Bit-exact hash of the parameter vector.
     pub fn params_hash(&self) -> u64 {
         crate::hash_params(&self.params)
+    }
+
+    /// Captures everything one replica needs for a bit-exact resume; a
+    /// data-parallel run captures rank 0 and appends the other ranks'
+    /// [`Sequential::rng_states`] to `rank_rngs`.
+    ///
+    /// # Panics
+    /// Panics if `model` is not compiled.
+    pub fn capture(epoch: u64, model: &Sequential) -> Self {
+        let opt = model.optimizer().expect("model is compiled");
+        Self {
+            epoch,
+            lr: opt.learning_rate(),
+            params: model.flat_params(),
+            slots: opt.export_slots(),
+            rank_rngs: vec![model.rng_states()],
+        }
+    }
+
+    /// Restores this state into `model` as replica `rank`. A checkpoint
+    /// written by a different architecture or world size is rejected as
+    /// [`ResilError::Corrupt`] before the model is touched.
+    ///
+    /// # Panics
+    /// Panics if `model` is not compiled.
+    pub fn restore_into(&self, model: &mut Sequential, rank: usize) -> Result<(), ResilError> {
+        if self.params.len() != model.param_count() {
+            return Err(ResilError::Corrupt(format!(
+                "parameter count mismatch: checkpoint {} vs model {}",
+                self.params.len(),
+                model.param_count()
+            )));
+        }
+        let streams = self.rank_rngs.get(rank).ok_or_else(|| {
+            ResilError::Corrupt(format!(
+                "checkpoint holds {} ranks, rank {rank} wanted",
+                self.rank_rngs.len()
+            ))
+        })?;
+        let expected = model.rng_states().len();
+        if streams.len() != expected {
+            return Err(ResilError::Corrupt(format!(
+                "rng stream count mismatch: checkpoint {} vs model {expected}",
+                streams.len()
+            )));
+        }
+        model.set_flat_params(&self.params);
+        let opt = model.optimizer_mut().expect("model is compiled");
+        opt.import_slots(self.slots.clone());
+        opt.set_learning_rate(self.lr);
+        model.set_rng_states(streams);
+        Ok(())
     }
 }
 
@@ -410,9 +462,7 @@ mod tests {
         // re-stamp a valid checksum, so the failure must come from the
         // count plausibility check, not the checksum.
         bytes[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        restamp(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         match err {
             ResilError::Corrupt(msg) => {
@@ -420,6 +470,104 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// Re-stamps a valid checksum so a header edit reaches the field
+    /// checks instead of failing as a checksum mismatch.
+    fn restamp(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    #[test]
+    fn bad_magic_and_unknown_version_are_rejected_by_name() {
+        let mut bytes = encode(&state(3));
+        bytes[..4].copy_from_slice(b"CDS1");
+        restamp(&mut bytes);
+        assert!(matches!(decode(&bytes), Err(ResilError::Corrupt(m)) if m.contains("bad magic")));
+        let mut bytes = encode(&state(3));
+        bytes[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
+        restamp(&mut bytes);
+        assert!(matches!(decode(&bytes), Err(ResilError::Corrupt(m)) if m.contains("version")));
+    }
+
+    #[test]
+    fn missing_file_is_io_error() {
+        assert!(matches!(
+            CheckpointManager::load(Path::new("/nonexistent/ckpt-00000001.rcp")),
+            Err(ResilError::Io(_))
+        ));
+    }
+
+    fn adam_dropout_model(seed: u64, hidden: usize) -> Sequential {
+        use dlframe::{Activation, Dense, Dropout, Loss, Optimizer};
+        let mut rng = xrng::seeded(seed);
+        let mut m = Sequential::new(seed);
+        m.add(Box::new(Dense::new(4, hidden, Activation::Relu, &mut rng)));
+        m.add(Box::new(Dropout::new(0.2, xrng::seeded(seed + 1))));
+        m.add(Box::new(Dense::new(hidden, 2, Activation::Linear, &mut rng)));
+        m.compile(Loss::SoftmaxCrossEntropy, Optimizer::adam(0.01));
+        m
+    }
+
+    #[test]
+    fn captured_model_resumes_bit_exactly_from_a_checkpoint_file() {
+        use dlframe::{Dataset, FitConfig, NoSync};
+        use tensor::Tensor;
+        use xrng::RandomSource;
+        // Shuffling, dropout and Adam moments are all in play: the resumed
+        // run matches the uninterrupted one only if the file carried the
+        // weights, the optimizer slots and every RNG stream.
+        let mut rng = xrng::seeded(33);
+        let x = Tensor::from_fn([48, 4], |_| rng.next_f32() - 0.5);
+        let y = Tensor::from_fn([48, 2], |i| if i % 2 == (i / 2) % 2 { 1.0 } else { 0.0 });
+        let data = Dataset::new(x, y);
+        let config = FitConfig {
+            epochs: 2,
+            batch_size: 12,
+            shuffle: true,
+            compute_accuracy: false,
+            ..Default::default()
+        };
+        let mut model = adam_dropout_model(31, 6);
+        model.fit(&data, &config, &mut NoSync).unwrap();
+        let dir = tmp_dir("resume");
+        let mut mgr = CheckpointManager::new(&dir, 1).unwrap();
+        mgr.save(&TrainState::capture(2, &model)).unwrap();
+        model.fit(&data, &config, &mut NoSync).unwrap();
+
+        // A differently seeded fresh model picks the run up from disk.
+        let mut resumed = adam_dropout_model(77, 6);
+        let restored = mgr.latest().unwrap().expect("checkpoint exists");
+        assert_eq!(restored.epoch, 2);
+        restored.restore_into(&mut resumed, 0).unwrap();
+        resumed.fit(&data, &config, &mut NoSync).unwrap();
+        assert_eq!(resumed.flat_params(), model.flat_params());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn wrong_architecture_or_rank_is_rejected_before_the_model_changes() {
+        let saved = TrainState::capture(1, &adam_dropout_model(5, 6));
+        let mut wider = adam_dropout_model(6, 7);
+        let before = wider.flat_params();
+        assert!(matches!(
+            saved.restore_into(&mut wider, 0),
+            Err(ResilError::Corrupt(m)) if m.contains("parameter count")
+        ));
+        let mut same = adam_dropout_model(6, 6);
+        assert!(matches!(
+            saved.restore_into(&mut same, 1),
+            Err(ResilError::Corrupt(m)) if m.contains("rank 1")
+        ));
+        let mut fewer_streams = saved.clone();
+        fewer_streams.rank_rngs[0].pop();
+        assert!(matches!(
+            fewer_streams.restore_into(&mut same, 0),
+            Err(ResilError::Corrupt(m)) if m.contains("rng stream")
+        ));
+        assert_eq!(wider.flat_params(), before);
     }
 
     #[test]

@@ -165,30 +165,25 @@ fn build_replicas(pspec: &ParallelRunSpec) -> Vec<Sequential> {
 /// optimizer slots are identical across ranks (averaged gradients), so
 /// rank 0's copy represents all; RNG streams are captured per rank.
 fn capture(epoch: u64, models: &[Sequential]) -> TrainState {
-    let opt = models[0].optimizer().expect("models are compiled");
     TrainState {
-        epoch,
-        lr: opt.learning_rate(),
-        params: models[0].flat_params(),
-        slots: opt.export_slots(),
         rank_rngs: models.iter().map(|m| m.rng_states()).collect(),
+        ..TrainState::capture(epoch, &models[0])
     }
 }
 
 /// Restores a captured state into freshly built replicas.
-fn restore(models: &mut [Sequential], state: &TrainState) {
-    assert_eq!(
-        models.len(),
-        state.rank_rngs.len(),
-        "checkpoint was written by a different world size"
-    );
-    for (rank, m) in models.iter_mut().enumerate() {
-        m.set_flat_params(&state.params);
-        let opt = m.optimizer_mut().expect("models are compiled");
-        opt.import_slots(state.slots.clone());
-        opt.set_learning_rate(state.lr);
-        m.set_rng_states(&state.rank_rngs[rank]);
+fn restore(models: &mut [Sequential], state: &TrainState) -> Result<(), ResilError> {
+    if models.len() != state.rank_rngs.len() {
+        return Err(ResilError::Corrupt(format!(
+            "checkpoint was written by {} ranks, this run has {}",
+            state.rank_rngs.len(),
+            models.len()
+        )));
     }
+    models
+        .iter_mut()
+        .enumerate()
+        .try_for_each(|(rank, m)| state.restore_into(m, rank))
 }
 
 /// Trains one epoch on every rank through real ring-allreduce workers.
@@ -302,7 +297,7 @@ pub fn run_resilient(spec: &ResilSpec) -> Result<ResilOutcome, ResilError> {
                 .latest()?
                 .expect("epoch-0 checkpoint always exists");
             models = build_replicas(&pspec);
-            restore(&mut models, &state);
+            restore(&mut models, &state)?;
             let elapsed = t.elapsed().as_secs_f64();
             restore_s += elapsed;
             restore_hist.record(elapsed);

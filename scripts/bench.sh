@@ -1,22 +1,13 @@
 #!/usr/bin/env bash
-# Kernel + ingest benchmark pass, fully offline. Runs the Criterion
-# kernel microbenches in --quick mode, then emits the machine-readable
-# comparisons at the repo root for CI to archive per commit — all on the
-# shared bench-emit-v1 schema (see crates/bench/src/emit.rs):
-#   BENCH_KERNELS.json   — seed vs blocked GEMM (time-vs-flops series)
-#   BENCH_INGEST.json    — seed vs turbo CSV ingest (time-vs-MiB series)
-#   BENCH_DATAPIPE.json  — 32-job shared dataset service vs independent caches
-#   BENCH_HPO.json       — deterministic ASHA search (fingerprints, budget, oracle)
-#   BENCH_FLEET.json     — autoscaled vs fixed serving fleets (SLO, joules/request)
-#   BENCH_OVERLAP.json   — blocking vs overlapped gradient allreduce (workers series)
-# then merges them into the bench-index-v1 manifest and runs the
-# perf-regression gate over it:
-#   BENCH_INDEX.json     — every document above, embedded under its file name
-#   BENCH_PERFMODEL.json — fitted scaling laws + points off their curves
+# Machine-readable benchmark pass, fully offline: one `bench_json` run
+# writes the six BENCH_<SUITE>.json documents and BENCH_INDEX.json at the
+# repo root (see README "Benchmarks"), then the perf-regression gate fits
+# scaling laws over the index and writes BENCH_PERFMODEL.json.
 # The gate runs --warn-only here: shared CI runners jitter too much to
 # fail the build on. On dedicated hardware, drop the flag:
 #   cargo run --release --offline -p perfmodel --bin perfmodel_check -- \
 #     --index BENCH_INDEX.json --out BENCH_PERFMODEL.json
+# End-to-end wall-clock regression is a different job: see BENCHMARK.json.
 #
 # Usage: scripts/bench.sh [quick|full]
 #   quick (default) — shrunken shapes, finishes in a couple of minutes
@@ -30,36 +21,8 @@ if [ "$MODE" = "quick" ]; then
     QUICK_FLAG="--quick"
 fi
 
-emit() { # emit <bin> <out-file>
-    # shellcheck disable=SC2086  # QUICK_FLAG is intentionally word-split
-    cargo run --release --offline -p candle-bench --bin "$1" -- ${QUICK_FLAG:+$QUICK_FLAG} --out "$2"
-}
-
-echo "==> criterion kernel benches (--quick)"
-cargo bench -p candle-bench --features criterion --offline --bench kernels -- --quick
-
-echo "==> seed-vs-blocked comparison -> BENCH_KERNELS.json (${MODE})"
-emit bench_kernels_json BENCH_KERNELS.json
-
-echo "==> seed-vs-turbo ingest comparison -> BENCH_INGEST.json (${MODE})"
-emit bench_ingest_json BENCH_INGEST.json
-
-echo "==> shared-service fleet comparison -> BENCH_DATAPIPE.json (${MODE})"
-emit bench_datapipe_json BENCH_DATAPIPE.json
-
-echo "==> deterministic ASHA search scorecard -> BENCH_HPO.json (${MODE})"
-emit bench_hpo_json BENCH_HPO.json
-
-echo "==> autoscaling fleet comparison -> BENCH_FLEET.json (${MODE})"
-emit bench_fleet_json BENCH_FLEET.json
-
-echo "==> blocking-vs-overlapped allreduce comparison -> BENCH_OVERLAP.json (${MODE})"
-emit bench_overlap_json BENCH_OVERLAP.json
-
-echo "==> merge manifest -> BENCH_INDEX.json"
-cargo run --release --offline -p candle-bench --bin bench_index_json -- --out BENCH_INDEX.json \
-    BENCH_KERNELS.json BENCH_INGEST.json BENCH_DATAPIPE.json \
-    BENCH_HPO.json BENCH_FLEET.json BENCH_OVERLAP.json
+echo "==> bench_json (${MODE}) -> BENCH_*.json"
+cargo run --release --offline -p candle-bench --bin bench_json -- ${QUICK_FLAG:+$QUICK_FLAG}
 
 echo "==> perf-regression gate (warn-only) -> BENCH_PERFMODEL.json"
 cargo run --release --offline -p perfmodel --bin perfmodel_check -- \

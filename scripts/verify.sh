@@ -7,8 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+# --no-fail-fast: one red test binary must not hide the ones after it.
+echo "==> cargo test -q --offline --workspace --no-fail-fast"
+cargo test -q --offline --workspace --no-fail-fast
 
 echo "==> cargo clippy --workspace --no-deps --offline -- -D warnings"
 cargo clippy --workspace --no-deps --offline -- -D warnings

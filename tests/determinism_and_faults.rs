@@ -63,21 +63,47 @@ fn simulator_is_deterministic() {
     assert_eq!(a.power.samples, b.power.samples);
 }
 
-/// A panicking worker propagates instead of deadlocking the collective.
+/// `run_workers` re-raises a rank's panic on the caller.
 #[test]
-fn worker_panic_propagates() {
+fn run_workers_reraises_a_rank_panic() {
     let result = std::panic::catch_unwind(|| {
         collectives::run_workers(3, |comm| {
             if comm.rank() == 1 {
                 panic!("injected worker failure");
             }
-            // Ranks 0 and 2 would block in the allreduce; the channel
-            // disconnect must surface as an error, not a hang.
-            let mut data = vec![1.0f32; 64];
-            let _ = collectives::ring_allreduce(comm, &mut data);
         })
     });
     assert!(result.is_err(), "panic must propagate to the caller");
+}
+
+/// Survivors of a dead rank get a typed error, not a hang. Every rank
+/// holds a sender to every mailbox, its own included, so no channel ever
+/// disconnects: what ends the wait is the world's peer timeout.
+#[test]
+fn survivors_of_a_dead_rank_get_peer_lost() {
+    use collectives::{CommError, Communicator};
+    let world = Communicator::world_with_timeout(3, std::time::Duration::from_millis(200));
+    let results: Vec<Result<(), CommError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = world
+            .into_iter()
+            .map(|mut comm| {
+                scope.spawn(move || {
+                    if comm.rank() == 1 {
+                        return Ok(()); // dies before the collective
+                    }
+                    collectives::ring_allreduce(&mut comm, &mut [1.0f32; 64])
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+    });
+    for rank in [0, 2] {
+        assert!(
+            matches!(results[rank], Err(CommError::PeerLost { .. })),
+            "rank {rank}: {:?}",
+            results[rank]
+        );
+    }
 }
 
 /// Malformed CSV files fail cleanly through the whole loading stack.

@@ -13,7 +13,7 @@ use cluster::calib::Bench;
 #[test]
 fn checkpoint_restart_across_pipeline() {
     use candle::{benchmark_dataset, build_model};
-    use dlframe::checkpoint;
+    use resil::{CheckpointManager, TrainState};
 
     let kind = BenchDataKind::tiny(Bench::Nt3);
     let (train, test) = benchmark_dataset(&kind, 31);
@@ -28,17 +28,17 @@ fn checkpoint_restart_across_pipeline() {
     let (loss_before, acc_before) = model.evaluate(&test, 40).expect("eval");
 
     // Checkpoint and restore into a fresh, differently-initialized model.
-    let dir = std::env::temp_dir().join("candle_repro_ext_tests");
-    std::fs::create_dir_all(&dir).expect("dir");
-    let path = dir.join("nt3.ckpt");
-    checkpoint::save_model(&path, 6, &model).expect("save");
+    let dir = std::env::temp_dir().join(format!("candle_repro_ext_ckpt_{}", std::process::id()));
+    let mut mgr = CheckpointManager::new(&dir, 1).expect("dir");
+    mgr.save(&TrainState::capture(6, &model)).expect("save");
     let (mut restored, _) = build_model(Bench::Nt3, kind.features, 0.05, 999);
-    let epoch = checkpoint::restore_model(&path, &mut restored).expect("restore");
-    assert_eq!(epoch, 6);
+    let state = mgr.latest().expect("read").expect("checkpoint exists");
+    assert_eq!(state.epoch, 6);
+    state.restore_into(&mut restored, 0).expect("restore");
     let (loss_after, acc_after) = restored.evaluate(&test, 40).expect("eval restored");
     assert_eq!(loss_before.to_bits(), loss_after.to_bits());
     assert_eq!(acc_before.to_bits(), acc_after.to_bits());
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Weak scaling holds accuracy constant: 8 epochs/worker reaches high
