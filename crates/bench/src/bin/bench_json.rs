@@ -399,8 +399,7 @@ mod tests {
     /// back through `perfmodel`, which is all `perfmodel_check` needs.
     #[test]
     fn index_embeds_present_suite_files_and_skips_the_rest() {
-        let dir = std::env::temp_dir().join(format!("bench_json_index_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = parx::scratch("bench_json_index").expect("scratch dir");
         assert!(write_index(&dir).is_err(), "nothing to index yet");
         let doc = Doc::new("k", true)
             .with(Series::new("seed_engine", "flops").with(Point::at("flops", 1.0).seconds(2.0)));
@@ -412,6 +411,5 @@ mod tests {
         assert_eq!(index.len(), 1);
         assert_eq!(index[0].0, "BENCH_KERNELS.json");
         assert_eq!(index[0].1.series[0].name, "seed_engine");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

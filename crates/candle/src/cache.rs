@@ -383,15 +383,14 @@ mod tests {
     use super::*;
     use cluster::calib::Bench;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("candle_cache_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+    fn tmp(name: &str) -> parx::Scratch {
+        parx::scratch(&format!("candle_cache_{name}")).expect("scratch dir")
     }
 
-    fn spec(bench: Bench) -> CacheSpec {
+    /// A generate-sourced cache under `root`.
+    fn spec(root: &Path) -> CacheSpec {
         CacheSpec {
-            root: tmp(&format!("{bench:?}")),
+            root: root.to_path_buf(),
             shards: 3,
             prefetch: true,
             source: CacheSource::Generate,
@@ -413,7 +412,8 @@ mod tests {
     #[test]
     fn cold_then_warm_is_identical() {
         let kind = BenchDataKind::tiny(Bench::P1b2);
-        let cache = spec(Bench::P1b2);
+        let root = tmp("cold_warm");
+        let cache = spec(&root);
         let (t1, e1, p1) = load_benchmark_dataset(&kind, 11, &cache).unwrap();
         assert!(!p1.is_warm());
         let (t2, e2, p2) = load_benchmark_dataset(&kind, 11, &cache).unwrap();
@@ -427,15 +427,15 @@ mod tests {
             assert_eq!(stats.decoded, 3);
             assert_eq!(stats.ready_hits + stats.waits, 3);
         }
-        std::fs::remove_dir_all(&cache.root).ok();
     }
 
     #[test]
     fn warm_matches_fresh_generation() {
         let kind = BenchDataKind::tiny(Bench::P1b3);
+        let root = tmp("warm_fresh");
         let cache = CacheSpec {
             prefetch: false,
-            ..spec(Bench::P1b3)
+            ..spec(&root)
         };
         load_benchmark_dataset(&kind, 5, &cache).unwrap();
         let (train, test, phase) = load_benchmark_dataset(&kind, 5, &cache).unwrap();
@@ -445,7 +445,6 @@ mod tests {
         assert_eq!(train.y().data(), ft.y().data());
         assert_eq!(test.x().data(), fe.x().data());
         assert_eq!(test.y().data(), fe.y().data());
-        std::fs::remove_dir_all(&cache.root).ok();
     }
 
     /// A pipeline fed from an exported CSV trains on bit-identical tensors:
@@ -455,7 +454,6 @@ mod tests {
     fn csv_source_round_trips_bit_exactly_and_reports_ingest() {
         let kind = BenchDataKind::tiny(Bench::Nt3);
         let root = tmp("csv_source");
-        std::fs::create_dir_all(&root).unwrap();
         let csv = root.join("packed.csv");
         export_packed_csv(&kind, 21, &csv).unwrap();
 
@@ -485,7 +483,6 @@ mod tests {
         let (t2, _, p2) = load_benchmark_dataset(&kind, 21, &cache).unwrap();
         assert!(p2.is_warm());
         assert_eq!(t2.x().data(), ft.x().data());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

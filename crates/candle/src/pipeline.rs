@@ -462,9 +462,7 @@ mod tests {
     /// carries the new ingest phase counters.
     #[test]
     fn csv_sourced_run_reports_ingest_phases_and_matches_generate() {
-        let root = std::env::temp_dir().join(format!("candle_pipe_csv_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        std::fs::create_dir_all(&root).unwrap();
+        let root = parx::scratch("candle_pipe_csv").expect("scratch dir");
         let csv = root.join("packed.csv");
         let base = spec(Bench::Nt3, 2, 4);
         crate::cache::export_packed_csv(&base.data, base.seed, &csv).unwrap();
@@ -505,7 +503,6 @@ mod tests {
             .records()
             .iter()
             .any(|r| r.name.starts_with("ingest_")));
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -623,11 +620,10 @@ mod tests {
 
     #[test]
     fn cached_run_matches_uncached_and_reports_cache_phases() {
-        let root = std::env::temp_dir().join(format!("candle_pipe_cache_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
+        let root = parx::scratch("candle_pipe_cache").expect("scratch dir");
         let mut s = spec(Bench::Nt3, 2, 4);
         s.cache = Some(CacheSpec {
-            root: root.clone(),
+            root: root.to_path_buf(),
             shards: 3,
             prefetch: true,
             source: CacheSource::Generate,
@@ -669,7 +665,6 @@ mod tests {
         assert_eq!(cold.train_loss, plain.train_loss);
         assert_eq!(warm.train_loss, plain.train_loss);
         assert_eq!(warm.test_accuracy, plain.test_accuracy);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     /// Two runs fed from one shared service train bit-identically to the
@@ -677,8 +672,7 @@ mod tests {
     /// work (`service_build` on the cold open, `service_open` after).
     #[test]
     fn service_fed_runs_match_plain_and_report_service_phases() {
-        let root = std::env::temp_dir().join(format!("candle_pipe_service_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
+        let root = parx::scratch("candle_pipe_service").expect("scratch dir");
         let service = datapipe::DatasetService::new(datapipe::ServiceConfig::new(&root)).unwrap();
         let mut s = spec(Bench::Nt3, 2, 4);
         s.data_service = Some(crate::cache::ServiceSpec::new(Arc::clone(&service)));
@@ -714,7 +708,6 @@ mod tests {
             .unwrap_or(0);
         assert!(hit_calls > 0, "resident shards must be attributed as hits");
         assert_eq!(service.stats().admitted, 2);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

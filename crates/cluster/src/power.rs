@@ -288,15 +288,13 @@ mod tests {
     #[test]
     fn csv_export_roundtrip() {
         let s = build_power_trace(&Machine::Summit.spec(), &phases());
-        let dir = std::env::temp_dir().join("candle_repro_power_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = parx::scratch("power_tests").expect("scratch dir");
         let path = dir.join("trace.csv");
         s.write_csv(&path).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = content.lines().collect();
         assert_eq!(lines[0], "time_s,power_w");
         assert_eq!(lines.len(), s.samples.len() + 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -206,12 +206,10 @@ mod tests {
     fn write_to_file_roundtrip() {
         let tl = Timeline::new();
         tl.record("mpi_broadcast", 0, 0, 100);
-        let dir = std::env::temp_dir().join("candle_repro_timeline_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = parx::scratch("timeline_test").expect("scratch dir");
         let path = dir.join("trace.json");
         tl.write_chrome_trace(&path).unwrap();
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, tl.to_chrome_trace());
-        let _ = std::fs::remove_file(&path);
     }
 }

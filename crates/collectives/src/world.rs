@@ -8,7 +8,9 @@ use std::time::Instant;
 /// the per-rank results in rank order.
 ///
 /// This is the reproduction's stand-in for `mpirun -np n`: each thread is
-/// one Horovod worker pinned (conceptually) to one GPU or node.
+/// one Horovod worker pinned (conceptually) to one GPU or node. As when `n`
+/// processes share a node, each rank's kernels get `1/n` of the hardware
+/// threads ([`parx::among_peers`]) rather than all of them `n` times over.
 ///
 /// # Panics
 /// Propagates a panic if any worker panics.
@@ -39,7 +41,7 @@ where
         let f = &f;
         let handles: Vec<_> = world
             .into_iter()
-            .map(|comm| scope.spawn(move || f(comm)))
+            .map(|comm| scope.spawn(move || parx::among_peers(n, || f(comm))))
             .collect();
         handles
             .into_iter()
@@ -85,6 +87,18 @@ mod tests {
     fn workers_see_their_own_rank() {
         let ranks = run_workers(5, |comm| comm.rank());
         assert_eq!(ranks, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// `n` ranks split the machine's kernel threads `n` ways; the caller's
+    /// own budget is untouched.
+    #[test]
+    fn ranks_split_the_kernel_threads() {
+        let all = parx::kernel_threads();
+        for n in [1, 2, all * 2] {
+            let seen = run_workers(n, |_| parx::kernel_threads());
+            assert_eq!(seen, vec![(all / n).max(1); n]);
+        }
+        assert_eq!(parx::kernel_threads(), all);
     }
 
     #[test]

@@ -3,6 +3,8 @@
 
 use crate::CacheError;
 use dataio::Dtype;
+use std::io::Write;
+use std::path::Path;
 
 /// Magic bytes opening every shard file ("CANDLE Data Shard v1").
 pub const MAGIC: [u8; 4] = *b"CDS1";
@@ -75,7 +77,40 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// A bounds-checked little-endian reader over a byte slice.
+/// Largest single `write` issued by [`write_file`].
+const WRITE_PIECE: usize = 64 * 1024;
+
+/// Creates (or truncates) `path` and writes `bytes` to it, at most
+/// [`WRITE_PIECE`] per `write` call. Handing the kernel a whole
+/// multi-megabyte shard or checkpoint at once lets it build the page cache
+/// from its largest folios, which come from high-order free blocks; a VM
+/// that reports free blocks of that size back to its host (free page
+/// reporting) faults each of those pages in again at the host. Measured on
+/// such a VM with ext4: the same four 19 MB shard writes took 0.13 s or
+/// 0.45-0.6 s from one cold load to the next at 1 MiB and larger pieces,
+/// and a steady 0.12-0.15 s at 256 KiB and below.
+pub fn write_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    for piece in bytes.chunks(WRITE_PIECE) {
+        file.write_all(piece)?;
+    }
+    Ok(())
+}
+
+/// What a [`ByteReader`] found wrong with its input: a read past the end
+/// or a length field the remaining bytes cannot hold. Each format that
+/// decodes with the reader turns it into its own `Corrupt` error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Malformed(pub String);
+
+impl From<Malformed> for CacheError {
+    fn from(e: Malformed) -> Self {
+        CacheError::Corrupt(e.0)
+    }
+}
+
+/// The one bounds-checked little-endian reader over a byte slice; `CDS1`
+/// shards and `resil`'s `RCP1` checkpoints both decode with it.
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -96,10 +131,10 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
-    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], CacheError> {
+    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], Malformed> {
         if self.remaining() < n {
-            return Err(CacheError::Corrupt(format!(
-                "truncated shard: wanted {n} bytes at offset {}, {} left",
+            return Err(Malformed(format!(
+                "truncated: wanted {n} bytes at offset {}, {} left",
                 self.pos,
                 self.remaining()
             )));
@@ -109,28 +144,62 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
-    pub fn take_u8(&mut self) -> Result<u8, CacheError> {
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], Malformed> {
+        Ok(self
+            .take_bytes(N)?
+            .try_into()
+            .expect("take_bytes returned N bytes"))
+    }
+
+    pub fn take_u8(&mut self) -> Result<u8, Malformed> {
         Ok(self.take_bytes(1)?[0])
     }
 
-    pub fn take_u16(&mut self) -> Result<u16, CacheError> {
-        Ok(u16::from_le_bytes(self.take_bytes(2)?.try_into().unwrap()))
+    pub fn take_u16(&mut self) -> Result<u16, Malformed> {
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
-    pub fn take_u32(&mut self) -> Result<u32, CacheError> {
-        Ok(u32::from_le_bytes(self.take_bytes(4)?.try_into().unwrap()))
+    pub fn take_u32(&mut self) -> Result<u32, Malformed> {
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
-    pub fn take_u64(&mut self) -> Result<u64, CacheError> {
-        Ok(u64::from_le_bytes(self.take_bytes(8)?.try_into().unwrap()))
+    pub fn take_u64(&mut self) -> Result<u64, Malformed> {
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
-    pub fn take_i64(&mut self) -> Result<i64, CacheError> {
-        Ok(i64::from_le_bytes(self.take_bytes(8)?.try_into().unwrap()))
+    pub fn take_i64(&mut self) -> Result<i64, Malformed> {
+        Ok(i64::from_le_bytes(self.take_array()?))
     }
 
-    pub fn take_f64(&mut self) -> Result<f64, CacheError> {
+    pub fn take_f64(&mut self) -> Result<f64, Malformed> {
         Ok(f64::from_bits(self.take_u64()?))
+    }
+
+    /// Reads a `u64` count that is about to size an allocation of elements
+    /// at least `elem_bytes` long each, rejecting counts the remaining
+    /// bytes cannot possibly hold — a garbled length field must fail as
+    /// corruption, never as an absurd allocation.
+    pub fn count(&mut self, elem_bytes: usize) -> Result<usize, Malformed> {
+        let n = self.take_u64()?;
+        self.plausible(n, elem_bytes)
+    }
+
+    /// [`ByteReader::count`] for a count stored as `u32`.
+    pub fn count_u32(&mut self, elem_bytes: usize) -> Result<usize, Malformed> {
+        let n = self.take_u32()?;
+        self.plausible(n.into(), elem_bytes)
+    }
+
+    fn plausible(&self, n: u64, elem_bytes: usize) -> Result<usize, Malformed> {
+        let cap = (self.remaining() / elem_bytes.max(1)) as u64;
+        if n > cap {
+            return Err(Malformed(format!(
+                "implausible count {n} at offset {}: only {} bytes remain",
+                self.pos,
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
     }
 }
 
@@ -185,5 +254,37 @@ mod tests {
         let buf = [1u8, 2, 3];
         let mut r = ByteReader::new(&buf);
         assert!(r.take_u64().is_err());
+    }
+
+    #[test]
+    fn write_file_replaces_the_file_with_exactly_the_bytes() {
+        let dir = parx::scratch("datacache_write_file").expect("scratch dir");
+        let path = dir.join("blob.bin");
+        // Longer than two pieces and not a multiple of one; then a shorter
+        // and an empty payload over the same path (truncation).
+        let long: Vec<u8> = (0..2 * WRITE_PIECE + 17).map(|i| (i % 251) as u8).collect();
+        for payload in [&long[..], &long[..5], &[]] {
+            write_file(&path, payload).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), payload);
+        }
+        assert!(write_file(&dir.join("missing").join("blob.bin"), b"x").is_err());
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_that_remain() {
+        // 12 bytes follow the count: two 6-byte elements fit, two 7-byte
+        // elements do not.
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 2);
+        buf.extend_from_slice(&[0; 12]);
+        assert_eq!(ByteReader::new(&buf).count(6), Ok(2));
+        let err = ByteReader::new(&buf).count(7).unwrap_err();
+        assert!(err.0.contains("implausible count 2"), "{}", err.0);
+        // The same rule for a count stored as u32.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 3);
+        buf.extend_from_slice(&[0; 8]);
+        assert_eq!(ByteReader::new(&buf).count_u32(2), Ok(3));
+        assert!(ByteReader::new(&buf).count_u32(3).is_err());
     }
 }

@@ -281,12 +281,10 @@ mod tests {
 
     #[test]
     fn write_and_load_from_dir() {
-        let dir = std::env::temp_dir().join(format!("datacache_manifest_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = parx::scratch("datacache_manifest").expect("scratch dir");
         let m = sample();
         m.write_to(&dir).unwrap();
         let loaded = Manifest::load_from(&dir).unwrap();
         assert_eq!(m, loaded);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

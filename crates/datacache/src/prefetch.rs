@@ -179,11 +179,13 @@ mod tests {
     use super::*;
     use crate::store::CacheStore;
     use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
-    use std::path::PathBuf;
 
-    fn cached_dataset(name: &str, rows: usize, nshards: usize) -> (PathBuf, Arc<CachedDataset>) {
-        let root = std::env::temp_dir().join(format!("datacache_pf_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
+    fn cached_dataset(
+        name: &str,
+        rows: usize,
+        nshards: usize,
+    ) -> (parx::Scratch, Arc<CachedDataset>) {
+        let root = parx::scratch(&format!("datacache_pf_{name}")).expect("scratch dir");
         std::fs::create_dir_all(root.join("src")).unwrap();
         let csv = root.join("src/data.csv");
         let spec = SyntheticSpec {
@@ -206,7 +208,7 @@ mod tests {
 
     #[test]
     fn yields_all_shards_in_order_and_matches_direct_load() {
-        let (root, ds) = cached_dataset("order", 90, 5);
+        let (_root, ds) = cached_dataset("order", 90, 5);
         let mut frames = Vec::new();
         let mut last_index = None;
         let pf = Prefetcher::all(Arc::clone(&ds));
@@ -225,12 +227,11 @@ mod tests {
         assert_eq!(frames.len(), 5);
         let reassembled = Frame::concat(frames).unwrap();
         assert_eq!(reassembled, ds.load_all().unwrap());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn stats_account_for_every_shard() {
-        let (root, ds) = cached_dataset("stats", 60, 6);
+        let (_root, ds) = cached_dataset("stats", 60, 6);
         let mut pf = Prefetcher::all(Arc::clone(&ds));
         let mut n = 0;
         while let Some(item) = pf.next() {
@@ -254,12 +255,11 @@ mod tests {
         );
         assert_eq!(pf.in_flight(), 0, "a drained prefetcher has nothing queued");
         assert!(stats.stall_fraction() <= 1.0);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn rank_streams_partition_the_dataset() {
-        let (root, ds) = cached_dataset("ranks", 80, 8);
+        let (_root, ds) = cached_dataset("ranks", 80, 8);
         let mut all_rows = 0;
         let mut seen_shards = Vec::new();
         for rank in 0..3 {
@@ -272,12 +272,11 @@ mod tests {
         seen_shards.sort_unstable();
         assert_eq!(seen_shards, (0..8).collect::<Vec<_>>());
         assert_eq!(all_rows, ds.nrows());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn corruption_surfaces_as_error_not_panic() {
-        let (root, ds) = cached_dataset("corrupt", 40, 4);
+        let (_root, ds) = cached_dataset("corrupt", 40, 4);
         // Corrupt shard 2 on disk after the manifest was loaded.
         let entry = &ds.manifest().shards[2];
         let path = ds.dir().join(&entry.file);
@@ -290,7 +289,6 @@ mod tests {
         assert_eq!(results.len(), 4);
         assert!(results[0].is_ok());
         assert!(results[2].is_err(), "corrupt shard must yield an error");
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -303,6 +301,5 @@ mod tests {
             .map(|r| r.unwrap().frame)
             .collect();
         assert_eq!(Frame::concat(frames).unwrap(), direct);
-        std::fs::remove_dir_all(&root).ok();
     }
 }

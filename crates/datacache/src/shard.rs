@@ -108,8 +108,13 @@ pub fn decode_shard(bytes: &[u8]) -> Result<DecodedShard, CacheError> {
     }
     let index = r.take_u32()?;
     let start_row = r.take_u64()? as usize;
-    let nrows = r.take_u64()? as usize;
-    let ncols = r.take_u32()? as usize;
+    // Both counts size allocations below, so each is checked against the
+    // bytes that remain: every column stores at least 4 bytes per row (a
+    // string's length prefix) and a shard with rows has a column, and every
+    // column has a one-byte dtype code. (A string's own length needs no
+    // such check: `take_bytes` bounds it before anything is allocated.)
+    let nrows = r.count(4)?;
+    let ncols = r.count_u32(1)?;
 
     let mut dtypes = Vec::with_capacity(ncols);
     for _ in 0..ncols {
@@ -251,6 +256,26 @@ mod tests {
                 decode_shard(&bad).is_err(),
                 "bit flip at byte {pos} went undetected"
             );
+        }
+    }
+
+    /// The CDS1 twin of RCP1's test of the same name: a count garbled to
+    /// `u64::MAX` under a valid checksum must fail the plausibility check,
+    /// not reach `Vec::with_capacity`.
+    #[test]
+    fn garbled_count_fails_as_corruption_not_allocation() {
+        let mut bytes = encode_shard(&mixed_frame(8, 31), 0, 0, 8);
+        // nrows follows magic + version + shard_idx + start_row
+        // (4 + 2 + 4 + 8 = offset 18).
+        bytes[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let checksum = fnv1a64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        match decode_shard(&bytes) {
+            Err(CacheError::Corrupt(msg)) => {
+                assert!(msg.contains("implausible count"), "wrong path: {msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

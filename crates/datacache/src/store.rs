@@ -1,6 +1,7 @@
 //! The cache store: cold builds (parse once, write shards) and warm opens
 //! (verified shard loads), plus per-rank shard assignment.
 
+use crate::format::write_file;
 use crate::manifest::{source_key_for_file, Manifest, ShardEntry, MANIFEST_VERSION};
 use crate::shard::{decode_shard, encode_shard, shard_ranges};
 use crate::CacheError;
@@ -308,7 +309,7 @@ fn write_cache(
         let bytes = encode_shard(frame, i as u32, start, end);
         let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         let file = format!("shard-{i:04}.bin");
-        std::fs::write(dir.join(&file), &bytes)?;
+        write_file(&dir.join(&file), &bytes)?;
         entries.push(ShardEntry {
             file,
             start_row: start,
@@ -427,10 +428,8 @@ mod tests {
     use super::*;
     use dataio::{generate, write_csv_dataset, ClassSpec, SyntheticSpec};
 
-    fn tmp_root(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("datacache_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
+    fn tmp_root(name: &str) -> parx::Scratch {
+        parx::scratch(&format!("datacache_{name}")).expect("scratch dir")
     }
 
     fn small_csv(dir: &Path) -> PathBuf {
@@ -471,7 +470,6 @@ mod tests {
         let (direct, _) = read_csv(&csv, ReadStrategy::ChunkedLowMemory).unwrap();
         assert_eq!(ds2.load_all().unwrap(), direct);
         assert_eq!(ds1.load_all().unwrap(), direct);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     /// The turbo strategy flows through the cold-build path unchanged: the
@@ -499,7 +497,6 @@ mod tests {
             .unwrap();
         assert!(!chunked_outcome.is_warm());
         assert_eq!(turbo_ds.load_all().unwrap(), chunked_ds.load_all().unwrap());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -522,7 +519,6 @@ mod tests {
             .open_csv(&csv, ReadStrategy::ChunkedLowMemory, 2)
             .unwrap();
         assert!(!o2.is_warm(), "modified file must rebuild, not warm-hit");
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -538,7 +534,6 @@ mod tests {
             .unwrap();
         assert!(!o1.is_warm());
         assert!(!o2.is_warm(), "strategy is part of the cache key");
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -564,7 +559,6 @@ mod tests {
             matches!(ds.load_shard(1), Err(CacheError::Corrupt(_))),
             "flipped byte must surface as CacheError::Corrupt"
         );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -587,7 +581,6 @@ mod tests {
         // An empty file (torn write caught at its worst) is also typed.
         std::fs::write(&shard_path, b"").unwrap();
         assert!(matches!(ds.load_shard(2), Err(CacheError::Corrupt(_))));
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -605,7 +598,6 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..ds.nshards()).collect::<Vec<_>>());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -639,7 +631,6 @@ mod tests {
             assert_eq!(ds.nrows(), 30);
         }
         assert_eq!(builds, 1, "second open must be a warm hit");
-        std::fs::remove_dir_all(&root).ok();
     }
 
     /// Builds dataset `key` (a distinct synthetic frame per key) in
@@ -707,7 +698,6 @@ mod tests {
         // An evicted dataset rebuilds cold; a surviving one warm-hits.
         assert!(churn_open(&store, 1), "evicted key must cold-build");
         assert!(!churn_open(&store, 1), "just-rebuilt key must warm-hit");
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -747,7 +737,6 @@ mod tests {
             !store.dataset_dir(1).exists(),
             "released dataset must become evictable"
         );
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -765,7 +754,6 @@ mod tests {
         let store = CacheStore::with_budget(&root, total * 2 / 3).unwrap();
         assert!(store.usage_bytes() <= total * 2 / 3);
         assert!(store.disk_evictions() >= 1);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -782,6 +770,5 @@ mod tests {
             .open_csv(&csv, ReadStrategy::ChunkedLowMemory, 2)
             .unwrap();
         assert!(!o.is_warm());
-        std::fs::remove_dir_all(&root).ok();
     }
 }

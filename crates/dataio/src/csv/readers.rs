@@ -367,26 +367,30 @@ mod tests {
     use super::*;
     use crate::csv::write_matrix_csv;
 
-    fn tmpfile(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("candle_repro_reader_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn scratch() -> parx::Scratch {
+        parx::scratch("reader_tests").expect("scratch dir")
     }
 
-    fn write_matrix(name: &str, rows: usize, cols: usize) -> (std::path::PathBuf, Vec<f32>) {
+    fn write_matrix(
+        dir: &Path,
+        name: &str,
+        rows: usize,
+        cols: usize,
+    ) -> (std::path::PathBuf, Vec<f32>) {
         use xrng::RandomSource;
         let mut rng = xrng::seeded(rows as u64 * 31 + cols as u64);
         let data: Vec<f32> = (0..rows * cols)
             .map(|_| (rng.next_f32() * 100.0).round() / 4.0)
             .collect();
-        let path = tmpfile(name);
+        let path = dir.join(name);
         write_matrix_csv(&path, &data, rows, cols).unwrap();
         (path, data)
     }
 
     #[test]
     fn all_strategies_agree() {
-        let (path, data) = write_matrix("agree.csv", 200, 17);
+        let dir = scratch();
+        let (path, data) = write_matrix(&dir, "agree.csv", 200, 17);
         for strategy in [
             ReadStrategy::PandasDefault,
             ReadStrategy::ChunkedLowMemory,
@@ -400,7 +404,6 @@ mod tests {
             assert_eq!(stats.rows, 200);
             assert!(stats.bytes > 0);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// xrng-driven property test: for randomly drawn file geometries, all
@@ -410,10 +413,11 @@ mod tests {
     fn random_geometries_parse_identically_across_strategies() {
         use xrng::RandomSource;
         let mut rng = xrng::seeded(0xC5F_D47A);
+        let dir = scratch();
         for case in 0..12 {
             let rows = 1 + rng.next_index(300);
             let cols = 1 + rng.next_index(40);
-            let (path, _) = write_matrix(&format!("prop_{case}.csv"), rows, cols);
+            let (path, _) = write_matrix(&dir, &format!("prop_{case}.csv"), rows, cols);
             let (base, base_stats) = read_csv(&path, ReadStrategy::PandasDefault).unwrap();
             for strategy in [
                 ReadStrategy::ChunkedLowMemory,
@@ -425,7 +429,6 @@ mod tests {
                 assert_eq!(stats.bytes, base_stats.bytes);
                 assert_eq!((stats.rows, stats.cols), (rows, cols));
             }
-            std::fs::remove_file(&path).unwrap();
         }
     }
 
@@ -449,7 +452,8 @@ mod tests {
     fn pandas_default_uses_more_chunks_on_wide_files() {
         // Wide file: 40 rows x 2000 cols ≈ 500 KB > one 256 KB low-memory
         // chunk but < one 16 MB optimized chunk.
-        let (path, _) = write_matrix("wide.csv", 40, 2000);
+        let dir = scratch();
+        let (path, _) = write_matrix(&dir, "wide.csv", 40, 2000);
         let (_, slow) = read_csv(&path, ReadStrategy::PandasDefault).unwrap();
         let (_, fast) = read_csv(&path, ReadStrategy::ChunkedLowMemory).unwrap();
         assert!(
@@ -458,12 +462,12 @@ mod tests {
             slow.chunks
         );
         assert_eq!(fast.chunks, 1, "optimized path should not fragment");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn turbo_reports_ingest_phases_and_partitions() {
-        let (path, data) = write_matrix("turbo_phases.csv", 300, 9);
+        let dir = scratch();
+        let (path, data) = write_matrix(&dir, "turbo_phases.csv", 300, 9);
         let (frame, stats) = read_turbo_with_threads(&path, 4).unwrap();
         assert_eq!(frame.to_f32_matrix(), data);
         assert_eq!(stats.strategy, ReadStrategy::TurboParallel);
@@ -472,12 +476,12 @@ mod tests {
         assert!(phases.parse > Duration::ZERO);
         // 300 rows / grain 16 supports all 4 partitions.
         assert_eq!(stats.chunks, 4);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn mixed_dtype_file_falls_back_correctly() {
-        let path = tmpfile("mixed.csv");
+        let dir = scratch();
+        let path = dir.join("mixed.csv");
         std::fs::write(&path, "1,tumor,2.5\n2,normal,3.5\n").unwrap();
         for strategy in [
             ReadStrategy::PandasDefault,
@@ -490,7 +494,6 @@ mod tests {
             assert_eq!(frame.columns()[1].dtype(), Dtype::Str, "{strategy:?}");
             assert_eq!(frame.columns()[0].dtype(), Dtype::Int64, "{strategy:?}");
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// Pins the cross-partition dtype rule: a column that is all-int in the
@@ -499,7 +502,8 @@ mod tests {
     /// turbo read of the same file agrees on dtype and values.
     #[test]
     fn dask_partitions_unify_dtypes_across_fragments() {
-        let path = tmpfile("dask_unify.csv");
+        let dir = scratch();
+        let path = dir.join("dask_unify.csv");
         let mut text = String::new();
         for i in 0..4000 {
             text.push_str(&format!("{i},7\n"));
@@ -514,12 +518,12 @@ mod tests {
         assert_eq!(turbo.columns()[0].dtype(), Dtype::Float64);
         // Same values under f32 projection regardless of engine.
         assert_eq!(dask.to_f32_matrix(), turbo.to_f32_matrix());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn empty_file_is_error() {
-        let path = tmpfile("empty.csv");
+        let dir = scratch();
+        let path = dir.join("empty.csv");
         std::fs::write(&path, "").unwrap();
         for strategy in [
             ReadStrategy::PandasDefault,
@@ -529,20 +533,20 @@ mod tests {
         ] {
             assert!(read_csv(&path, strategy).is_err(), "{strategy:?}");
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn blank_only_file_is_error_for_turbo() {
-        let path = tmpfile("blanks.csv");
+        let dir = scratch();
+        let path = dir.join("blanks.csv");
         std::fs::write(&path, "\n\n\r\n").unwrap();
         assert!(read_csv(&path, ReadStrategy::TurboParallel).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn ragged_file_is_error() {
-        let path = tmpfile("ragged.csv");
+        let dir = scratch();
+        let path = dir.join("ragged.csv");
         std::fs::write(&path, "1,2,3\n4,5\n").unwrap();
         for strategy in [
             ReadStrategy::PandasDefault,
@@ -551,7 +555,6 @@ mod tests {
         ] {
             assert!(read_csv(&path, strategy).is_err(), "{strategy:?}");
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -66,25 +66,24 @@ impl<W: Write> Write for CountingWriter<W> {
 mod tests {
     use super::*;
 
-    fn tmpfile(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("candle_repro_csv_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn scratch() -> parx::Scratch {
+        parx::scratch("csv_tests").expect("scratch dir")
     }
 
     #[test]
     fn writes_expected_text() {
-        let path = tmpfile("small.csv");
+        let dir = scratch();
+        let path = dir.join("small.csv");
         let bytes = write_matrix_csv(&path, &[1.0, 2.5, 3.0, 4.0], 2, 2).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "1,2.5\n3,4\n");
         assert_eq!(bytes, text.len() as u64);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn roundtrips_through_reader() {
-        let path = tmpfile("roundtrip.csv");
+        let dir = scratch();
+        let path = dir.join("roundtrip.csv");
         let data: Vec<f32> = (0..30).map(|i| i as f32 * 0.25).collect();
         write_matrix_csv(&path, &data, 5, 6).unwrap();
         let (frame, _) =
@@ -93,13 +92,13 @@ mod tests {
         assert_eq!(frame.ncols(), 6);
         let back = frame.to_f32_matrix();
         assert_eq!(back, data);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "dims do not match")]
     fn dims_validated() {
-        let path = tmpfile("bad.csv");
+        let dir = scratch();
+        let path = dir.join("bad.csv");
         let _ = write_matrix_csv(&path, &[1.0], 2, 2);
     }
 }

@@ -336,8 +336,7 @@ mod tests {
     #[test]
     fn csv_export_layout() {
         let ds = generate(&class_spec(4, 3));
-        let dir = std::env::temp_dir().join("candle_repro_gen_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = parx::scratch("gen_tests").expect("scratch dir");
         let path = dir.join("ds.csv");
         write_csv_dataset(&path, &ds).unwrap();
         let (frame, _) =
@@ -348,6 +347,5 @@ mod tests {
         for r in 0..4 {
             assert_eq!(frame.columns()[0].f32_at(r), ds.labels[r]);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }

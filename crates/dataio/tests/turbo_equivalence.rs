@@ -13,10 +13,8 @@ use dataio::csv::{read_csv, read_turbo_with_threads, ReadStrategy};
 use dataio::{Column, Frame};
 use xrng::RandomSource;
 
-fn tmpfile(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("candle_repro_turbo_equiv");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+fn scratch() -> parx::Scratch {
+    parx::scratch("turbo_equiv").expect("scratch dir")
 }
 
 /// One random token: plain ints, fixed-point decimals, scientific notation,
@@ -88,9 +86,10 @@ fn assert_bit_identical(a: &Frame, b: &Frame, ctx: &str) {
 #[test]
 fn turbo_bit_identical_to_seed_strategies_across_geometries_and_threads() {
     let mut rng = xrng::seeded(0x7EB0_1D3A);
+    let dir = scratch();
     for case in 0..24 {
         let (text, rows, cols) = random_csv(&mut rng);
-        let path = tmpfile(&format!("equiv_{case}.csv"));
+        let path = dir.join(format!("equiv_{case}.csv"));
         std::fs::write(&path, &text).unwrap();
 
         let (chunked, _) = read_csv(&path, ReadStrategy::ChunkedLowMemory).unwrap();
@@ -106,7 +105,6 @@ fn turbo_bit_identical_to_seed_strategies_across_geometries_and_threads() {
             assert_eq!(stats.cols, cols, "{ctx}");
             assert!(stats.ingest.is_some(), "{ctx}: phases reported");
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
@@ -124,15 +122,15 @@ fn turbo_corner_geometries_match_chunked() {
         ("single_cell", "7.5"),
         ("single_wide_row", "1.5,2.5,3.5,4.5,5.5,6.5,7.5,8.5,9.5,10.5,11.5,12.5\n"),
     ];
+    let dir = scratch();
     for (name, text) in cases {
-        let path = tmpfile(&format!("corner_{name}.csv"));
+        let path = dir.join(format!("corner_{name}.csv"));
         std::fs::write(&path, text).unwrap();
         let (chunked, _) = read_csv(&path, ReadStrategy::ChunkedLowMemory).unwrap();
         for threads in [1, 2, 4] {
             let (turbo, _) = read_turbo_with_threads(&path, threads).unwrap();
             assert_bit_identical(&turbo, &chunked, &format!("{name} threads {threads}"));
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
@@ -140,12 +138,12 @@ fn turbo_corner_geometries_match_chunked() {
 /// strategy's fallback exactly (same typed parser, same chunking).
 #[test]
 fn turbo_mixed_dtype_fallback_equals_chunked() {
-    let path = tmpfile("fallback.csv");
+    let dir = scratch();
+    let path = dir.join("fallback.csv");
     std::fs::write(&path, "id,label,score\n1,tumor,2.5\n2,normal,3.5\n").unwrap();
     let (chunked, _) = read_csv(&path, ReadStrategy::ChunkedLowMemory).unwrap();
     for threads in [1, 2, 4] {
         let (turbo, _) = read_turbo_with_threads(&path, threads).unwrap();
         assert_eq!(turbo, chunked, "threads {threads}");
     }
-    std::fs::remove_file(&path).unwrap();
 }

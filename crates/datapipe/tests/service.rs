@@ -7,13 +7,11 @@ use dataio::{generate, ClassSpec, SyntheticSpec};
 use datapipe::{
     stream_fingerprint, AdmitError, DatasetService, JobSpec, ServiceConfig, StreamOrder,
 };
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
-fn tmp_root(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("datapipe_{name}_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+fn tmp_root(name: &str) -> parx::Scratch {
+    parx::scratch(&format!("datapipe_{name}")).expect("scratch dir")
 }
 
 fn spec_for(rows: usize, cols: usize, seed: u64) -> SyntheticSpec {
@@ -32,7 +30,7 @@ fn spec_for(rows: usize, cols: usize, seed: u64) -> SyntheticSpec {
 /// Opens a service with `threads` assembly workers and one registered
 /// synthetic dataset under `key`.
 fn service_with_dataset(
-    root: &PathBuf,
+    root: &Path,
     threads: usize,
     key: u64,
     rows: usize,
@@ -72,7 +70,6 @@ fn stream_is_bit_identical_across_thread_counts() {
         let epoch = stream_fingerprint(job.epoch(3)).unwrap();
         let seq = stream_fingerprint(job.sequential()).unwrap();
         prints.push((epoch, seq));
-        std::fs::remove_dir_all(&root).ok();
     }
     assert_eq!(prints[0], prints[1], "1 vs 2 threads changed the stream");
     assert_eq!(prints[0], prints[2], "1 vs 4 threads changed the stream");
@@ -126,7 +123,6 @@ fn shuffled_epoch_covers_every_row_exactly_once() {
         shuffled, sequential,
         "epoch must be a permutation of the rows"
     );
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Epochs reshuffle: different epoch indices yield different orders, and
@@ -142,7 +138,6 @@ fn epochs_reshuffle_and_replay_deterministically() {
     let e0_again = stream_fingerprint(job.epoch(0)).unwrap();
     assert_ne!(e0, e1, "epochs 0 and 1 must shuffle differently");
     assert_eq!(e0, e0_again, "replaying an epoch must be bit-identical");
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Concurrent neighbours over the same pool never change a job's stream,
@@ -178,7 +173,6 @@ fn neighbours_share_the_pool_without_changing_streams() {
         pool.hits > pool.misses,
         "9 jobs over 5 shards must mostly hit"
     );
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -224,7 +218,6 @@ fn admission_control_rejects_with_typed_errors() {
     assert_eq!(stats.admitted, 3);
     assert_eq!(stats.rejected, 3);
     assert_eq!(stats.active_jobs, 2);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
@@ -245,7 +238,6 @@ fn admission_rejects_working_sets_beyond_the_pool_budget() {
         Err(AdmitError::InsufficientBudget { .. })
     ));
     assert_eq!(service.stats().rejected, 1);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// A tight pool budget forces eviction churn mid-epoch — and the stream
@@ -280,7 +272,6 @@ fn tight_pool_budget_churns_but_streams_stay_identical() {
     let pool = service.pool_stats();
     assert!(pool.evictions > 0, "a tight budget must evict: {pool:?}");
     assert!(pool.resident_bytes <= pool.peak_resident_bytes, "{pool:?}");
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Job stats attribute work to the job that did it.
@@ -309,7 +300,6 @@ fn job_stats_attribute_batches_and_bytes() {
         stats.shard_misses <= 5,
         "at most one decode per shard: {stats:?}"
     );
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Reopening a dataset on a fresh service over the same root warm-hits
@@ -335,7 +325,6 @@ fn second_service_over_same_root_warm_hits() {
         builds, 1,
         "the cold build must be single-flight across opens"
     );
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// StreamOrder is part of the public API surface; make sure the re-export

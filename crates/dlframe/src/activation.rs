@@ -1,4 +1,4 @@
-//! Activation functions with forward and backward evaluation.
+//! Activation functions with in-place forward and backward evaluation.
 //!
 //! The pointwise functions mirror `tensor::FusedAct` exactly (sigmoid is
 //! shared via [`tensor::sigmoid`]), so a layer that fuses its activation
@@ -23,14 +23,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation.
-    pub fn forward(self, x: &Tensor) -> Tensor {
-        let mut out = x.clone();
-        self.forward_inplace(&mut out);
-        out
-    }
-
-    /// Applies the activation in place (allocation-free forward).
+    /// Applies the activation in place.
     pub fn forward_inplace(self, x: &mut Tensor) {
         match self {
             Activation::Linear => {}
@@ -53,7 +46,8 @@ impl Activation {
         }
     }
 
-    /// Computes `dL/dx` given the activation *output* `y` and `dL/dy`.
+    /// Writes `dL/dx` into `out`, given the activation *output* `y` and
+    /// `dL/dy`; `out` must have `grad_out`'s length.
     ///
     /// Using the output (rather than the input) is valid for every function
     /// here because each derivative is expressible in terms of the output —
@@ -61,38 +55,25 @@ impl Activation {
     ///
     /// For `Softmax` this computes the full row-wise Jacobian product,
     /// `dx_i = y_i (g_i - Σ_j g_j y_j)`.
-    pub fn backward(self, y: &Tensor, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        self.backward_in_place(y, &mut g);
-        g
-    }
-
-    /// [`Activation::backward`] writing into a preallocated tensor of the
-    /// same length as `grad_out` (allocation-free backward).
     pub fn backward_into(self, y: &Tensor, grad_out: &Tensor, out: &mut Tensor) {
         debug_assert_eq!(out.len(), grad_out.len());
         out.data_mut().copy_from_slice(grad_out.data());
-        self.backward_in_place(y, out);
-    }
-
-    /// Turns a copy of `dL/dy` held in `g` into `dL/dx`, in place.
-    fn backward_in_place(self, y: &Tensor, g: &mut Tensor) {
         match self {
             Activation::Linear => {}
             Activation::Relu => {
-                for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+                for (gv, &yv) in out.data_mut().iter_mut().zip(y.data()) {
                     if yv <= 0.0 {
                         *gv = 0.0;
                     }
                 }
             }
             Activation::Sigmoid => {
-                for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+                for (gv, &yv) in out.data_mut().iter_mut().zip(y.data()) {
                     *gv *= yv * (1.0 - yv);
                 }
             }
             Activation::Tanh => {
-                for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+                for (gv, &yv) in out.data_mut().iter_mut().zip(y.data()) {
                     *gv *= 1.0 - yv * yv;
                 }
             }
@@ -100,7 +81,7 @@ impl Activation {
                 let (rows, cols) = y.shape().as_2d();
                 for r in 0..rows {
                     let yrow = &y.data()[r * cols..(r + 1) * cols];
-                    let grow = &mut g.data_mut()[r * cols..(r + 1) * cols];
+                    let grow = &mut out.data_mut()[r * cols..(r + 1) * cols];
                     let dot: f32 = grow.iter().zip(yrow).map(|(g, y)| g * y).sum();
                     for (gv, &yv) in grow.iter_mut().zip(yrow) {
                         *gv = yv * (*gv - dot);
@@ -127,21 +108,33 @@ mod tests {
     use super::*;
     use xrng::RandomSource;
 
+    fn apply(act: Activation, x: &Tensor) -> Tensor {
+        let mut y = x.clone();
+        act.forward_inplace(&mut y);
+        y
+    }
+
+    fn input_grad(act: Activation, y: &Tensor, grad_out: &Tensor) -> Tensor {
+        let mut g = Tensor::zeros(grad_out.shape().clone());
+        act.backward_into(y, grad_out, &mut g);
+        g
+    }
+
     fn finite_diff_check(act: Activation, tol: f64) {
         // Loss = sum(act(x) * w) for random w; compare analytic vs numeric.
         let mut rng = xrng::seeded(42);
         let x = Tensor::from_fn([3, 5], |_| rng.next_f32() * 2.0 - 1.0);
         let w = Tensor::from_fn([3, 5], |_| rng.next_f32() * 2.0 - 1.0);
-        let y = act.forward(&x);
-        let analytic = act.backward(&y, &w);
+        let y = apply(act, &x);
+        let analytic = input_grad(act, &y, &w);
         let eps = 1e-3f32;
         for idx in 0..x.len() {
             let mut plus = x.clone();
             plus.data_mut()[idx] += eps;
             let mut minus = x.clone();
             minus.data_mut()[idx] -= eps;
-            let lp: f64 = act.forward(&plus).mul(&w).unwrap().sum();
-            let lm: f64 = act.forward(&minus).mul(&w).unwrap().sum();
+            let lp: f64 = apply(act, &plus).mul(&w).unwrap().sum();
+            let lm: f64 = apply(act, &minus).mul(&w).unwrap().sum();
             let numeric = (lp - lm) / (2.0 * eps as f64);
             let a = analytic.data()[idx] as f64;
             assert!(
@@ -155,13 +148,13 @@ mod tests {
     #[test]
     fn relu_forward() {
         let x = Tensor::from_vec([4], vec![-1.0, 0.0, 2.0, -0.5]).unwrap();
-        assert_eq!(Activation::Relu.forward(&x).data(), &[0.0, 0.0, 2.0, 0.0]);
+        assert_eq!(apply(Activation::Relu, &x).data(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
     #[test]
     fn sigmoid_range_and_stability() {
         let x = Tensor::from_vec([3], vec![-100.0, 0.0, 100.0]).unwrap();
-        let y = Activation::Sigmoid.forward(&x);
+        let y = apply(Activation::Sigmoid, &x);
         assert!(y.data()[0] >= 0.0 && y.data()[0] < 1e-6);
         assert!((y.data()[1] - 0.5).abs() < 1e-6);
         assert!(y.data()[2] > 1.0 - 1e-6 && y.data()[2] <= 1.0);
@@ -171,9 +164,9 @@ mod tests {
     #[test]
     fn linear_is_identity_both_ways() {
         let x = Tensor::from_vec([3], vec![1.0, -2.0, 3.0]).unwrap();
-        assert_eq!(Activation::Linear.forward(&x), x);
+        assert_eq!(apply(Activation::Linear, &x), x);
         let g = Tensor::from_vec([3], vec![0.1, 0.2, 0.3]).unwrap();
-        assert_eq!(Activation::Linear.backward(&x, &g), g);
+        assert_eq!(input_grad(Activation::Linear, &x, &g), g);
     }
 
     #[test]
@@ -187,9 +180,9 @@ mod tests {
     #[test]
     fn relu_gradient_masks_negative() {
         let x = Tensor::from_vec([4], vec![-1.0, 0.5, -0.2, 2.0]).unwrap();
-        let y = Activation::Relu.forward(&x);
+        let y = apply(Activation::Relu, &x);
         let g = Tensor::full([4], 1.0);
-        let gx = Activation::Relu.backward(&y, &g);
+        let gx = input_grad(Activation::Relu, &y, &g);
         assert_eq!(gx.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -197,9 +190,9 @@ mod tests {
     fn softmax_backward_of_uniform_gradient_is_zero() {
         // d/dx of sum(softmax(x)) is zero since rows sum to one.
         let x = Tensor::from_vec([1, 3], vec![0.2, -0.7, 1.5]).unwrap();
-        let y = Activation::Softmax.forward(&x);
+        let y = apply(Activation::Softmax, &x);
         let g = Tensor::full([1, 3], 1.0);
-        let gx = Activation::Softmax.backward(&y, &g);
+        let gx = input_grad(Activation::Softmax, &y, &g);
         for v in gx.data() {
             assert!(v.abs() < 1e-6);
         }

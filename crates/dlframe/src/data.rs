@@ -72,13 +72,9 @@ impl Dataset {
         order.chunks(batch_size).map(|c| c.to_vec()).collect()
     }
 
-    /// Materializes the feature/target rows of one batch.
-    pub fn batch(&self, indices: &[usize]) -> (Tensor, Tensor) {
-        (self.x.gather_rows(indices), self.y.gather_rows(indices))
-    }
-
-    /// [`Dataset::batch`] into caller-owned tensors, reusing their buffers.
-    /// After the first batch of an epoch the gather is allocation-free.
+    /// Materializes the feature/target rows of one batch into caller-owned
+    /// tensors, reusing their buffers. After the first batch of an epoch
+    /// the gather is allocation-free.
     pub fn batch_into(&self, indices: &[usize], x_out: &mut Tensor, y_out: &mut Tensor) {
         self.x.gather_rows_into(indices, x_out);
         self.y.gather_rows_into(indices, y_out);
@@ -133,7 +129,9 @@ mod tests {
     #[test]
     fn batch_materializes_rows() {
         let d = make(5, 2);
-        let (x, y) = d.batch(&[4, 0]);
+        let (mut x, mut y) = (Tensor::zeros([1, 1]), Tensor::zeros([1, 1]));
+        d.batch_into(&[4, 0], &mut x, &mut y);
+        assert_eq!(x.shape().dims(), &[2, 2]);
         assert_eq!(x.data(), &[8.0, 9.0, 0.0, 1.0]);
         assert_eq!(y.data(), &[4.0, 0.0]);
     }

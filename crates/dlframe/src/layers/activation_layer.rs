@@ -2,7 +2,7 @@
 
 use super::{require_cached, store_cache, Layer};
 use crate::{Activation, DlError};
-use tensor::{with_scratch, Tensor, Workspace};
+use tensor::{Tensor, Workspace};
 
 /// Applies an [`Activation`] as its own layer.
 pub struct ActivationLayer {
@@ -30,31 +30,24 @@ impl Layer for ActivationLayer {
         "activation"
     }
 
-    fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.forward_ws(input, training, ws))
-    }
-
-    fn forward_ws(
+    fn forward(
         &mut self,
         input: &Tensor,
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        let mut y = ws.alloc_copy(input);
-        self.activation.forward_inplace(&mut y);
+        let y = self.forward_infer(input, ws)?;
         store_cache(&mut self.output_cache, &y, ws);
         Ok(y)
     }
 
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
-        Ok(self.activation.forward(input))
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        let mut y = ws.alloc_copy(input);
+        self.activation.forward_inplace(&mut y);
+        Ok(y)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.backward_ws(grad_out, ws))
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let y = require_cached(&self.output_cache, "activation")?;
         let mut g = ws.alloc(y.shape().clone());
         self.activation.backward_into(y, grad_out, &mut g);
@@ -70,15 +63,10 @@ mod tests {
     fn relu_layer_forward_backward() {
         let mut layer = ActivationLayer::new(Activation::Relu);
         let x = Tensor::from_vec([4], vec![-1.0, 2.0, -3.0, 4.0]).unwrap();
-        let y = layer.forward(&x, true).unwrap();
+        let ws = &mut Workspace::new();
+        let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = layer.backward(&Tensor::full([4], 1.0)).unwrap();
+        let g = layer.backward(&Tensor::full([4], 1.0), ws).unwrap();
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn backward_before_forward_errors() {
-        let mut layer = ActivationLayer::new(Activation::Sigmoid);
-        assert!(layer.backward(&Tensor::zeros([2])).is_err());
     }
 }

@@ -7,8 +7,8 @@
 use super::{require_cached, store_cache, Layer};
 use crate::{Activation, DlError};
 use tensor::{
-    conv1d_backward_ws, conv1d_forward_ws, conv1d_output_len, with_scratch, FusedAct,
-    Initializer, Tensor, Workspace,
+    conv1d_backward_ws, conv1d_forward_ws, conv1d_output_len, FusedAct, Initializer, Tensor,
+    Workspace,
 };
 use xrng::Rng;
 
@@ -80,7 +80,7 @@ impl Conv1D {
     /// im2col + GEMM with the bias and pointwise activation fused into the
     /// epilogue. (A non-pointwise activation falls back to a separate
     /// pass, preserving the old semantics.)
-    fn compute_ws(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn compute(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let (_, _, in_ch) = input.shape().as_3d();
         if in_ch != self.in_channels {
             return Err(DlError::BadInput(format!(
@@ -110,31 +110,23 @@ impl Layer for Conv1D {
         "conv1d"
     }
 
-    fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.forward_ws(input, training, ws))
-    }
-
-    fn forward_ws(
+    fn forward(
         &mut self,
         input: &Tensor,
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        let y = self.compute_ws(input, ws)?;
+        let y = self.compute(input, ws)?;
         store_cache(&mut self.input_cache, input, ws);
         store_cache(&mut self.output_cache, &y, ws);
         Ok(y)
     }
 
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.compute_ws(input, ws))
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        self.compute(input, ws)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.backward_ws(grad_out, ws))
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let grad_z = {
             let y = require_cached(&self.output_cache, "conv1d")?;
             let mut gz = ws.alloc(y.shape().clone());
@@ -164,30 +156,9 @@ impl Layer for Conv1D {
         Ok(grad_input)
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weights, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weights, &mut self.bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weights, &self.grad_bias]
-    }
-
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_weights, &mut self.grad_bias]
-    }
-
-    fn for_each_grad(&self, f: &mut dyn FnMut(&Tensor)) {
-        f(&self.grad_weights);
-        f(&self.grad_bias);
-    }
-
-    fn for_each_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        f(&mut self.grad_weights);
-        f(&mut self.grad_bias);
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.weights);
+        f(&self.bias);
     }
 
     fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
@@ -195,10 +166,9 @@ impl Layer for Conv1D {
         f(&mut self.bias);
     }
 
-    fn param_count(&self) -> usize {
-        // Allocation-free override: the default goes through `params()`
-        // and would heap-allocate on the training hot path.
-        self.weights.len() + self.bias.len()
+    fn for_each_grad(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.grad_weights);
+        f(&self.grad_bias);
     }
 }
 
@@ -212,7 +182,7 @@ mod tests {
         let mut rng = xrng::seeded(1);
         let mut layer = Conv1D::new(2, 5, 3, 1, Activation::Relu, &mut rng);
         let x = Tensor::zeros([4, 10, 2]);
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&x, true, &mut Workspace::new()).unwrap();
         assert_eq!(y.shape().dims(), &[4, 8, 5]);
         assert_eq!(layer.output_len(10), Some(8));
     }
@@ -221,7 +191,9 @@ mod tests {
     fn rejects_channel_mismatch() {
         let mut rng = xrng::seeded(2);
         let mut layer = Conv1D::new(2, 3, 3, 1, Activation::Relu, &mut rng);
-        assert!(layer.forward(&Tensor::zeros([1, 10, 4]), true).is_err());
+        assert!(layer
+            .forward(&Tensor::zeros([1, 10, 4]), true, &mut Workspace::new())
+            .is_err());
     }
 
     #[test]
@@ -232,7 +204,9 @@ mod tests {
             *w = 0.0;
         }
         layer.bias = Tensor::from_vec([2], vec![3.0, -1.0]).unwrap();
-        let y = layer.forward(&Tensor::zeros([1, 4, 1]), true).unwrap();
+        let y = layer
+            .forward(&Tensor::zeros([1, 4, 1]), true, &mut Workspace::new())
+            .unwrap();
         for t in 0..4 {
             assert_eq!(y.data()[t * 2], 3.0);
             assert_eq!(y.data()[t * 2 + 1], -1.0);
@@ -244,14 +218,15 @@ mod tests {
         let mut rng = xrng::seeded(4);
         let mut layer = Conv1D::new(2, 3, 3, 2, Activation::Tanh, &mut rng);
         let x = Tensor::from_fn([2, 9, 2], |_| rng.next_f32() - 0.5);
-        let y = layer.forward(&x, true).unwrap();
+        let ws = &mut Workspace::new();
+        let y = layer.forward(&x, true, ws).unwrap();
         let w_dir = Tensor::from_fn(y.shape().clone().dims().to_vec(), |_| rng.next_f32() - 0.5);
-        let gx = layer.backward(&w_dir).unwrap();
+        let gx = layer.backward(&w_dir, ws).unwrap();
         let gw = layer.grad_weights.clone();
         let gb = layer.grad_bias.clone();
         let eps = 1e-3f32;
-        let loss =
-            |l: &mut Conv1D, x: &Tensor| l.forward(x, true).unwrap().mul(&w_dir).unwrap().sum();
+        let mut loss =
+            |l: &mut Conv1D, x: &Tensor| l.forward(x, true, ws).unwrap().mul(&w_dir).unwrap().sum();
         for idx in [0usize, 9, 23] {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;

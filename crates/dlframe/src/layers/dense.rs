@@ -7,8 +7,7 @@
 
 use super::{require_cached, store_cache, Layer};
 use crate::{Activation, DlError};
-use tensor::{gemm_into, gemm_slice, with_scratch, Epilogue, GemmMode, Initializer, Tensor,
-    Workspace};
+use tensor::{gemm_into, gemm_slice, Epilogue, GemmMode, Initializer, Tensor, Workspace};
 use xrng::Rng;
 
 /// `y = act(x·W + b)` for `x: (batch, in)`, `W: (in, out)`, `b: (out)`.
@@ -58,7 +57,7 @@ impl Dense {
     /// one GEMM with the bias and (pointwise) activation fused into the
     /// epilogue. Softmax is row-wise, so it runs as a separate in-place
     /// pass after a bias-only epilogue.
-    fn compute_ws(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn compute(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let (batch, cols) = input.shape().as_2d();
         if cols != self.in_dim {
             return Err(DlError::BadInput(format!(
@@ -96,31 +95,23 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.forward_ws(input, training, ws))
-    }
-
-    fn forward_ws(
+    fn forward(
         &mut self,
         input: &Tensor,
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        let y = self.compute_ws(input, ws)?;
+        let y = self.compute(input, ws)?;
         store_cache(&mut self.input_cache, input, ws);
         store_cache(&mut self.output_cache, &y, ws);
         Ok(y)
     }
 
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.compute_ws(input, ws))
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        self.compute(input, ws)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.backward_ws(grad_out, ws))
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let grad_z = {
             let y = require_cached(&self.output_cache, "dense")?;
             let mut gz = ws.alloc(y.shape().clone());
@@ -153,30 +144,9 @@ impl Layer for Dense {
         Ok(gx)
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.weights, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.weights, &mut self.bias]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad_weights, &self.grad_bias]
-    }
-
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_weights, &mut self.grad_bias]
-    }
-
-    fn for_each_grad(&self, f: &mut dyn FnMut(&Tensor)) {
-        f(&self.grad_weights);
-        f(&self.grad_bias);
-    }
-
-    fn for_each_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        f(&mut self.grad_weights);
-        f(&mut self.grad_bias);
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.weights);
+        f(&self.bias);
     }
 
     fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
@@ -184,10 +154,9 @@ impl Layer for Dense {
         f(&mut self.bias);
     }
 
-    fn param_count(&self) -> usize {
-        // Allocation-free override: the default goes through `params()`
-        // and would heap-allocate on the training hot path.
-        self.weights.len() + self.bias.len()
+    fn for_each_grad(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.grad_weights);
+        f(&self.grad_bias);
     }
 }
 
@@ -206,7 +175,7 @@ mod tests {
         }
         layer.bias = Tensor::from_vec([2], vec![1.5, -0.5]).unwrap();
         let x = Tensor::zeros([4, 3]);
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&x, true, &mut Workspace::new()).unwrap();
         assert_eq!(y.shape().dims(), &[4, 2]);
         for r in 0..4 {
             assert_eq!(y.row(r), &[1.5, -0.5]);
@@ -217,14 +186,9 @@ mod tests {
     fn rejects_wrong_input_width() {
         let mut rng = xrng::seeded(2);
         let mut layer = Dense::new(3, 2, Activation::Relu, &mut rng);
-        assert!(layer.forward(&Tensor::zeros([4, 5]), true).is_err());
-    }
-
-    #[test]
-    fn backward_before_forward_errors() {
-        let mut rng = xrng::seeded(3);
-        let mut layer = Dense::new(2, 2, Activation::Linear, &mut rng);
-        assert!(layer.backward(&Tensor::zeros([1, 2])).is_err());
+        assert!(layer
+            .forward(&Tensor::zeros([4, 5]), true, &mut Workspace::new())
+            .is_err());
     }
 
     #[test]
@@ -233,10 +197,10 @@ mod tests {
         let mut layer = Dense::new(4, 3, Activation::Tanh, &mut rng);
         let x = Tensor::from_fn([5, 4], |_| rng.next_f32() - 0.5);
         let w_dir = Tensor::from_fn([5, 3], |_| rng.next_f32() - 0.5);
+        let ws = &mut Workspace::new();
         // Loss = sum(y * w_dir).
-        let y = layer.forward(&x, true).unwrap();
-        let _ = y;
-        let gx = layer.backward(&w_dir).unwrap();
+        layer.forward(&x, true, ws).unwrap();
+        let gx = layer.backward(&w_dir, ws).unwrap();
         let eps = 1e-3f32;
         // Input gradient.
         for idx in [0usize, 7, 19] {
@@ -244,8 +208,18 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let lp = layer.forward(&xp, true).unwrap().mul(&w_dir).unwrap().sum();
-            let lm = layer.forward(&xm, true).unwrap().mul(&w_dir).unwrap().sum();
+            let lp = layer
+                .forward(&xp, true, ws)
+                .unwrap()
+                .mul(&w_dir)
+                .unwrap()
+                .sum();
+            let lm = layer
+                .forward(&xm, true, ws)
+                .unwrap()
+                .mul(&w_dir)
+                .unwrap()
+                .sum();
             let numeric = (lp - lm) / (2.0 * eps as f64);
             assert!(
                 (numeric - gx.data()[idx] as f64).abs() < 1e-2,
@@ -253,15 +227,25 @@ mod tests {
             );
         }
         // Weight gradient (recompute baseline gradient after the probes).
-        layer.forward(&x, true).unwrap();
-        layer.backward(&w_dir).unwrap();
+        layer.forward(&x, true, ws).unwrap();
+        layer.backward(&w_dir, ws).unwrap();
         let gw = layer.grad_weights.clone();
         for idx in [0usize, 5, 11] {
             let orig = layer.weights.data()[idx];
             layer.weights.data_mut()[idx] = orig + eps;
-            let lp = layer.forward(&x, true).unwrap().mul(&w_dir).unwrap().sum();
+            let lp = layer
+                .forward(&x, true, ws)
+                .unwrap()
+                .mul(&w_dir)
+                .unwrap()
+                .sum();
             layer.weights.data_mut()[idx] = orig - eps;
-            let lm = layer.forward(&x, true).unwrap().mul(&w_dir).unwrap().sum();
+            let lm = layer
+                .forward(&x, true, ws)
+                .unwrap()
+                .mul(&w_dir)
+                .unwrap()
+                .sum();
             layer.weights.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps as f64);
             assert!(
@@ -277,8 +261,8 @@ mod tests {
         let mut rng = xrng::seeded(5);
         let layer = Dense::new(10, 4, Activation::Relu, &mut rng);
         assert_eq!(layer.param_count(), 44);
-        let params = layer.params();
-        assert_eq!(params[0].shape().dims(), &[10, 4]);
-        assert_eq!(params[1].shape().dims(), &[4]);
+        let mut shapes = Vec::new();
+        layer.for_each_param(&mut |p| shapes.push(p.shape().dims().to_vec()));
+        assert_eq!(shapes, [vec![10, 4], vec![4]]);
     }
 }

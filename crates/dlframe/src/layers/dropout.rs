@@ -2,7 +2,7 @@
 
 use super::Layer;
 use crate::DlError;
-use tensor::{with_scratch, Tensor, Workspace};
+use tensor::{Tensor, Workspace};
 use xrng::{Bernoulli, Rng};
 
 /// Keras-style `Dropout(rate)` using inverted scaling: at training time each
@@ -45,11 +45,7 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.forward_ws(input, training, ws))
-    }
-
-    fn forward_ws(
+    fn forward(
         &mut self,
         input: &Tensor,
         training: bool,
@@ -79,9 +75,9 @@ impl Layer for Dropout {
         Ok(out)
     }
 
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         // Inverted dropout is identity at inference; the RNG is untouched.
-        Ok(input.clone())
+        Ok(ws.alloc_copy(input))
     }
 
     fn rng(&self) -> Option<&Rng> {
@@ -92,11 +88,7 @@ impl Layer for Dropout {
         Some(&mut self.rng)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.backward_ws(grad_out, ws))
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         if !self.active {
             return Ok(ws.alloc_copy(grad_out));
         }
@@ -123,7 +115,7 @@ mod tests {
     fn inference_is_identity() {
         let mut layer = Dropout::new(0.5, xrng::seeded(1));
         let x = Tensor::from_fn([100], |i| i as f32);
-        let y = layer.forward(&x, false).unwrap();
+        let y = layer.forward(&x, false, &mut Workspace::new()).unwrap();
         assert_eq!(y.data(), x.data());
     }
 
@@ -131,7 +123,7 @@ mod tests {
     fn zero_rate_is_identity_even_in_training() {
         let mut layer = Dropout::new(0.0, xrng::seeded(2));
         let x = Tensor::from_fn([50], |i| i as f32);
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&x, true, &mut Workspace::new()).unwrap();
         assert_eq!(y.data(), x.data());
     }
 
@@ -139,7 +131,7 @@ mod tests {
     fn training_drops_and_scales() {
         let mut layer = Dropout::new(0.4, xrng::seeded(3));
         let x = Tensor::full([10_000], 1.0);
-        let y = layer.forward(&x, true).unwrap();
+        let y = layer.forward(&x, true, &mut Workspace::new()).unwrap();
         let scale = 1.0 / 0.6f32;
         let dropped = y.data().iter().filter(|&&v| v == 0.0).count();
         let kept = y
@@ -158,8 +150,10 @@ mod tests {
     fn backward_applies_same_mask() {
         let mut layer = Dropout::new(0.5, xrng::seeded(4));
         let x = Tensor::full([1000], 1.0);
-        let y = layer.forward(&x, true).unwrap();
-        let g = layer.backward(&Tensor::full([1000], 1.0)).unwrap();
+        let y = layer.forward(&x, true, &mut Workspace::new()).unwrap();
+        let g = layer
+            .backward(&Tensor::full([1000], 1.0), &mut Workspace::new())
+            .unwrap();
         // Gradient passes exactly where the forward output was nonzero.
         for (yv, gv) in y.data().iter().zip(g.data()) {
             assert_eq!(yv == &0.0, gv == &0.0);
@@ -177,7 +171,7 @@ mod tests {
         let run = || {
             let mut layer = Dropout::new(0.3, xrng::seeded(9));
             layer
-                .forward(&Tensor::full([64], 1.0), true)
+                .forward(&Tensor::full([64], 1.0), true, &mut Workspace::new())
                 .unwrap()
                 .into_vec()
         };

@@ -25,6 +25,12 @@ use tensor::{Tensor, Workspace};
 
 /// A differentiable layer in a [`Sequential`](crate::Sequential) stack.
 ///
+/// The contract is three compute methods and three tensor visitors. Every
+/// compute method draws its output and scratch from the caller's
+/// [`Workspace`] and never from the heap once the workspace is warm; the
+/// caller owns the returned tensor and hands it back with
+/// [`Workspace::recycle`] when done.
+///
 /// `Send + Sync` is required so a trained model can be shared immutably
 /// between inference worker threads (the `serve` crate wraps one replica
 /// in an `Arc` and runs [`Layer::forward_infer`] from many workers).
@@ -32,89 +38,51 @@ pub trait Layer: Send + Sync {
     /// Keras-style layer name (for summaries and traces).
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output, caching whatever the backward pass needs.
-    fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, DlError>;
-
-    /// Inference-only forward pass: no training-time stochasticity
-    /// (dropout is identity) and no backward cache, so it works on a
-    /// shared `&self` and is safe to call concurrently. Must produce
-    /// bit-identical outputs to `forward(input, false)`.
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError>;
-
-    /// Computes `dL/dinput` from `dL/doutput` and accumulates parameter
-    /// gradients internally. Must be called after `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError>;
-
-    /// Workspace-aware forward pass: scratch and output buffers come from
-    /// `ws`'s pool, so the training hot loop performs no heap allocation
-    /// once warm. Semantically identical to [`Layer::forward`] (which is
-    /// the default implementation, for custom layers that don't opt in).
-    fn forward_ws(
+    /// Training-path forward: computes the layer output and caches
+    /// whatever [`Layer::backward`] needs. `training` switches train-time
+    /// stochasticity (dropout) on.
+    fn forward(
         &mut self,
         input: &Tensor,
         training: bool,
         ws: &mut Workspace,
-    ) -> Result<Tensor, DlError> {
-        let _ = ws;
-        self.forward(input, training)
+    ) -> Result<Tensor, DlError>;
+
+    /// Inference-only forward: no training-time stochasticity (dropout is
+    /// identity) and no backward cache, so it works on a shared `&self` and
+    /// is safe to call concurrently, each caller with its own workspace.
+    /// Must produce bit-identical outputs to `forward(input, false, ws)`.
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError>;
+
+    /// Computes `dL/dinput` from `dL/doutput` and overwrites the layer's
+    /// parameter gradients. A layer whose backward reads state cached by
+    /// [`Layer::forward`] returns [`DlError::NotReady`] when no forward has
+    /// run.
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError>;
+
+    /// Visits each trainable parameter tensor, in the fixed order that
+    /// defines this layer's slice of the model's flat layout. Parameterless
+    /// layers keep the empty default.
+    fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        let _ = f;
     }
 
-    /// Workspace-aware backward pass; see [`Layer::forward_ws`].
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
-        let _ = ws;
-        self.backward(grad_out)
-    }
-
-    /// The layer's trainable parameter tensors (possibly empty).
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    /// Mutable access to the trainable parameters, in the same order as
-    /// [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    /// Gradients of the last backward pass, aligned with [`Layer::params`].
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
-
-    /// Mutable access to the gradients (used by the distributed gradient
-    /// averaging hook).
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
-    }
-
-    /// Visits each gradient tensor in [`Layer::params`] order without
-    /// materializing a `Vec` (the hot-path form of [`Layer::grads`]; the
-    /// default is allocation-free only for parameterless layers, so
-    /// parameterized layers should override).
-    fn for_each_grad(&self, f: &mut dyn FnMut(&Tensor)) {
-        for g in self.grads() {
-            f(g);
-        }
-    }
-
-    /// Mutable counterpart of [`Layer::for_each_grad`].
-    fn for_each_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for g in self.grads_mut() {
-            f(g);
-        }
-    }
-
-    /// Visits each parameter tensor mutably, in [`Layer::params`] order,
-    /// without materializing a `Vec`.
+    /// Mutable counterpart of [`Layer::for_each_param`], same order.
     fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        for p in self.params_mut() {
-            f(p);
-        }
+        let _ = f;
+    }
+
+    /// Visits the gradients of the last backward pass, aligned with
+    /// [`Layer::for_each_param`].
+    fn for_each_grad(&self, f: &mut dyn FnMut(&Tensor)) {
+        let _ = f;
     }
 
     /// Total number of scalar parameters.
     fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.len()).sum()
+        let mut n = 0;
+        self.for_each_param(&mut |p| n += p.len());
+        n
     }
 
     /// The layer's private random stream, if it has one (dropout does).
@@ -162,23 +130,30 @@ mod tests {
         fn name(&self) -> &'static str {
             "noparams"
         }
-        fn forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, DlError> {
-            Ok(input.clone())
+        fn forward(
+            &mut self,
+            input: &Tensor,
+            _training: bool,
+            ws: &mut Workspace,
+        ) -> Result<Tensor, DlError> {
+            self.forward_infer(input, ws)
         }
-        fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
-            Ok(input.clone())
+        fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+            Ok(ws.alloc_copy(input))
         }
-        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-            Ok(grad_out.clone())
+        fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+            Ok(ws.alloc_copy(grad_out))
         }
     }
 
     #[test]
-    fn default_param_methods_are_empty() {
+    fn default_visitors_are_empty() {
         let mut l = NoParams;
-        assert!(l.params().is_empty());
-        assert!(l.params_mut().is_empty());
-        assert!(l.grads().is_empty());
+        let mut visits = 0;
+        l.for_each_param(&mut |_| visits += 1);
+        l.for_each_param_mut(&mut |_| visits += 1);
+        l.for_each_grad(&mut |_| visits += 1);
+        assert_eq!(visits, 0);
         assert_eq!(l.param_count(), 0);
     }
 

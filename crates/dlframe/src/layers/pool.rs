@@ -2,10 +2,7 @@
 
 use super::Layer;
 use crate::DlError;
-use tensor::{
-    maxpool1d_backward_ws, maxpool1d_forward, maxpool1d_forward_ws, with_scratch, Shape, Tensor,
-    Workspace,
-};
+use tensor::{maxpool1d_backward_ws, maxpool1d_forward_ws, Shape, Tensor, Workspace};
 
 /// Keras-style `MaxPooling1D(pool_size)` with non-overlapping windows.
 pub struct MaxPooling1D {
@@ -41,11 +38,7 @@ impl Layer for MaxPooling1D {
         "max_pooling1d"
     }
 
-    fn forward(&mut self, input: &Tensor, training: bool) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.forward_ws(input, training, ws))
-    }
-
-    fn forward_ws(
+    fn forward(
         &mut self,
         input: &Tensor,
         _training: bool,
@@ -59,17 +52,15 @@ impl Layer for MaxPooling1D {
         Ok(out)
     }
 
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
-        let (out, _) =
-            maxpool1d_forward(input, self.pool).map_err(|e| DlError::BadInput(e.to_string()))?;
-        Ok(out)
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        // The kernel always records the argmax; inference has no backward
+        // to hand it to.
+        let mut argmax = Vec::new();
+        maxpool1d_forward_ws(input, self.pool, &mut argmax, ws)
+            .map_err(|e| DlError::BadInput(e.to_string()))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-        with_scratch(|ws| self.backward_ws(grad_out, ws))
-    }
-
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let argmax = self
             .argmax
             .as_ref()
@@ -91,24 +82,21 @@ mod tests {
     fn forward_backward_roundtrip() {
         let mut layer = MaxPooling1D::new(2);
         let x = Tensor::from_vec([1, 4, 1], vec![1.0, 9.0, 3.0, 2.0]).unwrap();
-        let y = layer.forward(&x, true).unwrap();
+        let ws = &mut Workspace::new();
+        let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.data(), &[9.0, 3.0]);
         let g = layer
-            .backward(&Tensor::from_vec([1, 2, 1], vec![5.0, 7.0]).unwrap())
+            .backward(&Tensor::from_vec([1, 2, 1], vec![5.0, 7.0]).unwrap(), ws)
             .unwrap();
         assert_eq!(g.data(), &[0.0, 5.0, 7.0, 0.0]);
     }
 
     #[test]
-    fn backward_before_forward_errors() {
-        let mut layer = MaxPooling1D::new(2);
-        assert!(layer.backward(&Tensor::zeros([1, 1, 1])).is_err());
-    }
-
-    #[test]
     fn too_short_input_is_error() {
         let mut layer = MaxPooling1D::new(8);
-        assert!(layer.forward(&Tensor::zeros([1, 4, 1]), true).is_err());
+        assert!(layer
+            .forward(&Tensor::zeros([1, 4, 1]), true, &mut Workspace::new())
+            .is_err());
     }
 
     #[test]

@@ -32,52 +32,39 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, DlError> {
-        self.input_shape = Some(input.shape().clone());
-        self.forward_infer(input)
-    }
-
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
-        let (batch, steps, ch) = input.shape().as_3d();
-        input
-            .clone()
-            .reshape([batch, steps * ch])
-            .map_err(|e| DlError::BadInput(e.to_string()))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-        let shape = self
-            .input_shape
-            .as_ref()
-            .ok_or_else(|| DlError::NotReady("flatten: backward before forward".into()))?;
-        grad_out
-            .clone()
-            .reshape(shape.dims().to_vec())
-            .map_err(|e| DlError::BadInput(e.to_string()))
-    }
-
-    fn forward_ws(
+    fn forward(
         &mut self,
         input: &Tensor,
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
         self.input_shape = Some(input.shape().clone());
-        let (batch, steps, ch) = input.shape().as_3d();
-        ws.alloc_copy(input)
-            .reshape([batch, steps * ch])
-            .map_err(|e| DlError::BadInput(e.to_string()))
+        self.forward_infer(input, ws)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        let (batch, steps, ch) = input.shape().as_3d();
+        reshaped_copy(input, [batch, steps * ch], ws)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let shape = self
             .input_shape
             .clone()
             .ok_or_else(|| DlError::NotReady("flatten: backward before forward".into()))?;
-        ws.alloc_copy(grad_out)
-            .reshape(shape)
-            .map_err(|e| DlError::BadInput(e.to_string()))
+        reshaped_copy(grad_out, shape, ws)
     }
+}
+
+/// A pooled copy of `src` under a new shape of equal volume.
+fn reshaped_copy(
+    src: &Tensor,
+    shape: impl Into<Shape>,
+    ws: &mut Workspace,
+) -> Result<Tensor, DlError> {
+    ws.alloc_copy(src)
+        .reshape(shape)
+        .map_err(|e| DlError::BadInput(e.to_string()))
 }
 
 /// Expands `(batch, steps*channels)` to `(batch, steps, channels)`.
@@ -102,38 +89,16 @@ impl Layer for Reshape3 {
         "reshape3"
     }
 
-    fn forward(&mut self, input: &Tensor, _training: bool) -> Result<Tensor, DlError> {
-        self.forward_infer(input)
-    }
-
-    fn forward_infer(&self, input: &Tensor) -> Result<Tensor, DlError> {
-        let (batch, features) = input.shape().as_2d();
-        if features != self.steps * self.channels {
-            return Err(DlError::BadInput(format!(
-                "reshape3 expects {} features, got {features}",
-                self.steps * self.channels
-            )));
-        }
-        input
-            .clone()
-            .reshape([batch, self.steps, self.channels])
-            .map_err(|e| DlError::BadInput(e.to_string()))
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, DlError> {
-        let (batch, steps, ch) = grad_out.shape().as_3d();
-        grad_out
-            .clone()
-            .reshape([batch, steps * ch])
-            .map_err(|e| DlError::BadInput(e.to_string()))
-    }
-
-    fn forward_ws(
+    fn forward(
         &mut self,
         input: &Tensor,
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
+        self.forward_infer(input, ws)
+    }
+
+    fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let (batch, features) = input.shape().as_2d();
         if features != self.steps * self.channels {
             return Err(DlError::BadInput(format!(
@@ -141,16 +106,12 @@ impl Layer for Reshape3 {
                 self.steps * self.channels
             )));
         }
-        ws.alloc_copy(input)
-            .reshape([batch, self.steps, self.channels])
-            .map_err(|e| DlError::BadInput(e.to_string()))
+        reshaped_copy(input, [batch, self.steps, self.channels], ws)
     }
 
-    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let (batch, steps, ch) = grad_out.shape().as_3d();
-        ws.alloc_copy(grad_out)
-            .reshape([batch, steps * ch])
-            .map_err(|e| DlError::BadInput(e.to_string()))
+        reshaped_copy(grad_out, [batch, steps * ch], ws)
     }
 }
 
@@ -162,10 +123,11 @@ mod tests {
     fn flatten_roundtrip() {
         let mut layer = Flatten::new();
         let x = Tensor::from_fn([2, 3, 4], |i| i as f32);
-        let y = layer.forward(&x, true).unwrap();
+        let ws = &mut Workspace::new();
+        let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.shape().dims(), &[2, 12]);
         assert_eq!(y.data(), x.data());
-        let g = layer.backward(&y).unwrap();
+        let g = layer.backward(&y, ws).unwrap();
         assert_eq!(g.shape().dims(), &[2, 3, 4]);
     }
 
@@ -173,9 +135,10 @@ mod tests {
     fn reshape3_roundtrip() {
         let mut layer = Reshape3::new(5, 2);
         let x = Tensor::from_fn([3, 10], |i| i as f32);
-        let y = layer.forward(&x, true).unwrap();
+        let ws = &mut Workspace::new();
+        let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.shape().dims(), &[3, 5, 2]);
-        let g = layer.backward(&y).unwrap();
+        let g = layer.backward(&y, ws).unwrap();
         assert_eq!(g.shape().dims(), &[3, 10]);
         assert_eq!(g.data(), x.data());
     }
@@ -183,12 +146,8 @@ mod tests {
     #[test]
     fn reshape3_rejects_wrong_width() {
         let mut layer = Reshape3::new(5, 2);
-        assert!(layer.forward(&Tensor::zeros([3, 9]), true).is_err());
-    }
-
-    #[test]
-    fn flatten_backward_before_forward_errors() {
-        let mut layer = Flatten::new();
-        assert!(layer.backward(&Tensor::zeros([1, 2])).is_err());
+        assert!(layer
+            .forward(&Tensor::zeros([3, 9]), true, &mut Workspace::new())
+            .is_err());
     }
 }

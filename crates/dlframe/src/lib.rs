@@ -4,7 +4,11 @@
 //! It provides exactly the pieces the four Pilot1 networks use:
 //!
 //! * layers: [`Dense`], [`Conv1D`], [`MaxPooling1D`], [`Dropout`],
-//!   [`Flatten`], [`Reshape3`], [`ActivationLayer`];
+//!   [`Flatten`], [`Reshape3`], [`ActivationLayer`], all behind the one
+//!   [`Layer`] contract: three compute methods (`forward`, `forward_infer`,
+//!   `backward`) that draw every buffer from a caller-owned
+//!   `tensor::Workspace`, and three tensor visitors (`for_each_param`,
+//!   `for_each_param_mut`, `for_each_grad`) that define the flat layout;
 //! * activations: ReLU, sigmoid, tanh, softmax, linear;
 //! * losses: softmax cross-entropy (classification) and mean squared error
 //!   (autoencoder / regression);
@@ -17,6 +21,11 @@
 //!   optimizer step (Horovod's `DistributedOptimizer` splice point) and
 //!   flat get/set of all parameters (the `BroadcastGlobalVariablesHook`
 //!   splice point).
+//!
+//! There is one compute path. `fit` / `train_batch` run on the model's own
+//! workspace (zero heap allocations per step once warm); `predict` and
+//! `evaluate` take `&self` and run the same layer code on the calling
+//! thread's scratch workspace.
 //!
 //! Everything is deterministic given a seed: initialization, shuffling and
 //! dropout all draw from `xrng` streams owned by the model.

@@ -7,7 +7,7 @@ use crate::loss::Loss;
 use crate::optimizer::Optimizer;
 use crate::{Dataset, DlError};
 use std::time::{Duration, Instant};
-use tensor::{Tensor, Workspace};
+use tensor::{with_scratch, Tensor, Workspace};
 use xrng::Rng;
 
 /// Hook invoked on the flattened gradient vector after backward and before
@@ -91,7 +91,7 @@ impl Default for FitConfig {
 
 /// Wall-clock accounting of the training hot path, split into the three
 /// phases the paper's per-phase profiles use (forward, backward, optimizer
-/// step — the optimizer bucket includes gradient flatten/sync/scatter).
+/// step — the optimizer bucket includes gradient flatten and sync).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HotStats {
     /// Total time in layer forward passes plus the loss.
@@ -193,7 +193,11 @@ impl Sequential {
     /// order and the dropout masks continue from the captured position.
     pub fn rng_states(&self) -> Vec<[u8; 32]> {
         let mut states = vec![self.rng.to_bytes()];
-        states.extend(self.layers.iter().filter_map(|l| l.rng().map(Rng::to_bytes)));
+        states.extend(
+            self.layers
+                .iter()
+                .filter_map(|l| l.rng().map(Rng::to_bytes)),
+        );
         states
     }
 
@@ -219,52 +223,34 @@ impl Sequential {
         }
     }
 
-    /// Runs a forward pass through all layers.
-    pub fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, DlError> {
-        if self.layers.is_empty() {
-            return Err(DlError::NotReady("model has no layers".into()));
-        }
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h, training)?;
-        }
-        Ok(h)
-    }
-
-    /// Immutable inference forward pass: no backward caches are written
-    /// and no RNG state advances, so a trained model behind an `Arc` can
-    /// serve predictions from many threads concurrently. Bit-identical to
-    /// `forward(x, false)`.
-    pub fn forward_infer(&self, x: &Tensor) -> Result<Tensor, DlError> {
-        if self.layers.is_empty() {
-            return Err(DlError::NotReady("model has no layers".into()));
-        }
-        let mut h = x.clone();
-        for layer in &self.layers {
-            h = layer.forward_infer(&h)?;
-        }
-        Ok(h)
-    }
-
-    /// Inference forward pass (shared, thread-safe).
+    /// Inference forward pass: no backward caches are written and no RNG
+    /// state advances, so a trained model behind an `Arc` can serve
+    /// predictions from many threads concurrently. The whole chain runs on
+    /// the calling thread's scratch workspace, recycling each intermediate
+    /// once the next layer has consumed it.
     pub fn predict(&self, x: &Tensor) -> Result<Tensor, DlError> {
-        self.forward_infer(x)
+        with_scratch(|ws| self.infer(x, ws))
     }
 
-    /// Inference through the mutable training path (writes backward
-    /// caches). Only needed when a later `backward` should see this
-    /// input; plain prediction should use [`Sequential::predict`].
-    pub fn predict_mut(&mut self, x: &Tensor) -> Result<Tensor, DlError> {
-        self.forward(x, false)
+    /// The inference chain on a caller-supplied workspace.
+    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        let (first, rest) = self
+            .layers
+            .split_first()
+            .ok_or_else(|| DlError::NotReady("model has no layers".into()))?;
+        let mut h = first.forward_infer(x, ws)?;
+        for layer in rest {
+            let out = layer.forward_infer(&h, ws)?;
+            ws.recycle(std::mem::replace(&mut h, out));
+        }
+        Ok(h)
     }
 
     /// Copies all parameters into one flat vector, in layer/parameter order.
     pub fn flat_params(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
         for layer in &self.layers {
-            for p in layer.params() {
-                out.extend_from_slice(p.data());
-            }
+            layer.for_each_param(&mut |p| out.extend_from_slice(p.data()));
         }
         out
     }
@@ -282,23 +268,12 @@ impl Sequential {
         );
         let mut offset = 0;
         for layer in &mut self.layers {
-            for p in layer.params_mut() {
+            layer.for_each_param_mut(&mut |p| {
                 let n = p.len();
                 p.data_mut().copy_from_slice(&flat[offset..offset + n]);
                 offset += n;
-            }
+            });
         }
-    }
-
-    /// Copies the current gradients into one flat vector.
-    pub fn flat_grads(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            for g in layer.grads() {
-                out.extend_from_slice(g.data());
-            }
-        }
-        out
     }
 
     /// Trains on one already-materialized batch, returning the batch loss
@@ -329,8 +304,8 @@ impl Sequential {
         let mut h: Option<Tensor> = None;
         for layer in &mut self.layers {
             let out = match h.as_ref() {
-                Some(t) => layer.forward_ws(t, true, &mut self.ws)?,
-                None => layer.forward_ws(x, true, &mut self.ws)?,
+                Some(t) => layer.forward(t, true, &mut self.ws)?,
+                None => layer.forward(x, true, &mut self.ws)?,
             };
             if let Some(prev) = h.replace(out) {
                 self.ws.recycle(prev);
@@ -355,7 +330,7 @@ impl Sequential {
         let mut end = total;
         let mut g = grad;
         for layer in self.layers.iter_mut().rev() {
-            let gi = layer.backward_ws(&g, &mut self.ws)?;
+            let gi = layer.backward(&g, &mut self.ws)?;
             self.ws.recycle(std::mem::replace(&mut g, gi));
             if overlap {
                 let n = layer.param_count();
@@ -375,8 +350,9 @@ impl Sequential {
         }
         self.ws.recycle(g);
         self.hot.backward += bwd_start.elapsed();
-        // Gradient synchronization on the flat layout, then scatter back so
-        // external observers of `grads()` see the synchronized values.
+        // Gradient synchronization on the flat layout. The synchronized
+        // values live only there: the optimizer reads them from it, and the
+        // layers' own gradient tensors keep this rank's local values.
         let opt_start = Instant::now();
         if overlap {
             debug_assert_eq!(end, 0, "streamed regions must cover the layout");
@@ -387,15 +363,6 @@ impl Sequential {
                 layer.for_each_grad(&mut |gt| self.flat_buf.extend_from_slice(gt.data()));
             }
             sync.sync_gradients(&mut self.flat_buf);
-        }
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            layer.for_each_grad_mut(&mut |gt| {
-                let n = gt.len();
-                gt.data_mut()
-                    .copy_from_slice(&self.flat_buf[offset..offset + n]);
-                offset += n;
-            });
         }
         // Optimizer step, slot per parameter tensor, reading each slot's
         // gradient window straight out of the flat buffer.
@@ -441,16 +408,17 @@ impl Sequential {
                 config.validation_split
             )));
         }
+        let split;
         let (train, val) = if config.validation_split > 0.0 {
-            let (t, v) = data.split(config.validation_split);
-            if t.is_empty() || v.is_empty() {
+            split = data.split(config.validation_split);
+            if split.0.is_empty() || split.1.is_empty() {
                 return Err(DlError::BadInput(
                     "validation split leaves an empty partition".into(),
                 ));
             }
-            (t, Some(v))
+            (&split.0, Some(&split.1))
         } else {
-            (data.clone(), None)
+            (data, None)
         };
         let mut history = History::new();
         let mut best_monitor = f64::INFINITY;
@@ -473,7 +441,7 @@ impl Sequential {
                 correct += c;
             }
             let train_loss = loss_sum / steps.max(1) as f64;
-            let (val_loss, val_accuracy) = match &val {
+            let (val_loss, val_accuracy) = match val {
                 Some(v) => {
                     let (l, a) = self.evaluate(v, config.batch_size)?;
                     (Some(l), config.compute_accuracy.then_some(a))
@@ -558,19 +526,23 @@ impl Sequential {
             return Err(DlError::BadInput("empty evaluation dataset".into()));
         }
         let batches = data.batch_indices(batch_size, None);
-        let mut loss_sum = 0.0;
-        let mut correct = 0usize;
-        for idx in &batches {
-            let (x, y) = data.batch(idx);
-            let pred = self.forward_infer(&x)?;
-            let (loss, _) = loss_fn.loss_and_grad(&pred, &y);
-            loss_sum += loss * idx.len() as f64;
-            correct += count_argmax_matches(&pred, &y);
-        }
-        Ok((
-            loss_sum / data.len() as f64,
-            correct as f64 / data.len() as f64,
-        ))
+        let mut bx = Tensor::zeros([1, 1]);
+        let mut by = Tensor::zeros([1, 1]);
+        with_scratch(|ws| {
+            let mut loss_sum = 0.0;
+            let mut correct = 0usize;
+            for idx in &batches {
+                data.batch_into(idx, &mut bx, &mut by);
+                let pred = self.infer(&bx, ws)?;
+                loss_sum += loss_fn.loss_ws(&pred, &by, ws) * idx.len() as f64;
+                correct += count_argmax_matches(&pred, &by);
+                ws.recycle(pred);
+            }
+            Ok((
+                loss_sum / data.len() as f64,
+                correct as f64 / data.len() as f64,
+            ))
+        })
     }
 }
 
@@ -670,9 +642,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_without_layers_errors() {
-        let mut m = Sequential::new(5);
-        assert!(m.forward(&Tensor::zeros([1, 2]), false).is_err());
+    fn predict_without_layers_errors() {
+        let m = Sequential::new(5);
+        assert!(matches!(
+            m.predict(&Tensor::zeros([1, 2])),
+            Err(DlError::NotReady(_))
+        ));
     }
 
     #[test]
@@ -922,7 +897,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_is_immutable_and_matches_training_path() {
+    fn predict_is_immutable_and_shareable() {
         use crate::Dropout;
         let data = toy_classification(60, 70);
         let mut model = mlp(71);
@@ -937,8 +912,6 @@ mod tests {
         model.fit(&data, &config, &mut NoSync).unwrap();
         let x = Tensor::from_fn([7, 2], |i| (i as f32) * 0.1 - 0.5);
         let via_shared = model.predict(&x).unwrap();
-        let via_training_path = model.predict_mut(&x).unwrap();
-        assert_eq!(via_shared.data(), via_training_path.data());
         // Repeated shared predictions are stable (no hidden state moves).
         assert_eq!(model.predict(&x).unwrap().data(), via_shared.data());
         // And the model is shareable across threads.

@@ -5,8 +5,6 @@
 //! The learning rate is mutable at runtime because the Horovod methodology
 //! scales it linearly with the worker count (`lr × nprocs`).
 
-use tensor::Tensor;
-
 /// The optimizer algorithm and its hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
@@ -126,7 +124,10 @@ impl Optimizer {
     /// # Panics
     /// Panics if `decay` is negative or non-finite.
     pub fn with_weight_decay(mut self, decay: f32) -> Self {
-        assert!(decay.is_finite() && decay >= 0.0, "weight decay must be >= 0");
+        assert!(
+            decay.is_finite() && decay >= 0.0,
+            "weight decay must be >= 0"
+        );
         self.weight_decay = decay;
         self
     }
@@ -187,17 +188,9 @@ impl Optimizer {
     }
 
     /// Applies one update to `param` given `grad`, using the state of
-    /// `slot`.
-    ///
-    /// # Panics
-    /// Panics if `param` and `grad` lengths differ.
-    pub fn update(&mut self, slot: usize, param: &mut Tensor, grad: &Tensor) {
-        self.update_slice(slot, param.data_mut(), grad.data());
-    }
-
-    /// [`Optimizer::update`] on raw slices. This is the form the training
-    /// hot loop uses: the model keeps all gradients in one flat buffer and
-    /// hands each slot's window here, so no gradient tensors are cloned.
+    /// `slot`. Raw slices, because the model keeps all gradients in one flat
+    /// buffer and hands each slot's window here, so no gradient tensors are
+    /// cloned.
     ///
     /// # Panics
     /// Panics if `param` and `grad` lengths differ.
@@ -279,12 +272,12 @@ mod tests {
 
     fn quadratic_descent(mut opt: Optimizer, steps: usize) -> f32 {
         // Minimize f(x) = x² starting at x = 5; gradient is 2x.
-        let mut x = Tensor::from_vec([1], vec![5.0]).unwrap();
+        let mut x = [5.0f32];
         for _ in 0..steps {
-            let g = Tensor::from_vec([1], vec![2.0 * x.data()[0]]).unwrap();
-            opt.update(0, &mut x, &g);
+            let g = [2.0 * x[0]];
+            opt.update_slice(0, &mut x, &g);
         }
-        x.data()[0].abs()
+        x[0].abs()
     }
 
     #[test]
@@ -310,27 +303,27 @@ mod tests {
     #[test]
     fn sgd_step_is_exactly_lr_times_grad() {
         let mut opt = Optimizer::sgd(0.5);
-        let mut p = Tensor::from_vec([2], vec![1.0, 2.0]).unwrap();
-        let g = Tensor::from_vec([2], vec![0.2, -0.4]).unwrap();
-        opt.update(0, &mut p, &g);
-        assert_eq!(p.data(), &[0.9, 2.2]);
+        let mut p = [1.0, 2.0];
+        let g = [0.2, -0.4];
+        opt.update_slice(0, &mut p, &g);
+        assert_eq!(p, [0.9, 2.2]);
     }
 
     #[test]
     fn slots_have_independent_state() {
         let mut opt = Optimizer::adam(0.1);
-        let mut a = Tensor::from_vec([1], vec![1.0]).unwrap();
-        let mut b = Tensor::from_vec([1], vec![1.0]).unwrap();
-        let g = Tensor::from_vec([1], vec![1.0]).unwrap();
+        let mut a = [1.0];
+        let mut b = [1.0];
+        let g = [1.0];
         // Updating slot 0 many times must not affect slot 1's bias correction.
         for _ in 0..10 {
-            opt.update(0, &mut a, &g);
+            opt.update_slice(0, &mut a, &g);
         }
         let mut fresh = Optimizer::adam(0.1);
-        let mut b2 = Tensor::from_vec([1], vec![1.0]).unwrap();
-        opt.update(1, &mut b, &g);
-        fresh.update(0, &mut b2, &g);
-        assert!((b.data()[0] - b2.data()[0]).abs() < 1e-7);
+        let mut b2 = [1.0];
+        opt.update_slice(1, &mut b, &g);
+        fresh.update_slice(0, &mut b2, &g);
+        assert!((b[0] - b2[0]).abs() < 1e-7);
     }
 
     #[test]
@@ -344,9 +337,9 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let mut opt = Optimizer::sgd(0.1);
-        let mut p = Tensor::zeros([2]);
-        let g = Tensor::zeros([3]);
-        opt.update(0, &mut p, &g);
+        let mut p = [0.0f32; 2];
+        let g = [0.0f32; 3];
+        opt.update_slice(0, &mut p, &g);
     }
 
     #[test]
@@ -358,11 +351,11 @@ mod tests {
     #[test]
     fn weight_decay_shrinks_parameters() {
         let mut opt = Optimizer::sgd(0.1).with_weight_decay(0.5);
-        let mut p = Tensor::from_vec([1], vec![2.0]).unwrap();
-        let g = Tensor::zeros([1]);
-        opt.update(0, &mut p, &g);
+        let mut p = [2.0];
+        let g = [0.0f32; 1];
+        opt.update_slice(0, &mut p, &g);
         // p <- p * (1 - lr*decay) = 2.0 * 0.95
-        assert!((p.data()[0] - 1.9).abs() < 1e-6);
+        assert!((p[0] - 1.9).abs() < 1e-6);
     }
 
     #[test]
@@ -371,15 +364,15 @@ mod tests {
         // bounds the parameter magnitude.
         let mut plain = Optimizer::sgd(0.1);
         let mut decayed = Optimizer::sgd(0.1).with_weight_decay(1.0);
-        let mut a = Tensor::from_vec([1], vec![1.0]).unwrap();
-        let mut b = Tensor::from_vec([1], vec![1.0]).unwrap();
-        let g = Tensor::from_vec([1], vec![-0.5]).unwrap();
+        let mut a = [1.0];
+        let mut b = [1.0];
+        let g = [-0.5];
         for _ in 0..100 {
-            plain.update(0, &mut a, &g);
-            decayed.update(0, &mut b, &g);
+            plain.update_slice(0, &mut a, &g);
+            decayed.update_slice(0, &mut b, &g);
         }
-        assert!(b.data()[0].abs() < a.data()[0].abs());
-        assert!(b.data()[0].abs() < 1.0, "decayed param stays bounded");
+        assert!(b[0].abs() < a[0].abs());
+        assert!(b[0].abs() < 1.0, "decayed param stays bounded");
     }
 
     #[test]
@@ -393,23 +386,23 @@ mod tests {
         // Run Adam 5 steps, snapshot, run 5 more; a fresh optimizer fed the
         // snapshot must reproduce the second half exactly.
         let mut opt = Optimizer::adam(0.05);
-        let mut p = Tensor::from_vec([3], vec![1.0, -2.0, 0.5]).unwrap();
-        let g = Tensor::from_vec([3], vec![0.3, -0.1, 0.7]).unwrap();
+        let mut p = [1.0, -2.0, 0.5];
+        let g = [0.3, -0.1, 0.7];
         for _ in 0..5 {
-            opt.update(0, &mut p, &g);
+            opt.update_slice(0, &mut p, &g);
         }
         let snap_slots = opt.export_slots();
-        let snap_p = p.clone();
+        let snap_p = p;
         for _ in 0..5 {
-            opt.update(0, &mut p, &g);
+            opt.update_slice(0, &mut p, &g);
         }
         let mut resumed = Optimizer::adam(0.05);
         resumed.import_slots(snap_slots);
         let mut q = snap_p;
         for _ in 0..5 {
-            resumed.update(0, &mut q, &g);
+            resumed.update_slice(0, &mut q, &g);
         }
-        assert_eq!(p.data(), q.data());
+        assert_eq!(p, q);
     }
 
     #[test]
@@ -417,13 +410,9 @@ mod tests {
         // Adam's bias-corrected first step has magnitude ≈ lr regardless of
         // gradient scale.
         let mut opt = Optimizer::adam(0.01);
-        let mut p = Tensor::from_vec([1], vec![0.0]).unwrap();
-        let g = Tensor::from_vec([1], vec![123.0]).unwrap();
-        opt.update(0, &mut p, &g);
-        assert!(
-            (p.data()[0].abs() - 0.01).abs() < 1e-4,
-            "step {}",
-            p.data()[0]
-        );
+        let mut p = [0.0];
+        let g = [123.0];
+        opt.update_slice(0, &mut p, &g);
+        assert!((p[0].abs() - 0.01).abs() < 1e-4, "step {}", p[0]);
     }
 }

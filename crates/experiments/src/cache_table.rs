@@ -13,11 +13,11 @@
 //!    the warm [`LoadMethod::BinaryCache`].
 
 use crate::report::{format_table, Experiment};
-use crate::scratch::scratch;
 use cluster::calib::Bench;
 use cluster::{io, LoadMethod, Machine};
 use datacache::{CacheStore, Prefetcher};
 use dataio::{generate, write_csv_dataset, read_csv, ClassSpec, ReadStrategy, SyntheticSpec};
+use parx::scratch;
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -16,11 +16,11 @@
 //!    cold load plus J−1 warm shard streams, at Summit contention.
 
 use crate::report::{format_table, Experiment};
-use crate::scratch::scratch;
 use cluster::calib::Bench;
 use cluster::{fleet_load_seconds, DataPlane, LoadMethod, Machine};
 use dataio::{generate, ClassSpec, SyntheticSpec};
 use datapipe::{stream_fingerprint, DatasetService, JobSpec, PoolStats, ServiceConfig};
+use parx::scratch;
 use std::time::Instant;
 
 /// Total in-memory shard-pool budget split across the fleet, bytes. Small

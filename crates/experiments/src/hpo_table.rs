@@ -17,7 +17,6 @@
 //!    and joules for ASHA vs the brute-force sweep it replaces.
 
 use crate::report::{format_table, Experiment};
-use crate::scratch::scratch;
 use candle::{BenchId, HyperParams};
 use cluster::{LoadMethod, Machine};
 use dataio::{generate, ClassSpec, SyntheticSpec};
@@ -27,6 +26,7 @@ use hpo::{
     run_search, AshaConfig, LocalExecutor, ModelledExecutor, ParamSpec, SearchConfig,
     SearchReport, SearchSpace, TrialExecutor, TrialId,
 };
+use parx::scratch;
 use resil::TrialStore;
 use std::sync::Arc;
 use tensor::Tensor;

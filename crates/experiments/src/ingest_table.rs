@@ -9,9 +9,9 @@
 //! throughput, and the turbo engine's per-phase breakdown.
 
 use crate::report::{format_table, Experiment};
-use crate::scratch::scratch;
 use dataio::csv::IngestPhases;
 use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
+use parx::scratch;
 use std::time::Instant;
 
 /// One strategy timing on one generated file geometry.

@@ -10,7 +10,10 @@
 use crate::report::{format_table, Experiment};
 use std::hint::black_box;
 use std::time::Instant;
-use tensor::{conv1d_backward, conv1d_forward, matmul, matmul_a_bt, matmul_at_b, reference, Tensor};
+use tensor::{
+    conv1d_backward, conv1d_forward, gemm_into, matmul, reference, Epilogue, GemmMode, Tensor,
+    Workspace,
+};
 use xrng::RandomSource;
 
 /// One seed-vs-blocked timing at a fixed shape.
@@ -85,7 +88,12 @@ pub fn measure_kernel_comparison(quick: bool) -> Vec<KernelComparison> {
         nt3: false,
     });
 
+    // The backward products are modes of the one engine, written into a
+    // preallocated output the way the layers call them.
     let g = filled([m, n], 3);
+    let mut ws = Workspace::new();
+    let mut grad_w = Tensor::zeros([k, n]);
+    let mut grad_x = Tensor::zeros([m, k]);
     rows.push(KernelComparison {
         name: format!("Dense weight-grad Aᵀ·B {m}x{k}x{n}"),
         flops: gemm_flops,
@@ -93,7 +101,8 @@ pub fn measure_kernel_comparison(quick: bool) -> Vec<KernelComparison> {
             black_box(reference::matmul_at_b_seed(&a, &g).unwrap());
         }),
         blocked_s: best_time(reps, || {
-            black_box(matmul_at_b(&a, &g).unwrap());
+            gemm_into(GemmMode::AtB, &a, &g, &mut grad_w, &Epilogue::NONE, &mut ws).unwrap();
+            black_box(&grad_w);
         }),
         nt3: false,
     });
@@ -106,7 +115,8 @@ pub fn measure_kernel_comparison(quick: bool) -> Vec<KernelComparison> {
             black_box(reference::matmul_a_bt_seed(&g, &b).unwrap());
         }),
         blocked_s: best_time(reps, || {
-            black_box(matmul_a_bt(&g, &b).unwrap());
+            gemm_into(GemmMode::ABt, &g, &b, &mut grad_x, &Epilogue::NONE, &mut ws).unwrap();
+            black_box(&grad_x);
         }),
         nt3: false,
     });

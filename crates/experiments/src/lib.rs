@@ -33,7 +33,6 @@ mod overlap_table;
 mod perfmodel_table;
 mod report;
 mod resil_table;
-mod scratch;
 mod serve_table;
 mod sweeps;
 mod tables;

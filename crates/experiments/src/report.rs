@@ -123,7 +123,7 @@ mod tests {
             title: "T",
             text: "body\n".into(),
         };
-        let dir = crate::scratch::scratch("report_tests").unwrap();
+        let dir = parx::scratch("report_tests").unwrap();
         let path = e.write_to(&dir).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("test_exp"));

@@ -16,8 +16,8 @@
 //!   energy chapters of the paper are exactly why.
 
 use crate::report::{format_table, secs, Experiment};
-use crate::scratch::scratch;
 use cluster::calib::Bench;
+use parx::scratch;
 use resil::{run_resilient, summit_recovery_sweep, FaultEvent, FaultKind, FaultPlan, ResilSpec};
 
 fn measured_spec(dir: std::path::PathBuf, epochs: usize, plan: FaultPlan) -> ResilSpec {

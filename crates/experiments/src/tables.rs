@@ -184,7 +184,7 @@ pub fn table4() -> Experiment {
 /// the paper's two geometries (wide-few-rows vs narrow-many-rows).
 fn local_csv_validation() -> String {
     use dataio::{read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
-    let Ok(dir) = crate::scratch::scratch("table3") else {
+    let Ok(dir) = parx::scratch("table3") else {
         return "  (temp dir unavailable; skipped)\n".into();
     };
     let mut rows = Vec::new();

@@ -317,16 +317,9 @@ mod tests {
     use crate::exec::ModelledExecutor;
     use cluster::{LoadMethod, Machine};
     use resil::TrialStore;
-    use std::path::PathBuf;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "candle_repro_hpo_search_{tag}_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmp_dir(tag: &str) -> parx::Scratch {
+        parx::scratch(&format!("hpo_search_{tag}")).expect("scratch dir")
     }
 
     fn modelled_exec(dir: &std::path::Path, seed: u64) -> Arc<ModelledExecutor> {
@@ -363,7 +356,6 @@ mod tests {
             let report =
                 run_search(&space, modelled_exec(&dir, 42), &config(workers)).unwrap();
             fingerprints.push((report.fingerprint(), report.winner));
-            let _ = std::fs::remove_dir_all(&dir);
         }
         assert_eq!(fingerprints[0], fingerprints[1]);
         assert_eq!(fingerprints[0], fingerprints[2]);
@@ -374,7 +366,6 @@ mod tests {
         let space = SearchSpace::default_local();
         let dir = tmp_dir("budget");
         let report = run_search(&space, modelled_exec(&dir, 42), &config(2)).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
         // 16 + 8 + 4*2 + 2*4 = 40 of 16*8 = 128.
         assert_eq!(report.epochs_spent, 40);
         assert_eq!(report.full_budget, 128);
@@ -392,7 +383,6 @@ mod tests {
         let space = SearchSpace::default_local();
         let dir = tmp_dir("curve");
         let report = run_search(&space, modelled_exec(&dir, 7), &config(2)).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
         for pair in report.best_curve.windows(2) {
             assert!(pair[0].0 < pair[1].0, "epochs must accumulate");
             assert!(pair[1].1 <= pair[0].1, "best objective can only improve");
@@ -413,7 +403,6 @@ mod tests {
         let space = SearchSpace::default_local();
         let dir = tmp_dir("joules");
         let report = run_search(&space, modelled_exec(&dir, 42), &config(2)).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
         assert!(report.modelled_joules() > 0.0);
         assert!(report.modelled_time_s() > 0.0);
         let rendered = report.render();
@@ -431,8 +420,6 @@ mod tests {
         let mut cfg = config(2);
         cfg.seed = 43;
         let b = run_search(&space, modelled_exec(&dir_b, 43), &cfg).unwrap();
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

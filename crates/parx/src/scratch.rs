@@ -1,16 +1,18 @@
-//! Scratch directories for the drivers that measure real files.
+//! Scratch directories for tests, examples and the drivers that measure
+//! real files: the one place in the workspace that names the system temp
+//! dir.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A directory under the system temp dir, removed on drop.
-pub(crate) struct Scratch(PathBuf);
+pub struct Scratch(PathBuf);
 
 /// Creates `candle_repro_<tag>_<pid>_<n>`, `n` counting calls in this
 /// process: two drivers (or two tests on parallel threads) that pick the
 /// same tag still get directories of their own, so one's clean-up cannot
 /// delete the other's files mid-read.
-pub(crate) fn scratch(tag: &str) -> std::io::Result<Scratch> {
+pub fn scratch(tag: &str) -> std::io::Result<Scratch> {
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let n = CALLS.fetch_add(1, Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!("candle_repro_{tag}_{}_{n}", std::process::id()));
@@ -25,6 +27,20 @@ impl std::ops::Deref for Scratch {
 
     fn deref(&self) -> &Path {
         &self.0
+    }
+}
+
+impl AsRef<Path> for Scratch {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+/// Makes `&Scratch: Into<PathBuf>`, which is what the stores' constructors
+/// take.
+impl AsRef<std::ffi::OsStr> for Scratch {
+    fn as_ref(&self) -> &std::ffi::OsStr {
+        self.0.as_os_str()
     }
 }
 

@@ -26,7 +26,7 @@
 //! corrupt newest checkpoint in favour of an older intact one.
 
 use crate::ResilError;
-use datacache::format::{fnv1a64, put_u16, put_u32, put_u64};
+use datacache::format::{fnv1a64, put_u16, put_u32, put_u64, write_file, ByteReader};
 use dlframe::{Sequential, SlotSnapshot};
 use std::path::{Path, PathBuf};
 
@@ -148,71 +148,14 @@ pub fn encode(state: &TrainState) -> Vec<u8> {
     buf
 }
 
-/// Bounds-checked little-endian reader with [`ResilError`]-typed failures.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ResilError> {
-        if self.remaining() < n {
-            return Err(ResilError::Corrupt(format!(
-                "truncated checkpoint: wanted {n} bytes at offset {}, {} left",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, ResilError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ResilError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ResilError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    /// Reads a `u64` count that is about to size an allocation of
-    /// `elem_bytes`-sized elements, rejecting counts the remaining bytes
-    /// cannot possibly hold — a garbled length field must fail as
-    /// corruption, never as an absurd allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, ResilError> {
-        let n = self.u64()?;
-        let cap = (self.remaining() / elem_bytes.max(1)) as u64;
-        if n > cap {
-            return Err(ResilError::Corrupt(format!(
-                "implausible count {n} at offset {}: only {} bytes remain",
-                self.pos,
-                self.remaining()
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn f32_vec(&mut self) -> Result<Vec<f32>, ResilError> {
-        let n = self.count(4)?;
-        let bytes = self.take(n * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("len 4"))))
-            .collect())
-    }
+/// Inverse of [`put_f32_vec`].
+fn take_f32_vec(r: &mut ByteReader) -> Result<Vec<f32>, ResilError> {
+    let n = r.count(4)?;
+    let bytes = r.take_bytes(n * 4)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("len 4"))))
+        .collect())
 }
 
 /// Parses and validates an `RCP1` byte buffer.
@@ -231,26 +174,26 @@ pub fn decode(bytes: &[u8]) -> Result<TrainState, ResilError> {
             "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )));
     }
-    let mut r = Reader::new(body);
-    let magic = r.take(4)?;
+    let mut r = ByteReader::new(body);
+    let magic = r.take_bytes(4)?;
     if magic != MAGIC {
         return Err(ResilError::Corrupt(format!("bad magic {magic:?}")));
     }
-    let version = r.u16()?;
+    let version = r.take_u16()?;
     if version != VERSION {
         return Err(ResilError::Corrupt(format!(
             "unsupported checkpoint version {version}"
         )));
     }
-    let epoch = r.u64()?;
-    let lr = f32::from_bits(r.u32()?);
-    let params = r.f32_vec()?;
+    let epoch = r.take_u64()?;
+    let lr = f32::from_bits(r.take_u32()?);
+    let params = take_f32_vec(&mut r)?;
     let nslots = r.count(8)?;
     let mut slots = Vec::with_capacity(nslots);
     for _ in 0..nslots {
-        let t = r.u64()?;
-        let m = r.f32_vec()?;
-        let v = r.f32_vec()?;
+        let t = r.take_u64()?;
+        let m = take_f32_vec(&mut r)?;
+        let v = take_f32_vec(&mut r)?;
         slots.push(SlotSnapshot { m, v, t });
     }
     let nranks = r.count(8)?;
@@ -259,7 +202,7 @@ pub fn decode(bytes: &[u8]) -> Result<TrainState, ResilError> {
         let nstreams = r.count(32)?;
         let mut streams = Vec::with_capacity(nstreams);
         for _ in 0..nstreams {
-            streams.push(r.take(32)?.try_into().expect("len 32"));
+            streams.push(r.take_bytes(32)?.try_into().expect("len 32"));
         }
         rank_rngs.push(streams);
     }
@@ -326,7 +269,7 @@ impl CheckpointManager {
         let name = format!("ckpt-{:08}.rcp", state.epoch);
         let path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{name}.tmp"));
-        std::fs::write(&tmp, &bytes)?;
+        write_file(&tmp, &bytes)?;
         std::fs::rename(&tmp, &path)?;
         self.writes += 1;
         self.bytes_written += bytes.len() as u64;
@@ -414,10 +357,8 @@ mod tests {
         }
     }
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("resil_ckpt_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&d).ok();
-        d
+    fn tmp_dir(name: &str) -> parx::Scratch {
+        parx::scratch(&format!("resil_ckpt_{name}")).expect("scratch dir")
     }
 
     #[test]
@@ -544,7 +485,6 @@ mod tests {
         restored.restore_into(&mut resumed, 0).unwrap();
         resumed.fit(&data, &config, &mut NoSync).unwrap();
         assert_eq!(resumed.flat_params(), model.flat_params());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -588,7 +528,6 @@ mod tests {
         let latest = mgr.latest().unwrap().expect("checkpoints exist");
         assert_eq!(latest.epoch, 6);
         assert_eq!(latest, state(6));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -610,7 +549,6 @@ mod tests {
         b[0] ^= 0xFF;
         std::fs::write(&older, &b).unwrap();
         assert!(mgr.latest().unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -628,6 +566,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_retention_panics() {
-        let _ = CheckpointManager::new(tmp_dir("zero"), 0);
+        let _ = CheckpointManager::new(&tmp_dir("zero"), 0);
     }
 }

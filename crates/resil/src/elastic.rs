@@ -24,6 +24,7 @@ use candle::{DataMode, FuncScaling};
 use collectives::{run_workers_owned, Communicator};
 use dlframe::GradientSync;
 use std::sync::Arc;
+use tensor::Tensor;
 
 /// Specification of one elastic-shrink run.
 #[derive(Debug, Clone)]
@@ -143,6 +144,8 @@ pub fn run_elastic(spec: &ElasticSpec) -> Result<ElasticOutcome, ResilError> {
             model.set_flat_params(&params);
 
             let mut last_loss = 0.0;
+            let mut bx = Tensor::zeros([1, 1]);
+            let mut by = Tensor::zeros([1, 1]);
             for step in 0..spec2.total_steps {
                 if step == spec2.crash_step {
                     // Liveness vote: the victim's last collective act is
@@ -157,10 +160,10 @@ pub fn run_elastic(spec: &ElasticSpec) -> Result<ElasticOutcome, ResilError> {
                     }
                 }
                 let idx = &schedule[step % schedule.len()];
-                let (x, y) = train.batch(idx);
+                train.batch_into(idx, &mut bx, &mut by);
                 let mut sync = CommSync(&mut comm);
                 let (loss, _) = model
-                    .train_batch(&x, &y, &mut sync)
+                    .train_batch(&bx, &by, &mut sync)
                     .map_err(|e| e.to_string())?;
                 last_loss = loss;
             }

@@ -106,11 +106,8 @@ mod tests {
     use dataio::ReadStrategy;
     use std::path::Path;
 
-    fn tmp_root(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("resil_inject_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&d).ok();
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmp_root(name: &str) -> parx::Scratch {
+        parx::scratch(&format!("resil_inject_{name}")).expect("scratch dir")
     }
 
     fn small_csv(dir: &Path) -> PathBuf {
@@ -143,7 +140,6 @@ mod tests {
         assert!(matches!(ds.load_shard(2), Err(CacheError::Corrupt(_))));
         // Untouched shards still load.
         assert!(ds.load_shard(0).is_ok());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -157,8 +153,6 @@ mod tests {
         let fa = std::fs::read(da.dir().join(&da.manifest().shards[1].file)).unwrap();
         let fb = std::fs::read(db.dir().join(&db.manifest().shards[1].file)).unwrap();
         assert_eq!(fa, fb, "same seed must flip the same byte");
-        std::fs::remove_dir_all(&root_a).ok();
-        std::fs::remove_dir_all(&root_b).ok();
     }
 
     #[test]
@@ -193,7 +187,6 @@ mod tests {
             .unwrap();
         assert!(!outcome.is_warm(), "evicted cache must rebuild cold");
         assert!(scan_shards(&rebuilt).is_empty());
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -202,6 +195,5 @@ mod tests {
         let (store, ds) = open(&root);
         assert_eq!(evict_if_corrupt(&store, &ds).unwrap(), None);
         assert!(ds.load_shard(0).is_ok());
-        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -90,6 +90,12 @@ impl From<std::io::Error> for ResilError {
     }
 }
 
+impl From<datacache::format::Malformed> for ResilError {
+    fn from(e: datacache::format::Malformed) -> Self {
+        ResilError::Corrupt(e.0)
+    }
+}
+
 /// Order-sensitive FNV-1a hash of a parameter vector's exact bit
 /// patterns. Two models hash equal iff their weights are bit-identical —
 /// the currency of every resume-correctness assertion in this crate.

@@ -367,14 +367,11 @@ mod tests {
     use crate::plan::{FaultEvent, FaultKind};
     use cluster::calib::Bench;
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("resil_run_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&d).ok();
-        d
-    }
-
-    fn spec(name: &str, plan: FaultPlan) -> ResilSpec {
-        ResilSpec {
+    /// A run checkpointing into a scratch directory that lives as long as
+    /// the returned guard.
+    fn spec(name: &str, plan: FaultPlan) -> (parx::Scratch, ResilSpec) {
+        let dir = parx::scratch(&format!("resil_run_{name}")).expect("scratch dir");
+        let spec = ResilSpec {
             bench: Bench::Nt3,
             workers: 2,
             epochs: 6,
@@ -384,15 +381,16 @@ mod tests {
             seed: 42,
             checkpoint_every: 2,
             keep: 3,
-            dir: tmp_dir(name),
+            dir: dir.to_path_buf(),
             plan,
             record_timeline: false,
-        }
+        };
+        (dir, spec)
     }
 
     #[test]
     fn healthy_run_matches_pipeline_bit_exactly() {
-        let s = spec("healthy", FaultPlan::none());
+        let (_s_dir, s) = spec("healthy", FaultPlan::none());
         let out = run_resilient(&s).unwrap();
         assert_eq!(out.epochs_run, 6);
         assert_eq!(out.redone_epochs, 0);
@@ -407,19 +405,18 @@ mod tests {
         assert_eq!(out.train_loss, reference.train_loss);
         assert_eq!(out.test_loss, reference.test_loss);
         assert_eq!(out.test_accuracy, reference.test_accuracy);
-        std::fs::remove_dir_all(&s.dir).ok();
     }
 
     #[test]
     fn crash_and_resume_is_bit_exact() {
-        let healthy = spec("bitexact_healthy", FaultPlan::none());
+        let (_healthy_dir, healthy) = spec("bitexact_healthy", FaultPlan::none());
         let reference = run_resilient(&healthy).unwrap();
 
         let plan = FaultPlan::manual(vec![FaultEvent {
             epoch: 3,
             kind: FaultKind::WorkerCrash { rank: 1 },
         }]);
-        let faulted = spec("bitexact_faulted", plan);
+        let (_faulted_dir, faulted) = spec("bitexact_faulted", plan);
         let out = run_resilient(&faulted).unwrap();
 
         assert_eq!(out.recoveries.len(), 1);
@@ -435,8 +432,6 @@ mod tests {
         assert_eq!(out.final_hash, reference.final_hash);
         assert_eq!(out.train_loss, reference.train_loss);
         assert_eq!(out.test_loss, reference.test_loss);
-        std::fs::remove_dir_all(&healthy.dir).ok();
-        std::fs::remove_dir_all(&faulted.dir).ok();
     }
 
     #[test]
@@ -445,15 +440,13 @@ mod tests {
             epoch: 0,
             kind: FaultKind::WorkerCrash { rank: 0 },
         }]);
-        let s = spec("crash_zero", plan);
-        let healthy = spec("crash_zero_ref", FaultPlan::none());
+        let (_s_dir, s) = spec("crash_zero", plan);
+        let (_healthy_dir, healthy) = spec("crash_zero_ref", FaultPlan::none());
         let out = run_resilient(&s).unwrap();
         let reference = run_resilient(&healthy).unwrap();
         assert_eq!(out.recoveries[0].restored_epoch, 0);
         assert_eq!(out.recoveries[0].redone_epochs, 0);
         assert_eq!(out.final_hash, reference.final_hash);
-        std::fs::remove_dir_all(&s.dir).ok();
-        std::fs::remove_dir_all(&healthy.dir).ok();
     }
 
     #[test]
@@ -462,7 +455,7 @@ mod tests {
             epoch: 2,
             kind: FaultKind::WorkerCrash { rank: 1 },
         }]);
-        let mut s = spec("timeline", plan);
+        let (_s_dir, mut s) = spec("timeline", plan);
         s.record_timeline = true;
         let out = run_resilient(&s).unwrap();
         let tl = out.timeline.expect("requested");
@@ -471,6 +464,5 @@ mod tests {
         assert_eq!(count("restore_checkpoint"), 1);
         assert_eq!(count("checkpoint_write"), out.checkpoint_writes as usize);
         assert_eq!(out.restore_hist.count(), 1);
-        std::fs::remove_dir_all(&s.dir).ok();
     }
 }

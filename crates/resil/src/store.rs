@@ -134,10 +134,8 @@ mod tests {
         }
     }
 
-    fn tmp_root(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("resil_store_{name}_{}", std::process::id()));
-        std::fs::remove_dir_all(&d).ok();
-        d
+    fn tmp_root(name: &str) -> parx::Scratch {
+        parx::scratch(&format!("resil_store_{name}")).expect("scratch dir")
     }
 
     #[test]
@@ -159,7 +157,6 @@ mod tests {
         // Footprint is the retained files only: 50 trials x 2 files.
         let one = crate::ckpt::encode(&state(16)).len() as u64;
         assert_eq!(store.total_bytes().unwrap(), 50 * 2 * one);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -179,7 +176,6 @@ mod tests {
         let restored = store.latest(7).unwrap().expect("older intact file");
         assert_eq!(restored.epoch, 8);
         assert_eq!(restored, state(8));
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -192,12 +188,11 @@ mod tests {
         assert_eq!(store.latest(9).unwrap().unwrap().epoch, 2);
         assert_eq!(store.latest(999).unwrap(), None);
         assert_eq!(store.trials().unwrap(), vec![3, 9]);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_retention_panics() {
-        let _ = TrialStore::new(tmp_root("zero"), 0);
+        let _ = TrialStore::new(&tmp_root("zero"), 0);
     }
 }

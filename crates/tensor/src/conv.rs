@@ -15,9 +15,9 @@
 //! with a deterministic, thread-count-independent combine order —
 //! replacing the seed's serial whole-batch loop.
 
-use crate::gemm::{gemm_slice, kernel_threads, with_scratch, Epilogue, FusedAct, GemmMode,
-    Workspace};
+use crate::gemm::{gemm_slice, with_scratch, Epilogue, FusedAct, GemmMode, Workspace};
 use crate::{Tensor, TensorError};
+use parx::kernel_threads;
 
 /// Rows of the im2col matrix per weight-gradient reduction block. The
 /// block partition is a pure function of the row count — never of the
@@ -179,7 +179,9 @@ pub fn conv1d_forward_ws(
     Ok(out)
 }
 
-/// Forward 1-D convolution (drop-in seed-compatible entry point).
+/// Forward 1-D convolution without bias or activation, on this thread's
+/// scratch workspace (the allocating convenience form of
+/// [`conv1d_forward_ws`]).
 ///
 /// * `input`:  `(batch, steps, in_ch)`
 /// * `weights`: `(kernel, in_ch, out_ch)`
@@ -398,16 +400,6 @@ pub fn maxpool1d_forward_ws(
     Ok(out)
 }
 
-/// Forward non-overlapping 1-D max pool.
-///
-/// Returns the pooled tensor `(batch, out_steps, ch)` and the flat input
-/// index of each selected maximum (for the backward pass).
-pub fn maxpool1d_forward(input: &Tensor, pool: usize) -> Result<(Tensor, Vec<usize>), TensorError> {
-    let mut argmax = Vec::new();
-    let out = with_scratch(|ws| maxpool1d_forward_ws(input, pool, &mut argmax, ws))?;
-    Ok((out, argmax))
-}
-
 /// Backward max pool on a workspace: routes each upstream gradient to the
 /// input position that produced the maximum.
 pub fn maxpool1d_backward_ws(
@@ -430,22 +422,19 @@ pub fn maxpool1d_backward_ws(
     Ok(grad_input)
 }
 
-/// Backward max pool: routes each upstream gradient to the input position
-/// that produced the maximum.
-pub fn maxpool1d_backward(
-    input_shape: &crate::Shape,
-    grad_out: &Tensor,
-    argmax: &[usize],
-) -> Result<Tensor, TensorError> {
-    with_scratch(|ws| maxpool1d_backward_ws(input_shape, grad_out, argmax, ws))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
     use proptest::prelude::*;
     use xrng::RandomSource;
+
+    /// Pooled output plus the argmax indices backward routes through.
+    fn maxpool(input: &Tensor, pool: usize) -> (Tensor, Vec<usize>) {
+        let mut argmax = Vec::new();
+        let out = maxpool1d_forward_ws(input, pool, &mut argmax, &mut Workspace::new()).unwrap();
+        (out, argmax)
+    }
 
     fn rand3(b: usize, s: usize, c: usize, seed: u64) -> Tensor {
         let mut rng = xrng::seeded(seed);
@@ -648,7 +637,7 @@ mod tests {
     fn maxpool_forward_selects_maxima() {
         let input =
             Tensor::from_vec([1, 4, 2], vec![1.0, -1.0, 3.0, 0.5, 2.0, 9.0, -4.0, 8.0]).unwrap();
-        let (out, argmax) = maxpool1d_forward(&input, 2).unwrap();
+        let (out, argmax) = maxpool(&input, 2);
         assert_eq!(out.shape().dims(), &[1, 2, 2]);
         assert_eq!(out.data(), &[3.0, 0.5, 2.0, 9.0]);
         assert_eq!(argmax, vec![2, 3, 4, 5]);
@@ -657,17 +646,17 @@ mod tests {
     #[test]
     fn maxpool_backward_routes_gradient() {
         let input = Tensor::from_vec([1, 4, 1], vec![1.0, 5.0, 2.0, 0.0]).unwrap();
-        let (out, argmax) = maxpool1d_forward(&input, 2).unwrap();
+        let (out, argmax) = maxpool(&input, 2);
         let grad_out =
             Tensor::from_vec(out.shape().clone().dims().to_vec(), vec![10.0, 20.0]).unwrap();
-        let gi = maxpool1d_backward(input.shape(), &grad_out, &argmax).unwrap();
+        let gi = maxpool1d_backward_ws(input.shape(), &grad_out, &argmax, &mut Workspace::new()).unwrap();
         assert_eq!(gi.data(), &[0.0, 10.0, 20.0, 0.0]);
     }
 
     #[test]
     fn maxpool_truncates_trailing_remainder() {
         let input = Tensor::from_fn([1, 5, 1], |i| i as f32);
-        let (out, _) = maxpool1d_forward(&input, 2).unwrap();
+        let (out, _) = maxpool(&input, 2);
         // Element 4 is dropped, matching Keras valid pooling.
         assert_eq!(out.data(), &[1.0, 3.0]);
     }
@@ -680,9 +669,9 @@ mod tests {
         ) {
             prop_assume!(s >= pool && pool >= 1);
             let input = rand3(b, s, c, seed);
-            let (out, argmax) = maxpool1d_forward(&input, pool).unwrap();
+            let (out, argmax) = maxpool(&input, pool);
             let grad = Tensor::full(out.shape().clone().dims().to_vec(), 1.0);
-            let gi = maxpool1d_backward(input.shape(), &grad, &argmax).unwrap();
+            let gi = maxpool1d_backward_ws(input.shape(), &grad, &argmax, &mut Workspace::new()).unwrap();
             // Gradient mass is conserved through the routing.
             prop_assert!((gi.sum() - grad.sum()).abs() < 1e-4);
         }

@@ -29,8 +29,8 @@
 //! the output in `Dense::compute`.
 
 use crate::{Shape, Tensor, TensorError};
+use parx::kernel_threads;
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 /// Micro-kernel rows (register-blocked output rows per panel).
 pub const MR: usize = 8;
@@ -44,12 +44,6 @@ const NC: usize = 512;
 const MIN_FLOPS_PER_THREAD: usize = 2_000_000;
 /// Recycled-buffer pool cap; beyond this, retired buffers are dropped.
 const MAX_POOL: usize = 32;
-
-/// Number of worker threads used by the kernels, resolved once.
-pub(crate) fn kernel_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(parx::default_threads)
-}
 
 /// How the raw operand slices are laid out relative to the product
 /// `C(m×n) = op(A)(m×k) · op(B)(k×n)`.
@@ -227,9 +221,11 @@ thread_local! {
 
 /// Runs `f` with this thread's scratch [`Workspace`].
 ///
-/// Used by the drop-in kernel wrappers (`matmul`, `conv1d_forward`, …) so
-/// callers without a threaded workspace still get buffer reuse. Re-entrant
-/// calls fall back to a fresh workspace instead of panicking.
+/// For callers that have no workspace of their own to thread through:
+/// `&self` inference (`Sequential::predict` / `evaluate`) and the
+/// allocating conveniences `matmul`, `conv1d_forward` and
+/// `conv1d_backward`. Re-entrant calls fall back to a fresh workspace
+/// instead of panicking.
 pub fn with_scratch<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => f(&mut ws),

@@ -22,15 +22,14 @@ mod shape;
 
 pub use conv::{
     conv1d_backward, conv1d_backward_ws, conv1d_forward, conv1d_forward_ws, conv1d_output_len,
-    maxpool1d_backward, maxpool1d_backward_ws, maxpool1d_forward, maxpool1d_forward_ws,
-    pool1d_output_len,
+    maxpool1d_backward_ws, maxpool1d_forward_ws, pool1d_output_len,
 };
 pub use gemm::{
     gemm_into, gemm_into_with_threads, gemm_slice, sigmoid, with_scratch, Epilogue, FusedAct,
     GemmMode, Workspace, MR, NR,
 };
 pub use init::{glorot_uniform, he_normal, Initializer};
-pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
+pub use matmul::matmul;
 pub use shape::{Shape, MAX_RANK};
 
 /// Errors produced by tensor constructors and kernels.

@@ -1,47 +1,14 @@
-//! Matrix products.
+//! Matrix product entry point.
 //!
-//! Three drop-in entry points cover every need of dense-layer forward and
-//! backward passes:
-//!
-//! * `matmul`      — `C = A·B`    (forward activations)
-//! * `matmul_at_b` — `C = Aᵀ·B`   (weight gradients: xᵀ·δ)
-//! * `matmul_a_bt` — `C = A·Bᵀ`   (input gradients: δ·Wᵀ)
-//!
-//! All three are thin wrappers over the blocked GEMM engine in
-//! [`crate::gemm`]: one packed, register-blocked micro-kernel with the
-//! transpositions expressed as packing modes. Each call runs on this
-//! thread's scratch [`crate::Workspace`]; callers on the training hot path
-//! should prefer [`crate::gemm_into`] with an owned workspace to reuse the
-//! output buffer too.
+//! [`matmul`] (`C = A·B`) is the one allocating convenience wrapper over the
+//! blocked GEMM engine in [`crate::gemm`]: it runs on this thread's scratch
+//! [`crate::Workspace`] and returns a fresh tensor. The transposed products
+//! of a backward pass (`Aᵀ·B` weight gradients, `A·Bᵀ` input gradients) are
+//! [`crate::GemmMode`]s of the same engine and have no wrapper: call
+//! [`crate::gemm_into`] with the mode, an output tensor and a workspace.
 
 use crate::gemm::{gemm_slice, with_scratch, Epilogue, GemmMode};
 use crate::{Tensor, TensorError};
-
-fn product(
-    mode: GemmMode,
-    a: &Tensor,
-    b: &Tensor,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Result<Tensor, TensorError> {
-    let mut c = Tensor::zeros([m, n]);
-    with_scratch(|ws| {
-        gemm_slice(
-            mode,
-            a.data(),
-            b.data(),
-            m,
-            k,
-            n,
-            c.data_mut(),
-            &Epilogue::NONE,
-            0,
-            ws,
-        );
-    });
-    Ok(c)
-}
 
 /// `C = A·B` for `A: (m×k)`, `B: (k×n)`.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
@@ -53,39 +20,28 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
             right: b.shape().clone(),
         });
     }
-    product(GemmMode::Ab, a, b, m, ka, n)
-}
-
-/// `C = Aᵀ·B` for `A: (m×k)`, `B: (m×n)`, producing `(k×n)`.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (ma, k) = a.shape().as_2d();
-    let (mb, n) = b.shape().as_2d();
-    if ma != mb {
-        return Err(TensorError::ShapeMismatch {
-            left: a.shape().clone(),
-            right: b.shape().clone(),
-        });
-    }
-    product(GemmMode::AtB, a, b, k, ma, n)
-}
-
-/// `C = A·Bᵀ` for `A: (m×k)`, `B: (n×k)`, producing `(m×n)`.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, ka) = a.shape().as_2d();
-    let (n, kb) = b.shape().as_2d();
-    if ka != kb {
-        return Err(TensorError::ShapeMismatch {
-            left: a.shape().clone(),
-            right: b.shape().clone(),
-        });
-    }
-    product(GemmMode::ABt, a, b, m, ka, n)
+    let mut c = Tensor::zeros([m, n]);
+    with_scratch(|ws| {
+        gemm_slice(
+            GemmMode::Ab,
+            a.data(),
+            b.data(),
+            m,
+            ka,
+            n,
+            c.data_mut(),
+            &Epilogue::NONE,
+            0,
+            ws,
+        );
+    });
+    Ok(c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
+    use crate::{gemm_into, reference, Workspace};
     use proptest::prelude::*;
     use xrng::RandomSource;
 
@@ -102,6 +58,14 @@ mod tests {
                 *c.at2_mut(i, j) = acc;
             }
         }
+        c
+    }
+
+    /// `op(A)·op(B)` through the engine's tensor entry point.
+    fn product(mode: GemmMode, a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, _, n) = mode.dims(a.shape(), b.shape()).unwrap();
+        let mut c = Tensor::zeros([m, n]);
+        gemm_into(mode, a, b, &mut c, &Epilogue::NONE, &mut Workspace::new()).unwrap();
         c
     }
 
@@ -152,7 +116,7 @@ mod tests {
         let a = random_tensor(9, 4, 6);
         let b = random_tensor(9, 7, 7);
         let expect = naive_matmul(&transpose(&a), &b);
-        assert_close(&matmul_at_b(&a, &b).unwrap(), &expect, 1e-4);
+        assert_close(&product(GemmMode::AtB, &a, &b), &expect, 1e-4);
     }
 
     #[test]
@@ -160,7 +124,7 @@ mod tests {
         let a = random_tensor(6, 8, 8);
         let b = random_tensor(5, 8, 9);
         let expect = naive_matmul(&a, &transpose(&b));
-        assert_close(&matmul_a_bt(&a, &b).unwrap(), &expect, 1e-4);
+        assert_close(&product(GemmMode::ABt, &a, &b), &expect, 1e-4);
     }
 
     #[test]
@@ -183,7 +147,7 @@ mod tests {
     #[test]
     fn matches_seed_kernels() {
         // The retained seed kernels are an independent oracle for all
-        // three wrappers (summation order matches modulo the old
+        // three modes (summation order matches modulo the old
         // zero-skip, hence the small tolerance).
         let a = random_tensor(17, 33, 100);
         let b = random_tensor(33, 9, 101);
@@ -195,14 +159,14 @@ mod tests {
         let x = random_tensor(21, 13, 102);
         let d = random_tensor(21, 6, 103);
         assert_close(
-            &matmul_at_b(&x, &d).unwrap(),
+            &product(GemmMode::AtB, &x, &d),
             &reference::matmul_at_b_seed(&x, &d).unwrap(),
             1e-5,
         );
         let g = random_tensor(12, 19, 104);
         let w = random_tensor(8, 19, 105);
         assert_close(
-            &matmul_a_bt(&g, &w).unwrap(),
+            &product(GemmMode::ABt, &g, &w),
             &reference::matmul_a_bt_seed(&g, &w).unwrap(),
             1e-5,
         );
@@ -215,10 +179,10 @@ mod tests {
             let a = random_tensor(m, k, seed);
             let b = random_tensor(k, n, seed ^ 0xFFFF);
             let c = matmul(&a, &b).unwrap();
-            // (A·B) == ((Aᵀ)ᵀ·B) via matmul_at_b with transposed A.
-            let c2 = matmul_at_b(&transpose(&a), &b).unwrap();
-            // (A·B) == A·(Bᵀ)ᵀ via matmul_a_bt with transposed B.
-            let c3 = matmul_a_bt(&a, &transpose(&b)).unwrap();
+            // (A·B) == ((Aᵀ)ᵀ·B) via the AtB mode with transposed A.
+            let c2 = product(GemmMode::AtB, &transpose(&a), &b);
+            // (A·B) == A·(Bᵀ)ᵀ via the ABt mode with transposed B.
+            let c3 = product(GemmMode::ABt, &a, &transpose(&b));
             for ((x, y), z) in c.data().iter().zip(c2.data()).zip(c3.data()) {
                 prop_assert!((x - y).abs() < 1e-4);
                 prop_assert!((x - z).abs() < 1e-4);

@@ -8,8 +8,8 @@
 //! oracle.
 
 use crate::conv1d_output_len;
-use crate::gemm::kernel_threads;
 use crate::{Tensor, TensorError};
+use parx::kernel_threads;
 
 /// Seed `C = A·B`: scalar i-k-j with a zero-skip branch.
 pub fn matmul_seed(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {

@@ -13,9 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let dir = std::env::temp_dir().join(format!("cache_demo_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = parx::scratch("cache_demo").expect("temp dir");
 
     // A wide NT3-like file: few rows, many expression columns.
     let csv = dir.join("nt3_like.csv");
@@ -118,6 +116,4 @@ fn main() {
     println!("warm pipeline phase profile:\n{}", warm_run.profile.report());
     assert_eq!(cold_run.train_loss, warm_run.train_loss);
     println!("cold and warm runs trained to identical losses — cache is bit-exact");
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -21,8 +21,7 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
-    let dir = std::env::temp_dir().join("candle_repro_data_loading");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = parx::scratch("data_loading").expect("temp dir");
 
     let cases = [
         (

@@ -14,8 +14,7 @@ use resil::{
 };
 
 fn main() {
-    let dir = std::env::temp_dir().join(format!("resil_demo_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = parx::scratch("resil_demo").expect("temp dir");
 
     // 1. A seeded fault plan: the whole failure schedule is a pure
     //    function of the seed, so the "experiment" below is replayable.
@@ -126,6 +125,4 @@ fn main() {
     let mut w2 = w;
     w2[2] = f32::from_bits(w2[2].to_bits() ^ 1);
     assert_ne!(hash_params(&w), hash_params(&w2));
-
-    std::fs::remove_dir_all(&dir).ok();
 }

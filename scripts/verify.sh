@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Scratch directories come from parx::scratch (unique per call, removed on
+# drop); a hand-rolled temp_dir() path is how two tests end up sharing one.
+echo "==> no temp_dir() outside parx::scratch"
+if grep -rn --include='*.rs' 'temp_dir()' crates src tests examples |
+    grep -v '^crates/parx/src/scratch.rs:'; then
+    echo "error: use parx::scratch(tag) instead of std::env::temp_dir()" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 

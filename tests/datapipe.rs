@@ -10,16 +10,10 @@ use candle::{load_benchmark_dataset_via_service, BenchDataKind, BenchId, Service
 use dataio::{generate, ClassSpec, SyntheticSpec};
 use datapipe::{stream_fingerprint, DatasetService, JobSpec, ServiceConfig};
 use experiments::measure_datapipe_comparison;
-use std::path::PathBuf;
 use std::sync::Arc;
 
-fn tmp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_t_datapipe_{tag}_{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
+fn tmp_root(tag: &str) -> parx::Scratch {
+    parx::scratch(&format!("t_datapipe_{tag}")).expect("temp fs")
 }
 
 fn open_synthetic(
@@ -106,7 +100,6 @@ fn streams_are_invariant_to_service_thread_count() {
         fingerprints[0].0, fingerprints[0].1,
         "epoch shuffle must actually reorder rows"
     );
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The full training stack over the service: concurrent
@@ -142,5 +135,4 @@ fn concurrent_pipeline_loads_share_one_build() {
     }
     assert_eq!(service.stats().datasets, 1, "one registration, one build");
     assert_eq!(service.stats().admitted, 5);
-    std::fs::remove_dir_all(&root).ok();
 }

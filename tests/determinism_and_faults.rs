@@ -110,8 +110,7 @@ fn survivors_of_a_dead_rank_get_peer_lost() {
 #[test]
 fn malformed_csv_fails_cleanly() {
     use dataio::{read_csv, DataError, ReadStrategy};
-    let dir = std::env::temp_dir().join("candle_repro_fault_csv");
-    std::fs::create_dir_all(&dir).expect("dir");
+    let dir = parx::scratch("fault_csv").expect("dir");
     // Ragged rows.
     let ragged = dir.join("ragged.csv");
     std::fs::write(&ragged, "1,2,3\n4,5\n6,7,8\n").expect("write");
@@ -125,8 +124,6 @@ fn malformed_csv_fails_cleanly() {
     let binary = dir.join("binary.csv");
     std::fs::write(&binary, [0x31, 0x2C, 0xFF, 0xFE, 0x0A]).expect("write");
     assert!(read_csv(&binary, ReadStrategy::ChunkedLowMemory).is_err());
-    let _ = std::fs::remove_file(&ragged);
-    let _ = std::fs::remove_file(&binary);
 }
 
 /// Infeasible configurations are rejected before any work starts.

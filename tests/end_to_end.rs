@@ -7,12 +7,6 @@ use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, Syn
 use dlframe::Dataset;
 use tensor::Tensor;
 
-fn tmpdir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("candle_repro_e2e");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
-}
-
 /// Generate an NT3-shaped CSV, load it through each reader strategy, build
 /// a training set from the frame, train a classifier, and verify it learns
 /// — the complete Figure-2 flow with a real file in the middle.
@@ -29,7 +23,8 @@ fn csv_to_trained_model_via_every_reader() {
         seed: 77,
     };
     let ds = generate(&spec);
-    let path = tmpdir().join("nt3_like.csv");
+    let dir = parx::scratch("e2e").expect("temp dir");
+    let path = dir.join("nt3_like.csv");
     write_csv_dataset(&path, &ds).expect("write");
 
     for strategy in [
@@ -96,7 +91,6 @@ fn csv_to_trained_model_via_every_reader() {
         let (_, _, params1) = &results[1];
         assert_eq!(params0, params1, "{strategy:?}: ranks diverged");
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The candle pipeline runs all four benchmarks end to end.

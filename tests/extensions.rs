@@ -28,7 +28,7 @@ fn checkpoint_restart_across_pipeline() {
     let (loss_before, acc_before) = model.evaluate(&test, 40).expect("eval");
 
     // Checkpoint and restore into a fresh, differently-initialized model.
-    let dir = std::env::temp_dir().join(format!("candle_repro_ext_ckpt_{}", std::process::id()));
+    let dir = parx::scratch("ext_ckpt").expect("temp dir");
     let mut mgr = CheckpointManager::new(&dir, 1).expect("dir");
     mgr.save(&TrainState::capture(6, &model)).expect("save");
     let (mut restored, _) = build_model(Bench::Nt3, kind.features, 0.05, 999);
@@ -38,7 +38,6 @@ fn checkpoint_restart_across_pipeline() {
     let (loss_after, acc_after) = restored.evaluate(&test, 40).expect("eval restored");
     assert_eq!(loss_before.to_bits(), loss_after.to_bits());
     assert_eq!(acc_before.to_bits(), acc_after.to_bits());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Weak scaling holds accuracy constant: 8 epochs/worker reaches high

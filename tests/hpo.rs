@@ -16,21 +16,15 @@ use hpo::{
     TrialExecutor, TrialId,
 };
 use resil::TrialStore;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use tensor::Tensor;
 use xrng::SeedNode;
 
 const SEED: u64 = 2024;
 
-fn tmp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "candle_repro_t_hpo_{tag}_{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("temp fs");
-    dir
+fn tmp_root(tag: &str) -> parx::Scratch {
+    parx::scratch(&format!("t_hpo_{tag}")).expect("temp fs")
 }
 
 fn synthetic_spec(rows: usize, cols: usize, classes: usize) -> SyntheticSpec {
@@ -51,12 +45,12 @@ fn synthetic_spec(rows: usize, cols: usize, classes: usize) -> SyntheticSpec {
 struct Fixture {
     service: Arc<DatasetService>,
     eval: Dataset,
-    dir: PathBuf,
+    dir: parx::Scratch,
     classes: usize,
 }
 
 impl Fixture {
-    fn new(dir: PathBuf, rows: usize, cols: usize, classes: usize) -> Self {
+    fn new(dir: parx::Scratch, rows: usize, cols: usize, classes: usize) -> Self {
         let spec = synthetic_spec(rows, cols, classes);
         let mut config = ServiceConfig::new(dir.join("cache"));
         config.threads = 2;
@@ -131,7 +125,6 @@ fn sixty_four_trial_search_is_worker_invariant() {
     }
     assert_eq!(runs[0], runs[1], "1 vs 2 workers");
     assert_eq!(runs[0], runs[2], "1 vs 4 workers");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Pause/resume at EVERY rung boundary, real trials: a search where each
@@ -203,7 +196,6 @@ fn rung_boundary_pause_resume_is_bit_exact() {
         from = to;
     }
     assert_eq!(winner, Some(uninterrupted.winner));
-    std::fs::remove_dir_all(&fixture.dir).ok();
 }
 
 /// The promoted winner's checkpointed rung chain lands on exactly the
@@ -300,5 +292,4 @@ fn oversubscribed_fleet_saturates_typed_and_drains() {
     for t in threads {
         assert_eq!(t.join().expect("no deadlock, no panic"), 512);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,16 +14,12 @@ use resil::{
     run_elastic, run_resilient, ElasticSpec, FaultEvent, FaultKind, FaultPlan, FaultSpec,
     ResilSpec,
 };
-use std::path::PathBuf;
 
-fn ckpt_dir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("resilience_it_{name}_{}", std::process::id()));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
-fn spec(name: &str, seed: u64, plan: FaultPlan) -> ResilSpec {
-    ResilSpec {
+/// A run checkpointing into a scratch directory that lives as long as the
+/// returned guard.
+fn spec(name: &str, seed: u64, plan: FaultPlan) -> (parx::Scratch, ResilSpec) {
+    let dir = parx::scratch(&format!("resilience_it_{name}")).expect("temp fs");
+    let spec = ResilSpec {
         bench: Bench::Nt3,
         workers: 2,
         epochs: 5,
@@ -33,10 +29,11 @@ fn spec(name: &str, seed: u64, plan: FaultPlan) -> ResilSpec {
         seed,
         checkpoint_every: 2,
         keep: 3,
-        dir: ckpt_dir(name),
+        dir: dir.to_path_buf(),
         plan,
         record_timeline: false,
-    }
+    };
+    (dir, spec)
 }
 
 fn crash_at(epoch: usize, rank: usize) -> FaultPlan {
@@ -51,16 +48,14 @@ fn crash_at(epoch: usize, rank: usize) -> FaultPlan {
 #[test]
 fn resume_is_bit_exact_across_seeds_and_fault_points() {
     for seed in [42u64, 1337] {
-        let healthy = spec(&format!("ref_{seed}"), seed, FaultPlan::none());
+        let (_healthy_dir, healthy) = spec(&format!("ref_{seed}"), seed, FaultPlan::none());
         let reference = run_resilient(&healthy).expect("healthy run");
-        std::fs::remove_dir_all(&healthy.dir).ok();
         // Fault point 1 hits right after a checkpoint (nothing re-done);
         // fault point 2 hits between checkpoints (one epoch re-done).
         for (fault_epoch, redone) in [(2usize, 0usize), (3, 1)] {
             let name = format!("crash_{seed}_{fault_epoch}");
-            let faulted = spec(&name, seed, crash_at(fault_epoch, 1));
+            let (_faulted_dir, faulted) = spec(&name, seed, crash_at(fault_epoch, 1));
             let out = run_resilient(&faulted).expect("faulted run");
-            std::fs::remove_dir_all(&faulted.dir).ok();
             assert_eq!(out.recoveries.len(), 1, "seed {seed} fault {fault_epoch}");
             assert_eq!(out.redone_epochs, redone);
             assert_eq!(
@@ -94,8 +89,8 @@ fn fault_plans_are_deterministic_and_reproduce_recovery() {
         FaultPlan::generate(&FaultSpec { seed: 10, ..fspec }).fingerprint()
     );
 
-    let spec_a = spec("det_a", 7, plan_a);
-    let spec_b = spec("det_b", 7, plan_b);
+    let (_spec_a_dir, spec_a) = spec("det_a", 7, plan_a);
+    let (_spec_b_dir, spec_b) = spec("det_b", 7, plan_b);
     let a = run_resilient(&spec_a).expect("run a");
     let b = run_resilient(&spec_b).expect("run b");
     assert_eq!(a.final_hash, b.final_hash);
@@ -109,15 +104,13 @@ fn fault_plans_are_deterministic_and_reproduce_recovery() {
             .collect::<Vec<_>>()
     };
     assert_eq!(shape(&a), shape(&b));
-    std::fs::remove_dir_all(&spec_a.dir).ok();
-    std::fs::remove_dir_all(&spec_b.dir).ok();
 }
 
 /// Two crashes in one run: every teardown restores and the end state is
 /// still bit-identical to the uninterrupted run.
 #[test]
 fn repeated_crashes_still_converge_bit_exactly() {
-    let healthy = spec("multi_ref", 5, FaultPlan::none());
+    let (_healthy_dir, healthy) = spec("multi_ref", 5, FaultPlan::none());
     let reference = run_resilient(&healthy).expect("healthy run");
     let plan = FaultPlan::manual(vec![
         FaultEvent {
@@ -129,14 +122,12 @@ fn repeated_crashes_still_converge_bit_exactly() {
             kind: FaultKind::WorkerCrash { rank: 1 },
         },
     ]);
-    let faulted = spec("multi_crash", 5, plan);
+    let (_faulted_dir, faulted) = spec("multi_crash", 5, plan);
     let out = run_resilient(&faulted).expect("faulted run");
     assert_eq!(out.recoveries.len(), 2);
     // Crash at 1 restores epoch 0 (redo 1); crash at 4 restores epoch 4.
     assert_eq!(out.redone_epochs, 1);
     assert_eq!(out.final_hash, reference.final_hash);
-    std::fs::remove_dir_all(&healthy.dir).ok();
-    std::fs::remove_dir_all(&faulted.dir).ok();
 }
 
 /// Elastic path: a mid-run death shrinks the world and the survivors
@@ -211,8 +202,7 @@ fn cache_corruption_is_detected_and_recovered() {
     use dataio::ReadStrategy;
     use datacache::CacheStore;
 
-    let root = std::env::temp_dir().join(format!("resilience_it_cache_{}", std::process::id()));
-    std::fs::remove_dir_all(&root).ok();
+    let root = parx::scratch("resilience_it_cache").expect("temp fs");
     let src = root.join("src");
     std::fs::create_dir_all(&src).unwrap();
     let csv = src.join("data.csv");
@@ -241,5 +231,4 @@ fn cache_corruption_is_detected_and_recovered() {
     assert!(!store.dataset_dir(key).exists());
     let (rebuilt, _) = store.open_csv(&csv, ReadStrategy::ChunkedLowMemory, 3).unwrap();
     assert!(resil::scan_shards(&rebuilt).is_empty());
-    std::fs::remove_dir_all(&root).ok();
 }
