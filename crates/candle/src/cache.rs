@@ -63,8 +63,6 @@ pub enum DataPhase {
         generate: Duration,
         /// Time encoding and writing shards plus the manifest.
         encode_write: Duration,
-        /// Time decoding the freshly written shards back.
-        decode: Duration,
         /// Per-phase ingest attribution (scan / parse / materialize) when
         /// the source was a CSV read through the turbo engine.
         ingest: Option<IngestPhases>,
@@ -206,6 +204,11 @@ pub fn dataset_key(kind: &BenchDataKind, seed: u64) -> (u64, String) {
 /// benchmark, mirroring [`benchmark_dataset`] exactly: the unpacked warm
 /// tensors are bit-identical to a fresh generation because f32 values
 /// round-trip losslessly through the shard format's f64 columns.
+///
+/// A cold load hands back the pair it built the shards from — the
+/// generated tensors, or the ingested frame unpacked while it is still in
+/// memory — and never reads back the shards it wrote a moment ago; only a
+/// warm load decodes shards.
 pub fn load_benchmark_dataset(
     kind: &BenchDataKind,
     seed: u64,
@@ -215,6 +218,8 @@ pub fn load_benchmark_dataset(
     let tag = format!("train_rows={};features={}", kind.train_rows, kind.features);
     let mut generate_time = Duration::ZERO;
     let mut ingest: Option<IngestPhases> = None;
+    // Set by the build closure, so `Some` exactly when the open was cold.
+    let mut built: Option<(Dataset, Dataset)> = None;
     let (ds, outcome) = match &cache.source {
         CacheSource::Generate => {
             let (key, desc) = dataset_key(kind, seed);
@@ -222,7 +227,9 @@ pub fn load_benchmark_dataset(
                 let start = Instant::now();
                 let (train, test) = benchmark_dataset(kind, seed);
                 generate_time = start.elapsed();
-                Ok(pack_pair(&train, &test))
+                let frame = pack_pair(&train, &test);
+                built = Some((train, test));
+                Ok(frame)
             })?
         }
         CacheSource::Csv { path, strategy } => {
@@ -236,41 +243,42 @@ pub fn load_benchmark_dataset(
                     let (frame, stats) = read_csv(path, *strategy)?;
                     generate_time = stats.elapsed;
                     ingest = stats.ingest;
+                    built = Some(unpack_pair(&frame, kind)?);
                     Ok(frame)
                 },
             )?
         }
     };
 
-    let decode_start = Instant::now();
-    let ds = Arc::new(ds);
-    let (frame, stats) = if cache.prefetch {
-        let mut pf = Prefetcher::all(Arc::clone(&ds));
-        let mut frames = Vec::with_capacity(pf.len_total());
-        for item in pf.by_ref() {
-            frames.push(item?.frame);
+    match outcome {
+        CacheOutcome::ColdBuilt { encode_write, .. } => {
+            let (train, test) = built.expect("a cold open ran the build closure");
+            let phase = DataPhase::Cold {
+                generate: generate_time,
+                encode_write,
+                ingest,
+            };
+            Ok((train, test, phase))
         }
-        let stats = pf.stats();
-        (Frame::concat(frames)?, Some(stats))
-    } else {
-        (ds.load_all()?, None)
-    };
-    let decode = decode_start.elapsed();
-    let (train, test) = unpack_pair(&frame, kind)?;
-
-    let phase = match outcome {
-        CacheOutcome::ColdBuilt { encode_write, .. } => DataPhase::Cold {
-            generate: generate_time,
-            encode_write,
-            decode,
-            ingest,
-        },
-        CacheOutcome::WarmHit { manifest_load } => DataPhase::Warm {
-            load: manifest_load + decode,
-            prefetch: stats,
-        },
-    };
-    Ok((train, test, phase))
+        CacheOutcome::WarmHit { manifest_load } => {
+            let decode_start = Instant::now();
+            let ds = Arc::new(ds);
+            let (frame, prefetch) = if cache.prefetch {
+                let mut pf = Prefetcher::all(Arc::clone(&ds));
+                let mut frames = Vec::with_capacity(pf.len_total());
+                for item in pf.by_ref() {
+                    frames.push(item?.frame);
+                }
+                let stats = pf.stats();
+                (Frame::concat(frames)?, Some(stats))
+            } else {
+                (ds.load_all()?, None)
+            };
+            let load = manifest_load + decode_start.elapsed();
+            let (train, test) = unpack_pair(&frame, kind)?;
+            Ok((train, test, DataPhase::Warm { load, prefetch }))
+        }
+    }
 }
 
 /// Packs train+test into one frame: train rows first, then test rows;
@@ -357,25 +365,17 @@ fn unpack_pair(frame: &Frame, kind: &BenchDataKind) -> Result<(Dataset, Dataset)
             kind.features
         )));
     }
-    let ycols = frame.ncols() - kind.features;
-    let slice = |row0: usize, nrows: usize, col0: usize, ncols: usize| {
-        let mut v = Vec::with_capacity(nrows * ncols);
-        for r in row0..row0 + nrows {
-            for c in col0..col0 + ncols {
-                v.push(frame.columns()[c].f32_at(r));
-            }
-        }
-        Tensor::from_vec([nrows, ncols], v).expect("slice length matches shape")
+    let split = |rows: std::ops::Range<usize>| {
+        let block = |cols: std::ops::Range<usize>| {
+            Tensor::from_vec(
+                [rows.len(), cols.len()],
+                frame.to_f32_block(rows.clone(), cols),
+            )
+            .expect("block length matches shape")
+        };
+        Dataset::new(block(0..kind.features), block(kind.features..frame.ncols()))
     };
-    let train = Dataset::new(
-        slice(0, kind.train_rows, 0, kind.features),
-        slice(0, kind.train_rows, kind.features, ycols),
-    );
-    let test = Dataset::new(
-        slice(kind.train_rows, kind.test_rows, 0, kind.features),
-        slice(kind.train_rows, kind.test_rows, kind.features, ycols),
-    );
-    Ok((train, test))
+    Ok((split(0..kind.train_rows), split(kind.train_rows..rows)))
 }
 
 #[cfg(test)]

@@ -230,12 +230,10 @@ pub fn run_parallel(spec: &ParallelRunSpec) -> Result<ParallelRunOutcome, Pipeli
                     DataPhase::Cold {
                         generate,
                         encode_write,
-                        decode,
                         ingest,
                     } => {
                         profile.record("data_loading", generate);
                         profile.record("cache_build", encode_write);
-                        profile.record("cache_load", decode);
                         // Turbo CSV ingests break the load down further:
                         // structural scan vs parallel parse vs frame build.
                         if let Some(phases) = ingest {

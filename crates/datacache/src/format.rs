@@ -68,15 +68,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    // Bit-exact: NaN payloads and signed zeros survive the round trip.
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
 /// Largest single `write` issued by [`write_file`].
 const WRITE_PIECE: usize = 64 * 1024;
 
@@ -167,14 +158,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
-    pub fn take_i64(&mut self) -> Result<i64, Malformed> {
-        Ok(i64::from_le_bytes(self.take_array()?))
-    }
-
-    pub fn take_f64(&mut self) -> Result<f64, Malformed> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
     /// Reads a `u64` count that is about to size an allocation of elements
     /// at least `elem_bytes` long each, rejecting counts the remaining
     /// bytes cannot possibly hold — a garbled length field must fail as
@@ -236,16 +219,10 @@ mod tests {
         put_u16(&mut buf, 0xBEEF);
         put_u32(&mut buf, 7);
         put_u64(&mut buf, u64::MAX - 1);
-        put_i64(&mut buf, -42);
-        put_f64(&mut buf, -0.0);
-        put_f64(&mut buf, f64::NAN);
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.take_u16().unwrap(), 0xBEEF);
         assert_eq!(r.take_u32().unwrap(), 7);
         assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.take_i64().unwrap(), -42);
-        assert_eq!(r.take_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.take_f64().unwrap().is_nan());
         assert_eq!(r.remaining(), 0);
     }
 

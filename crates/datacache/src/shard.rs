@@ -19,8 +19,7 @@
 //! ```
 
 use crate::format::{
-    dtype_code, dtype_from_code, fnv1a64, put_f64, put_i64, put_u16, put_u32, put_u64, ByteReader,
-    MAGIC, VERSION,
+    dtype_code, dtype_from_code, fnv1a64, put_u16, put_u32, put_u64, ByteReader, MAGIC, VERSION,
 };
 use crate::CacheError;
 use dataio::{Column, Dtype, Frame};
@@ -55,16 +54,9 @@ pub fn encode_shard(frame: &Frame, index: u32, start: usize, end: usize) -> Vec<
     }
     for col in frame.columns() {
         match col {
-            Column::Int64(v) => {
-                for &x in &v[start..end] {
-                    put_i64(&mut buf, x);
-                }
-            }
-            Column::Float64(v) => {
-                for &x in &v[start..end] {
-                    put_f64(&mut buf, x);
-                }
-            }
+            Column::Int64(v) => put_words(&mut buf, &v[start..end], |x| x.to_le_bytes()),
+            // Bit-exact: NaN payloads and signed zeros survive the round trip.
+            Column::Float64(v) => put_words(&mut buf, &v[start..end], |x| x.to_le_bytes()),
             Column::Str(v) => {
                 for s in &v[start..end] {
                     put_u32(&mut buf, s.len() as u32);
@@ -76,6 +68,33 @@ pub fn encode_shard(frame: &Frame, index: u32, start: usize, end: usize) -> Vec<
     let checksum = fnv1a64(&buf);
     put_u64(&mut buf, checksum);
     buf
+}
+
+/// Appends a numeric column's values as little-endian 8-byte words: the
+/// buffer grows once and the slice is laid down in one pass (a plain copy
+/// on a little-endian host), not one bounds-checked 8-byte append per value.
+fn put_words<T: Copy>(buf: &mut Vec<u8>, values: &[T], to_le: impl Fn(T) -> [u8; 8]) {
+    let at = buf.len();
+    buf.resize(at + values.len() * 8, 0);
+    for (word, &x) in buf[at..].chunks_exact_mut(8).zip(values) {
+        word.copy_from_slice(&to_le(x));
+    }
+}
+
+/// Reads a numeric column of `nrows` little-endian 8-byte words: one bounds
+/// check for the whole column, then a pass over the slice.
+fn take_words<T>(
+    r: &mut ByteReader<'_>,
+    nrows: usize,
+    from_le: impl Fn([u8; 8]) -> T,
+) -> Result<Vec<T>, CacheError> {
+    // `nrows` passed `ByteReader::count(4)`, so eight times it cannot
+    // overflow; a column the bytes cannot hold fails in `take_bytes`.
+    let raw = r.take_bytes(nrows * 8)?;
+    Ok(raw
+        .chunks_exact(8)
+        .map(|word| from_le(word.try_into().expect("chunks_exact(8)")))
+        .collect())
 }
 
 /// Decodes and validates one shard: magic, version, structural bounds, and
@@ -124,20 +143,8 @@ pub fn decode_shard(bytes: &[u8]) -> Result<DecodedShard, CacheError> {
     let mut columns = Vec::with_capacity(ncols);
     for dtype in dtypes {
         let col = match dtype {
-            Dtype::Int64 => {
-                let mut v = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(r.take_i64()?);
-                }
-                Column::Int64(v)
-            }
-            Dtype::Float64 => {
-                let mut v = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(r.take_f64()?);
-                }
-                Column::Float64(v)
-            }
+            Dtype::Int64 => Column::Int64(take_words(&mut r, nrows, i64::from_le_bytes)?),
+            Dtype::Float64 => Column::Float64(take_words(&mut r, nrows, f64::from_le_bytes)?),
             Dtype::Str => {
                 let mut v = Vec::with_capacity(nrows);
                 for _ in 0..nrows {
@@ -241,6 +248,38 @@ mod tests {
                 _ => panic!("dtype changed in round trip"),
             }
         }
+    }
+
+    /// CDS1 is a stored format: the bytes of one fixed mixed-dtype shard
+    /// (and so its FNV-1a checksum, the last eight) as the per-value
+    /// encoder wrote them before columns moved as whole slices.
+    #[test]
+    fn encoder_output_is_byte_identical_to_the_stored_format() {
+        let frame = Frame::new(vec![
+            Column::Int64(vec![-1, 2, i64::MIN, 7]),
+            Column::Float64(vec![
+                -0.0,
+                f64::NAN,
+                1.5e300,
+                f64::from_bits(0x7FF0_0000_0000_0001),
+            ]),
+            Column::Str(vec![
+                "a".into(),
+                String::new(),
+                "h\u{e9}llo".into(),
+                "x,y".into(),
+            ]),
+        ])
+        .unwrap();
+        let golden = "434453310100030000000100000000000000030000000000000003000000000102\
+                      0200000000000000000000000000008007000000000000000000000000\
+                      00f87f355800662deb417e010000000000f07f000000000600000068c3a96c6c6f\
+                      03000000782c7933f4b31f177ce873";
+        let hex: String = encode_shard(&frame, 3, 1, 4)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, golden);
     }
 
     #[test]

@@ -291,9 +291,10 @@ impl CacheStore {
     }
 }
 
-/// Encodes `frame` into `nshards` shard files under `dir` and writes the
-/// manifest last, so a crash mid-build never leaves a valid manifest over
-/// incomplete shards.
+/// Encodes `frame` into `nshards` shard files under `dir` — encode,
+/// checksum and write of different shards run side by side on
+/// [`parx::kernel_threads`] threads — and writes the manifest last, so a
+/// crash mid-build never leaves a valid manifest over incomplete shards.
 fn write_cache(
     dir: &Path,
     key: u64,
@@ -304,20 +305,20 @@ fn write_cache(
 ) -> Result<CachedDataset, CacheError> {
     std::fs::create_dir_all(dir)?;
     let ranges = shard_ranges(frame.nrows(), nshards);
-    let mut entries = Vec::with_capacity(ranges.len());
-    for (i, &(start, end)) in ranges.iter().enumerate() {
+    let write_shard = |i: usize| -> Result<ShardEntry, CacheError> {
+        let (start, end) = ranges[i];
         let bytes = encode_shard(frame, i as u32, start, end);
         let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         let file = format!("shard-{i:04}.bin");
         write_file(&dir.join(&file), &bytes)?;
-        entries.push(ShardEntry {
+        Ok(ShardEntry {
             file,
             start_row: start,
             rows: end - start,
             bytes: bytes.len() as u64,
             checksum,
-        });
-    }
+        })
+    };
     let manifest = Manifest {
         version: MANIFEST_VERSION,
         source_key: key,
@@ -325,13 +326,31 @@ fn write_cache(
         nrows: frame.nrows(),
         ncols: frame.ncols(),
         tag: tag.to_string(),
-        shards: entries,
+        shards: for_each_shard(ranges.len(), write_shard)?,
     };
     manifest.write_to(dir)?;
     Ok(CachedDataset {
         dir: dir.to_path_buf(),
         manifest,
     })
+}
+
+/// `f(0), .., f(nshards - 1)` in shard order, a contiguous run of shards
+/// per thread on [`parx::kernel_threads`] threads; the error of the lowest
+/// failing shard wins.
+fn for_each_shard<T: Send>(
+    nshards: usize,
+    f: impl Fn(usize) -> Result<T, CacheError> + Sync,
+) -> Result<Vec<T>, CacheError> {
+    let runs = parx::chunk_ranges(nshards, parx::kernel_threads());
+    let done = parx::parallel_each(runs, |_, run| {
+        (run.start..run.end).map(&f).collect::<Result<Vec<T>, _>>()
+    });
+    let mut out = Vec::with_capacity(nshards);
+    for run in done {
+        out.extend(run?);
+    }
+    Ok(out)
 }
 
 /// An opened cached dataset: a manifest plus the directory its shard
@@ -402,12 +421,10 @@ impl CachedDataset {
         Ok(decoded.frame)
     }
 
-    /// Loads every shard and reassembles the full source frame.
+    /// Loads every shard (read, checksum and decode of different shards
+    /// run side by side) and reassembles the full source frame.
     pub fn load_all(&self) -> Result<Frame, CacheError> {
-        let mut frames = Vec::with_capacity(self.nshards());
-        for i in 0..self.nshards() {
-            frames.push(self.load_shard(i)?);
-        }
+        let frames = for_each_shard(self.nshards(), |i| self.load_shard(i))?;
         Frame::concat(frames).map_err(CacheError::from)
     }
 
@@ -581,6 +598,29 @@ mod tests {
         // An empty file (torn write caught at its worst) is also typed.
         std::fs::write(&shard_path, b"").unwrap();
         assert!(matches!(ds.load_shard(2), Err(CacheError::Corrupt(_))));
+    }
+
+    /// Shards load side by side, but what `load_all` reports must not
+    /// depend on which thread finished first: the lowest bad shard wins.
+    #[test]
+    fn load_all_reports_the_lowest_bad_shard() {
+        let root = tmp_root("lowest_bad");
+        let csv = small_csv(&root.join("src"));
+        let store = CacheStore::new(root.join("cache")).unwrap();
+        let (ds, _) = store
+            .open_csv(&csv, ReadStrategy::ChunkedLowMemory, 6)
+            .unwrap();
+        for bad in [4, 2, 5] {
+            let path = ds.dir().join(&ds.manifest().shards[bad].file);
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        }
+        for _ in 0..8 {
+            match ds.load_all() {
+                Err(CacheError::Corrupt(msg)) => assert!(msg.starts_with("shard 2:"), "{msg}"),
+                other => panic!("expected Corrupt, got {:?}", other.map(|f| f.nrows())),
+            }
+        }
     }
 
     #[test]

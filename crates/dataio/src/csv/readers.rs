@@ -6,7 +6,7 @@ use crate::csv::turbo::{self, IngestPhases, StructuralIndex};
 use crate::frame::{Column, Frame};
 use crate::schema::{infer_dtype, Dtype};
 use crate::DataError;
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -32,9 +32,10 @@ pub enum ReadStrategy {
     /// Dask DataFrame: byte-range partitions parsed in parallel, then
     /// concatenated.
     DaskParallel,
-    /// Turbo engine: SWAR structural scan of the whole-file buffer, then
-    /// allocation-free parallel parse straight into disjoint slices of the
-    /// final column storage (see [`crate::csv::turbo`]). Bit-identical to
+    /// Turbo engine: parallel read and SWAR structural scan of the
+    /// whole-file buffer, then an exact fused field parse tiled straight
+    /// into disjoint row ranges of the final column storage (see
+    /// [`crate::csv::turbo`]). Bit-identical to
     /// [`ReadStrategy::ChunkedLowMemory`] at any thread count; mixed-dtype
     /// files fall back to the same typed parser.
     TurboParallel,
@@ -87,7 +88,7 @@ impl LoadStats {
 pub fn read_csv(path: &Path, strategy: ReadStrategy) -> Result<(Frame, LoadStats), DataError> {
     match strategy {
         ReadStrategy::TurboParallel => {
-            read_turbo_with_threads(path, parx::default_threads().clamp(1, 8))
+            read_turbo_with_threads(path, parx::kernel_threads().clamp(1, 8))
         }
         _ => {
             let start = Instant::now();
@@ -113,15 +114,15 @@ pub fn read_csv(path: &Path, strategy: ReadStrategy) -> Result<(Frame, LoadStats
 }
 
 /// The turbo read at an explicit thread budget. Exposed so the equivalence
-/// and allocation tests can pin thread counts; [`read_csv`] uses the
-/// `parx` default.
+/// and robustness tests can pin thread counts; [`read_csv`] uses
+/// [`parx::kernel_threads`].
 pub fn read_turbo_with_threads(
     path: &Path,
     threads: usize,
 ) -> Result<(Frame, LoadStats), DataError> {
     let start = Instant::now();
     let bytes = std::fs::metadata(path)?.len();
-    let (frame, chunks, phases) = read_turbo(path, threads)?;
+    let (frame, chunks, phases) = read_turbo(path, bytes, threads)?;
     let stats = LoadStats {
         strategy: ReadStrategy::TurboParallel,
         bytes,
@@ -271,20 +272,7 @@ fn read_dask(path: &Path) -> Result<(Frame, usize), DataError> {
     let text =
         std::str::from_utf8(&bytes).map_err(|_| DataError::Malformed("non-UTF8 content".into()))?;
     let nparts = parx::default_threads().clamp(1, 8);
-    // Partition boundaries: advance each target offset to the next newline.
-    let mut bounds = vec![0usize];
-    for i in 1..nparts {
-        let target = bytes.len() * i / nparts;
-        let mut pos = target.min(bytes.len());
-        while pos < bytes.len() && bytes[pos] != b'\n' {
-            pos += 1;
-        }
-        pos = (pos + 1).min(bytes.len());
-        if pos > *bounds.last().expect("nonempty") {
-            bounds.push(pos);
-        }
-    }
-    bounds.push(bytes.len());
+    let bounds = turbo::partition_bounds(&bytes, nparts);
     let spans: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
     let results: Vec<Result<Frame, DataError>> =
         parx::parallel_map(spans.len(), spans.len(), |i| {
@@ -305,24 +293,48 @@ fn read_dask(path: &Path) -> Result<(Frame, usize), DataError> {
     Ok((Frame::concat(fragments)?, chunks))
 }
 
-/// The turbo read: whole-file buffer → SWAR structural scan → parallel
-/// parse into preallocated columns. Numeric files never touch the typed
-/// parser; mixed-dtype files take the identical fallback as
-/// [`ReadStrategy::ChunkedLowMemory`], so results always agree.
-fn read_turbo(path: &Path, threads: usize) -> Result<(Frame, usize, IngestPhases), DataError> {
+/// Bytes of file per reader/scanner thread below which a further thread
+/// costs more to spawn than it saves.
+const PARTITION_GRAIN_BYTES: u64 = 64 * 1024;
+
+/// Reads the `len`-byte file into one buffer, `parts` equal byte ranges at
+/// a time on a thread each (every range through its own handle, so no seek
+/// position is shared).
+fn read_parallel(path: &Path, len: usize, parts: usize) -> Result<Vec<u8>, DataError> {
+    let mut bytes = vec![0u8; len];
+    let share = len.div_ceil(parts.max(1)).max(1);
+    let reads = parx::parallel_each(bytes.chunks_mut(share), |i, part| {
+        let mut file = std::fs::File::open(path)?;
+        file.seek(SeekFrom::Start((i * share) as u64))?;
+        file.read_exact(part)
+    });
+    reads.into_iter().collect::<Result<(), _>>()?;
+    Ok(bytes)
+}
+
+/// The turbo read of a `len`-byte file: parallel whole-file read → parallel
+/// SWAR structural scan → parallel parse into preallocated columns. Numeric
+/// files never touch the typed parser; mixed-dtype files take the identical
+/// fallback as [`ReadStrategy::ChunkedLowMemory`], so results always agree.
+fn read_turbo(
+    path: &Path,
+    len: u64,
+    threads: usize,
+) -> Result<(Frame, usize, IngestPhases), DataError> {
     let t0 = Instant::now();
-    let bytes = std::fs::read(path)?;
-    if bytes.is_empty() {
+    if len == 0 {
         return Err(DataError::Malformed("empty csv file".into()));
     }
-    if bytes.len() >= u32::MAX as usize {
+    if len >= u32::MAX as u64 {
         // Beyond the structural index's u32 offsets: the streaming chunked
-        // strategy handles any size.
+        // strategy handles any size, and nothing has been read yet.
         let (frame, chunks) = read_chunked(path)?;
         return Ok((frame, chunks, IngestPhases::default()));
     }
+    let parts = (len / PARTITION_GRAIN_BYTES).clamp(1, threads.max(1) as u64) as usize;
+    let bytes = read_parallel(path, len as usize, parts)?;
     let mut idx = StructuralIndex::new();
-    turbo::scan(&bytes, &mut idx)?;
+    turbo::scan_parallel(&bytes, &mut idx, parts)?;
     let scan = t0.elapsed();
     if idx.rows() == 0 {
         return Err(DataError::Malformed("empty csv file".into()));

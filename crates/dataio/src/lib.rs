@@ -19,11 +19,14 @@
 //!   parallel (`parx`), then concatenated; faster than pandas-default,
 //!   slower than the chunked fix on wide files, as the paper reports for
 //!   Dask DataFrame.
-//! * [`ReadStrategy::TurboParallel`] — goes past the paper: a SWAR
-//!   structural scan indexes every record up front, then workers parse in
-//!   parallel straight into disjoint slices of the final column storage
-//!   (no per-row allocations, no concat), bit-identical to the chunked
-//!   strategy at any thread count. See [`csv::turbo`].
+//! * [`ReadStrategy::TurboParallel`] — goes past the paper: the file is
+//!   read, validated and SWAR-scanned in parallel newline-aligned
+//!   partitions whose record indexes are stitched, then workers parse —
+//!   one exact field routine that finds the delimiter while it
+//!   accumulates digits — straight into disjoint row ranges of the final
+//!   column storage (no per-row allocations, no concat, no `unsafe`),
+//!   bit-identical to the chunked strategy at any thread count. See
+//!   [`csv::turbo`].
 //!
 //! [`generate`] produces learnable synthetic datasets with the exact
 //! row/column geometry of the four P1 benchmarks (scaled by a documented

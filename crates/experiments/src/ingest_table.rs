@@ -2,13 +2,19 @@
 //!
 //! The paper's loader fix (chunked, `low_memory=False`) attacks I/O
 //! scheduling; the turbo engine (`dataio::csv::turbo`) attacks the parse
-//! itself — SWAR structural scan, fixed-format numeric conversion, and
-//! allocation-free parallel materialization into the final columns. This
-//! driver measures all four strategies on generated files at the paper's
-//! two geometries (NT3-like wide, P1B3-like narrow) and reports wall time,
-//! throughput, and the turbo engine's per-phase breakdown.
+//! itself — parallel SWAR structural scan, exact fused field conversion,
+//! and tiled parallel materialization into the final columns. This driver
+//! measures all four strategies on generated files at the paper's two
+//! geometries and reports wall time, throughput, and the turbo engine's
+//! per-phase breakdown. The NT3-like wide file carries the 16–17 digit
+//! tokens of `candle::export_packed_csv` — what the end-to-end benchmark's
+//! cold loads ingest — and the P1B3-like narrow file the short
+//! (≤ 9 digit) tokens of `write_matrix_csv`, so both populations are
+//! timed.
 
 use crate::report::{format_table, Experiment};
+use candle::{export_packed_csv, BenchDataKind};
+use cluster::calib::Bench;
 use dataio::csv::IngestPhases;
 use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
 use parx::scratch;
@@ -45,44 +51,37 @@ impl IngestComparison {
 pub fn measure_ingest_comparison(quick: bool) -> Result<Vec<IngestComparison>, String> {
     let reps = if quick { 2 } else { 3 };
     let dir = scratch("ingest_table").map_err(|e| e.to_string())?;
-    let geometries: Vec<(String, SyntheticSpec, bool)> = vec![
-        (
-            {
-                let cols = if quick { 4_000 } else { 12_000 };
-                format!("wide NT3-like 160x{cols}")
-            },
-            SyntheticSpec {
-                rows: 160,
-                cols: if quick { 4_000 } else { 12_000 },
-                kind: ClassSpec::Classification {
-                    classes: 2,
-                    separation: 1.0,
-                },
-                noise: 0.5,
-                seed: 41,
-            },
-            true,
-        ),
-        (
-            {
-                let rows = if quick { 8_000 } else { 32_000 };
-                format!("narrow P1B3-like {rows}x30")
-            },
-            SyntheticSpec {
-                rows: if quick { 8_000 } else { 32_000 },
+    let wide_cols = if quick { 4_000 } else { 12_000 };
+    let narrow_rows = if quick { 8_000 } else { 32_000 };
+    let mut out = Vec::new();
+    for nt3 in [true, false] {
+        let (geometry, path, written) = if nt3 {
+            // `f64` shortest-repr of widened `f32`, 16–17 digit tokens: the
+            // population every CSV-fed pipeline run (and the end-to-end
+            // benchmark) ingests.
+            let path = dir.join("wide.csv");
+            let kind = BenchDataKind {
+                bench: Bench::Nt3,
+                features: wide_cols,
+                train_rows: 128,
+                test_rows: 32,
+            };
+            let written = export_packed_csv(&kind, 41, &path);
+            (format!("wide NT3-like 160x{wide_cols}"), path, written)
+        } else {
+            // `f32` shortest-repr, at most 9 digits.
+            let path = dir.join("narrow.csv");
+            let spec = SyntheticSpec {
+                rows: narrow_rows,
                 cols: 30,
                 kind: ClassSpec::Regression { signal_features: 8 },
                 noise: 0.02,
                 seed: 42,
-            },
-            false,
-        ),
-    ];
-    let mut out = Vec::new();
-    for (geometry, spec, nt3) in geometries {
-        let path = dir.join(format!("{}x{}.csv", spec.rows, spec.cols));
-        write_csv_dataset(&path, &generate(&spec))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            };
+            let written = write_csv_dataset(&path, &generate(&spec)).map(drop);
+            (format!("narrow P1B3-like {narrow_rows}x30"), path, written)
+        };
+        written.map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         for strategy in [
             ReadStrategy::PandasDefault,
             ReadStrategy::ChunkedLowMemory,
@@ -167,9 +166,9 @@ pub fn table_ingest(quick: bool) -> Experiment {
         })
         .collect();
     let mut text = String::from(
-        "Seed read strategies vs the turbo engine (SWAR structural scan,\n\
-         fixed-format parse, allocation-free parallel materialize),\n\
-         best-of-reps wall time on generated files:\n",
+        "Seed read strategies vs the turbo engine (parallel SWAR scan, exact\n\
+         fused field parse, tiled parallel materialize), best-of-reps wall\n\
+         time on generated files (wide: packed-CSV 17-digit tokens):\n",
     );
     text.push_str(&format_table(
         &["strategy @ geometry", "time", "MiB/s", "vs pandas", "turbo phases"],

@@ -7,7 +7,8 @@
 //! * [`parallel_for`] / [`parallel_map`] — scoped fork–join over index
 //!   ranges, built directly on `std::thread::scope`, with work split into
 //!   contiguous chunks (one per thread) so cache behaviour matches what an
-//!   HPC programmer would hand-write;
+//!   HPC programmer would hand-write; [`parallel_each`] is the same join
+//!   over a few coarse tasks that each own their input;
 //! * [`kernel_threads`] / [`among_peers`] — how many ways a kernel call
 //!   forks: all hardware threads, or the calling rank's share of them;
 //! * [`WorkerPool`] — a persistent pool with crossbeam channels for
@@ -37,7 +38,7 @@ mod window;
 pub use alloc_count::{thread_allocs, CountingAlloc};
 pub use chunk::{chunk_ranges, Chunk};
 pub use pool::WorkerPool;
-pub use scope::{parallel_for, parallel_for_grained, parallel_map, parallel_reduce};
+pub use scope::{parallel_each, parallel_for, parallel_for_grained, parallel_map, parallel_reduce};
 pub use scratch::{scratch, Scratch};
 pub use window::Window;
 
