@@ -393,6 +393,24 @@ mod tests {
         ];
         assert_eq!(table, pinned);
         assert_eq!(INDEX_FILE, "BENCH_INDEX.json");
+        // Within the kernels series a point is found by its `kernel` label:
+        // the shapes probed (quick mode here) are part of the contract, and
+        // both NT3 convolutions are among them.
+        let kernels: Vec<String> = experiments::measure_kernel_comparison(true)
+            .into_iter()
+            .map(|r| r.name)
+            .collect();
+        let pinned = [
+            "Dense forward A·B 64x960x64",
+            "Dense weight-grad Aᵀ·B 64x960x64",
+            "Dense input-grad A·Bᵀ 64x64x960",
+            "NT3 dense head A·B 20x960x32",
+            "NT3 Conv1D fwd b4 600x1→16 k5s2",
+            "NT3 Conv1D bwd b4 600x1→16 k5s2",
+            "NT3 Conv1D fwd b4 256x8→16 k5s2",
+            "NT3 Conv1D bwd b4 256x8→16 k5s2",
+        ];
+        assert_eq!(kernels, pinned);
     }
 
     /// The index embeds exactly the valid suite files it finds and parses

@@ -47,11 +47,19 @@ impl Layer for ActivationLayer {
         Ok(y)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
+        if !input_grad {
+            return Ok(None);
+        }
         let y = require_cached(&self.output_cache, "activation")?;
         let mut g = ws.alloc(y.shape().clone());
         self.activation.backward_into(y, grad_out, &mut g);
-        Ok(g)
+        Ok(Some(g))
     }
 }
 
@@ -66,7 +74,10 @@ mod tests {
         let ws = &mut Workspace::new();
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = layer.backward(&Tensor::full([4], 1.0), ws).unwrap();
+        let g = layer
+            .backward(&Tensor::full([4], 1.0), true, ws)
+            .unwrap()
+            .unwrap();
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 }

@@ -1,14 +1,16 @@
 //! 1-D convolutional layer (the NT3 feature extractor).
 //!
-//! Runs on the im2col+GEMM kernels: forward is one fused-epilogue GEMM
-//! (bias and pointwise activation applied inside the kernel) and backward
-//! writes the weight gradient straight into the persistent tensor.
+//! Runs on the strided-GEMM convolution kernels: forward is one
+//! fused-epilogue product per sample (bias and pointwise activation
+//! applied inside the kernel), and backward writes the weight gradient
+//! straight into the persistent tensor and computes the input gradient
+//! only when the caller reads it.
 
 use super::{require_cached, store_cache, Layer};
 use crate::{Activation, DlError};
 use tensor::{
-    conv1d_backward_ws, conv1d_forward_ws, conv1d_output_len, FusedAct, Initializer, Tensor,
-    Workspace,
+    conv1d_forward_ws, conv1d_input_grad_ws, conv1d_output_len, conv1d_weight_grad_ws, FusedAct,
+    Initializer, Tensor, Workspace,
 };
 use xrng::Rng;
 
@@ -77,8 +79,8 @@ impl Conv1D {
     }
 
     /// The pure computation shared by the training and inference paths:
-    /// im2col + GEMM with the bias and pointwise activation fused into the
-    /// epilogue. (A non-pointwise activation falls back to a separate
+    /// the convolution with the bias and pointwise activation fused into
+    /// its epilogue. (A non-pointwise activation falls back to a separate
     /// pass, preserving the old semantics.)
     fn compute(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
         let (_, _, in_ch) = input.shape().as_3d();
@@ -95,6 +97,7 @@ impl Conv1D {
             self.stride,
             Some(self.bias.data()),
             fused.unwrap_or(FusedAct::Linear),
+            0,
             ws,
         )
         .map_err(|e| DlError::BadInput(e.to_string()))?;
@@ -126,7 +129,12 @@ impl Layer for Conv1D {
         self.compute(input, ws)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
         let grad_z = {
             let y = require_cached(&self.output_cache, "conv1d")?;
             let mut gz = ws.alloc(y.shape().clone());
@@ -134,15 +142,12 @@ impl Layer for Conv1D {
             gz
         };
         let x = require_cached(&self.input_cache, "conv1d")?;
-        let grad_input = conv1d_backward_ws(
-            x,
-            &self.weights,
-            &grad_z,
-            self.stride,
-            &mut self.grad_weights,
-            ws,
-        )
-        .map_err(|e| DlError::BadInput(e.to_string()))?;
+        conv1d_weight_grad_ws(x, &grad_z, self.stride, &mut self.grad_weights, 0, ws)
+            .map_err(|e| DlError::BadInput(e.to_string()))?;
+        let grad_input = input_grad
+            .then(|| conv1d_input_grad_ws(x.shape(), &self.weights, &grad_z, self.stride, 0, ws))
+            .transpose()
+            .map_err(|e| DlError::BadInput(e.to_string()))?;
         // Bias gradient: sum of grad_z over batch and steps per channel.
         let (_, _, out_ch) = grad_z.shape().as_3d();
         let gb = self.grad_bias.data_mut();
@@ -221,7 +226,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let y = layer.forward(&x, true, ws).unwrap();
         let w_dir = Tensor::from_fn(y.shape().clone().dims().to_vec(), |_| rng.next_f32() - 0.5);
-        let gx = layer.backward(&w_dir, ws).unwrap();
+        let gx = layer.backward(&w_dir, true, ws).unwrap().unwrap();
         let gw = layer.grad_weights.clone();
         let gb = layer.grad_bias.clone();
         let eps = 1e-3f32;

@@ -1,9 +1,10 @@
 //! Fully connected layer.
 //!
 //! Forward is a single fused-epilogue GEMM (`y = act(x·W + b)` in one
-//! pass over the output) and backward is two `gemm_into` calls writing
-//! straight into the persistent gradient tensors — no temporaries beyond
-//! the workspace pool.
+//! pass over the output) and backward is one `gemm_into` call per
+//! gradient — `xᵀ·δ` straight into the persistent weight-gradient tensor,
+//! `δ·Wᵀ` only when the caller reads the input gradient — with no
+//! temporaries beyond the workspace pool.
 
 use super::{require_cached, store_cache, Layer};
 use crate::{Activation, DlError};
@@ -74,6 +75,7 @@ impl Dense {
         gemm_slice(
             GemmMode::Ab,
             input.data(),
+            self.in_dim,
             self.weights.data(),
             batch,
             self.in_dim,
@@ -111,7 +113,12 @@ impl Layer for Dense {
         self.compute(input, ws)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
         let grad_z = {
             let y = require_cached(&self.output_cache, "dense")?;
             let mut gz = ws.alloc(y.shape().clone());
@@ -129,17 +136,22 @@ impl Layer for Dense {
         )
         .map_err(|e| DlError::BadInput(e.to_string()))?;
         grad_z.sum_rows_into(&mut self.grad_bias);
-        let (batch, _) = grad_z.shape().as_2d();
-        let mut gx = ws.alloc([batch, self.in_dim]);
-        gemm_into(
-            GemmMode::ABt,
-            &grad_z,
-            &self.weights,
-            &mut gx,
-            &Epilogue::NONE,
-            ws,
-        )
-        .map_err(|e| DlError::BadInput(e.to_string()))?;
+        let gx = if input_grad {
+            let (batch, _) = grad_z.shape().as_2d();
+            let mut gx = ws.alloc([batch, self.in_dim]);
+            gemm_into(
+                GemmMode::ABt,
+                &grad_z,
+                &self.weights,
+                &mut gx,
+                &Epilogue::NONE,
+                ws,
+            )
+            .map_err(|e| DlError::BadInput(e.to_string()))?;
+            Some(gx)
+        } else {
+            None
+        };
         ws.recycle(grad_z);
         Ok(gx)
     }
@@ -200,7 +212,7 @@ mod tests {
         let ws = &mut Workspace::new();
         // Loss = sum(y * w_dir).
         layer.forward(&x, true, ws).unwrap();
-        let gx = layer.backward(&w_dir, ws).unwrap();
+        let gx = layer.backward(&w_dir, true, ws).unwrap().unwrap();
         let eps = 1e-3f32;
         // Input gradient.
         for idx in [0usize, 7, 19] {
@@ -228,7 +240,7 @@ mod tests {
         }
         // Weight gradient (recompute baseline gradient after the probes).
         layer.forward(&x, true, ws).unwrap();
-        layer.backward(&w_dir, ws).unwrap();
+        layer.backward(&w_dir, false, ws).unwrap();
         let gw = layer.grad_weights.clone();
         for idx in [0usize, 5, 11] {
             let orig = layer.weights.data()[idx];

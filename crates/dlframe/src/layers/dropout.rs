@@ -88,9 +88,17 @@ impl Layer for Dropout {
         Some(&mut self.rng)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
+        if !input_grad {
+            return Ok(None);
+        }
         if !self.active {
-            return Ok(ws.alloc_copy(grad_out));
+            return Ok(Some(ws.alloc_copy(grad_out)));
         }
         if self.mask.len() != grad_out.len() {
             return Err(DlError::BadInput(format!(
@@ -103,7 +111,7 @@ impl Layer for Dropout {
         for (x, &m) in g.data_mut().iter_mut().zip(&self.mask) {
             *x *= m;
         }
-        Ok(g)
+        Ok(Some(g))
     }
 }
 
@@ -152,7 +160,8 @@ mod tests {
         let x = Tensor::full([1000], 1.0);
         let y = layer.forward(&x, true, &mut Workspace::new()).unwrap();
         let g = layer
-            .backward(&Tensor::full([1000], 1.0), &mut Workspace::new())
+            .backward(&Tensor::full([1000], 1.0), true, &mut Workspace::new())
+            .unwrap()
             .unwrap();
         // Gradient passes exactly where the forward output was nonzero.
         for (yv, gv) in y.data().iter().zip(g.data()) {

@@ -54,11 +54,19 @@ pub trait Layer: Send + Sync {
     /// Must produce bit-identical outputs to `forward(input, false, ws)`.
     fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError>;
 
-    /// Computes `dL/dinput` from `dL/doutput` and overwrites the layer's
-    /// parameter gradients. A layer whose backward reads state cached by
-    /// [`Layer::forward`] returns [`DlError::NotReady`] when no forward has
-    /// run.
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError>;
+    /// Overwrites the layer's parameter gradients from `dL/doutput` and,
+    /// when `input_grad` is set, also computes `dL/dinput` — returned as
+    /// `Some` exactly when it was asked for. Training clears `input_grad`
+    /// on the lowest layer that owns parameters: nothing below it reads
+    /// that gradient, and for a `Dense` or `Conv1D` it is a whole GEMM.
+    /// A layer whose backward reads state cached by [`Layer::forward`]
+    /// returns [`DlError::NotReady`] when no forward has run.
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError>;
 
     /// Visits each trainable parameter tensor, in the fixed order that
     /// defines this layer's slice of the model's flat layout. Parameterless
@@ -141,8 +149,13 @@ mod tests {
         fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
             Ok(ws.alloc_copy(input))
         }
-        fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
-            Ok(ws.alloc_copy(grad_out))
+        fn backward(
+            &mut self,
+            grad_out: &Tensor,
+            input_grad: bool,
+            ws: &mut Workspace,
+        ) -> Result<Option<Tensor>, DlError> {
+            Ok(input_grad.then(|| ws.alloc_copy(grad_out)))
         }
     }
 

@@ -60,7 +60,15 @@ impl Layer for MaxPooling1D {
             .map_err(|e| DlError::BadInput(e.to_string()))
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
+        if !input_grad {
+            return Ok(None);
+        }
         let argmax = self
             .argmax
             .as_ref()
@@ -70,6 +78,7 @@ impl Layer for MaxPooling1D {
             .as_ref()
             .ok_or_else(|| DlError::NotReady("max_pooling1d: missing input shape".into()))?;
         maxpool1d_backward_ws(shape, grad_out, argmax, ws)
+            .map(Some)
             .map_err(|e| DlError::BadInput(e.to_string()))
     }
 }
@@ -86,7 +95,12 @@ mod tests {
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.data(), &[9.0, 3.0]);
         let g = layer
-            .backward(&Tensor::from_vec([1, 2, 1], vec![5.0, 7.0]).unwrap(), ws)
+            .backward(
+                &Tensor::from_vec([1, 2, 1], vec![5.0, 7.0]).unwrap(),
+                true,
+                ws,
+            )
+            .unwrap()
             .unwrap();
         assert_eq!(g.data(), &[0.0, 5.0, 7.0, 0.0]);
     }

@@ -47,12 +47,20 @@ impl Layer for Flatten {
         reshaped_copy(input, [batch, steps * ch], ws)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
+        if !input_grad {
+            return Ok(None);
+        }
         let shape = self
             .input_shape
             .clone()
             .ok_or_else(|| DlError::NotReady("flatten: backward before forward".into()))?;
-        reshaped_copy(grad_out, shape, ws)
+        reshaped_copy(grad_out, shape, ws).map(Some)
     }
 }
 
@@ -109,9 +117,17 @@ impl Layer for Reshape3 {
         reshaped_copy(input, [batch, self.steps, self.channels], ws)
     }
 
-    fn backward(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
+        if !input_grad {
+            return Ok(None);
+        }
         let (batch, steps, ch) = grad_out.shape().as_3d();
-        reshaped_copy(grad_out, [batch, steps * ch], ws)
+        reshaped_copy(grad_out, [batch, steps * ch], ws).map(Some)
     }
 }
 
@@ -127,7 +143,7 @@ mod tests {
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.shape().dims(), &[2, 12]);
         assert_eq!(y.data(), x.data());
-        let g = layer.backward(&y, ws).unwrap();
+        let g = layer.backward(&y, true, ws).unwrap().unwrap();
         assert_eq!(g.shape().dims(), &[2, 3, 4]);
     }
 
@@ -138,7 +154,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.shape().dims(), &[3, 5, 2]);
-        let g = layer.backward(&y, ws).unwrap();
+        let g = layer.backward(&y, true, ws).unwrap().unwrap();
         assert_eq!(g.shape().dims(), &[3, 10]);
         assert_eq!(g.data(), x.data());
     }

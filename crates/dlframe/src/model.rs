@@ -327,11 +327,20 @@ impl Sequential {
         if overlap {
             self.flat_buf.resize(total, 0.0);
         }
+        // The walk ends at the lowest layer that owns parameters, which is
+        // asked for its parameter gradients only: the input gradient it
+        // would pass down feeds no parameter.
+        let lowest = self
+            .layers
+            .iter()
+            .position(|l| l.param_count() > 0)
+            .unwrap_or(self.layers.len());
         let mut end = total;
         let mut g = grad;
-        for layer in self.layers.iter_mut().rev() {
-            let gi = layer.backward(&g, &mut self.ws)?;
-            self.ws.recycle(std::mem::replace(&mut g, gi));
+        for (i, layer) in self.layers.iter_mut().enumerate().skip(lowest).rev() {
+            if let Some(gi) = layer.backward(&g, i > lowest, &mut self.ws)? {
+                self.ws.recycle(std::mem::replace(&mut g, gi));
+            }
             if overlap {
                 let n = layer.param_count();
                 if n == 0 {

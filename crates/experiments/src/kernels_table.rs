@@ -137,40 +137,47 @@ pub fn measure_kernel_comparison(quick: bool) -> Vec<KernelComparison> {
         nt3: true,
     });
 
-    // NT3's second convolution block: multi-channel input, wide filter bank.
-    let (cb, steps, in_ch, out_ch, kernel, stride) = if quick {
-        (4, 256, 8, 16, 5, 2)
+    // NT3's two convolution blocks. The first (one input channel, stride
+    // 2) has a 5-wide reduction against tens of thousands of rows — 11% of
+    // a training step's FLOPs and, before the kernels read the input in
+    // place, 40% of its time; the second is multi-channel with a wide
+    // filter bank.
+    let conv_shapes = if quick {
+        [(4, 600, 1, 16, 5, 2), (4, 256, 8, 16, 5, 2)]
     } else {
-        (20, 1024, 16, 128, 20, 1)
+        [(20, 3000, 1, 16, 5, 2), (20, 1024, 16, 128, 20, 1)]
     };
-    let out_steps = (steps - kernel) / stride + 1;
-    let x = filled([cb, steps, in_ch], 7);
-    let w = filled([kernel, in_ch, out_ch], 8);
-    let conv_flops = 2.0 * (cb * out_steps * kernel * in_ch * out_ch) as f64;
-    rows.push(KernelComparison {
-        name: format!("NT3 Conv1D fwd b{cb} {steps}x{in_ch}→{out_ch} k{kernel}s{stride}"),
-        flops: conv_flops,
-        seed_s: best_time(reps, || {
-            black_box(reference::conv1d_forward_seed(&x, &w, stride).unwrap());
-        }),
-        blocked_s: best_time(reps, || {
-            black_box(conv1d_forward(&x, &w, stride).unwrap());
-        }),
-        nt3: true,
-    });
+    for (i, (cb, steps, in_ch, out_ch, kernel, stride)) in conv_shapes.into_iter().enumerate() {
+        let out_steps = (steps - kernel) / stride + 1;
+        let x = filled([cb, steps, in_ch], 7 + 10 * i as u64);
+        let w = filled([kernel, in_ch, out_ch], 8 + 10 * i as u64);
+        let conv_flops = 2.0 * (cb * out_steps * kernel * in_ch * out_ch) as f64;
+        let shape = format!("b{cb} {steps}x{in_ch}→{out_ch} k{kernel}s{stride}");
+        rows.push(KernelComparison {
+            name: format!("NT3 Conv1D fwd {shape}"),
+            flops: conv_flops,
+            seed_s: best_time(reps, || {
+                black_box(reference::conv1d_forward_seed(&x, &w, stride).unwrap());
+            }),
+            blocked_s: best_time(reps, || {
+                black_box(conv1d_forward(&x, &w, stride).unwrap());
+            }),
+            nt3: true,
+        });
 
-    let go = filled([cb, out_steps, out_ch], 9);
-    rows.push(KernelComparison {
-        name: format!("NT3 Conv1D bwd b{cb} {steps}x{in_ch}→{out_ch} k{kernel}s{stride}"),
-        flops: 2.0 * conv_flops,
-        seed_s: best_time(reps, || {
-            black_box(reference::conv1d_backward_seed(&x, &w, &go, stride).unwrap());
-        }),
-        blocked_s: best_time(reps, || {
-            black_box(conv1d_backward(&x, &w, &go, stride).unwrap());
-        }),
-        nt3: true,
-    });
+        let go = filled([cb, out_steps, out_ch], 9 + 10 * i as u64);
+        rows.push(KernelComparison {
+            name: format!("NT3 Conv1D bwd {shape}"),
+            flops: 2.0 * conv_flops,
+            seed_s: best_time(reps, || {
+                black_box(reference::conv1d_backward_seed(&x, &w, &go, stride).unwrap());
+            }),
+            blocked_s: best_time(reps, || {
+                black_box(conv1d_backward(&x, &w, &go, stride).unwrap());
+            }),
+            nt3: true,
+        });
+    }
 
     rows
 }
@@ -209,7 +216,8 @@ pub fn table_kernels(quick: bool) -> Experiment {
     let mut text = String::from(
         "Seed kernels (scalar loops with zero-skip, serial conv weight-grad)\n\
          vs the blocked GEMM engine (packed panels, 8x8 micro-kernel, fused\n\
-         epilogue, im2col convolution), best-of-reps wall time:\n",
+         epilogue, convolution over the input read in place), best-of-reps\n\
+         wall time:\n",
     );
     text.push_str(&format_table(
         &[
@@ -246,8 +254,13 @@ mod tests {
     #[test]
     fn nt3_rows_are_marked() {
         let rows = measure_kernel_comparison(true);
-        assert_eq!(rows.len(), 6);
-        assert_eq!(rows.iter().filter(|r| r.nt3).count(), 3);
+        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.iter().filter(|r| r.nt3).count(), 5);
+        // Both convolutions are probed: the one-channel first layer and the
+        // multi-channel second.
+        for shape in ["x1→16 k5s2", "x8→16 k5s2"] {
+            assert_eq!(rows.iter().filter(|r| r.name.contains(shape)).count(), 2);
+        }
         for r in &rows {
             assert!(r.seed_s > 0.0 && r.blocked_s > 0.0);
             assert!(r.flops > 0.0);

@@ -6,26 +6,39 @@
 //! pooling windows are non-overlapping (`stride == pool_size`, the Keras
 //! default).
 //!
-//! Convolution is lowered to the blocked GEMM engine: the input is
-//! expanded with im2col into a reusable [`Workspace`] scratch buffer
-//! (rows = output positions, columns = `kernel*in_ch` receptive fields),
-//! so the forward pass is one `A·B` with a fused bias+activation
-//! epilogue, the input gradient is one `A·Bᵀ` plus a col2im scatter, and
-//! the weight gradient is an `Aᵀ·B` evaluated as fixed-size row blocks
-//! with a deterministic, thread-count-independent combine order —
-//! replacing the seed's serial whole-batch loop.
+//! Convolution runs on the blocked GEMM engine without an im2col copy: in
+//! this layout the receptive field of output position `t` is the
+//! contiguous slice of `kernel * in_ch` values at `t * stride * in_ch`,
+//! so each sample's input *is* the im2col matrix, read at row stride
+//! `stride * in_ch` (rows overlap when `stride < kernel`). The forward
+//! pass is one strided-`A·B` per sample with a fused bias+activation
+//! epilogue; the weight gradient is a strided-`Aᵀ·B` evaluated as
+//! fixed-size row blocks with a deterministic, thread-count-independent
+//! combine order; the input gradient is `A·Bᵀ` over a few rows at a time,
+//! each row tile added onto the input positions it covers while it is
+//! still in cache. Each entry point forks at most once, over whole
+//! samples (or whole blocks), and hands every worker a disjoint `&mut`
+//! share of the output.
 
-use crate::gemm::{gemm_slice, with_scratch, Epilogue, FusedAct, GemmMode, Workspace};
-use crate::{Tensor, TensorError};
-use parx::kernel_threads;
+use crate::gemm::{
+    fork_disjoint, fork_width, gemm_flops, scratch_len, with_scratch, Epilogue, FusedAct, GemmMode,
+    Product, Workspace, MR,
+};
+use crate::{Shape, Tensor, TensorError};
 
-/// Rows of the im2col matrix per weight-gradient reduction block. The
-/// block partition is a pure function of the row count — never of the
-/// thread count — so the blockwise sum is reproducible on any machine.
+/// Rows of the (virtual) im2col matrix per weight-gradient reduction
+/// block. The block partition is a pure function of the row count — never
+/// of the thread count — so the blockwise sum is reproducible on any
+/// machine.
 const WGRAD_BLOCK_ROWS: usize = 1024;
 
-/// Work (in output elements) below which helper loops stay sequential.
-const MIN_ELEMS_PER_THREAD: usize = 65_536;
+/// Rows of `grad_out · Wᵀ` a worker computes and scatters at a time: few
+/// enough that the tile stays in cache until it is added onto the input
+/// gradient, enough that packing `Wᵀ` once per tile is noise.
+const IGRAD_TILE_ROWS: usize = 256;
+
+/// Channels per compare-and-select tile of the max pool.
+const POOL_TILE: usize = 16;
 
 /// Output length of a valid-padding 1-D convolution.
 ///
@@ -45,81 +58,18 @@ pub fn pool1d_output_len(steps: usize, pool: usize) -> Option<usize> {
     Some(steps / pool)
 }
 
-/// Runs `body` over `0..n` with at most `threads` workers, using the
-/// allocation-free sequential path when one thread suffices. `body` must
-/// produce partition-independent results (disjoint writes only).
-fn run_chunks(n: usize, threads: usize, body: impl Fn(parx::Chunk) + Sync) {
-    if n == 0 {
-        return;
-    }
-    if threads <= 1 {
-        body(parx::Chunk {
-            index: 0,
-            start: 0,
-            end: n,
-        });
-    } else {
-        parx::parallel_for_grained(n, threads, 1, body);
-    }
-}
-
-/// Thread budget for `total_elems` of light (copy/scatter) work.
-fn copy_threads(n_items: usize, total_elems: usize) -> usize {
-    kernel_threads()
-        .min((total_elems / MIN_ELEMS_PER_THREAD).max(1))
-        .min(n_items.max(1))
-}
-
-/// Shares a mutable base pointer across scoped threads for disjoint
-/// writes.
-struct RawBase(usize);
-unsafe impl Sync for RawBase {}
-
-/// Expands `input (batch, steps, in_ch)` into the im2col matrix
-/// `(batch*out_steps, kernel*in_ch)` stored in `col`. Row `b*out_steps+t`
-/// holds the receptive field of output position `(b, t)` with the
-/// reduction index ordered `k`-major then channel — the same accumulation
-/// order the seed kernel used.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    input: &[f32],
-    batch: usize,
-    steps: usize,
-    in_ch: usize,
-    kernel: usize,
-    stride: usize,
-    out_steps: usize,
-    col: &mut [f32],
-) {
-    let kcols = kernel * in_ch;
-    debug_assert_eq!(col.len(), batch * out_steps * kcols);
-    let base = RawBase(col.as_mut_ptr() as usize);
-    let t = copy_threads(batch, batch * out_steps * kcols);
-    run_chunks(batch, t, |chunk| {
-        for b in chunk.start..chunk.end {
-            // SAFETY: batches are disjoint across chunks.
-            let rows = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (base.0 as *mut f32).add(b * out_steps * kcols),
-                    out_steps * kcols,
-                )
-            };
-            let ibatch = &input[b * steps * in_ch..(b + 1) * steps * in_ch];
-            for (t, row) in rows.chunks_exact_mut(kcols).enumerate() {
-                for k in 0..kernel {
-                    let src = &ibatch[(t * stride + k) * in_ch..(t * stride + k + 1) * in_ch];
-                    row[k * in_ch..(k + 1) * in_ch].copy_from_slice(src);
-                }
-            }
-        }
-    });
-}
-
 fn conv_shape_error(left: &Tensor, right: &Tensor) -> TensorError {
     TensorError::ShapeMismatch {
         left: left.shape().clone(),
         right: right.shape().clone(),
     }
+}
+
+/// One sample's receptive fields `t0..t0 + rows` as a strided matrix:
+/// `rows × kernel*in_ch` values at row stride `stride * in_ch`, ending
+/// with the last row. `sample` is that sample's `(steps, in_ch)` input.
+fn fields(sample: &[f32], t0: usize, rows: usize, lda: usize, k: usize) -> &[f32] {
+    &sample[t0 * lda..][..(rows - 1) * lda + k]
 }
 
 /// Forward 1-D convolution with an optional fused epilogue, producing the
@@ -131,51 +81,57 @@ fn conv_shape_error(left: &Tensor, right: &Tensor) -> TensorError {
 /// * `act`: activation fused into the GEMM epilogue
 ///
 /// Returns `act(conv(input, weights) + bias)` as `(batch, out_steps, out_ch)`.
+/// As for [`crate::gemm_slice`], `threads == 0` means the default kernel
+/// thread count and every value gives the same bits.
 pub fn conv1d_forward_ws(
     input: &Tensor,
     weights: &Tensor,
     stride: usize,
     bias: Option<&[f32]>,
     act: FusedAct,
+    threads: usize,
     ws: &mut Workspace,
 ) -> Result<Tensor, TensorError> {
     let (batch, steps, in_ch) = input.shape().as_3d();
     let (kernel, w_in, out_ch) = weights.shape().as_3d();
-    let out_steps = conv1d_output_len(steps, kernel, stride)
-        .ok_or_else(|| conv_shape_error(input, weights))?;
+    let out_steps =
+        conv1d_output_len(steps, kernel, stride).ok_or_else(|| conv_shape_error(input, weights))?;
     if w_in != in_ch {
         return Err(conv_shape_error(input, weights));
     }
-    let m = batch * out_steps;
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), out_ch, "conv1d: bias length != out_ch");
+    }
     let k = kernel * in_ch;
+    let lda = stride * in_ch;
     let mut out = ws.alloc([batch, out_steps, out_ch]);
-    // The im2col scratch leaves the workspace while the GEMM borrows it.
-    let mut col = std::mem::take(&mut ws.im2col);
-    col.resize(m * k, 0.0);
-    im2col(
-        input.data(),
+    let workers = fork_width(threads, gemm_flops(batch * out_steps, k, out_ch), batch);
+    let per_worker = scratch_len(out_ch);
+    fork_disjoint(
         batch,
-        steps,
-        in_ch,
-        kernel,
-        stride,
-        out_steps,
-        &mut col,
-    );
-    let epilogue = Epilogue { bias, act };
-    gemm_slice(
-        GemmMode::Ab,
-        &col,
-        weights.data(),
-        m,
-        k,
-        out_ch,
+        workers,
         out.data_mut(),
-        &epilogue,
-        0,
-        ws,
+        out_steps * out_ch,
+        ws.scratch(workers * per_worker),
+        per_worker,
+        |samples, out, scratch| {
+            let rows = out.chunks_exact_mut(out_steps * out_ch);
+            for (b, out) in samples.zip(rows) {
+                let sample = &input.data()[b * steps * in_ch..][..steps * in_ch];
+                Product {
+                    mode: GemmMode::Ab,
+                    a: fields(sample, 0, out_steps, lda, k),
+                    lda,
+                    b: weights.data(),
+                    m: out_steps,
+                    k,
+                    n: out_ch,
+                    epilogue: Epilogue { bias, act },
+                }
+                .run_rows(0, out, false, scratch);
+            }
+        },
     );
-    ws.im2col = col;
     Ok(out)
 }
 
@@ -192,30 +148,35 @@ pub fn conv1d_forward(
     weights: &Tensor,
     stride: usize,
 ) -> Result<Tensor, TensorError> {
-    with_scratch(|ws| conv1d_forward_ws(input, weights, stride, None, FusedAct::Linear, ws))
+    with_scratch(|ws| conv1d_forward_ws(input, weights, stride, None, FusedAct::Linear, 0, ws))
 }
 
-/// Backward 1-D convolution on a workspace: writes the weight gradient
-/// into `grad_weights` (shape `(kernel, in_ch, out_ch)`, fully
-/// overwritten) and returns the input gradient from `ws`'s pool.
+/// Weight gradient of a 1-D convolution: overwrites `grad_weights`, whose
+/// shape `(kernel, in_ch, out_ch)` names the convolution.
 ///
-/// The weight gradient is an `Aᵀ·B` over the im2col matrix, evaluated in
-/// [`WGRAD_BLOCK_ROWS`]-row blocks. Blocks may be computed on different
-/// threads, but each block's partial is a sequential in-order sum and the
-/// partials are combined in ascending block order, so the result is
-/// bit-identical for every thread count.
-pub fn conv1d_backward_ws(
+/// * `input`:    the forward input `(batch, steps, in_ch)`
+/// * `grad_out`: `(batch, out_steps, out_ch)` upstream gradient
+///
+/// This is `Aᵀ·B` over the receptive-field rows of the whole batch
+/// (sample-major), evaluated in [`WGRAD_BLOCK_ROWS`]-row blocks. Blocks
+/// may be computed on different threads, but each block's partial is one
+/// in-order sum per element — kept in the micro-kernel's register tile
+/// across the block's rows — and the partials are combined in ascending
+/// block order, so the result is bit-identical for every `threads`
+/// (0 = the default kernel thread count).
+pub fn conv1d_weight_grad_ws(
     input: &Tensor,
-    weights: &Tensor,
     grad_out: &Tensor,
     stride: usize,
     grad_weights: &mut Tensor,
+    threads: usize,
     ws: &mut Workspace,
-) -> Result<Tensor, TensorError> {
+) -> Result<(), TensorError> {
     let (batch, steps, in_ch) = input.shape().as_3d();
-    let (kernel, _, out_ch) = weights.shape().as_3d();
+    let (kernel, w_in, out_ch) = grad_weights.shape().as_3d();
     let (gb, out_steps, g_out_ch) = grad_out.shape().as_3d();
     if gb != batch
+        || w_in != in_ch
         || g_out_ch != out_ch
         || conv1d_output_len(steps, kernel, stride) != Some(out_steps)
     {
@@ -223,122 +184,135 @@ pub fn conv1d_backward_ws(
     }
     let m = batch * out_steps;
     let k = kernel * in_ch;
-    if grad_weights.len() != k * out_ch {
-        return Err(TensorError::LengthMismatch {
-            expected: k * out_ch,
-            actual: grad_weights.len(),
-        });
-    }
+    let lda = stride * in_ch;
     let gd = grad_out.data();
-
-    // Input gradient: grad_col = grad_out · Wᵀ, then col2im scatter.
-    let mut colgrad = std::mem::take(&mut ws.colgrad);
-    colgrad.resize(m * k, 0.0);
-    gemm_slice(
-        GemmMode::ABt,
-        gd,
-        weights.data(),
-        m,
-        out_ch,
-        k,
-        &mut colgrad,
-        &Epilogue::NONE,
-        0,
-        ws,
+    let nblocks = m.div_ceil(WGRAD_BLOCK_ROWS);
+    let mut partials = ws.alloc([nblocks, k * out_ch]);
+    let workers = fork_width(threads, gemm_flops(m, k, out_ch), nblocks);
+    let per_worker = scratch_len(out_ch);
+    fork_disjoint(
+        nblocks,
+        workers,
+        partials.data_mut(),
+        k * out_ch,
+        ws.scratch(workers * per_worker),
+        per_worker,
+        |blocks, parts, scratch| {
+            for (blk, part) in blocks.zip(parts.chunks_exact_mut(k * out_ch)) {
+                let end = ((blk + 1) * WGRAD_BLOCK_ROWS).min(m);
+                // The block's rows, one run per sample they fall in: every
+                // run extends the same per-element sums, in row order.
+                let mut r = blk * WGRAD_BLOCK_ROWS;
+                while r < end {
+                    let (b, t0) = (r / out_steps, r % out_steps);
+                    let rows = (out_steps - t0).min(end - r);
+                    let sample = &input.data()[b * steps * in_ch..][..steps * in_ch];
+                    Product {
+                        mode: GemmMode::AtB,
+                        a: fields(sample, t0, rows, lda, k),
+                        lda,
+                        b: &gd[r * out_ch..][..rows * out_ch],
+                        m: k,
+                        k: rows,
+                        n: out_ch,
+                        epilogue: Epilogue::NONE,
+                    }
+                    .run_rows(0, part, r > blk * WGRAD_BLOCK_ROWS, scratch);
+                    r += rows;
+                }
+            }
+        },
     );
-    let mut grad_input = ws.alloc([batch, steps, in_ch]);
+    // Combine partials in ascending block order — fixed regardless of how
+    // blocks were assigned to threads.
+    let gw = grad_weights.data_mut();
+    gw.fill(0.0);
+    for part in partials.data().chunks_exact(k * out_ch) {
+        for (d, &p) in gw.iter_mut().zip(part) {
+            *d += p;
+        }
+    }
+    ws.recycle(partials);
+    Ok(())
+}
+
+/// Input gradient of a 1-D convolution, returned from `ws`'s pool with
+/// `input_shape` `(batch, steps, in_ch)`.
+///
+/// * `weights`:  `(kernel, in_ch, out_ch)`
+/// * `grad_out`: `(batch, out_steps, out_ch)` upstream gradient
+///
+/// Row `t` of `grad_out · Wᵀ` is the gradient of receptive field `t`, and
+/// that field is the contiguous input slice at `t * stride * in_ch`: each
+/// few-row tile of the product is added onto those slices in ascending
+/// `t` as soon as it is computed, so every input element receives its
+/// contributions in one fixed order — whatever `threads` is (0 = the
+/// default kernel thread count) — and no `(batch*out_steps, kernel*in_ch)`
+/// matrix is ever stored.
+pub fn conv1d_input_grad_ws(
+    input_shape: &Shape,
+    weights: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    threads: usize,
+    ws: &mut Workspace,
+) -> Result<Tensor, TensorError> {
+    let (batch, steps, in_ch) = input_shape.as_3d();
+    let (kernel, w_in, out_ch) = weights.shape().as_3d();
+    let (gb, out_steps, g_out_ch) = grad_out.shape().as_3d();
+    if gb != batch
+        || w_in != in_ch
+        || g_out_ch != out_ch
+        || conv1d_output_len(steps, kernel, stride) != Some(out_steps)
     {
-        let base = RawBase(grad_input.data_mut().as_mut_ptr() as usize);
-        let t = copy_threads(batch, m * k);
-        run_chunks(batch, t, |chunk| {
-            for b in chunk.start..chunk.end {
-                // SAFETY: batches are disjoint across chunks.
-                let gibatch = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (base.0 as *mut f32).add(b * steps * in_ch),
-                        steps * in_ch,
-                    )
-                };
-                for t in 0..out_steps {
-                    let row = &colgrad[(b * out_steps + t) * k..(b * out_steps + t + 1) * k];
-                    for kk in 0..kernel {
-                        let dst = &mut gibatch
-                            [(t * stride + kk) * in_ch..(t * stride + kk + 1) * in_ch];
-                        let src = &row[kk * in_ch..(kk + 1) * in_ch];
-                        for (d, &s) in dst.iter_mut().zip(src) {
+        return Err(conv_shape_error(weights, grad_out));
+    }
+    let k = kernel * in_ch;
+    let lda = stride * in_ch;
+    let gd = grad_out.data();
+    let tile_rows = IGRAD_TILE_ROWS.min(out_steps.next_multiple_of(MR));
+    let mut grad_input = ws.alloc([batch, steps, in_ch]);
+    let workers = fork_width(threads, gemm_flops(batch * out_steps, out_ch, k), batch);
+    let per_worker = scratch_len(k) + tile_rows * k;
+    fork_disjoint(
+        batch,
+        workers,
+        grad_input.data_mut(),
+        steps * in_ch,
+        ws.scratch(workers * per_worker),
+        per_worker,
+        |samples, grads, scratch| {
+            let (scratch, tile) = scratch.split_at_mut(scratch_len(k));
+            for (b, grad) in samples.zip(grads.chunks_exact_mut(steps * in_ch)) {
+                for t0 in (0..out_steps).step_by(tile_rows) {
+                    let rows = tile_rows.min(out_steps - t0);
+                    let tile = &mut tile[..rows * k];
+                    Product {
+                        mode: GemmMode::ABt,
+                        a: &gd[(b * out_steps + t0) * out_ch..][..rows * out_ch],
+                        lda: out_ch,
+                        b: weights.data(),
+                        m: rows,
+                        k: out_ch,
+                        n: k,
+                        epilogue: Epilogue::NONE,
+                    }
+                    .run_rows(0, tile, false, scratch);
+                    for (t, field_grad) in (t0..).zip(tile.chunks_exact(k)) {
+                        for (d, &s) in grad[t * lda..][..k].iter_mut().zip(field_grad) {
                             *d += s;
                         }
                     }
                 }
             }
-        });
-    }
-    ws.colgrad = colgrad;
-
-    // Weight gradient: im2colᵀ · grad_out in fixed-size row blocks.
-    let mut col = std::mem::take(&mut ws.im2col);
-    col.resize(m * k, 0.0);
-    im2col(
-        input.data(),
-        batch,
-        steps,
-        in_ch,
-        kernel,
-        stride,
-        out_steps,
-        &mut col,
+        },
     );
-    let nblocks = m.div_ceil(WGRAD_BLOCK_ROWS);
-    let mut partials = std::mem::take(&mut ws.partials);
-    partials.resize(nblocks * k * out_ch, 0.0);
-    {
-        let base = RawBase(partials.as_mut_ptr() as usize);
-        let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(out_ch);
-        let t = kernel_threads()
-            .min((flops / (2 * MIN_ELEMS_PER_THREAD)).max(1))
-            .min(nblocks);
-        run_chunks(nblocks, t, |chunk| {
-            for blk in chunk.start..chunk.end {
-                let r0 = blk * WGRAD_BLOCK_ROWS;
-                let r1 = (r0 + WGRAD_BLOCK_ROWS).min(m);
-                // SAFETY: each block's partial slab is written by exactly
-                // one chunk.
-                let part = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (base.0 as *mut f32).add(blk * k * out_ch),
-                        k * out_ch,
-                    )
-                };
-                part.fill(0.0);
-                for r in r0..r1 {
-                    let crow = &col[r * k..(r + 1) * k];
-                    let grow = &gd[r * out_ch..(r + 1) * out_ch];
-                    for (kk, &cv) in crow.iter().enumerate() {
-                        let dst = &mut part[kk * out_ch..(kk + 1) * out_ch];
-                        for (d, &g) in dst.iter_mut().zip(grow) {
-                            *d += cv * g;
-                        }
-                    }
-                }
-            }
-        });
-    }
-    ws.im2col = col;
-    // Combine partials in ascending block order — fixed regardless of how
-    // blocks were assigned to threads.
-    let gw = grad_weights.data_mut();
-    gw.fill(0.0);
-    for blk in 0..nblocks {
-        let part = &partials[blk * k * out_ch..(blk + 1) * k * out_ch];
-        for (d, &p) in gw.iter_mut().zip(part) {
-            *d += p;
-        }
-    }
-    ws.partials = partials;
     Ok(grad_input)
 }
 
-/// Backward 1-D convolution: gradients w.r.t. the input and the weights.
+/// Backward 1-D convolution: gradients w.r.t. the input and the weights
+/// (the allocating convenience form of [`conv1d_input_grad_ws`] and
+/// [`conv1d_weight_grad_ws`]).
 ///
 /// * `input`:   the forward input `(batch, steps, in_ch)`
 /// * `weights`: `(kernel, in_ch, out_ch)`
@@ -351,18 +325,20 @@ pub fn conv1d_backward(
     grad_out: &Tensor,
     stride: usize,
 ) -> Result<(Tensor, Tensor), TensorError> {
-    let (kernel, in_ch, out_ch) = weights.shape().as_3d();
-    let mut grad_weights = Tensor::zeros([kernel, in_ch, out_ch]);
-    let grad_input = with_scratch(|ws| {
-        conv1d_backward_ws(input, weights, grad_out, stride, &mut grad_weights, ws)
-    })?;
-    Ok((grad_input, grad_weights))
+    let mut grad_weights = Tensor::zeros(weights.shape().clone());
+    with_scratch(|ws| {
+        conv1d_weight_grad_ws(input, grad_out, stride, &mut grad_weights, 0, ws)?;
+        let grad_input = conv1d_input_grad_ws(input.shape(), weights, grad_out, stride, 0, ws)?;
+        Ok((grad_input, grad_weights))
+    })
 }
 
 /// Forward non-overlapping 1-D max pool on a workspace.
 ///
 /// Writes the flat input index of each selected maximum into `argmax`
-/// (cleared and resized) and returns the pooled tensor from `ws`'s pool.
+/// (resized to the output's length) and returns the pooled tensor from
+/// `ws`'s pool. Ties go to the first candidate; a window with no value above `-inf`
+/// yields `-inf` with index 0.
 pub fn maxpool1d_forward_ws(
     input: &Tensor,
     pool: usize,
@@ -372,38 +348,67 @@ pub fn maxpool1d_forward_ws(
     let (batch, steps, ch) = input.shape().as_3d();
     let out_steps = pool1d_output_len(steps, pool).ok_or_else(|| TensorError::ShapeMismatch {
         left: input.shape().clone(),
-        right: crate::Shape::from([pool]),
+        right: Shape::from([pool]),
     })?;
+    // Candidate rows are numbered in 32 bits so the compare-and-select
+    // below is one width throughout; `u32::MAX` means "none yet".
+    assert!(pool < u32::MAX as usize, "maxpool1d: pool window too large");
     let mut out = ws.alloc([batch, out_steps, ch]);
-    argmax.clear();
+    // Every element is overwritten below, so a warm buffer is not cleared.
     argmax.resize(batch * out_steps * ch, 0);
+    if ch == 0 {
+        return Ok(out);
+    }
     let id = input.data();
-    let od = out.data_mut();
-    for b in 0..batch {
-        for t in 0..out_steps {
-            for c in 0..ch {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
-                for p in 0..pool {
-                    let idx = b * steps * ch + (t * pool + p) * ch + c;
-                    if id[idx] > best {
-                        best = id[idx];
-                        best_idx = idx;
-                    }
+    let windows = out
+        .data_mut()
+        .chunks_exact_mut(ch)
+        .zip(argmax.chunks_exact_mut(ch));
+    let bases = (0..batch).flat_map(|b| (0..out_steps).map(move |t| (b * steps + t * pool) * ch));
+    for (base, (out, argmax)) in bases.zip(windows) {
+        // A tile of channels at a time: candidate rows outermost, channels
+        // innermost, so the inner loop is a branch-free compare-and-select
+        // over contiguous values that the compiler vectorizes.
+        for c0 in (0..ch).step_by(POOL_TILE) {
+            let width = POOL_TILE.min(ch - c0);
+            let mut best = [f32::NEG_INFINITY; POOL_TILE];
+            let mut which = [u32::MAX; POOL_TILE];
+            for p in 0..pool {
+                let cand = &id[base + p * ch + c0..][..width];
+                // A full tile goes in as an array: a fixed trip count is
+                // what lets the select loop compile to straight vector code.
+                match <&[f32; POOL_TILE]>::try_from(cand) {
+                    Ok(cand) => select_max(&mut best, &mut which, cand, p as u32),
+                    Err(_) => select_max(&mut best[..width], &mut which[..width], cand, p as u32),
                 }
-                let oidx = b * out_steps * ch + t * ch + c;
-                od[oidx] = best;
-                argmax[oidx] = best_idx;
+            }
+            out[c0..c0 + width].copy_from_slice(&best[..width]);
+            for (c, (idx, &p)) in argmax[c0..c0 + width].iter_mut().zip(&which).enumerate() {
+                *idx = if p == u32::MAX {
+                    0
+                } else {
+                    base + p as usize * ch + c0 + c
+                };
             }
         }
     }
     Ok(out)
 }
 
+/// `best[c] = cand[c]`, `which[c] = p` wherever `cand[c] > best[c]`.
+#[inline(always)]
+fn select_max(best: &mut [f32], which: &mut [u32], cand: &[f32], p: u32) {
+    for ((best, which), &v) in best.iter_mut().zip(which).zip(cand) {
+        let take = v > *best;
+        *best = if take { v } else { *best };
+        *which = if take { p } else { *which };
+    }
+}
+
 /// Backward max pool on a workspace: routes each upstream gradient to the
 /// input position that produced the maximum.
 pub fn maxpool1d_backward_ws(
-    input_shape: &crate::Shape,
+    input_shape: &Shape,
     grad_out: &Tensor,
     argmax: &[usize],
     ws: &mut Workspace,
@@ -506,15 +511,8 @@ mod tests {
         let weights = rand3(3, 3, 6, 41);
         let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.1 - 0.2).collect();
         let mut ws = Workspace::new();
-        let fused = conv1d_forward_ws(
-            &input,
-            &weights,
-            1,
-            Some(&bias),
-            FusedAct::Relu,
-            &mut ws,
-        )
-        .unwrap();
+        let fused = conv1d_forward_ws(&input, &weights, 1, Some(&bias), FusedAct::Relu, 0, &mut ws)
+            .unwrap();
         let plain = conv1d_forward(&input, &weights, 1).unwrap();
         let (_, _, out_ch) = fused.shape().as_3d();
         for (i, (&f, &p)) in fused.data().iter().zip(plain.data()).enumerate() {
@@ -587,31 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_grad_blocks_are_thread_count_invariant() {
-        // More rows than one WGRAD block so the blockwise combine runs;
-        // results must not depend on how blocks map to threads (exercised
-        // indirectly: two identical calls reuse different pool state).
-        let input = rand3(8, 200, 2, 60);
-        let weights = rand3(3, 2, 4, 61);
-        let out = conv1d_forward(&input, &weights, 1).unwrap();
-        let grad_out = rand3(
-            out.shape().as_3d().0,
-            out.shape().as_3d().1,
-            out.shape().as_3d().2,
-            62,
-        );
-        let mut ws = Workspace::new();
-        let mut gw1 = Tensor::zeros([3, 2, 4]);
-        let mut gw2 = Tensor::zeros([3, 2, 4]);
-        let gi1 =
-            conv1d_backward_ws(&input, &weights, &grad_out, 1, &mut gw1, &mut ws).unwrap();
-        let gi2 =
-            conv1d_backward_ws(&input, &weights, &grad_out, 1, &mut gw2, &mut ws).unwrap();
-        assert_eq!(gw1.data(), gw2.data());
-        assert_eq!(gi1.data(), gi2.data());
-    }
-
-    #[test]
     fn forward_rejects_channel_mismatch() {
         let input = rand3(1, 8, 3, 3);
         let weights = rand3(2, 4, 5, 4);
@@ -649,7 +622,8 @@ mod tests {
         let (out, argmax) = maxpool(&input, 2);
         let grad_out =
             Tensor::from_vec(out.shape().clone().dims().to_vec(), vec![10.0, 20.0]).unwrap();
-        let gi = maxpool1d_backward_ws(input.shape(), &grad_out, &argmax, &mut Workspace::new()).unwrap();
+        let gi = maxpool1d_backward_ws(input.shape(), &grad_out, &argmax, &mut Workspace::new())
+            .unwrap();
         assert_eq!(gi.data(), &[0.0, 10.0, 20.0, 0.0]);
     }
 

@@ -12,15 +12,21 @@
 //!   all three modes (the old `aval == 0.0` skip that poisoned
 //!   autovectorization is gone).
 //!
+//! The A operand takes a row stride, so a matrix whose rows overlap or
+//! are spaced in memory — a convolution's receptive fields, which the
+//! `(batch, steps, channels)` input already holds back to back — is read
+//! in place by the pack routine instead of being copied out first.
+//!
 //! # Determinism
 //!
 //! Every output element keeps exactly one accumulator. `KC` blocks advance
 //! sequentially and the micro-kernel walks the reduction index upward, so
 //! each `C[i][j]` is the strictly left-to-right sum over `l` — the same
-//! order for every thread count and every batch composition. Threads only
-//! split whole row panels (disjoint output rows), so results are
-//! bit-identical across thread counts, which `tests/serving.rs` and
-//! `tests/resilience.rs` rely on.
+//! order for every thread count and every batch composition. A call forks
+//! at most once, into workers that own whole row panels (disjoint `&mut`
+//! output rows) and walk every block of them with their own packing
+//! scratch, so results are bit-identical across thread counts, which
+//! `tests/serving.rs` and `tests/resilience.rs` rely on.
 //!
 //! # Epilogue
 //!
@@ -31,6 +37,7 @@
 use crate::{Shape, Tensor, TensorError};
 use parx::kernel_threads;
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Micro-kernel rows (register-blocked output rows per panel).
 pub const MR: usize = 8;
@@ -136,26 +143,18 @@ impl Epilogue<'_> {
         bias: None,
         act: FusedAct::Linear,
     };
-
-    #[inline]
-    fn is_noop(&self) -> bool {
-        self.bias.is_none() && self.act == FusedAct::Linear
-    }
 }
 
 /// Reusable scratch memory for the kernels and the training hot path.
 ///
-/// Holds the GEMM packing slab, the im2col/col-grad scratch for Conv1D,
-/// the per-block partial accumulators of the deterministic weight-grad
-/// reduction, and a pool of retired `Tensor` buffers that
-/// [`Workspace::alloc`] hands back out — so a warmed-up training step
-/// performs no heap allocation.
+/// Holds the kernels' per-worker scratch (each worker's packed GEMM
+/// panels, plus the row tile a convolution's input gradient is scattered
+/// from) and a pool of retired `Tensor` buffers that [`Workspace::alloc`]
+/// hands back out — so a warmed-up training step performs no heap
+/// allocation.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    pack_b: Vec<f32>,
-    pub(crate) im2col: Vec<f32>,
-    pub(crate) colgrad: Vec<f32>,
-    pub(crate) partials: Vec<f32>,
+    scratch: Vec<f32>,
     pool: Vec<Vec<f32>>,
 }
 
@@ -190,6 +189,15 @@ impl Workspace {
         if v.capacity() > 0 && self.pool.len() < MAX_POOL {
             self.pool.push(v);
         }
+    }
+
+    /// The first `len` values of the kernel scratch, grown if needed and
+    /// never shrunk. Contents are whatever the last kernel left there.
+    pub(crate) fn scratch(&mut self, len: usize) -> &mut [f32] {
+        if self.scratch.len() < len {
+            self.scratch.resize(len, 0.0);
+        }
+        &mut self.scratch[..len]
     }
 
     fn grab(&mut self, len: usize) -> Vec<f32> {
@@ -233,18 +241,257 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     })
 }
 
-/// `C = epilogue(op(A)·op(B))` over raw row-major slices.
+/// How many ways a kernel call worth `flops` forks over `items`
+/// independent pieces of output: at most `threads` (0 = this thread's
+/// [`kernel_threads`]), never a thread for less than
+/// [`MIN_FLOPS_PER_THREAD`], never more workers than pieces.
+pub(crate) fn fork_width(threads: usize, flops: usize, items: usize) -> usize {
+    let threads = if threads == 0 {
+        kernel_threads()
+    } else {
+        threads
+    };
+    threads
+        .min((flops / MIN_FLOPS_PER_THREAD).max(1))
+        .min(items.max(1))
+}
+
+/// `2·m·k·n`, saturating.
+pub(crate) fn gemm_flops(m: usize, k: usize, n: usize) -> usize {
+    2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n)
+}
+
+/// The one fork of a kernel call: splits `0..items` into `workers`
+/// contiguous ranges and runs `body(range, out_part, scratch_part)` once
+/// per range, the first on the calling thread. Item `i` owns
+/// `out[i * out_per_item..][..out_per_item]` (the last item may own
+/// less), so every worker gets a disjoint `&mut` share of the output and
+/// its own `scratch_per_worker` values of `scratch` — no pointer is
+/// shared. One worker runs inline without touching the heap.
+pub(crate) fn fork_disjoint(
+    items: usize,
+    workers: usize,
+    out: &mut [f32],
+    out_per_item: usize,
+    scratch: &mut [f32],
+    scratch_per_worker: usize,
+    body: impl Fn(Range<usize>, &mut [f32], &mut [f32]) + Sync,
+) {
+    if items == 0 {
+        return;
+    }
+    if workers <= 1 {
+        body(0..items, out, &mut scratch[..scratch_per_worker]);
+        return;
+    }
+    let mut rest = out;
+    let shares: Vec<_> = parx::chunk_ranges(items, workers)
+        .into_iter()
+        .zip(scratch.chunks_exact_mut(scratch_per_worker))
+        .map(|(chunk, scratch)| {
+            let take = (chunk.len() * out_per_item).min(rest.len());
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            (chunk.start..chunk.end, mine, scratch)
+        })
+        .collect();
+    parx::parallel_each(shares, |_, (range, out, scratch)| body(range, out, scratch));
+}
+
+/// Scratch values one worker of a product with `n` output columns needs:
+/// the packed A panel plus one packed B block.
+pub(crate) fn scratch_len(n: usize) -> usize {
+    MR * KC + n.min(NC).div_ceil(NR) * KC * NR
+}
+
+/// One product `C(m×n) = epilogue(op(A)·op(B))`, as every worker sees it.
+#[derive(Clone, Copy)]
+pub(crate) struct Product<'a> {
+    pub mode: GemmMode,
+    /// Stored A: `(m×k)`, or `(k×m)` for [`GemmMode::AtB`], row `r`
+    /// starting at `a[r * lda]`.
+    pub a: &'a [f32],
+    pub lda: usize,
+    /// Stored B, dense: `(k×n)`, or `(n×k)` for [`GemmMode::ABt`].
+    pub b: &'a [f32],
+    pub m: usize,
+    pub k: usize,
+    pub n: usize,
+    pub epilogue: Epilogue<'a>,
+}
+
+impl Product<'_> {
+    /// Panics unless the operands hold exactly what `(m, k, n)` and `lda`
+    /// describe — the check every in-bounds argument below rests on.
+    fn validate(&self) {
+        let (rows, cols) = if self.mode.trans_a() {
+            (self.k, self.m)
+        } else {
+            (self.m, self.k)
+        };
+        let a_len = if rows == 0 {
+            0
+        } else {
+            (rows - 1) * self.lda + cols
+        };
+        assert_eq!(self.a.len(), a_len, "gemm: A length != (rows-1)*lda+cols");
+        assert_eq!(self.b.len(), self.k * self.n, "gemm: B length != k*n");
+        if let Some(bias) = self.epilogue.bias {
+            assert_eq!(bias.len(), self.n, "gemm: bias length != n");
+        }
+    }
+
+    /// Computes output rows `i_start..i_start + c_rows.len() / n` on the
+    /// calling thread, walking every `NC`/`KC` block of those rows: B
+    /// blocks are packed into this worker's own `scratch`
+    /// ([`scratch_len`] values), so workers share nothing but the
+    /// read-only operands.
+    ///
+    /// With `accumulate`, `c_rows` already holds a partial sum over
+    /// earlier reduction indices and this call extends each element's
+    /// chain in place — the same bits as one call over the concatenated
+    /// reduction range.
+    pub(crate) fn run_rows(
+        &self,
+        i_start: usize,
+        c_rows: &mut [f32],
+        accumulate: bool,
+        scratch: &mut [f32],
+    ) {
+        // Safe indexing below catches a wrong operand length anyway; debug
+        // builds say which invariant broke.
+        if cfg!(debug_assertions) {
+            self.validate();
+        }
+        let (m, k, n) = (self.m, self.k, self.n);
+        if n == 0 || c_rows.is_empty() {
+            return;
+        }
+        let i_end = i_start + c_rows.len() / n;
+        assert!(
+            c_rows.len().is_multiple_of(n) && i_end <= m,
+            "gemm: output rows outside m×n"
+        );
+        let (apack, bpack) = scratch
+            .split_first_chunk_mut::<{ MR * KC }>()
+            .expect("gemm: scratch shorter than scratch_len(n)");
+        assert!(
+            bpack.len() >= n.min(NC).div_ceil(NR) * KC * NR,
+            "gemm: scratch shorter than scratch_len(n)"
+        );
+        if k == 0 {
+            // Empty reduction: C is the epilogue of zero (or stays as is).
+            if !accumulate {
+                for row in c_rows.chunks_exact_mut(n) {
+                    for (j, v) in row.iter_mut().enumerate() {
+                        let z = self.epilogue.bias.map_or(0.0, |bias| bias[j]);
+                        *v = self.epilogue.act.apply(z);
+                    }
+                }
+            }
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by runtime detection. The AVX2 instantiation
+            // executes the same scalar operations in the same order (no
+            // FMA contraction, one accumulator per element), so its
+            // results are bit-identical to the generic path.
+            unsafe { self.blocks_avx2(i_start, c_rows, accumulate, apack, bpack) };
+            return;
+        }
+        self.blocks(i_start, c_rows, accumulate, apack, bpack, false);
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn blocks_avx2(
+        &self,
+        i_start: usize,
+        c_rows: &mut [f32],
+        accumulate: bool,
+        apack: &mut [f32; MR * KC],
+        bpack: &mut [f32],
+    ) {
+        self.blocks(i_start, c_rows, accumulate, apack, bpack, true);
+    }
+
+    /// The macro loops over whole rows `i_start..` of the output:
+    /// `NC`-wide column blocks, `KC`-deep reduction blocks (B packed once
+    /// per block), then this worker's row panels.
+    ///
+    /// `avx2` selects the intrinsics micro-kernel; the caller must have
+    /// verified CPU support. Both kernels perform the identical multiply
+    /// and add per element in the identical order, so the choice never
+    /// changes a single output bit.
+    #[inline(always)]
+    fn blocks(
+        &self,
+        i_start: usize,
+        c_rows: &mut [f32],
+        accumulate: bool,
+        apack: &mut [f32; MR * KC],
+        bpack: &mut [f32],
+        avx2: bool,
+    ) {
+        let (k, n) = (self.k, self.n);
+        let i_end = i_start + c_rows.len() / n;
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                pack_b(self.mode, self.b, k, n, pc, kc, jc, nc, bpack);
+                let block = Block {
+                    kc,
+                    jc,
+                    nc,
+                    first: pc == 0 && !accumulate,
+                    last: pc + kc == k,
+                };
+                for i0 in (i_start..i_end).step_by(MR) {
+                    let mr = MR.min(i_end - i0);
+                    pack_a(self.mode, self.a, self.lda, i0, mr, pc, kc, apack);
+                    let panel = &mut c_rows[(i0 - i_start) * n..];
+                    row_panel(self, block, mr, apack, bpack, panel, avx2);
+                }
+            }
+        }
+    }
+}
+
+/// One `(KC × NC)` block of the macro loops.
+#[derive(Clone, Copy)]
+struct Block {
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    /// No partial sum to extend: accumulators start from zero and `C` may
+    /// hold garbage from a recycled buffer.
+    first: bool,
+    /// The reduction ends in this block: apply the epilogue.
+    last: bool,
+}
+
+/// `C = epilogue(op(A)·op(B))` over raw row-major slices. Row `r` of the
+/// stored A starts at `a[r * lda]`: `lda` is the row length for a dense
+/// operand, and any other stride reads overlapping or spaced rows in place
+/// — the way a convolution reads its receptive fields. B and C are dense.
 ///
-/// `threads == 0` means "use the default kernel thread count". The result
-/// is bit-identical for every `threads` value (see module docs).
+/// `threads == 0` means "use the default kernel thread count". The call
+/// forks at most once — each worker walks every reduction block of its
+/// own row panels — and the result is bit-identical for every `threads`
+/// value (see module docs).
 ///
 /// # Panics
-/// Panics if a slice length disagrees with `(m, k, n)` or a bias is not
-/// `n` long.
+/// Panics if a slice length disagrees with `(m, k, n)` and `lda` (A must
+/// end with its last row) or a bias is not `n` long.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_slice(
     mode: GemmMode,
     a: &[f32],
+    lda: usize,
     b: &[f32],
     m: usize,
     k: usize,
@@ -254,87 +501,30 @@ pub fn gemm_slice(
     threads: usize,
     ws: &mut Workspace,
 ) {
-    assert_eq!(a.len(), m * k, "gemm: A length != m*k");
-    assert_eq!(b.len(), k * n, "gemm: B length != k*n");
-    assert_eq!(c.len(), m * n, "gemm: C length != m*n");
-    if let Some(bias) = epilogue.bias {
-        assert_eq!(bias.len(), n, "gemm: bias length != n");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        // Empty reduction: C is the epilogue of zero.
-        for row in c.chunks_exact_mut(n) {
-            for (j, v) in row.iter_mut().enumerate() {
-                let z = epilogue.bias.map_or(0.0, |bias| bias[j]);
-                *v = epilogue.act.apply(z);
-            }
-        }
-        return;
-    }
-
-    let threads = if threads == 0 {
-        kernel_threads()
-    } else {
-        threads
+    let product = Product {
+        mode,
+        a,
+        lda,
+        b,
+        m,
+        k,
+        n,
+        epilogue: *epilogue,
     };
-    let flops = 2usize
-        .saturating_mul(m)
-        .saturating_mul(k)
-        .saturating_mul(n);
-    let t = threads.min((flops / MIN_FLOPS_PER_THREAD).max(1));
+    product.validate();
+    assert_eq!(c.len(), m * n, "gemm: C length != m*n");
     let npanels = m.div_ceil(MR);
-    let mut bpack = std::mem::take(&mut ws.pack_b);
-
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let nstrips = nc.div_ceil(NR);
-        if bpack.len() < nstrips * KC * NR {
-            bpack.resize(nstrips * KC * NR, 0.0);
-        }
-        for (pci, pc) in (0..k).step_by(KC).enumerate() {
-            let kc = KC.min(k - pc);
-            pack_b(mode, b, k, n, pc, kc, jc, nc, &mut bpack);
-            let first = pci == 0;
-            let last = pc + kc == k;
-            let cbase = RawBase(c.as_mut_ptr() as usize);
-            let run = |chunk: parx::Chunk| {
-                for panel in chunk.start..chunk.end {
-                    let i0 = panel * MR;
-                    let job = PanelJob {
-                        mode,
-                        a,
-                        m,
-                        k,
-                        n,
-                        i0,
-                        mr: MR.min(m - i0),
-                        pc,
-                        kc,
-                        jc,
-                        nc,
-                        bpack: &bpack,
-                        cbase: cbase.0,
-                        first,
-                        last,
-                    };
-                    run_row_panel(job, epilogue);
-                }
-            };
-            if t == 1 {
-                // Allocation-free sequential fast path.
-                run(parx::Chunk {
-                    index: 0,
-                    start: 0,
-                    end: npanels,
-                });
-            } else {
-                parx::parallel_for_grained(npanels, t, 1, run);
-            }
-        }
-    }
-    ws.pack_b = bpack;
+    let workers = fork_width(threads, gemm_flops(m, k, n), npanels);
+    let per_worker = scratch_len(n);
+    fork_disjoint(
+        npanels,
+        workers,
+        c,
+        MR * n,
+        ws.scratch(workers * per_worker),
+        per_worker,
+        |panels, c_rows, scratch| product.run_rows(panels.start * MR, c_rows, false, scratch),
+    );
 }
 
 /// `C = epilogue(op(A)·op(B))` for rank-2 tensors, writing into `c`.
@@ -375,9 +565,11 @@ pub fn gemm_into_with_threads(
             actual: c.len(),
         });
     }
+    let (_, lda) = a.shape().as_2d();
     gemm_slice(
         mode,
         a.data(),
+        lda,
         b.data(),
         m,
         k,
@@ -390,178 +582,178 @@ pub fn gemm_into_with_threads(
     Ok(())
 }
 
-/// One row panel's worth of work on one packed block: everything a worker
-/// thread needs, bundled so the hot call stays register-friendly.
-#[derive(Clone, Copy)]
-struct PanelJob<'a> {
-    mode: GemmMode,
-    a: &'a [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    i0: usize,
-    mr: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    bpack: &'a [f32],
-    cbase: usize,
-    first: bool,
-    last: bool,
-}
-
-/// Shares a mutable base pointer across scoped threads for disjoint-row
-/// writes.
-struct RawBase(usize);
-unsafe impl Sync for RawBase {}
-
-fn run_row_panel(job: PanelJob, epilogue: &Epilogue) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by runtime detection. The AVX2 instantiation
-            // executes the same scalar operations in the same order (no
-            // FMA contraction, one accumulator per element), so its
-            // results are bit-identical to the generic path.
-            unsafe { row_panel_avx2(job, epilogue) };
-            return;
-        }
-    }
-    row_panel(job, epilogue, false);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn row_panel_avx2(job: PanelJob, epilogue: &Epilogue) {
-    row_panel(job, epilogue, true);
-}
-
-/// Packs the panel's A rows, then drives the micro-kernel across every
-/// `NR` strip of the current block, applying the epilogue on the last
-/// reduction block.
-///
-/// `avx2` selects the intrinsics micro-kernel; the caller must have
-/// verified CPU support. Both kernels perform the identical multiply and
-/// add per element in the identical order, so the choice never changes a
-/// single output bit.
+/// Drives the micro-kernel across every `NR` strip of the current block
+/// for one packed row panel, applying the epilogue on the last reduction
+/// block. `panel` starts at the panel's first output row (column 0).
 #[inline(always)]
-fn row_panel(job: PanelJob, epilogue: &Epilogue, avx2: bool) {
-    let mut apack = [0.0f32; MR * KC];
-    pack_a(
-        job.mode, job.a, job.m, job.k, job.i0, job.mr, job.pc, job.kc, &mut apack,
-    );
-    let nstrips = job.nc.div_ceil(NR);
-    for s in 0..nstrips {
-        let j0 = job.jc + s * NR;
-        let nr = NR.min(job.nc - s * NR);
-        let cptr = (job.cbase as *mut f32).wrapping_add(job.i0 * job.n + j0);
-        // SAFETY: the (panel, strip) tile `[i0..i0+mr) × [j0..j0+nr)` is
-        // written by exactly one thread (threads split whole panels), and
-        // `cbase` points at an `m*n` allocation that outlives the scope.
-        unsafe {
-            #[cfg(target_arch = "x86_64")]
-            let full = avx2 && nr == NR;
-            #[cfg(target_arch = "x86_64")]
-            if full {
-                micro_tile_avx2(
-                    job.kc,
-                    &apack,
-                    &job.bpack[s * KC * NR..],
-                    cptr,
-                    job.n,
-                    job.mr,
-                    job.first,
-                );
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            let full = {
-                let _ = avx2;
-                false
-            };
-            if !full {
-                micro_tile(
-                    job.kc,
-                    &apack,
-                    &job.bpack[s * KC * NR..],
-                    cptr,
-                    job.n,
-                    job.mr,
-                    nr,
-                    job.first,
-                );
-            }
-            if job.last && !epilogue.is_noop() {
-                apply_epilogue(cptr, job.n, job.mr, nr, j0, epilogue);
-            }
+fn row_panel(
+    product: &Product,
+    block: Block,
+    mr: usize,
+    apack: &[f32; MR * KC],
+    bpack: &[f32],
+    panel: &mut [f32],
+    avx2: bool,
+) {
+    let n = product.n;
+    for s in 0..block.nc.div_ceil(NR) {
+        let j0 = block.jc + s * NR;
+        let nr = NR.min(block.nc - s * NR);
+        let bstrip = &bpack[s * KC * NR..][..block.kc * NR];
+        // Tile `[0..mr) × [j0..j0+nr)` of the panel, row stride `n`.
+        let tile = &mut panel[j0..];
+        debug_assert!(tile.len() >= (mr - 1) * n + nr, "tile reaches past m×n");
+        // What is left of the epilogue for this tile: nothing until the
+        // reduction ends.
+        let (mut bias, mut act) = (None, FusedAct::Linear);
+        if block.last {
+            bias = product.epilogue.bias.map(|bias| &bias[j0..j0 + nr]);
+            act = product.epilogue.act;
         }
+        #[cfg(target_arch = "x86_64")]
+        if avx2 && nr == NR {
+            // Bias and ReLU are applied to the accumulators before they
+            // are stored; the transcendental activations run on the
+            // stored tile below.
+            let relu = act == FusedAct::Relu;
+            // SAFETY: `avx2` is only true after runtime detection; the
+            // strip holds `kc * NR` values (sliced above, `kc <= KC`), and
+            // the tile's `mr` rows of `NR` values at stride `n` lie inside
+            // `tile` (slice bounds above: `j0 + NR <= n`, and `panel`
+            // holds `mr` whole rows).
+            unsafe {
+                micro_tile_avx2(
+                    block.kc,
+                    apack,
+                    bstrip,
+                    tile,
+                    n,
+                    mr,
+                    block.first,
+                    bias.take()
+                        .map(|bias| bias.try_into().expect("full-width strip")),
+                    relu,
+                );
+            }
+            if relu {
+                act = FusedAct::Linear;
+            }
+            apply_epilogue(tile, n, mr, nr, bias, act);
+            continue;
+        }
+        let _ = avx2;
+        micro_tile(block.kc, apack, bstrip, tile, n, mr, nr, block.first);
+        apply_epilogue(tile, n, mr, nr, bias, act);
     }
 }
 
 /// The AVX2 micro-kernel for full-width (`nr == NR`) strips: one `ymm`
 /// accumulator per live output row, one broadcast multiply and one add
-/// per reduction step. Separate `vmulps`/`vaddps` (never FMA) keep every
-/// lane's arithmetic — and therefore every output bit — identical to
-/// [`micro_tile`]. Dispatches on `mr` so edge row-panels (e.g. NT3's
-/// batch of 20 → panels of 8, 8, 4) stay vectorized too.
+/// per reduction step, then `bias` added and (with `relu`) `max(·, 0)`
+/// taken before the store. Separate `vmulps`/`vaddps` (never FMA) and the
+/// `vmaxps` that `f32::max(v, 0.0)` compiles to keep every lane's
+/// arithmetic — and therefore every output bit — identical to
+/// [`micro_tile`] followed by [`apply_epilogue`]. Dispatches on `mr` so
+/// edge row-panels (e.g. NT3's batch of 20 → panels of 8, 8, 4) stay
+/// vectorized too.
+///
+/// # Safety
+/// As [`micro_tile_avx2_rows`] with `M = mr`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn micro_tile_avx2(
     kc: usize,
     apack: &[f32; MR * KC],
     bstrip: &[f32],
-    c: *mut f32,
+    c: &mut [f32],
     ldc: usize,
     mr: usize,
     first: bool,
+    bias: Option<&[f32; NR]>,
+    relu: bool,
 ) {
     match mr {
-        8 => micro_tile_avx2_rows::<8>(kc, apack, bstrip, c, ldc, first),
-        7 => micro_tile_avx2_rows::<7>(kc, apack, bstrip, c, ldc, first),
-        6 => micro_tile_avx2_rows::<6>(kc, apack, bstrip, c, ldc, first),
-        5 => micro_tile_avx2_rows::<5>(kc, apack, bstrip, c, ldc, first),
-        4 => micro_tile_avx2_rows::<4>(kc, apack, bstrip, c, ldc, first),
-        3 => micro_tile_avx2_rows::<3>(kc, apack, bstrip, c, ldc, first),
-        2 => micro_tile_avx2_rows::<2>(kc, apack, bstrip, c, ldc, first),
-        _ => micro_tile_avx2_rows::<1>(kc, apack, bstrip, c, ldc, first),
+        8 => micro_tile_avx2_rows::<8>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        7 => micro_tile_avx2_rows::<7>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        6 => micro_tile_avx2_rows::<6>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        5 => micro_tile_avx2_rows::<5>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        4 => micro_tile_avx2_rows::<4>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        3 => micro_tile_avx2_rows::<3>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        2 => micro_tile_avx2_rows::<2>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        _ => micro_tile_avx2_rows::<1>(kc, apack, bstrip, c, ldc, first, bias, relu),
     }
 }
 
+/// # Safety
+/// The CPU must support AVX2, `kc <= KC`, `bstrip` must hold `kc * NR`
+/// values, and `c` must hold `M` rows of `NR` values at row stride `ldc`
+/// (`c.len() >= (M - 1) * ldc + NR`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 unsafe fn micro_tile_avx2_rows<const M: usize>(
     kc: usize,
     apack: &[f32; MR * KC],
     bstrip: &[f32],
-    c: *mut f32,
+    c: &mut [f32],
     ldc: usize,
     first: bool,
+    bias: Option<&[f32; NR]>,
+    relu: bool,
 ) {
     use std::arch::x86_64::*;
+    debug_assert!(kc <= KC && M <= MR);
     debug_assert!(bstrip.len() >= kc * NR);
+    debug_assert!(c.len() >= (M - 1) * ldc + NR);
+    let c = c.as_mut_ptr();
     let mut acc = [_mm256_setzero_ps(); M];
     if !first {
         for (r, v) in acc.iter_mut().enumerate() {
-            *v = _mm256_loadu_ps(c.add(r * ldc));
+            // SAFETY: row `r < M` of the tile, `NR` values from
+            // `r * ldc`, is inside `c` (precondition).
+            *v = unsafe { _mm256_loadu_ps(c.add(r * ldc)) };
         }
     }
     let ap = apack.as_ptr();
     let bp = bstrip.as_ptr();
     for l in 0..kc {
-        let bv = _mm256_loadu_ps(bp.add(l * NR));
-        let arow = ap.add(l * MR);
-        for (r, v) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*arow.add(r));
-            *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
+        // SAFETY: `l < kc`, so the `NR` values at `l * NR` are inside
+        // `bstrip` and the `MR` values at `l * MR` inside `apack`
+        // (`kc <= KC`); `r < M <= MR`.
+        unsafe {
+            let bv = _mm256_loadu_ps(bp.add(l * NR));
+            let arow = ap.add(l * MR);
+            for (r, v) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*arow.add(r));
+                *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
+            }
+        }
+    }
+    if let Some(bias) = bias {
+        // SAFETY: `bias` is `NR` values.
+        let bv = unsafe { _mm256_loadu_ps(bias.as_ptr()) };
+        for v in acc.iter_mut() {
+            *v = _mm256_add_ps(*v, bv);
+        }
+    }
+    if relu {
+        // `vmaxps v, 0`: the second operand wins on NaN, as in
+        // `f32::max(v, 0.0)`.
+        let zero = _mm256_setzero_ps();
+        for v in acc.iter_mut() {
+            *v = _mm256_max_ps(*v, zero);
         }
     }
     for (r, v) in acc.iter().enumerate() {
-        _mm256_storeu_ps(c.add(r * ldc), *v);
+        // SAFETY: as for the loads above.
+        unsafe { _mm256_storeu_ps(c.add(r * ldc), *v) };
     }
 }
 
 /// The register-blocked micro-kernel: an `MR×NR` accumulator tile over a
-/// packed A panel and one packed B strip.
+/// packed A panel and one packed B strip. `c` starts at the tile's first
+/// element and has row stride `ldc`.
 ///
 /// On the first reduction block the accumulators start from zero (so `C`
 /// may hold garbage from a recycled buffer); on later blocks the partial
@@ -570,11 +762,11 @@ unsafe fn micro_tile_avx2_rows<const M: usize>(
 /// strip columns are computed on zeros and never stored.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn micro_tile(
+fn micro_tile(
     kc: usize,
     apack: &[f32; MR * KC],
     bstrip: &[f32],
-    c: *mut f32,
+    c: &mut [f32],
     ldc: usize,
     mr: usize,
     nr: usize,
@@ -583,9 +775,7 @@ unsafe fn micro_tile(
     let mut acc = [[0.0f32; NR]; MR];
     if !first {
         for (r, row) in acc.iter_mut().enumerate().take(mr) {
-            for (j, v) in row.iter_mut().enumerate().take(nr) {
-                *v = *c.add(r * ldc + j);
-            }
+            row[..nr].copy_from_slice(&c[r * ldc..][..nr]);
         }
     }
     for l in 0..kc {
@@ -599,31 +789,32 @@ unsafe fn micro_tile(
         }
     }
     for (r, row) in acc.iter().enumerate().take(mr) {
-        for (j, &v) in row.iter().enumerate().take(nr) {
-            *c.add(r * ldc + j) = v;
-        }
+        c[r * ldc..][..nr].copy_from_slice(&row[..nr]);
     }
 }
 
-/// Applies `C = act(C + bias)` to one stored tile.
+/// Applies `C = act(C + bias)` to one stored tile; `bias` is the tile's
+/// `nr` columns of it.
 #[inline(always)]
-unsafe fn apply_epilogue(
-    c: *mut f32,
+fn apply_epilogue(
+    c: &mut [f32],
     ldc: usize,
     mr: usize,
     nr: usize,
-    j0: usize,
-    epilogue: &Epilogue,
+    bias: Option<&[f32]>,
+    act: FusedAct,
 ) {
+    if bias.is_none() && act == FusedAct::Linear {
+        return;
+    }
     for r in 0..mr {
-        // SAFETY: same tile ownership as the caller.
-        let row = std::slice::from_raw_parts_mut(c.add(r * ldc), nr);
-        if let Some(bias) = epilogue.bias {
-            for (v, &bv) in row.iter_mut().zip(&bias[j0..j0 + nr]) {
+        let row = &mut c[r * ldc..][..nr];
+        if let Some(bias) = bias {
+            for (v, &bv) in row.iter_mut().zip(bias) {
                 *v += bv;
             }
         }
-        match epilogue.act {
+        match act {
             FusedAct::Linear => {}
             FusedAct::Relu => {
                 for v in row.iter_mut() {
@@ -646,13 +837,13 @@ unsafe fn apply_epilogue(
 
 /// Packs rows `i0..i0+mr` of `op(A)`, reduction slice `pc..pc+kc`, into
 /// the `l`-major panel `apack[l*MR + r]`, zero-padding rows past `mr`.
+/// Stored row `r` of A starts at `a[r * lda]`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn pack_a(
     mode: GemmMode,
     a: &[f32],
-    m: usize,
-    k: usize,
+    lda: usize,
     i0: usize,
     mr: usize,
     pc: usize,
@@ -661,17 +852,15 @@ fn pack_a(
 ) {
     if mode.trans_a() {
         // A stored (k×m): panel rows are contiguous per reduction index.
-        for l in 0..kc {
-            let src = &a[(pc + l) * m + i0..][..mr];
-            let dst = &mut apack[l * MR..l * MR + MR];
-            dst[..mr].copy_from_slice(src);
-            dst[mr..].fill(0.0);
+        let (rows, _) = apack.as_chunks_mut::<MR>();
+        for (l, dst) in rows[..kc].iter_mut().enumerate() {
+            copy_padded(&a[(pc + l) * lda + i0..][..mr], dst);
         }
     } else {
         // A stored (m×k): transpose row-by-row into the panel.
         for r in 0..MR {
             if r < mr {
-                let src = &a[(i0 + r) * k + pc..][..kc];
+                let src = &a[(i0 + r) * lda + pc..][..kc];
                 for (l, &v) in src.iter().enumerate() {
                     apack[l * MR + r] = v;
                 }
@@ -680,6 +869,19 @@ fn pack_a(
                     apack[l * MR + r] = 0.0;
                 }
             }
+        }
+    }
+}
+
+/// `dst = src` followed by zeros: one packed row. The full-width case is
+/// a fixed-size copy rather than a `memcpy` call per row.
+#[inline(always)]
+fn copy_padded<const W: usize>(src: &[f32], dst: &mut [f32; W]) {
+    match <&[f32; W]>::try_from(src) {
+        Ok(full) => *dst = *full,
+        Err(_) => {
+            dst[..src.len()].copy_from_slice(src);
+            dst[src.len()..].fill(0.0);
         }
     }
 }
@@ -720,11 +922,9 @@ fn pack_b(
             }
         } else {
             // B stored (k×n): copy row slices per reduction index.
-            for l in 0..kc {
-                let src = &b[(pc + l) * n + j0..][..w];
-                let dst = &mut strip[l * NR..l * NR + NR];
-                dst[..w].copy_from_slice(src);
-                dst[w..].fill(0.0);
+            let (rows, _) = strip.as_chunks_mut::<NR>();
+            for (l, dst) in rows[..kc].iter_mut().enumerate() {
+                copy_padded(&b[(pc + l) * n + j0..][..w], dst);
             }
         }
     }
@@ -790,7 +990,8 @@ mod tests {
         // Seed C with garbage to prove the first-block path ignores it.
         let mut c = vec![f32::NAN; m * n];
         let mut ws = Workspace::new();
-        gemm_slice(mode, a, b, m, k, n, &mut c, ep, threads, &mut ws);
+        let lda = if mode.trans_a() { m } else { k };
+        gemm_slice(mode, a, lda, b, m, k, n, &mut c, ep, threads, &mut ws);
         c
     }
 

@@ -25,6 +25,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
         gemm_slice(
             GemmMode::Ab,
             a.data(),
+            ka,
             b.data(),
             m,
             ka,
