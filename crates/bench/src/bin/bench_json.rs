@@ -65,7 +65,7 @@ const SUITES: [Suite; 6] = [
     Suite {
         name: "overlap",
         file: "BENCH_OVERLAP.json",
-        series: &["blocking_epoch", "overlapped_epoch"],
+        series: &["blocking_epoch", "overlapped_epoch", "sync_call_us"],
         run: overlap,
     },
 ];
@@ -259,10 +259,24 @@ fn overlap(quick: bool) -> Result<Doc, String> {
                 .label("bench", "NT3"),
         );
     }
+    // What one allreduce call costs by payload: the measurement behind
+    // the one-exchange/ring crossover and the wire's spin budget.
+    let mut sync_call = Series::new("sync_call_us", "bytes");
+    for r in &experiments::measure_sync_call_latency(quick) {
+        sync_call.push(
+            Point::at("bytes", r.bytes as f64)
+                .seconds(r.auto_us * 1e-6)
+                .metric("workers", r.workers as f64)
+                .metric("auto_us", r.auto_us)
+                .metric("ring_us", r.ring_us)
+                .metric("exchange_us", r.exchange_us),
+        );
+    }
     Ok(
         Doc::new("blocking vs overlapped gradient allreduce (NT3)", quick)
             .with(blocking)
-            .with(overlapped),
+            .with(overlapped)
+            .with(sync_call),
     )
 }
 
@@ -389,7 +403,7 @@ mod tests {
             "datapipe BENCH_DATAPIPE.json shared_service|independent_caches",
             "hpo BENCH_HPO.json search",
             "fleet BENCH_FLEET.json capacity_policies|auto_vs_peak",
-            "overlap BENCH_OVERLAP.json blocking_epoch|overlapped_epoch",
+            "overlap BENCH_OVERLAP.json blocking_epoch|overlapped_epoch|sync_call_us",
         ];
         assert_eq!(table, pinned);
         assert_eq!(INDEX_FILE, "BENCH_INDEX.json");

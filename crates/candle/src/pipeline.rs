@@ -312,8 +312,9 @@ pub fn run_parallel(spec: &ParallelRunSpec) -> Result<ParallelRunOutcome, Pipeli
         let train_ref: &dlframe::Dataset = local_train.as_ref().unwrap_or(&train);
         let fit_start = Instant::now();
         let (history, stats) = if let Some(threshold) = spec2.comm_overlap {
-            // Overlapped path: per-bucket allreduce on a comm worker while
-            // backward is still producing earlier layers' gradients.
+            // Overlapped path: each bucket is posted as backward completes
+            // it and folded while earlier layers' gradients are still being
+            // produced.
             let plan = collectives::FusionPlan::for_model(&model, threshold);
             let mut dist = collectives::AsyncBucketedOptimizer::new(endpoint, &plan);
             if let Some(tl) = &tl2 {

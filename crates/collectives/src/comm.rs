@@ -1,39 +1,161 @@
-//! The communicator: point-to-point mailboxes plus the collectives built on
-//! them.
+//! The communicator: the point-to-point wire plus the collectives built on
+//! it.
 //!
-//! Every rank owns a `Communicator` holding a sender to each peer and its
-//! own receiver. Messages carry `(src, tag)` so the receiver can match the
-//! message a collective step expects even if another peer's message arrives
-//! first. Tags are derived from a per-rank operation counter; because all
+//! **The wire.** Every ordered pair of ranks `(src, dst)` shares one
+//! bounded FIFO of [`LANE_SLOTS`] recycled slot buffers. [`Communicator::
+//! post`] copies a payload into the next free slot; [`Communicator::
+//! recv_with`] lends the oldest slot to the caller, which adds or copies
+//! straight out of it, and hands the slot back. Nothing on the wire
+//! allocates once each slot has seen the lane's largest payload, and that
+//! happens on the first such message: a payload larger than any before
+//! grows every slot of its lane at once.
+//!
+//! Messages carry a tag derived from a per-rank operation counter. All
 //! ranks execute the same sequence of collectives (the SPMD contract that
-//! Horovod also relies on), counters stay aligned without negotiation.
+//! Horovod also relies on), and a lane delivers in the order its one
+//! sender posted, so the oldest message of a lane *is* the one the
+//! receiver's current step expects — there is no reorder buffer. The tag
+//! is only checked: an older one is residue of a collective that failed
+//! half way and is discarded, a newer one means the sender has moved on
+//! without this rank and surfaces as [`CommError::PeerLost`].
+//!
+//! **Waiting.** One routine, [`Communicator::wait`], serves both a
+//! receiver waiting for a message and a sender waiting for a free slot:
+//! spin (yielding) for [`SPIN_BUDGET`], then park until the peer timeout. A rank
+//! that drops its endpoint clears its liveness flag and unparks every
+//! peer, so waiting on a dead rank fails at once instead of after the
+//! timeout — but a message it posted before leaving is still delivered.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Default peer timeout: how long a collective waits on a silent peer
-/// before declaring it lost. Collectives in this workspace exchange
-/// messages within a batch step, so prolonged silence means a dead or
-/// wedged worker, not a slow one. The window is deliberately large: no
-/// test waits for it to fire (a killed worker is detected by other
-/// means), it only converts a genuine hang into a typed error, and on a
-/// loaded single-CPU runner — e.g. `cargo test --workspace` interleaving
-/// test runs with compilation — a healthy 4-rank world can easily be
-/// starved for tens of seconds. Latency-sensitive callers (elastic
-/// fleets that want fast failure detection) can pick their own window
-/// via [`Communicator::world_with_timeout`].
-pub const DEFAULT_PEER_TIMEOUT: Duration = Duration::from_secs(120);
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use crate::CommError;
 
-/// A tagged point-to-point message.
-#[derive(Debug)]
-struct Msg {
-    src: usize,
+/// Default peer timeout: how long a collective waits on a silent peer
+/// before declaring it lost. Collectives in this workspace exchange
+/// messages within a batch step, so prolonged silence means a wedged
+/// worker, not a slow one (a worker that *exited* is noticed at once).
+/// The window is deliberately large: it only converts a genuine hang into
+/// a typed error, and on a loaded single-CPU runner — e.g. `cargo test
+/// --workspace` interleaving test runs with compilation — a healthy
+/// 4-rank world can easily be starved for tens of seconds.
+/// Latency-sensitive callers can pick their own window via
+/// [`Communicator::world_with_timeout`].
+pub const DEFAULT_PEER_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Slots per `(src, dst)` lane: how many messages a sender may be ahead of
+/// its receiver before `post` waits. The blocking collectives need one;
+/// the bucketed engine keeps up to this many buckets in flight.
+pub(crate) const LANE_SLOTS: usize = 8;
+
+/// How long a waiter spins before it parks. A parked waiter costs its
+/// waker a futex call and itself a reschedule (≈ 20 µs a round on the
+/// reference VM); two ranks of one step reach the same collective within
+/// tens of microseconds of each other, so a spin of that order meets the
+/// peer without either: `narrow_steps`' median sync call is 24–31 µs
+/// parking at once, 10–23 µs spinning 100 µs first, and no better at
+/// 400 µs (DESIGN §5k). Each turn of the spin yields the core. Zero when
+/// the world has more ranks than the host has hardware threads: the
+/// ranks then take turns on the cores anyway, and parking hands the core
+/// over without the detour.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// One recycled message buffer.
+struct Slot {
     tag: u64,
-    payload: Vec<f32>,
+    buf: Vec<f32>,
+}
+
+/// The FIFO from one rank to one other. `posted` is written only by the
+/// sender and `taken` only by the receiver; slot `i % LANE_SLOTS` belongs
+/// to the receiver while `taken <= i < posted` and to the sender
+/// otherwise, so the slot mutexes are never contended in steady state —
+/// they are what makes the hand-off safe Rust.
+struct Lane {
+    slots: Vec<Mutex<Slot>>,
+    posted: AtomicU64,
+    taken: AtomicU64,
+    /// Largest payload posted so far (sender only).
+    high_water: AtomicUsize,
+}
+
+impl Lane {
+    fn new() -> Self {
+        Lane {
+            slots: (0..LANE_SLOTS)
+                .map(|_| {
+                    Mutex::new(Slot {
+                        tag: 0,
+                        buf: Vec::new(),
+                    })
+                })
+                .collect(),
+            posted: AtomicU64::new(0),
+            taken: AtomicU64::new(0),
+            high_water: AtomicUsize::new(0),
+        }
+    }
+
+    fn slot(&self, seq: u64) -> &Mutex<Slot> {
+        &self.slots[(seq % LANE_SLOTS as u64) as usize]
+    }
+
+    /// Makes room for `len` elements in *every* slot the first time a
+    /// payload that large is posted, so which slot a later message lands
+    /// in never decides whether it allocates. A slot still queued for the
+    /// receiver keeps its contents (`reserve` preserves them).
+    fn grow_to(&self, len: usize) {
+        if len <= self.high_water.load(Ordering::Relaxed) {
+            return;
+        }
+        for slot in &self.slots {
+            let buf = &mut slot.lock().buf;
+            buf.reserve_exact(len.saturating_sub(buf.len()));
+        }
+        self.high_water.store(len, Ordering::Relaxed);
+    }
+}
+
+/// A rank's place in the world it was created in: liveness and the handle
+/// peers wake it by.
+struct Seat {
+    alive: AtomicBool,
+    parked: AtomicBool,
+    /// Registered by the waiter itself each time it parks: an endpoint may
+    /// be built on one thread and used on another.
+    thread: Mutex<Option<Thread>>,
+}
+
+/// What all endpoints of one world share. Lanes and seats are indexed by
+/// the rank an endpoint was *created* with; an elastic shrink renumbers
+/// ranks but not seats.
+struct Fabric {
+    seats: Vec<Seat>,
+    /// Lane `(src, dst)` at `src * seats.len() + dst`.
+    lanes: Vec<Lane>,
+    barrier: std::sync::Barrier,
+    spin: Duration,
+}
+
+impl Fabric {
+    fn lane(&self, src: usize, dst: usize) -> &Lane {
+        &self.lanes[src * self.seats.len() + dst]
+    }
+
+    /// Unparks `seat` if it is parked. Callers publish what the waiter is
+    /// waiting for with a `SeqCst` store first; the waiter sets `parked`
+    /// (`SeqCst`) before it re-checks, so one of the two sees the other.
+    fn wake(&self, seat: usize) {
+        let seat = &self.seats[seat];
+        if seat.parked.load(Ordering::SeqCst) {
+            if let Some(thread) = seat.thread.lock().as_ref() {
+                thread.unpark();
+            }
+        }
+    }
 }
 
 /// Aggregate communication counters for one rank, used by the performance
@@ -52,24 +174,37 @@ pub struct CommStats {
     pub messages_sent: u64,
 }
 
-/// One rank's endpoint in a fixed-size communicator world.
+/// One rank's endpoint in a communicator world. Dropping it tells every
+/// peer this rank is gone.
 pub struct Communicator {
     rank: usize,
     size: usize,
-    senders: Vec<Sender<Msg>>,
-    receiver: Receiver<Msg>,
-    pending: Vec<Msg>,
+    /// Seat of each current rank; `seats[rank]` is this endpoint's own.
+    seats: Vec<usize>,
+    fabric: Arc<Fabric>,
     op_counter: u64,
     stats: CommStats,
-    barrier: Arc<std::sync::Barrier>,
-    barrier_generation: Arc<AtomicU64>,
     /// Set once this endpoint survives an elastic [`Communicator::shrink`];
     /// the shared barrier is still sized to the original world, so
     /// [`Communicator::barrier`] is forbidden from then on.
     shrunk: bool,
-    /// How long [`Communicator::recv`] waits on a silent peer before
-    /// returning [`CommError::PeerLost`].
+    /// How long a wait on a silent peer lasts before it fails with
+    /// [`CommError::PeerLost`].
     peer_timeout: Duration,
+    /// Prefix sums of the one-exchange allreduce (worlds of three or more).
+    pub(crate) scratch: Vec<f32>,
+}
+
+impl Drop for Communicator {
+    fn drop(&mut self) {
+        let fabric = &self.fabric;
+        fabric.seats[self.seats[self.rank]]
+            .alive
+            .store(false, Ordering::SeqCst);
+        for seat in 0..fabric.seats.len() {
+            fabric.wake(seat);
+        }
+    }
 }
 
 impl Communicator {
@@ -96,25 +231,34 @@ impl Communicator {
             peer_timeout > Duration::ZERO,
             "peer timeout must be positive"
         );
-        let channels: Vec<(Sender<Msg>, Receiver<Msg>)> = (0..size).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<Msg>> = channels.iter().map(|(s, _)| s.clone()).collect();
-        let barrier = Arc::new(std::sync::Barrier::new(size));
-        let generation = Arc::new(AtomicU64::new(0));
-        channels
-            .into_iter()
-            .enumerate()
-            .map(|(rank, (_, receiver))| Communicator {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let fabric = Arc::new(Fabric {
+            seats: (0..size)
+                .map(|_| Seat {
+                    alive: AtomicBool::new(true),
+                    parked: AtomicBool::new(false),
+                    thread: Mutex::new(None),
+                })
+                .collect(),
+            lanes: (0..size * size).map(|_| Lane::new()).collect(),
+            barrier: std::sync::Barrier::new(size),
+            spin: if size <= cores {
+                SPIN_BUDGET
+            } else {
+                Duration::ZERO
+            },
+        });
+        (0..size)
+            .map(|rank| Communicator {
                 rank,
                 size,
-                senders: senders.clone(),
-                receiver,
-                pending: Vec::new(),
+                seats: (0..size).collect(),
+                fabric: Arc::clone(&fabric),
                 op_counter: 0,
                 stats: CommStats::default(),
-                barrier: Arc::clone(&barrier),
-                barrier_generation: Arc::clone(&generation),
                 shrunk: false,
                 peer_timeout,
+                scratch: Vec::new(),
             })
             .collect()
     }
@@ -146,52 +290,140 @@ impl Communicator {
         self.peer_timeout
     }
 
-    /// Sends `payload` to `dst` under the current operation id and `step`.
-    pub(crate) fn send(
-        &mut self,
-        dst: usize,
-        step: u32,
-        payload: Vec<f32>,
-    ) -> Result<(), CommError> {
-        let tag = (self.op_counter << 16) | step as u64;
-        self.stats.messages_sent += 1;
-        self.senders[dst]
-            .send(Msg {
-                src: self.rank,
-                tag,
-                payload,
-            })
-            .map_err(|_| CommError::PeerLost { rank: dst })
+    /// The tag of message `step` of the current operation.
+    pub(crate) fn tag(&self, step: usize) -> u64 {
+        debug_assert!(step < 1 << 16, "collective step {step} overflows the tag");
+        (self.op_counter << 16) | step as u64
     }
 
-    /// Receives the message from `src` with the current operation id and
-    /// `step`, buffering out-of-order arrivals.
-    ///
-    /// Bounded wait: every rank holds sender clones to every mailbox
-    /// (including its own), so a plain `recv()` would never observe
-    /// disconnection when a peer dies mid-collective — the whole world
-    /// would hang. A generous timeout converts that hang into
-    /// [`CommError::PeerLost`], which the worker surfaces as a panic that
-    /// `run_workers` propagates.
-    pub(crate) fn recv(&mut self, src: usize, step: u32) -> Result<Vec<f32>, CommError> {
-        let tag = (self.op_counter << 16) | step as u64;
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|m| m.src == src && m.tag == tag)
-        {
-            return Ok(self.pending.swap_remove(pos).payload);
+    /// Whether `rank` still holds its endpoint.
+    pub(crate) fn alive(&self, rank: usize) -> bool {
+        self.fabric.seats[self.seats[rank]]
+            .alive
+            .load(Ordering::SeqCst)
+    }
+
+    /// Blocks until `ready()` — something only `peer` can make true — or
+    /// fails with [`CommError::PeerLost`] once `peer` has dropped its
+    /// endpoint or stayed silent for the peer timeout. What the peer did
+    /// before it left counts: `ready` is looked at again after the
+    /// liveness flag reads false.
+    fn wait(&self, peer: usize, ready: impl Fn() -> bool) -> Result<(), CommError> {
+        if ready() {
+            return Ok(());
         }
-        loop {
-            let msg = self
-                .receiver
-                .recv_timeout(self.peer_timeout)
-                .map_err(|_| CommError::PeerLost { rank: src })?;
-            if msg.src == src && msg.tag == tag {
-                return Ok(msg.payload);
+        let start = Instant::now();
+        let spin_until = start + self.fabric.spin;
+        let deadline = start + self.peer_timeout;
+        let me = &self.fabric.seats[self.seats[self.rank]];
+        let mut registered = false;
+        let outcome = loop {
+            if ready() {
+                break Ok(());
             }
-            self.pending.push(msg);
+            let lost = Err(CommError::PeerLost { rank: peer });
+            if !self.alive(peer) {
+                // What it posted before it left still counts.
+                break if ready() { Ok(()) } else { lost };
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break lost;
+            }
+            if now < spin_until {
+                // Not a bare spin: if the scheduler has put the peer on
+                // this core, yielding is what lets it make `ready` true.
+                std::thread::yield_now();
+            } else if registered {
+                std::thread::park_timeout(deadline - now);
+            } else {
+                // Publish the handle, then look once more before parking:
+                // a waker that missed the flag has already made `ready`
+                // true.
+                *me.thread.lock() = Some(std::thread::current());
+                me.parked.store(true, Ordering::SeqCst);
+                registered = true;
+            }
+        };
+        if registered {
+            me.parked.store(false, Ordering::SeqCst);
         }
+        outcome
+    }
+
+    /// Copies `payload` into the next free slot of the lane to `dst`,
+    /// waiting for one if the receiver is [`LANE_SLOTS`] messages behind.
+    pub(crate) fn post(&mut self, dst: usize, tag: u64, payload: &[f32]) -> Result<(), CommError> {
+        let lane = self.fabric.lane(self.seats[self.rank], self.seats[dst]);
+        let seq = lane.posted.load(Ordering::Relaxed);
+        self.wait(dst, || {
+            seq - lane.taken.load(Ordering::SeqCst) < LANE_SLOTS as u64
+        })?;
+        lane.grow_to(payload.len());
+        {
+            let mut slot = lane.slot(seq).lock();
+            slot.tag = tag;
+            slot.buf.clear();
+            slot.buf.extend_from_slice(payload);
+        }
+        lane.posted.store(seq + 1, Ordering::SeqCst);
+        self.fabric.wake(self.seats[dst]);
+        self.stats.messages_sent += 1;
+        Ok(())
+    }
+
+    /// Whether the lane from `src` holds a message this rank has not taken.
+    pub(crate) fn has_message(&self, src: usize) -> bool {
+        let lane = self.fabric.lane(self.seats[src], self.seats[self.rank]);
+        lane.posted.load(Ordering::SeqCst) > lane.taken.load(Ordering::Relaxed)
+    }
+
+    /// Waits for message `tag` from `src` and lends its slot to `read`
+    /// without taking it off the lane: the next call sees the same
+    /// message. [`Communicator::release`] hands the slot back.
+    pub(crate) fn peek_with<R>(
+        &self,
+        src: usize,
+        tag: u64,
+        read: impl FnOnce(&[f32]) -> R,
+    ) -> Result<R, CommError> {
+        let lane = self.fabric.lane(self.seats[src], self.seats[self.rank]);
+        loop {
+            let seq = lane.taken.load(Ordering::Relaxed);
+            self.wait(src, || lane.posted.load(Ordering::SeqCst) > seq)?;
+            let slot = lane.slot(seq).lock();
+            match slot.tag.cmp(&tag) {
+                std::cmp::Ordering::Equal => return Ok(read(&slot.buf)),
+                // Left behind by a collective that failed half way.
+                std::cmp::Ordering::Less => {
+                    drop(slot);
+                    self.release(src);
+                }
+                // The sender is past this operation: it will never post it.
+                std::cmp::Ordering::Greater => return Err(CommError::PeerLost { rank: src }),
+            }
+        }
+    }
+
+    /// Returns the oldest slot of the lane from `src` to its sender.
+    pub(crate) fn release(&self, src: usize) {
+        let lane = self.fabric.lane(self.seats[src], self.seats[self.rank]);
+        debug_assert!(self.has_message(src), "release without a lent slot");
+        lane.taken.fetch_add(1, Ordering::SeqCst);
+        self.fabric.wake(self.seats[src]);
+    }
+
+    /// Receives message `tag` from `src`: lends its slot to `read`, then
+    /// hands the slot back.
+    pub(crate) fn recv_with<R>(
+        &mut self,
+        src: usize,
+        tag: u64,
+        read: impl FnOnce(&[f32]) -> R,
+    ) -> Result<R, CommError> {
+        let out = self.peek_with(src, tag, read)?;
+        self.release(src);
+        Ok(out)
     }
 
     /// Starts a new collective operation; all ranks must call collectives in
@@ -213,8 +445,7 @@ impl Communicator {
             "barrier is not usable after an elastic shrink"
         );
         self.next_op();
-        self.barrier.wait();
-        self.barrier_generation.fetch_add(1, Ordering::Relaxed);
+        self.fabric.barrier.wait();
     }
 
     /// Elastically removes dead ranks from the world, consuming this
@@ -223,18 +454,21 @@ impl Communicator {
     ///
     /// Surviving ranks are renumbered densely in original-rank order (the
     /// survivor with the lowest original rank becomes rank 0, and so on);
-    /// message routes to dead peers are dropped. All point-to-point
-    /// collectives (`allreduce_*`, `broadcast`, `allgather`) keep working
-    /// over the smaller world, and [`Communicator::allreduce_mean`] now
-    /// divides by the survivor count — exactly the gradient re-scaling an
-    /// elastic data-parallel run needs.
+    /// the lanes to and from dead peers are never looked at again, whatever
+    /// a dying rank left in them. All point-to-point collectives
+    /// (`allreduce_*`, `broadcast`, `allgather`) keep working over the
+    /// smaller world, and [`Communicator::allreduce_mean`] now divides by
+    /// the survivor count — exactly the gradient re-scaling an elastic
+    /// data-parallel run needs.
     ///
     /// **Contract:** every rank (including departing ones) must pass the
     /// same `alive` mask and must be quiescent — all previously started
-    /// collectives completed on all ranks — so no stale message can alias
-    /// a renumbered source. [`Communicator::barrier`] is forbidden after
-    /// shrinking (the shared barrier is still sized to the original
-    /// world); it panics rather than deadlocking.
+    /// collectives completed on all ranks. A faster survivor may already
+    /// have shrunk and posted the first post-shrink messages; they wait in
+    /// its own lane, behind whatever it posted before, and are received in
+    /// that order. [`Communicator::barrier`] is forbidden after shrinking
+    /// (the shared barrier is still sized to the original world); it
+    /// panics rather than deadlocking.
     ///
     /// # Panics
     /// Panics if `alive` does not match the world size or marks nobody
@@ -252,54 +486,41 @@ impl Communicator {
         if !alive[self.rank] {
             return None;
         }
-        let new_rank = alive[..self.rank].iter().filter(|&&a| a).count();
-        let senders = self
-            .senders
-            .iter()
-            .zip(alive)
-            .filter(|(_, &a)| a)
-            .map(|(s, _)| s.clone())
-            .collect();
-        // Quiescence only covers collectives *started* before the shrink:
-        // a faster survivor may already have shrunk and raced into
-        // post-shrink collectives while this rank was still draining the
-        // vote, and `recv` buffers such early arrivals here. They carry a
-        // future op id and the sender's renumbered rank, so they must
-        // survive. Anything at or below the current op id is pre-shrink
-        // residue a dying rank managed to leave behind — drop it. (Op
-        // counters are aligned across ranks by the SPMD contract, so the
-        // boundary is exact.)
-        let current_op = self.op_counter;
-        self.pending.retain(|m| (m.tag >> 16) > current_op);
-        Some(Communicator {
-            rank: new_rank,
-            size: survivors,
-            senders,
-            receiver: self.receiver,
-            pending: self.pending,
-            op_counter: self.op_counter,
-            stats: self.stats,
-            barrier: self.barrier,
-            barrier_generation: self.barrier_generation,
-            shrunk: true,
-            peer_timeout: self.peer_timeout,
-        })
+        let mut keep = alive.iter();
+        self.seats
+            .retain(|_| *keep.next().expect("mask covers the world"));
+        self.rank = alive[..self.rank].iter().filter(|&&a| a).count();
+        self.size = survivors;
+        self.shrunk = true;
+        Some(self)
     }
 
-    /// In-place average-allreduce using the ring algorithm (the default
-    /// path, mirroring Horovod-on-NCCL).
+    /// In-place average-allreduce (the default path, mirroring
+    /// Horovod-on-NCCL): [`Communicator::allreduce_sum`], then one
+    /// multiply by `1/size`.
     pub fn allreduce_mean(&mut self, data: &mut [f32]) -> Result<(), CommError> {
-        crate::ring::ring_allreduce(self, data)?;
+        self.allreduce_sum(data)?;
+        self.scale_to_mean(data);
+        Ok(())
+    }
+
+    /// The multiply that turns a finished sum into the mean.
+    pub(crate) fn scale_to_mean(&self, data: &mut [f32]) {
         let inv = 1.0 / self.size as f32;
         for x in data.iter_mut() {
             *x *= inv;
         }
-        Ok(())
     }
 
-    /// In-place sum-allreduce using the ring algorithm.
+    /// In-place sum-allreduce. Small payloads take one exchange, large
+    /// ones the hop-by-hop ring (see the `ring` module); both produce
+    /// [`crate::ring_allreduce`]'s bits.
     pub fn allreduce_sum(&mut self, data: &mut [f32]) -> Result<(), CommError> {
-        crate::ring::ring_allreduce(self, data)
+        if crate::ring::exchange_fits(self.size, data.len()) {
+            crate::ring::exchange_allreduce(self, data)
+        } else {
+            crate::ring::ring_allreduce(self, data)
+        }
     }
 
     /// Binomial-tree broadcast from `root`, the `MPI_Bcast` pattern used by
@@ -318,25 +539,18 @@ impl Communicator {
         // sends to it.
         let mut received = vrank == 0;
         let mut mask = 1usize;
-        let mut step: u32 = 0;
+        let mut step = 0;
         while mask < n {
             if !received && vrank < mask * 2 && vrank >= mask {
                 let vparent = vrank - mask;
                 let parent = (vparent + root) % n;
-                let payload = self.recv(parent, step)?;
-                if payload.len() != data.len() {
-                    return Err(CommError::SizeMismatch {
-                        expected: data.len(),
-                        actual: payload.len(),
-                    });
-                }
-                data.copy_from_slice(&payload);
+                self.recv_with(parent, self.tag(step), |payload| copy_from(data, payload))??;
                 received = true;
             } else if received && vrank < mask {
                 let vchild = vrank + mask;
                 if vchild < n {
                     let child = (vchild + root) % n;
-                    self.send(child, step, data.to_vec())?;
+                    self.post(child, self.tag(step), data)?;
                 }
             }
             mask *= 2;
@@ -364,16 +578,13 @@ impl Communicator {
         for s in 0..n - 1 {
             let send_owner = (self.rank + n - s) % n;
             let recv_owner = (self.rank + n - s - 1) % n;
-            let payload = out[send_owner * seg..(send_owner + 1) * seg].to_vec();
-            self.send(next, s as u32, payload)?;
-            let received = self.recv(prev, s as u32)?;
-            if received.len() != seg {
-                return Err(CommError::SizeMismatch {
-                    expected: seg,
-                    actual: received.len(),
-                });
-            }
-            out[recv_owner * seg..(recv_owner + 1) * seg].copy_from_slice(&received);
+            self.post(
+                next,
+                self.tag(s),
+                &out[send_owner * seg..(send_owner + 1) * seg],
+            )?;
+            let into = &mut out[recv_owner * seg..(recv_owner + 1) * seg];
+            self.recv_with(prev, self.tag(s), |received| copy_from(into, received))??;
         }
         Ok(out)
     }
@@ -387,6 +598,35 @@ impl Communicator {
         self.stats.broadcast_calls += 1;
         self.stats.broadcast_elements += elements as u64;
     }
+}
+
+/// Fails with [`CommError::SizeMismatch`] unless `incoming` is as long as
+/// the buffer a collective is about to combine it with.
+pub(crate) fn same_len(expected: usize, incoming: &[f32]) -> Result<(), CommError> {
+    if incoming.len() == expected {
+        Ok(())
+    } else {
+        Err(CommError::SizeMismatch {
+            expected,
+            actual: incoming.len(),
+        })
+    }
+}
+
+/// `into = incoming`, sizes checked.
+pub(crate) fn copy_from(into: &mut [f32], incoming: &[f32]) -> Result<(), CommError> {
+    same_len(into.len(), incoming)?;
+    into.copy_from_slice(incoming);
+    Ok(())
+}
+
+/// `into += incoming` element by element, sizes checked.
+pub(crate) fn add_from(into: &mut [f32], incoming: &[f32]) -> Result<(), CommError> {
+    same_len(into.len(), incoming)?;
+    for (d, &x) in into.iter_mut().zip(incoming) {
+        *d += x;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -633,12 +873,11 @@ mod tests {
 
     /// The shrink race: a fast survivor completes the liveness vote,
     /// shrinks, and races into its first post-shrink collective while a
-    /// slow survivor is still draining vote messages — which buffers the
-    /// early arrival into `pending`. The slow survivor's own `shrink`
-    /// must preserve it (it carries a future op id and the sender's new
-    /// rank); clearing it would strand the slow rank waiting the full
-    /// peer timeout for a message that was already delivered. Scripted
-    /// deterministically, single-threaded, via the raw send/recv layer.
+    /// slow survivor is still draining vote messages. The early message
+    /// waits in the fast survivor's own lane, behind its vote, so the slow
+    /// survivor finds it after shrinking; whatever the victim left in
+    /// *its* lane goes with the route. Scripted deterministically,
+    /// single-threaded, via the raw post/recv layer.
     #[test]
     fn shrink_preserves_early_post_shrink_messages() {
         let mut world = Communicator::world_with_timeout(3, Duration::from_millis(200));
@@ -646,42 +885,118 @@ mod tests {
         let mut c1 = world.pop().unwrap(); // victim
         let mut c0 = world.pop().unwrap(); // fast survivor
         let alive = [true, false, true];
+        let take = |c: &mut Communicator, src: usize| {
+            let tag = c.tag(0);
+            c.recv_with(src, tag, |p| p.to_vec())
+        };
 
         // Vote "allgather", one op, scripted so the victim's vote reaches
         // the slow survivor LAST.
         c0.next_op();
         c1.next_op();
         c2.next_op();
-        c1.send(0, 0, vec![0.0]).unwrap(); // victim's vote to fast survivor
-        c2.send(0, 0, vec![1.0]).unwrap();
-        c0.send(1, 0, vec![1.0]).unwrap();
-        c0.send(2, 0, vec![1.0]).unwrap();
-        c0.recv(1, 0).unwrap();
-        c0.recv(2, 0).unwrap();
+        c1.post(0, c1.tag(0), &[0.0]).unwrap(); // victim's vote to fast survivor
+        c2.post(0, c2.tag(0), &[1.0]).unwrap();
+        c0.post(1, c0.tag(0), &[1.0]).unwrap();
+        c0.post(2, c0.tag(0), &[1.0]).unwrap();
+        take(&mut c0, 1).unwrap();
+        take(&mut c0, 2).unwrap();
 
         // The fast survivor completes the vote, shrinks, and immediately
-        // starts a post-shrink collective: its segment lands in the slow
-        // survivor's mailbox *before* the victim's vote does.
+        // starts a post-shrink collective: its segment is posted to the
+        // slow survivor *before* the victim's vote is.
         let mut fast = c0.shrink(&alive).unwrap();
         assert_eq!(fast.rank(), 0);
         fast.next_op();
-        fast.send(1, 0, vec![42.0]).unwrap();
-        c1.send(2, 0, vec![0.0]).unwrap(); // victim's vote, late
+        fast.post(1, fast.tag(0), &[42.0]).unwrap();
+        c1.post(2, c1.tag(0), &[0.0]).unwrap(); // victim's vote, late
+        c1.post(2, c1.tag(1), &[-1.0]).unwrap(); // and residue nobody reads
         drop(c1); // the victim is gone
 
-        // Draining the vote forces the slow survivor to buffer the
-        // post-shrink segment into `pending` (it matches neither source).
-        c2.recv(0, 0).unwrap();
-        assert_eq!(c2.recv(1, 0).unwrap(), vec![0.0]);
+        // The slow survivor drains the vote: the fast survivor's vote is
+        // ahead of its post-shrink segment, and the victim's vote is
+        // delivered although the victim has left.
+        assert_eq!(take(&mut c2, 0).unwrap(), vec![1.0]);
+        assert_eq!(take(&mut c2, 1).unwrap(), vec![0.0]);
 
-        // Shrink must carry the buffered future-op message across.
+        // After the shrink the early message is the next one in its lane.
         let mut slow = c2.shrink(&alive).unwrap();
         assert_eq!(slow.rank(), 1);
         slow.next_op();
         assert_eq!(
-            slow.recv(0, 0).expect("early post-shrink message was lost"),
+            take(&mut slow, 0).expect("early post-shrink message was lost"),
             vec![42.0]
         );
+    }
+
+    /// The lane is bounded: a sender `LANE_SLOTS` messages ahead of a
+    /// receiver that never takes them fails typed within the timeout.
+    #[test]
+    fn full_lane_times_out_typed() {
+        let mut world = Communicator::world_with_timeout(2, Duration::from_millis(50));
+        let _silent = world.pop().unwrap();
+        let mut c0 = world.pop().unwrap();
+        c0.next_op();
+        for step in 0..LANE_SLOTS {
+            c0.post(1, c0.tag(step), &[step as f32]).unwrap();
+        }
+        let err = c0.post(1, c0.tag(LANE_SLOTS), &[0.0]).unwrap_err();
+        assert_eq!(err, CommError::PeerLost { rank: 1 });
+    }
+
+    /// What a message's tag says about the sender: an older one is
+    /// residue and skipped, a newer one means the awaited message will
+    /// never come.
+    #[test]
+    fn stale_messages_are_skipped_and_a_sender_ahead_is_lost() {
+        let mut world = Communicator::world_with_timeout(2, Duration::from_millis(50));
+        let mut c1 = world.pop().unwrap();
+        let mut c0 = world.pop().unwrap();
+        c0.next_op();
+        c0.post(1, c0.tag(0), &[1.0]).unwrap(); // op 1: c1 never reads it
+        c0.next_op();
+        c0.post(1, c0.tag(0), &[2.0]).unwrap();
+        c1.next_op();
+        c1.next_op();
+        assert_eq!(c1.recv_with(0, c1.tag(0), |p| p[0]).unwrap(), 2.0);
+        c0.next_op();
+        c0.next_op();
+        c0.post(1, c0.tag(0), &[4.0]).unwrap(); // op 4 while c1 expects op 3
+        c1.next_op();
+        let err = c1.recv_with(0, c1.tag(0), |p| p[0]).unwrap_err();
+        assert_eq!(err, CommError::PeerLost { rank: 0 });
+    }
+
+    /// A rank that drops its endpoint is noticed at once — default
+    /// two-minute timeout, sub-second failure — and the rank that leaves
+    /// on that error is noticed by the one waiting on *it*.
+    #[test]
+    fn dead_rank_fails_survivors_at_once_and_cascades() {
+        let world = Communicator::world(3);
+        let start = std::time::Instant::now();
+        let results: Vec<Result<(), CommError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = world
+                .into_iter()
+                .map(|mut comm| {
+                    scope.spawn(move || {
+                        if comm.rank() == 1 {
+                            return Ok(()); // returns before the collective
+                        }
+                        // Rank 0 waits on rank 2, rank 2 on rank 1: rank 2
+                        // fails first and its exit is what fails rank 0.
+                        crate::ring_allreduce(&mut comm, &mut [1.0f32; 64])
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        assert_eq!(results[0], Err(CommError::PeerLost { rank: 2 }));
+        assert_eq!(results[2], Err(CommError::PeerLost { rank: 1 }));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! ablation benchmark; the analytic counterpart lives in
 //! `cluster::comm`.
 
-use crate::comm::Communicator;
-use crate::ring::ring_allreduce;
+use crate::comm::{add_from, copy_from, Communicator};
+use crate::ring::{ring_allreduce, ring_over};
 use crate::CommError;
 
 /// In-place **sum** allreduce using the two-level algorithm with
@@ -45,105 +45,31 @@ pub fn hierarchical_allreduce(
     // Level 1 — intra-node reduce to the leader.
     if local == 0 {
         for member in 1..node_size {
-            let incoming = comm.recv(leader + member, member as u32)?;
-            if incoming.len() != data.len() {
-                return Err(CommError::SizeMismatch {
-                    expected: data.len(),
-                    actual: incoming.len(),
-                });
-            }
-            for (d, &x) in data.iter_mut().zip(&incoming) {
-                *d += x;
-            }
+            comm.recv_with(leader + member, comm.tag(member), |incoming| {
+                add_from(data, incoming)
+            })??;
         }
     } else {
-        comm.send(leader, local as u32, data.to_vec())?;
+        comm.post(leader, comm.tag(local), data)?;
     }
 
-    // Level 2 — ring allreduce among leaders only. Non-leaders must still
-    // advance their op counter to stay aligned with the leaders' extra
-    // collective.
+    // Level 2 — the ring among the node leaders (ranks `0, g, 2g, …`), as
+    // an operation of its own. Non-leaders open it too, so that every
+    // rank's operation counter stays aligned.
+    comm.next_op();
     if local == 0 {
-        leaders_ring(comm, data, per_node)?;
-    } else {
-        comm.next_op();
+        ring_over(comm, data, n.div_ceil(per_node), node, |i| i * per_node)?;
     }
 
     // Level 3 — intra-node broadcast of the result.
     if local == 0 {
         for member in 1..node_size {
-            comm.send(leader + member, (per_node + member) as u32, data.to_vec())?;
+            comm.post(leader + member, comm.tag(per_node + member), data)?;
         }
     } else {
-        let incoming = comm.recv(leader, (per_node + local) as u32)?;
-        if incoming.len() != data.len() {
-            return Err(CommError::SizeMismatch {
-                expected: data.len(),
-                actual: incoming.len(),
-            });
-        }
-        data.copy_from_slice(&incoming);
-    }
-    Ok(())
-}
-
-/// Ring allreduce over the node leaders (ranks `0, g, 2g, …`), expressed
-/// directly over the mailboxes since the leader set is a strided subgroup.
-fn leaders_ring(
-    comm: &mut Communicator,
-    data: &mut [f32],
-    per_node: usize,
-) -> Result<(), CommError> {
-    comm.next_op();
-    let n = comm.size();
-    let nodes = n.div_ceil(per_node);
-    if nodes == 1 {
-        return Ok(());
-    }
-    let my_node = comm.rank() / per_node;
-    let next = ((my_node + 1) % nodes) * per_node;
-    let prev = ((my_node + nodes - 1) % nodes) * per_node;
-    let len = data.len();
-    let seg = |i: usize| -> (usize, usize) {
-        let base = len / nodes;
-        let extra = len % nodes;
-        let start = i * base + i.min(extra);
-        (start, start + base + usize::from(i < extra))
-    };
-    // Reduce-scatter among leaders.
-    for step in 0..nodes - 1 {
-        let send_seg = (my_node + nodes - step) % nodes;
-        let recv_seg = (my_node + nodes - step - 1) % nodes;
-        let (ss, se) = seg(send_seg);
-        comm.send(next, step as u32, data[ss..se].to_vec())?;
-        let incoming = comm.recv(prev, step as u32)?;
-        let (rs, re) = seg(recv_seg);
-        if incoming.len() != re - rs {
-            return Err(CommError::SizeMismatch {
-                expected: re - rs,
-                actual: incoming.len(),
-            });
-        }
-        for (d, &x) in data[rs..re].iter_mut().zip(&incoming) {
-            *d += x;
-        }
-    }
-    // Allgather among leaders.
-    for step in 0..nodes - 1 {
-        let send_seg = (my_node + 1 + nodes - step) % nodes;
-        let recv_seg = (my_node + nodes - step) % nodes;
-        let (ss, se) = seg(send_seg);
-        let tag = (nodes - 1 + step) as u32;
-        comm.send(next, tag, data[ss..se].to_vec())?;
-        let incoming = comm.recv(prev, tag)?;
-        let (rs, re) = seg(recv_seg);
-        if incoming.len() != re - rs {
-            return Err(CommError::SizeMismatch {
-                expected: re - rs,
-                actual: incoming.len(),
-            });
-        }
-        data[rs..re].copy_from_slice(&incoming);
+        comm.recv_with(leader, comm.tag(per_node + local), |incoming| {
+            copy_from(data, incoming)
+        })??;
     }
     Ok(())
 }
@@ -235,6 +161,34 @@ mod tests {
             assert_eq!(b, 2.0); // root 2's value
             assert_eq!(c, 6.0); // 1.0 × 6 ranks
         }
+    }
+
+    /// The two-level result is pinned to the bits it had when the leaders'
+    /// ring was a hand-written copy of the flat one: full and partial
+    /// trailing nodes, uneven segments, order-sensitive inputs.
+    #[test]
+    fn result_bits_are_pinned() {
+        use xrng::RandomSource;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (n, per_node, len) in [
+            (6usize, 3usize, 64usize),
+            (7, 3, 48),
+            (8, 4, 1000),
+            (5, 2, 17),
+        ] {
+            let results = run_workers(n, move |comm| {
+                let mut rng = xrng::seeded(xrng::derive_seed(77, comm.rank() as u64));
+                let mut data: Vec<f32> = (0..len)
+                    .map(|_| (rng.next_f32() - 0.5) * 10f32.powi((rng.next_f32() * 8.0) as i32 - 4))
+                    .collect();
+                hierarchical_allreduce(comm, &mut data, per_node).unwrap();
+                data
+            });
+            for x in results.iter().flatten() {
+                hash = (hash ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0x265b_98ec_008b_e813, "{hash:#x}");
     }
 
     #[test]

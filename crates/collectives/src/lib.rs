@@ -7,6 +7,10 @@
 //!
 //! * [`ring_allreduce`] — the bandwidth-optimal ring algorithm NCCL uses
 //!   (reduce-scatter + allgather, `2(n−1)/n` data volume per rank);
+//! * [`exchange_allreduce`] — the same sum, bit for bit, in one exchange
+//!   instead of `2(n−1)` rounds: what [`Communicator::allreduce_sum`]
+//!   takes while the payload is small enough for latency to dominate, as
+//!   NCCL switches protocol by message size;
 //! * [`naive_allreduce`] — reduce-to-root + broadcast, kept as the ablation
 //!   baseline;
 //! * [`Communicator::broadcast`] — binomial-tree broadcast, as
@@ -17,17 +21,24 @@
 //! * [`DistributedOptimizer`] — implements `dlframe::GradientSync` by
 //!   averaging gradients across all ranks after every batch step, exactly
 //!   where Horovod splices its allreduce;
-//! * [`AsyncBucketedOptimizer`] — the overlapped variant: per-bucket ring
-//!   allreduce on a dedicated comm worker while backward is still
-//!   computing, Horovod's layer-by-layer fused allreduce (see
+//! * [`AsyncBucketedOptimizer`] — the overlapped variant of the same
+//!   engine: each bucket is posted to the peers the moment backward
+//!   completes it and folded on the rank's own thread once they have
+//!   posted theirs, Horovod's layer-by-layer fused allreduce (see
 //!   `overlap` module docs for the bit-identity contract);
 //! * [`Timeline`] — an event recorder that writes Chrome-trace JSON, the
 //!   same format as the Horovod timeline shown in the paper's Figures 7,
 //!   12, and 19.
 //!
-//! The transport is in-process (threads + channels) rather than MPI, but
-//! the communication *pattern* — who sends what to whom and in what order —
-//! matches the real systems, which is what the paper's analysis depends on.
+//! The transport is in-process rather than MPI — one bounded FIFO of
+//! recycled slot buffers per ordered pair of ranks, read in place by the
+//! receiving collective (`comm` module docs) — but the communication
+//! *pattern* — who sends what to whom and in what order — matches the real
+//! systems, which is what the paper's analysis depends on. Every
+//! collective reaches the wire through `post`, `recv_with` (`peek_with` +
+//! `release`) and `alive` only; a second backend is a `trait` over those
+//! away. Nothing on the gradient-sync path allocates after its first step
+//! (`tests/alloc_sync.rs`).
 
 mod comm;
 mod fusion;
@@ -43,7 +54,7 @@ pub use fusion::{FusionPlan, DEFAULT_FUSION_THRESHOLD_BYTES};
 pub use hierarchical::hierarchical_allreduce;
 pub use optimizer::DistributedOptimizer;
 pub use overlap::{AsyncBucketedOptimizer, OverlapStats};
-pub use ring::{naive_allreduce, ring_allreduce};
+pub use ring::{exchange_allreduce, naive_allreduce, ring_allreduce};
 pub use timeline::{Timeline, TimelineEvent};
 pub use world::{broadcast_parameters, run_workers, run_workers_owned};
 

@@ -5,16 +5,21 @@
 //! gradient is applied. In `dlframe` the splice point is the
 //! [`dlframe::GradientSync`] trait; this type implements it over a
 //! [`Communicator`], optionally recording each allreduce to a [`Timeline`].
+//! It is the bucketed engine of the `overlap` module with nothing to
+//! overlap: one bucket — or a fusion plan's groups — posted and folded
+//! inside `sync_gradients`.
 
 use crate::comm::Communicator;
 use crate::fusion::FusionPlan;
+use crate::overlap::Engine;
 use crate::timeline::Timeline;
+use crate::CommError;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Averages gradients across all ranks after every batch step.
 pub struct DistributedOptimizer {
-    comm: Communicator,
-    timeline: Option<(Timeline, Instant)>,
+    engine: Engine,
     fusion: Option<FusionPlan>,
 }
 
@@ -22,8 +27,7 @@ impl DistributedOptimizer {
     /// Wraps a communicator endpoint.
     pub fn new(comm: Communicator) -> Self {
         Self {
-            comm,
-            timeline: None,
+            engine: Engine::new(comm),
             fusion: None,
         }
     }
@@ -31,7 +35,12 @@ impl DistributedOptimizer {
     /// Enables timeline recording; `origin` anchors timestamps so all ranks
     /// share a time base.
     pub fn with_timeline(mut self, timeline: Timeline, origin: Instant) -> Self {
-        self.timeline = Some((timeline, origin));
+        self.engine.record_spans(
+            timeline,
+            origin,
+            Some("negotiate_allreduce"),
+            vec![Arc::from("nccl_allreduce")],
+        );
         self
     }
 
@@ -46,44 +55,41 @@ impl DistributedOptimizer {
 
     /// The wrapped communicator (e.g. to read [`crate::CommStats`]).
     pub fn comm(&self) -> &Communicator {
-        &self.comm
+        &self.engine.comm
     }
 
     /// Mutable access to the wrapped communicator (for broadcast of initial
     /// weights).
     pub fn comm_mut(&mut self) -> &mut Communicator {
-        &mut self.comm
+        &mut self.engine.comm
     }
+}
 
-    fn allreduce_span(&mut self, data: &mut [f32]) {
-        let start = self.timeline.as_ref().map(|(_, o)| (Instant::now(), *o));
-        self.comm
-            .allreduce_mean(data)
-            .expect("allreduce failed: a worker died mid-collective");
-        if let (Some((tl, _)), Some((t0, origin))) = (&self.timeline, start) {
-            let start_us = t0.duration_since(origin).as_micros() as u64;
-            let dur_us = t0.elapsed().as_micros() as u64;
-            tl.record("negotiate_allreduce", self.comm.rank(), start_us, 0);
-            tl.record("nccl_allreduce", self.comm.rank(), start_us, dur_us.max(1));
+impl DistributedOptimizer {
+    /// Posts every group, then folds them all: one wait per step however
+    /// many groups the plan has.
+    fn sync(&mut self, flat: &mut [f32]) -> Result<(), CommError> {
+        match &self.fusion {
+            None => self.engine.submit(0, 0, flat.len(), flat)?,
+            // Group boundaries are contiguous element ranges over the
+            // flat layout (groups preserve tensor order).
+            Some(plan) => {
+                let mut offset = 0;
+                for (idx, &elems) in plan.group_elements().iter().enumerate() {
+                    let end = (offset + elems).min(flat.len());
+                    self.engine.submit(idx, offset, end, flat)?;
+                    offset = end;
+                }
+            }
         }
+        self.engine.drain(flat)
     }
 }
 
 impl dlframe::GradientSync for DistributedOptimizer {
     fn sync_gradients(&mut self, flat: &mut [f32]) {
-        match self.fusion.clone() {
-            None => self.allreduce_span(flat),
-            Some(plan) => {
-                // Group boundaries are contiguous element ranges over the
-                // flat layout (groups preserve tensor order).
-                let mut offset = 0;
-                for &elems in plan.group_elements() {
-                    let end = (offset + elems).min(flat.len());
-                    self.allreduce_span(&mut flat[offset..end]);
-                    offset = end;
-                }
-            }
-        }
+        self.sync(flat)
+            .expect("allreduce failed: a worker died mid-collective");
     }
 }
 

@@ -1,23 +1,26 @@
-//! Async bucketed allreduce — hiding gradient communication under
-//! backward compute.
+//! The bucketed gradient-sync engine — hiding gradient communication
+//! under backward compute, without a communication thread.
 //!
-//! The blocking [`crate::DistributedOptimizer`] averages the whole flat
-//! gradient *after* backprop finishes, so communication is pure added
-//! wall-clock — the scalability killer Shi et al. identify and the thing
-//! Horovod fixes with layer-by-layer fused allreduce. This module is that
-//! fix: [`AsyncBucketedOptimizer`] implements the streaming
-//! [`dlframe::GradientSync`] protocol (`begin_step` / `region_ready` /
-//! `finish_step`). As each layer's backward pass completes, its gradient
-//! region is copied into the current bucket (geometry from a
-//! [`FusionPlan`] in readiness order); full buckets are enqueued onto a
-//! dedicated comm worker — a one-thread [`parx::WorkerPool`] owning the
-//! rank's [`Communicator`] — which runs `allreduce_mean` per bucket while
-//! earlier layers are still computing. `finish_step` is the deterministic
-//! completion barrier: it waits for every in-flight bucket and writes the
-//! averaged values back, so the optimizer step sees exactly the same
-//! numbers as a blocking reduction over the same bucket boundaries.
+//! Averaging the whole flat gradient *after* backprop finishes makes
+//! communication pure added wall-clock — the scalability killer Shi et al.
+//! identify and the thing Horovod fixes with layer-by-layer fused
+//! allreduce. [`AsyncBucketedOptimizer`] is that fix: it implements the
+//! streaming [`dlframe::GradientSync`] protocol (`begin_step` /
+//! `region_ready` / `finish_step`). As each layer's backward pass
+//! completes, its gradient region is staged; every bucket the region
+//! completes (geometry from a [`FusionPlan`] in readiness order) is
+//! *posted* to the peers at once, and every bucket all peers have already
+//! posted is *folded* — reduced straight out of their slots — on the way.
+//! `finish_step` folds the rest: the one place a step waits for its peers
+//! (posting waits only for a peer a lane's worth of buckets behind). The
+//! rank's own thread does all of it: while every core belongs to some
+//! rank's kernels, a comm thread has no core of its own and only adds a
+//! wake-up to each bucket.
 //!
-//! **Bit-identity contract.** Ring allreduce's per-element summation order
+//! [`crate::DistributedOptimizer`] is the same [`Engine`] with one bucket
+//! (or a fusion plan's groups) posted and folded inside `sync_gradients`.
+//!
+//! **Bit-identity contract.** An allreduce's per-element summation order
 //! depends on segment boundaries, so "same boundaries" is a precondition
 //! for bit-identical weights. [`FusionPlan::for_model`] buckets tile the
 //! flat layout top-down (readiness order); the blocking comparator must
@@ -25,45 +28,33 @@
 //! threshold a small model gets one bucket, which matches the unfused
 //! blocking path as well.
 //!
-//! **Failure semantics.** If a peer dies mid-epoch, the comm worker's
-//! allreduce returns a typed [`CommError`] within the communicator's
-//! peer timeout; the worker then drains every remaining queued bucket
-//! with the same error (never hangs), and `finish_step` panics with the
-//! typed message after receiving all in-flight results — mirroring the
-//! blocking optimizer's behaviour. [`AsyncBucketedOptimizer::shutdown`]
-//! returns the quiesced `Communicator`, so a survivor can
-//! [`Communicator::shrink`] and rebuild an optimizer on the smaller
-//! world at an epoch boundary.
+//! **Failure semantics.** If a peer dies mid-epoch, the post or fold that
+//! needed it returns a typed [`CommError`] — at once if the peer dropped
+//! its endpoint, within the peer timeout if it is merely silent. The
+//! engine then answers every later bucket with the same error instead of
+//! touching the wire again (it drains, never hangs), and `finish_step`
+//! panics with the typed message — mirroring the blocking optimizer's
+//! behaviour. [`AsyncBucketedOptimizer::shutdown`] returns the quiesced
+//! `Communicator`, so a survivor can [`Communicator::shrink`] and rebuild
+//! an optimizer on the smaller world at an epoch boundary.
 
-use crate::comm::Communicator;
+use crate::comm::{Communicator, LANE_SLOTS};
 use crate::fusion::FusionPlan;
+use crate::ring::{exchange_fits, exchange_fold, exchange_post, exchange_ready, ring_allreduce};
 use crate::timeline::Timeline;
 use crate::CommError;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Extra slack on top of the communicator's peer timeout before the
-/// completion barrier declares the comm worker lost.
-const BARRIER_MARGIN: Duration = Duration::from_secs(5);
-
-enum Job {
-    Bucket { idx: usize, data: Vec<f32> },
-}
-
-struct WorkerReport {
-    comm: Communicator,
-    comm_busy: Duration,
-}
 
 /// Aggregate counters of one overlapped training run (per rank).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OverlapStats {
-    /// Total wall-clock the comm worker spent inside allreduce calls.
+    /// Total wall-clock the rank spent communicating: posting buckets,
+    /// folding them, and waiting for peers.
     pub comm_busy: Duration,
-    /// Total wall-clock `finish_step` spent blocked on in-flight buckets —
-    /// the communication that backward compute failed to hide.
+    /// The part of it spent inside `finish_step`, after backward compute
+    /// had nothing left to hide it under.
     pub exposed: Duration,
     /// Buckets dispatched.
     pub buckets: u64,
@@ -85,41 +76,210 @@ impl OverlapStats {
     }
 }
 
-/// [`dlframe::GradientSync`] implementation that overlaps per-bucket ring
+/// Where an engine records one span per reduced bucket.
+struct SpanLane {
+    timeline: Timeline,
+    origin: Instant,
+    /// Horovod's zero-length negotiation marker ahead of each span.
+    negotiate: Option<Arc<str>>,
+    /// Span name per bucket; the last one serves every later bucket.
+    reduce: Vec<Arc<str>>,
+    /// Buckets are reduced one after another; a span never starts before
+    /// the previous one ended, whatever microsecond truncation says.
+    last_end_us: u64,
+}
+
+/// A bucket that has been posted and not yet folded.
+struct Open {
+    idx: usize,
+    lo: usize,
+    hi: usize,
+    tag: u64,
+    posted_at: Instant,
+}
+
+/// Mean-allreduce of a sequence of buckets of one buffer, each posted as
+/// soon as it is submitted and folded later, in order.
+pub(crate) struct Engine {
+    pub(crate) comm: Communicator,
+    open: VecDeque<Open>,
+    /// The first failure; every later call answers with it.
+    failed: Option<CommError>,
+    spans: Option<SpanLane>,
+    comm_busy: Duration,
+}
+
+impl Engine {
+    pub(crate) fn new(comm: Communicator) -> Self {
+        Self {
+            comm,
+            open: VecDeque::with_capacity(LANE_SLOTS),
+            failed: None,
+            spans: None,
+            comm_busy: Duration::ZERO,
+        }
+    }
+
+    /// Records a span named `reduce[idx]` (the last name for any `idx`
+    /// past the end) per bucket, preceded by a zero-length `negotiate`
+    /// marker if one is given.
+    pub(crate) fn record_spans(
+        &mut self,
+        timeline: Timeline,
+        origin: Instant,
+        negotiate: Option<&str>,
+        reduce: Vec<Arc<str>>,
+    ) {
+        assert!(!reduce.is_empty(), "a span lane needs a name");
+        self.spans = Some(SpanLane {
+            timeline,
+            origin,
+            negotiate: negotiate.map(Arc::from),
+            reduce,
+            last_end_us: 0,
+        });
+    }
+
+    /// Starts the mean-allreduce of bucket `idx`, `buf[lo..hi]`. A bucket
+    /// small enough for one exchange is posted and left open — at most
+    /// [`LANE_SLOTS`] of them, the oldest is folded first if need be; a
+    /// larger one runs the ring to completion here, after everything
+    /// posted before it.
+    pub(crate) fn submit(
+        &mut self,
+        idx: usize,
+        lo: usize,
+        hi: usize,
+        buf: &mut [f32],
+    ) -> Result<(), CommError> {
+        self.guarded(|e, posted_at| {
+            if exchange_fits(e.comm.size(), hi - lo) {
+                if e.open.len() == LANE_SLOTS {
+                    e.fold_oldest(buf)?;
+                }
+                let tag = exchange_post(&mut e.comm, &buf[lo..hi])?;
+                e.open.push_back(Open {
+                    idx,
+                    lo,
+                    hi,
+                    tag,
+                    posted_at,
+                });
+            } else {
+                e.fold_all(buf)?;
+                ring_allreduce(&mut e.comm, &mut buf[lo..hi])?;
+                e.comm.scale_to_mean(&mut buf[lo..hi]);
+                e.record_span(idx, posted_at);
+            }
+            Ok(())
+        })
+    }
+
+    /// Folds every open bucket that would not have to wait for a peer.
+    pub(crate) fn fold_ready(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
+        self.guarded(|e, _| {
+            while !e.open.is_empty() && exchange_ready(&e.comm) {
+                e.fold_oldest(buf)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Folds every open bucket, waiting for peers as needed.
+    pub(crate) fn drain(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
+        self.guarded(|e, _| e.fold_all(buf))
+    }
+
+    /// Runs `work` on the clock (it is told when it started), unless an
+    /// earlier call failed; remembers the first failure and forgets the
+    /// buckets it strands.
+    fn guarded(
+        &mut self,
+        work: impl FnOnce(&mut Self, Instant) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let start = Instant::now();
+        let outcome = work(self, start);
+        self.comm_busy += start.elapsed();
+        if let Err(e) = &outcome {
+            self.failed = Some(e.clone());
+            self.open.clear();
+        }
+        outcome
+    }
+
+    fn fold_all(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
+        while !self.open.is_empty() {
+            self.fold_oldest(buf)?;
+        }
+        Ok(())
+    }
+
+    fn fold_oldest(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
+        let Open {
+            idx,
+            lo,
+            hi,
+            tag,
+            posted_at,
+        } = self.open.pop_front().expect("caller checked");
+        exchange_fold(&mut self.comm, tag, &mut buf[lo..hi])?;
+        self.comm.scale_to_mean(&mut buf[lo..hi]);
+        self.record_span(idx, posted_at);
+        Ok(())
+    }
+
+    /// One span from the bucket's post (or the end of the previous
+    /// bucket's span, whichever is later) to now.
+    fn record_span(&mut self, idx: usize, posted_at: Instant) {
+        let Some(lane) = &mut self.spans else { return };
+        let rank = self.comm.rank();
+        let since = |t: Instant| t.saturating_duration_since(lane.origin).as_micros() as u64;
+        let start_us = since(posted_at).max(lane.last_end_us);
+        let dur_us = since(Instant::now()).saturating_sub(start_us).max(1);
+        lane.last_end_us = start_us + dur_us;
+        if let Some(negotiate) = &lane.negotiate {
+            lane.timeline
+                .record(Arc::clone(negotiate), rank, start_us, 0);
+        }
+        let name = &lane.reduce[idx.min(lane.reduce.len() - 1)];
+        lane.timeline
+            .record(Arc::clone(name), rank, start_us, dur_us);
+    }
+}
+
+/// `{prefix}{i}` for `i` in `from..to`, built once so that recording a
+/// span shares the name instead of formatting it.
+fn span_names(prefix: &str, from: usize, to: usize) -> impl Iterator<Item = Arc<str>> + '_ {
+    (from..to).map(move |i| Arc::from(format!("{prefix}{i}")))
+}
+
+/// [`dlframe::GradientSync`] implementation that overlaps per-bucket
 /// allreduce with backward compute. See the module docs for the protocol
 /// and the bit-identity contract.
 pub struct AsyncBucketedOptimizer {
+    engine: Engine,
     /// Bucket element counts in readiness (reverse-layer) order.
     elems: Vec<usize>,
     /// Flat low offset of each bucket (buckets tile the layout top-down).
     lo: Vec<usize>,
-    total: usize,
-    // `job_tx` must drop before `pool`: closing the job channel is what
-    // lets the long-running comm task (and therefore the pool's Drop
-    // join) finish.
-    job_tx: Option<Sender<Job>>,
-    pool: parx::WorkerPool,
-    res_rx: Receiver<(usize, Result<Vec<f32>, CommError>)>,
-    report_rx: Receiver<WorkerReport>,
-    /// Recycled bucket staging buffers (no steady-state allocation).
-    spare: Vec<Vec<f32>>,
+    /// This step's gradient, region by region, then bucket by bucket its
+    /// mean.
+    stage: Vec<f32>,
     // Per-step fill state.
     cur: usize,
-    filled: usize,
     cursor: usize,
-    buf: Vec<f32>,
-    in_flight: usize,
     region_seq: usize,
     last_mark: Instant,
     /// Region sequence number whose `region_ready` completed each bucket
     /// (identical every step; the producing layer span of bucket `b` is
     /// `backward_layer_{producers[b]}`).
     producers: Vec<usize>,
-    timeline: Option<(Timeline, Instant)>,
-    shared_timeline: Arc<Mutex<Option<(Timeline, Instant)>>>,
-    rank: usize,
-    size: usize,
-    peer_timeout: Duration,
+    /// Timeline, its origin, and `backward_layer_{seq}` for every region
+    /// sequence number seen so far.
+    layer_spans: Option<(Timeline, Instant, Vec<Arc<str>>)>,
     exposed: Duration,
     buckets_sent: u64,
     steps: u64,
@@ -128,8 +288,7 @@ pub struct AsyncBucketedOptimizer {
 
 impl AsyncBucketedOptimizer {
     /// Wraps a communicator endpoint with bucket geometry from `plan`
-    /// (readiness order, e.g. [`FusionPlan::for_model`]), spawning the
-    /// dedicated comm worker immediately.
+    /// (readiness order, e.g. [`FusionPlan::for_model`]).
     pub fn new(comm: Communicator, plan: &FusionPlan) -> Self {
         let elems: Vec<usize> = plan.group_elements().to_vec();
         let total: usize = elems.iter().sum();
@@ -139,43 +298,17 @@ impl AsyncBucketedOptimizer {
             lo.push(hi - n);
             hi -= n;
         }
-        let rank = comm.rank();
-        let size = comm.size();
-        let peer_timeout = comm.peer_timeout();
-        let shared_timeline: Arc<Mutex<Option<(Timeline, Instant)>>> = Arc::default();
-        let (job_tx, job_rx) = unbounded::<Job>();
-        let (res_tx, res_rx) = unbounded();
-        let (report_tx, report_rx) = unbounded();
-        let pool = parx::WorkerPool::new(1);
-        {
-            let timeline = Arc::clone(&shared_timeline);
-            pool.submit(move || {
-                comm_worker_loop(comm, job_rx, res_tx, report_tx, timeline);
-            });
-        }
-        let producers = vec![0; elems.len()];
         Self {
+            engine: Engine::new(comm),
+            producers: vec![0; elems.len()],
             elems,
             lo,
-            total,
-            job_tx: Some(job_tx),
-            pool,
-            res_rx,
-            report_rx,
-            spare: Vec::new(),
+            stage: vec![0.0; total],
             cur: 0,
-            filled: 0,
             cursor: 0,
-            buf: Vec::new(),
-            in_flight: 0,
             region_seq: 0,
             last_mark: Instant::now(),
-            producers,
-            timeline: None,
-            shared_timeline,
-            rank,
-            size,
-            peer_timeout,
+            layer_spans: None,
             exposed: Duration::ZERO,
             buckets_sent: 0,
             steps: 0,
@@ -184,23 +317,26 @@ impl AsyncBucketedOptimizer {
     }
 
     /// Enables timeline recording; `origin` anchors timestamps so all
-    /// ranks share a time base. The main thread records
-    /// `backward_layer_{seq}` spans (one per streamed region); the comm
-    /// worker records `bucket_allreduce_{idx}` spans.
+    /// ranks share a time base. Each streamed region gets a
+    /// `backward_layer_{seq}` span; each bucket a `bucket_allreduce_{idx}`
+    /// span from its post to the end of its fold (buckets fold in order,
+    /// so the spans of one rank never overlap).
     pub fn with_timeline(mut self, timeline: Timeline, origin: Instant) -> Self {
-        *self.shared_timeline.lock() = Some((timeline.clone(), origin));
-        self.timeline = Some((timeline, origin));
+        let buckets = span_names("bucket_allreduce_", 0, self.elems.len().max(1)).collect();
+        self.engine
+            .record_spans(timeline.clone(), origin, None, buckets);
+        self.layer_spans = Some((timeline, origin, Vec::new()));
         self
     }
 
     /// This rank's id in the world the optimizer was built over.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.engine.comm.rank()
     }
 
     /// World size the optimizer was built over.
     pub fn size(&self) -> usize {
-        self.size
+        self.engine.comm.size()
     }
 
     /// Number of buckets per step.
@@ -223,123 +359,70 @@ impl AsyncBucketedOptimizer {
         &self.producers
     }
 
-    /// Quiesces the comm worker and returns the communicator plus the
-    /// run's [`OverlapStats`]. Must not be called with a step open.
-    pub fn shutdown(mut self) -> (Communicator, OverlapStats) {
-        self.job_tx.take();
-        self.pool.join();
-        let report = self
-            .report_rx
-            .recv()
-            .expect("comm worker must report on shutdown");
+    /// Returns the communicator plus the run's [`OverlapStats`]. Must not
+    /// be called with a step open.
+    pub fn shutdown(self) -> (Communicator, OverlapStats) {
         let stats = OverlapStats {
-            comm_busy: report.comm_busy,
+            comm_busy: self.engine.comm_busy,
             exposed: self.exposed,
             buckets: self.buckets_sent,
             steps: self.steps,
             elements: self.elements,
         };
-        (report.comm, stats)
+        (self.engine.comm, stats)
     }
 
-    /// A recycled buffer with room for `n` elements (or a fresh one).
-    fn take_spare(&mut self, n: usize) -> Vec<f32> {
-        let pos = self.spare.iter().position(|b| b.capacity() >= n);
-        let mut buf = match pos {
-            Some(i) => self.spare.swap_remove(i),
-            None => self.spare.pop().unwrap_or_default(),
-        };
-        buf.resize(n, 0.0);
-        buf
+    fn open_step(&mut self, param_count: usize) {
+        assert_eq!(
+            param_count,
+            self.stage.len(),
+            "fusion plan covers {} elements but the model has {param_count}",
+            self.stage.len()
+        );
+        assert!(self.engine.open.is_empty(), "previous step not finished");
+        self.cursor = param_count;
+        self.cur = 0;
+        self.region_seq = 0;
+        self.last_mark = Instant::now();
+        self.steps += 1;
     }
 
-    fn dispatch(&mut self, idx: usize, data: Vec<f32>) {
-        self.producers[idx] = self.region_seq;
-        self.buckets_sent += 1;
-        self.elements += data.len() as u64;
-        self.in_flight += 1;
-        let tx = self.job_tx.as_ref().expect("optimizer already shut down");
-        tx.send(Job::Bucket { idx, data })
-            .expect("comm worker exited early");
-    }
-}
-
-/// The long-running task owning this rank's communicator: one bucket
-/// allreduce per job, FIFO. After the first failure every remaining job
-/// (queued now or later) is answered with the same typed error instead of
-/// attempting a collective that would block on a dead peer — in-flight
-/// work drains, it never hangs.
-fn comm_worker_loop(
-    mut comm: Communicator,
-    job_rx: Receiver<Job>,
-    res_tx: Sender<(usize, Result<Vec<f32>, CommError>)>,
-    report_tx: Sender<WorkerReport>,
-    timeline: Arc<Mutex<Option<(Timeline, Instant)>>>,
-) {
-    let mut busy = Duration::ZERO;
-    let mut failed: Option<CommError> = None;
-    while let Ok(Job::Bucket { idx, mut data }) = job_rx.recv() {
-        let result = match &failed {
-            Some(e) => Err(e.clone()),
-            None => {
-                let t0 = Instant::now();
-                let r = comm.allreduce_mean(&mut data);
-                let dur = t0.elapsed();
-                busy += dur;
-                if let Some((tl, origin)) = timeline.lock().as_ref() {
-                    tl.record(
-                        format!("bucket_allreduce_{idx}"),
-                        comm.rank(),
-                        t0.duration_since(*origin).as_micros() as u64,
-                        (dur.as_micros() as u64).max(1),
-                    );
-                }
-                r
-            }
-        };
-        let msg = match result {
-            Ok(()) => (idx, Ok(data)),
-            Err(e) => {
-                failed = Some(e.clone());
-                (idx, Err(e))
-            }
-        };
-        if res_tx.send(msg).is_err() {
-            break;
+    /// Submits every bucket that lies wholly at or above flat offset
+    /// `filled_from` and has not been submitted yet. A failure is kept by
+    /// the engine and surfaces in `finish_step`.
+    fn submit_complete(&mut self, filled_from: usize, buf: &mut [f32]) {
+        while self.cur < self.elems.len() && self.lo[self.cur] >= filled_from {
+            let (b, lo, n) = (self.cur, self.lo[self.cur], self.elems[self.cur]);
+            self.producers[b] = self.region_seq;
+            self.buckets_sent += 1;
+            self.elements += n as u64;
+            let _ = self.engine.submit(b, lo, lo + n, buf);
+            self.cur += 1;
         }
     }
-    let _ = report_tx.send(WorkerReport {
-        comm,
-        comm_busy: busy,
-    });
+
+    /// Folds what is left and fails the step loudly if any bucket did.
+    fn close_step(&mut self, buf: &mut [f32]) {
+        let wait_start = Instant::now();
+        let outcome = self.engine.drain(buf);
+        self.exposed += wait_start.elapsed();
+        if let Err(e) = outcome {
+            panic!("allreduce failed: {e} (a worker died mid-collective)");
+        }
+    }
 }
 
 impl dlframe::GradientSync for AsyncBucketedOptimizer {
-    /// Blocking fallback: runs the whole flat gradient through the
-    /// streaming protocol as a single region and waits.
+    /// Blocking fallback: every bucket of `flat` is posted, then folded,
+    /// in place.
     fn sync_gradients(&mut self, flat: &mut [f32]) {
-        self.begin_step(flat.len());
-        let data = flat.to_vec();
-        self.region_ready(0, &data);
-        self.finish_step(flat);
+        self.open_step(flat.len());
+        self.submit_complete(0, flat);
+        self.close_step(flat);
     }
 
     fn begin_step(&mut self, param_count: usize) -> bool {
-        assert_eq!(
-            param_count, self.total,
-            "fusion plan covers {} elements but the model has {param_count}",
-            self.total
-        );
-        assert_eq!(self.in_flight, 0, "previous step not finished");
-        self.cursor = self.total;
-        self.cur = 0;
-        self.filled = 0;
-        self.region_seq = 0;
-        self.last_mark = Instant::now();
-        if let Some(&first) = self.elems.first() {
-            self.buf = self.take_spare(first);
-        }
-        self.steps += 1;
+        self.open_step(param_count);
         true
     }
 
@@ -349,41 +432,30 @@ impl dlframe::GradientSync for AsyncBucketedOptimizer {
             self.cursor,
             "regions must stream in descending contiguous flat order"
         );
-        if let Some((tl, origin)) = &self.timeline {
+        if let Some((tl, origin, names)) = &mut self.layer_spans {
+            if names.len() <= self.region_seq {
+                let known = names.len();
+                names.extend(span_names("backward_layer_", known, self.region_seq + 1));
+            }
             let now = Instant::now();
             let start_us = self.last_mark.duration_since(*origin).as_micros() as u64;
             let dur_us = now.duration_since(self.last_mark).as_micros() as u64;
             tl.record(
-                format!("backward_layer_{}", self.region_seq),
-                self.rank,
+                Arc::clone(&names[self.region_seq]),
+                self.engine.comm.rank(),
                 start_us,
                 dur_us.max(1),
             );
             self.last_mark = now;
         }
-        // Fill buckets from the region's tail: buckets tile the layout
-        // top-down and the current bucket always covers the highest
-        // unfilled offsets, so one region may complete several buckets.
-        let mut end = offset + grad.len();
-        while end > offset {
-            let b = self.cur;
-            let lo_b = self.lo[b];
-            let chunk_lo = lo_b.max(offset);
-            let n = end - chunk_lo;
-            self.buf[chunk_lo - lo_b..end - lo_b]
-                .copy_from_slice(&grad[chunk_lo - offset..end - offset]);
-            self.filled += n;
-            end = chunk_lo;
-            if self.filled == self.elems[b] {
-                let data = std::mem::take(&mut self.buf);
-                self.dispatch(b, data);
-                self.cur = b + 1;
-                self.filled = 0;
-                if self.cur < self.elems.len() {
-                    self.buf = self.take_spare(self.elems[self.cur]);
-                }
-            }
-        }
+        // Buckets tile the layout top-down and regions arrive top-down, so
+        // a bucket is complete once the regions reach down to its low end;
+        // one region may complete several.
+        let mut stage = std::mem::take(&mut self.stage);
+        stage[offset..self.cursor].copy_from_slice(grad);
+        self.submit_complete(offset, &mut stage);
+        let _ = self.engine.fold_ready(&mut stage);
+        self.stage = stage;
         self.cursor = offset;
         self.region_seq += 1;
     }
@@ -391,35 +463,14 @@ impl dlframe::GradientSync for AsyncBucketedOptimizer {
     fn finish_step(&mut self, flat: &mut [f32]) {
         assert_eq!(self.cursor, 0, "streamed regions must cover the layout");
         assert_eq!(
-            self.in_flight,
+            self.cur,
             self.elems.len(),
             "every bucket must have been dispatched before the barrier"
         );
-        let wait_start = Instant::now();
-        let mut first_err: Option<CommError> = None;
-        for _ in 0..self.in_flight {
-            match self.res_rx.recv_timeout(self.peer_timeout + BARRIER_MARGIN) {
-                Ok((idx, Ok(data))) => {
-                    let lo = self.lo[idx];
-                    flat[lo..lo + data.len()].copy_from_slice(&data);
-                    self.spare.push(data);
-                }
-                Ok((_, Err(e))) => {
-                    first_err.get_or_insert(e);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    panic!("bucketed allreduce barrier timed out waiting for the comm worker")
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("comm worker exited mid-step")
-                }
-            }
-        }
-        self.in_flight = 0;
-        self.exposed += wait_start.elapsed();
-        if let Some(e) = first_err {
-            panic!("allreduce failed: {e} (a worker died mid-collective)");
-        }
+        let mut stage = std::mem::take(&mut self.stage);
+        self.close_step(&mut stage);
+        flat.copy_from_slice(&stage);
+        self.stage = stage;
     }
 }
 
@@ -533,6 +584,47 @@ mod tests {
             for w in buckets.windows(2) {
                 assert!(w[0].start_us + w[0].dur_us <= w[1].start_us);
             }
+        }
+    }
+
+    /// More buckets than a lane has slots, one of them large enough to
+    /// take the ring: posting folds the oldest bucket to make room, the
+    /// ring bucket runs after everything posted before it, and the values
+    /// are the blocking optimizer's over the same boundaries.
+    #[test]
+    fn more_buckets_than_slots_and_a_ring_bucket_match_blocking() {
+        let mut sizes = vec![40usize; 2 * LANE_SLOTS + 3];
+        sizes[5] = 70_000; // 273 KiB: beyond one exchange at any world size
+        let total: usize = sizes.iter().sum();
+        let input = |rank: usize| -> Vec<f32> {
+            (0..total)
+                .map(|i| ((i * 7 + rank * 13) % 101) as f32 * 0.37 - 9.0)
+                .collect()
+        };
+        let streamed = run_workers(3, |comm| {
+            let plan = FusionPlan::plan(&sizes, 160);
+            let mut opt = AsyncBucketedOptimizer::new(comm_take(comm), &plan);
+            assert_eq!(opt.bucket_count(), sizes.len());
+            let grad = input(opt.rank());
+            let mut out = vec![0.0; total];
+            opt.begin_step(total);
+            opt.region_ready(total / 3, &grad[total / 3..]);
+            opt.region_ready(0, &grad[..total / 3]);
+            opt.finish_step(&mut out);
+            let (comm, stats) = opt.shutdown();
+            assert_eq!(stats.buckets, sizes.len() as u64);
+            assert_eq!(comm.stats().allreduce_calls, sizes.len() as u64);
+            out
+        });
+        let blocking = run_workers(3, |comm| {
+            let plan = FusionPlan::plan(&sizes, 160).reversed();
+            let mut opt = DistributedOptimizer::new(comm_take(comm)).with_fusion_plan(plan);
+            let mut flat = input(opt.comm().rank());
+            opt.sync_gradients(&mut flat);
+            flat
+        });
+        for (a, b) in streamed.iter().zip(&blocking) {
+            assert!(a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 

@@ -27,10 +27,31 @@ pub struct TimelineEvent {
     pub dur_us: u64,
 }
 
+/// A span as stored: the name is shared, so a recorder that built its
+/// names once (`Arc<str>`) appends without touching the allocator.
+#[derive(Debug)]
+struct Span {
+    name: Arc<str>,
+    rank: usize,
+    start_us: u64,
+    dur_us: u64,
+}
+
+impl Span {
+    fn event(&self) -> TimelineEvent {
+        TimelineEvent {
+            name: self.name.to_string(),
+            rank: self.rank,
+            start_us: self.start_us,
+            dur_us: self.dur_us,
+        }
+    }
+}
+
 /// A thread-safe event recorder shared by all ranks of a run.
 #[derive(Clone, Debug)]
 pub struct Timeline {
-    inner: Arc<Mutex<Vec<TimelineEvent>>>,
+    inner: Arc<Mutex<Vec<Span>>>,
 }
 
 impl Timeline {
@@ -41,9 +62,10 @@ impl Timeline {
         }
     }
 
-    /// Records one span.
-    pub fn record(&self, name: impl Into<String>, rank: usize, start_us: u64, dur_us: u64) {
-        self.inner.lock().push(TimelineEvent {
+    /// Records one span. A `&str` or `String` name is copied; an
+    /// `Arc<str>` is shared.
+    pub fn record(&self, name: impl Into<Arc<str>>, rank: usize, start_us: u64, dur_us: u64) {
+        self.inner.lock().push(Span {
             name: name.into(),
             rank,
             start_us,
@@ -53,7 +75,7 @@ impl Timeline {
 
     /// Returns a snapshot of all events, sorted by start time.
     pub fn events(&self) -> Vec<TimelineEvent> {
-        let mut v = self.inner.lock().clone();
+        let mut v: Vec<TimelineEvent> = self.inner.lock().iter().map(Span::event).collect();
         v.sort_by_key(|e| (e.start_us, e.rank));
         v
     }
@@ -69,7 +91,7 @@ impl Timeline {
             .lock()
             .iter()
             .filter(|e| e.rank == rank && e.name.starts_with(prefix))
-            .cloned()
+            .map(Span::event)
             .collect();
         v.sort_by_key(|e| e.start_us);
         v

@@ -4,7 +4,6 @@
 use crate::report::{format_table, pct, Experiment};
 use cluster::calib::{self, Bench};
 use cluster::{CommModel, Machine, NcclVersion};
-use std::time::Instant;
 
 /// Projection of the paper's planned NCCL 2.3.7 → 2.4.2 upgrade: NT3
 /// weak-scaling time per epoch with each release.
@@ -63,32 +62,45 @@ pub fn ablation_hierarchical_allreduce() -> Experiment {
 /// hierarchical on real threads — the live counterpart of the modelled
 /// ablations.
 pub fn ablation_collectives_measured() -> Experiment {
-    use collectives::{hierarchical_allreduce, naive_allreduce, ring_allreduce, run_workers};
-    let elements = 262_144; // 1 MB of f32
-    let workers = 6;
-    let time = |f: &(dyn Fn(&mut collectives::Communicator, &mut [f32]) + Sync)| -> f64 {
-        // Warm-up + 5 measured repetitions, mean wall time.
-        let reps = 5;
-        let start = Instant::now();
-        for _ in 0..reps {
-            run_workers(workers, |comm| {
-                let mut data = vec![comm.rank() as f32; elements];
-                f(comm, &mut data);
-                std::hint::black_box(data[0]);
-            });
-        }
-        start.elapsed().as_secs_f64() / reps as f64
+    use crate::overlap_table::{allreduce_call_seconds, Allreduce};
+    use collectives::{
+        exchange_allreduce, hierarchical_allreduce, naive_allreduce, ring_allreduce,
     };
-    let ring = time(&|c, d| ring_allreduce(c, d).expect("ring"));
-    let naive = time(&|c, d| naive_allreduce(c, d).expect("naive"));
-    let hier = time(&|c, d| hierarchical_allreduce(c, d, 3).expect("hier"));
-    let rows = vec![
-        vec!["ring (NCCL-style)".to_string(), format!("{:.2} ms", ring * 1e3)],
-        vec!["naive (reduce+bcast)".to_string(), format!("{:.2} ms", naive * 1e3)],
-        vec!["hierarchical (3/node)".to_string(), format!("{:.2} ms", hier * 1e3)],
+    let workers = 6;
+    // Two payloads, one on each side of the size at which `allreduce_sum`
+    // goes from one exchange to the ring: 16 KiB and 1 MB of f32.
+    let payloads = [4_096usize, 262_144];
+    // Mean wall time per call on rank 0 over 4 MB worth of calls.
+    let time = |algo: Allreduce, elements: usize| -> f64 {
+        let calls = (1_000_000 / elements).clamp(20, 200);
+        allreduce_call_seconds(workers, elements, calls, algo)
+    };
+    let algos: [(&str, Allreduce); 4] = [
+        ("ring (NCCL-style)", ring_allreduce),
+        ("one exchange", exchange_allreduce),
+        ("naive (reduce+bcast)", naive_allreduce),
+        ("hierarchical (3/node)", |c, d| {
+            hierarchical_allreduce(c, d, 3)
+        }),
     ];
-    let mut text = format_table(&["algorithm", "wall time (6 workers, 1 MB)"], &rows);
-    text.push_str("\n(measured on local threads; see the collective_algorithms bench for full sweeps)\n");
+    let rows: Vec<Vec<String>> = algos
+        .iter()
+        .map(|&(name, algo)| {
+            let mut row = vec![name.to_string()];
+            row.extend(
+                payloads
+                    .iter()
+                    .map(|&n| format!("{:.3} ms", time(algo, n) * 1e3)),
+            );
+            row
+        })
+        .collect();
+    let mut text = format_table(&["algorithm", "16 KiB / call", "1 MB / call"], &rows);
+    text.push_str(
+        "\n(6 workers on local threads; allreduce_sum takes one exchange up to 256 KiB of\n\
+         (n-1) x payload and the ring above; `bench_json overlap`, series sync_call_us, has\n\
+         the full sweep)\n",
+    );
     Experiment {
         id: "ablation_collectives",
         title: "Allreduce algorithms measured on simulated workers",

@@ -18,9 +18,16 @@ pub fn timed_asserts_enabled(quick: bool) -> bool {
 /// required before asserting that overlapped or multi-worker execution
 /// beats sequential execution.
 pub fn multicore_host() -> bool {
-    std::thread::available_parallelism()
-        .map(|p| p.get() >= 2)
-        .unwrap_or(false)
+    ranks_fit_host(2)
+}
+
+/// True when `ranks` worker threads each get a hardware thread of their
+/// own. The bucketed sync engine folds a bucket on the rank's own thread
+/// while its *peers* are still computing; with more ranks than hardware
+/// threads the peers are not running at all, so there is nothing for a
+/// fold to hide under and overlap cannot be asserted to win.
+pub fn ranks_fit_host(ranks: usize) -> bool {
+    std::thread::available_parallelism().is_ok_and(|p| p.get() >= ranks)
 }
 
 #[cfg(test)]

@@ -53,7 +53,10 @@ pub use gate::{multicore_host, timed_asserts_enabled};
 pub use hpo_table::{measure_hpo, table_hpo, HpoMeasurement};
 pub use ingest_table::{measure_ingest_comparison, table_ingest, IngestComparison};
 pub use kernels_table::{measure_kernel_comparison, table_kernels, KernelComparison};
-pub use overlap_table::{measure_overlap_comparison, table_overlap, OverlapComparison};
+pub use overlap_table::{
+    measure_overlap_comparison, measure_sync_call_latency, table_overlap, OverlapComparison,
+    SyncCallLatency,
+};
 pub use perfmodel_table::{table_perfmodel, FitValidation, TunedKnob};
 pub use report::{format_table, Experiment};
 pub use resil_table::table_resil;

@@ -53,7 +53,7 @@ impl OverlapComparison {
         self.blocking_epoch_s / self.overlapped_epoch_s.max(1e-12)
     }
 
-    /// Total wall-clock the comm worker spent communicating.
+    /// Total wall-clock the rank spent posting, folding and waiting.
     pub fn comm_busy_s(&self) -> f64 {
         self.comm_hidden_s + self.comm_exposed_s
     }
@@ -167,20 +167,101 @@ pub fn measure_overlap_comparison(quick: bool) -> Vec<OverlapComparison> {
         .collect()
 }
 
+/// A named sum-allreduce algorithm.
+pub(crate) type Allreduce =
+    fn(&mut collectives::Communicator, &mut [f32]) -> Result<(), collectives::CommError>;
+
+/// Rank 0's mean seconds per call over `calls` back-to-back allreduces of
+/// `elements` floats in one world of `workers`, after a tenth as many
+/// warm-up calls and a barrier.
+pub(crate) fn allreduce_call_seconds(
+    workers: usize,
+    elements: usize,
+    calls: usize,
+    algo: Allreduce,
+) -> f64 {
+    collectives::run_workers(workers, |comm| {
+        let mut data = vec![comm.rank() as f32; elements];
+        for _ in 0..calls / 10 {
+            algo(comm, &mut data).expect("warm-up allreduce");
+        }
+        comm.barrier();
+        let start = std::time::Instant::now();
+        for _ in 0..calls {
+            algo(comm, &mut data).expect("timed allreduce");
+            // Keep the values finite without another pass.
+            data[0] = 1.0;
+        }
+        start.elapsed().as_secs_f64() / calls as f64
+    })[0]
+}
+
+/// Per-call latency of one sum-allreduce at a payload size and world
+/// size: what [`collectives::Communicator::allreduce_sum`] costs, and what
+/// each of the two algorithms it chooses between would.
+#[derive(Debug, Clone)]
+pub struct SyncCallLatency {
+    /// World size.
+    pub workers: usize,
+    /// Payload bytes per rank.
+    pub bytes: usize,
+    /// `allreduce_sum`, microseconds per call.
+    pub auto_us: f64,
+    /// `ring_allreduce`, microseconds per call.
+    pub ring_us: f64,
+    /// `exchange_allreduce`, microseconds per call.
+    pub exchange_us: f64,
+}
+
+/// Measures back-to-back allreduce calls (no compute between them, so no
+/// rank skew: wire latency and copy rate only) at payloads 4 KiB … 4 MiB
+/// and worlds {2, 4}. Rank 0's mean over the timed calls, best of three
+/// rounds. These are the numbers the crossover between the two algorithms
+/// and the spin budget of the wire are set from (DESIGN §5k).
+pub fn measure_sync_call_latency(quick: bool) -> Vec<SyncCallLatency> {
+    use collectives::{exchange_allreduce, ring_allreduce};
+    let kib: &[usize] = if quick {
+        &[4, 64, 1024]
+    } else {
+        &[4, 16, 48, 64, 128, 256, 512, 1024, 4096]
+    };
+    let per_call_us = |workers: usize, bytes: usize, algo: Allreduce| -> f64 {
+        let calls = ((if quick { 8 << 20 } else { 64 << 20 }) / bytes).clamp(20, 2000);
+        (0..3)
+            .map(|_| allreduce_call_seconds(workers, bytes / 4, calls, algo) * 1e6)
+            .fold(f64::INFINITY, f64::min)
+    };
+    let mut rows = Vec::new();
+    for workers in [2usize, 4] {
+        for &k in kib {
+            let bytes = k * 1024;
+            rows.push(SyncCallLatency {
+                workers,
+                bytes,
+                auto_us: per_call_us(workers, bytes, |c, d| c.allreduce_sum(d)),
+                ring_us: per_call_us(workers, bytes, ring_allreduce),
+                exchange_us: per_call_us(workers, bytes, exchange_allreduce),
+            });
+        }
+    }
+    rows
+}
+
 /// The comm/compute-overlap experiment: blocking post-backward allreduce
 /// vs the async bucketed engine on real NT3 training.
 ///
 /// In full mode on a release build it asserts (a) the calibrated α–β
 /// overlap model predicts the measured exposed time within
-/// [`OverlapComparison::error_band_s`], and (b) — when the host has at
-/// least two hardware threads, without which comm and compute cannot
-/// physically run in parallel — that the overlapped engine strictly
-/// improves seconds/epoch at four or more workers. Debug timings are too
-/// distorted to gate on, and quick mode's single epoch is too noisy.
+/// [`OverlapComparison::error_band_s`], and (b) that the overlapped engine
+/// strictly improves seconds/epoch at four or more workers — where every
+/// rank has a hardware thread of its own ([`crate::gate::ranks_fit_host`]):
+/// the engine folds a bucket while the peers compute, which they only do
+/// if they are running. Worker counts at which overlap did not win are
+/// listed under the table either way. Debug timings are too distorted to
+/// gate on, and quick mode's single epoch is too noisy.
 pub fn table_overlap(quick: bool) -> Experiment {
     let rows = measure_overlap_comparison(quick);
     if crate::gate::timed_asserts_enabled(quick) {
-        let multicore = crate::gate::multicore_host();
         for r in &rows {
             let err = (r.predicted_exposed_s - r.comm_exposed_s).abs();
             assert!(
@@ -192,7 +273,7 @@ pub fn table_overlap(quick: bool) -> Experiment {
                 r.comm_exposed_s,
                 r.error_band_s()
             );
-            if multicore && r.workers >= 4 {
+            if crate::gate::ranks_fit_host(r.workers) && r.workers >= 4 {
                 assert!(
                     r.overlapped_epoch_s < r.blocking_epoch_s,
                     "overlap failed to beat blocking sync at {} workers: \
@@ -220,11 +301,13 @@ pub fn table_overlap(quick: bool) -> Experiment {
         })
         .collect();
     let mut text = String::from(
-        "Blocking post-backward allreduce vs async bucketed overlap on real\n\
-         NT3 training (per-layer buckets allreduced on a comm worker while\n\
-         backward still computes; identical bucket boundaries keep weights\n\
-         bit-identical). Exposed = communication the optimizer waited for;\n\
-         the model column is the calibrated alpha-beta overlap recurrence:\n",
+        "Blocking post-backward allreduce vs bucketed overlap on real NT3\n\
+         training (each bucket posted to the peers as backward completes it\n\
+         and folded on the rank's own thread once they have posted theirs;\n\
+         identical bucket boundaries keep weights bit-identical). Hidden =\n\
+         posting and folding during backward, exposed = what finish_step\n\
+         still had to do; the model column is the calibrated alpha-beta\n\
+         overlap recurrence:\n",
     );
     text.push_str(&format_table(
         &[
@@ -239,6 +322,14 @@ pub fn table_overlap(quick: bool) -> Experiment {
         ],
         &cells,
     ));
+    let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+    for r in rows.iter().filter(|r| r.workers > 1 && r.speedup() <= 1.0) {
+        text.push_str(&format!(
+            "overlap did not beat blocking at {} workers ({:.2}x) on {host} hardware threads\n",
+            r.workers,
+            r.speedup()
+        ));
+    }
     Experiment {
         id: "table_overlap",
         title: "Comm/compute overlap: blocking vs async bucketed allreduce",

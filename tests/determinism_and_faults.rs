@@ -76,9 +76,9 @@ fn run_workers_reraises_a_rank_panic() {
     assert!(result.is_err(), "panic must propagate to the caller");
 }
 
-/// Survivors of a dead rank get a typed error, not a hang. Every rank
-/// holds a sender to every mailbox, its own included, so no channel ever
-/// disconnects: what ends the wait is the world's peer timeout.
+/// Survivors of a dead rank get a typed error, not a hang: dropping an
+/// endpoint clears its liveness flag and unparks every peer, so the wait
+/// ends at once (the world's peer timeout only bounds a *silent* peer).
 #[test]
 fn survivors_of_a_dead_rank_get_peer_lost() {
     use collectives::{CommError, Communicator};
