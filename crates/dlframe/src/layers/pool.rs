@@ -2,7 +2,9 @@
 
 use super::Layer;
 use crate::DlError;
-use tensor::{maxpool1d_backward_ws, maxpool1d_forward_ws, Shape, Tensor, Workspace};
+use tensor::{
+    maxpool1d_backward_ws, maxpool1d_forward_ws, maxpool1d_infer_ws, Shape, Tensor, Workspace,
+};
 
 /// Keras-style `MaxPooling1D(pool_size)` with non-overlapping windows.
 pub struct MaxPooling1D {
@@ -53,11 +55,8 @@ impl Layer for MaxPooling1D {
     }
 
     fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
-        // The kernel always records the argmax; inference has no backward
-        // to hand it to.
-        let mut argmax = Vec::new();
-        maxpool1d_forward_ws(input, self.pool, &mut argmax, ws)
-            .map_err(|e| DlError::BadInput(e.to_string()))
+        // Only backward reads the argmax, and inference has none.
+        maxpool1d_infer_ws(input, self.pool, ws).map_err(|e| DlError::BadInput(e.to_string()))
     }
 
     fn backward(

@@ -4,11 +4,12 @@
 //! the math — not the math itself — sets end-to-end performance. This
 //! driver demonstrates the same effect on the inference side: a trained
 //! NT3-like classifier is served through `serve`'s engine once with
-//! micro-batching disabled (`max_batch = 1`, every request pays the full
-//! dispatch overhead) and once per dynamic batch limit, under an
-//! identical deterministic closed-loop workload. Dynamic batching
-//! amortizes queue hand-off and dispatch across coalesced rows and must
-//! deliver strictly higher throughput; bit-exact row-independent matmul
+//! micro-batching disabled (`max_batch = 1`, every request pays a full
+//! forward pass and queue pull of its own) and once per dynamic batch
+//! limit, under an identical deterministic closed-loop workload. Dynamic
+//! batching amortizes the pull and the per-forward overhead across the
+//! rows that queued up while the workers were busy and must deliver
+//! strictly higher throughput; bit-exact row-independent matmul
 //! means every configuration also returns bit-identical predictions,
 //! which the shared output hash verifies.
 
@@ -16,7 +17,6 @@ use crate::report::{format_table, Experiment};
 use dlframe::{Activation, Dataset, Dense, FitConfig, Loss, NoSync, Optimizer, Sequential};
 use serve::{run_closed_loop, ClosedLoopConfig, ServeConfig, ServeEngine};
 use std::sync::Arc;
-use std::time::Duration;
 use tensor::Tensor;
 use xrng::RandomSource;
 
@@ -33,6 +33,9 @@ pub struct ServingRow {
     pub p50_ms: f64,
     /// End-to-end latency p99, milliseconds.
     pub p99_ms: f64,
+    /// Time queued before a worker pulled the request, p50, milliseconds:
+    /// the share of the latency that is waiting for a busy worker.
+    pub enqueue_wait_p50_ms: f64,
     /// Order-independent hash of all served predictions.
     pub output_hash: u64,
 }
@@ -86,9 +89,8 @@ fn trained_model(seed: u64) -> Arc<Sequential> {
 pub fn measure_serving_sweep(quick: bool, seed: u64) -> Vec<ServingRow> {
     let model = trained_model(xrng::derive_seed(seed, 0));
     // Keep more clients outstanding than the largest batch limit: a
-    // closed loop can only ever queue `clients` requests, so a batch
-    // limit above that would stall on `max_wait` for rows that cannot
-    // arrive.
+    // closed loop can only ever queue `clients` requests, so a larger
+    // batch limit could never fill.
     let load = ClosedLoopConfig {
         clients: 32,
         requests_per_client: if quick { 40 } else { 150 },
@@ -102,11 +104,9 @@ pub fn measure_serving_sweep(quick: bool, seed: u64) -> Vec<ServingRow> {
                 Arc::clone(&model),
                 ServeConfig {
                     max_batch,
-                    max_wait: Duration::from_micros(500),
                     queue_capacity: 4096,
                     workers: 2,
-                    slo: None,
-                    kill_batches: Vec::new(),
+                    ..Default::default()
                 },
             );
             let run = run_closed_loop(&engine.handle(), &load);
@@ -117,6 +117,7 @@ pub fn measure_serving_sweep(quick: bool, seed: u64) -> Vec<ServingRow> {
                 mean_batch: report.mean_batch,
                 p50_ms: report.latency.p50_s * 1e3,
                 p99_ms: report.latency.p99_s * 1e3,
+                enqueue_wait_p50_ms: report.enqueue_wait.p50_s * 1e3,
                 output_hash: run.output_hash,
             }
         })
@@ -159,7 +160,15 @@ pub fn table_serve(quick: bool) -> Experiment {
 
     let batch1 = rows[0].throughput_rps;
     let table = format_table(
-        &["max_batch", "req/s", "speedup", "mean rows/batch", "p50 ms", "p99 ms"],
+        &[
+            "max_batch",
+            "req/s",
+            "speedup",
+            "mean rows/batch",
+            "p50 ms",
+            "p99 ms",
+            "enqueue wait p50 ms",
+        ],
         &rows
             .iter()
             .map(|r| {
@@ -170,13 +179,14 @@ pub fn table_serve(quick: bool) -> Experiment {
                     format!("{:.2}", r.mean_batch),
                     format!("{:.3}", r.p50_ms),
                     format!("{:.3}", r.p99_ms),
+                    format!("{:.3}", r.enqueue_wait_p50_ms),
                 ]
             })
             .collect::<Vec<_>>(),
     );
     let text = format!(
         "Closed-loop serving of a trained {FEATURES}-feature classifier \
-         (32 clients, 2 workers, max_wait 0.5ms):\n{table}\
+         (32 clients, 2 workers):\n{table}\
          identical output hash across all configurations: \
          predictions are bit-identical regardless of batch composition\n"
     );

@@ -1,51 +1,56 @@
-//! The serving engine: bounded submission, dynamic micro-batching and
-//! pooled batch execution.
+//! The serving engine: bounded submission, work-conserving micro-batching
+//! and batch execution on the engine's own workers.
 //!
 //! Data path: [`ServeHandle::submit`] reserves an in-flight slot (or sheds
-//! with [`ServeError::Overloaded`]) and enqueues the request; a dedicated
-//! batcher thread coalesces the queue into batches that flush on
-//! `max_batch` or `max_wait`, whichever comes first; each batch runs one
-//! forward pass on a [`parx::WorkerPool`] worker against the shared
-//! immutable model replica and answers every request in the batch through
-//! its one-shot reply channel. The in-flight slot is released when the
-//! reply is sent, so the capacity bound covers queued *and* executing
-//! requests — memory is bounded end to end.
+//! with [`ServeError::Overloaded`]) and pushes the request onto the one
+//! queue every worker shares. A worker blocks for a first request, takes
+//! whatever else is *already* queued up to `max_batch` rows — it never
+//! waits for more — runs one forward pass against the shared immutable
+//! model replica and answers every request of the batch through its
+//! one-shot reply slot. A request therefore waits only for a busy worker,
+//! and batches grow on their own exactly when that wait exists. The
+//! in-flight slot is released when the reply is written, so the capacity
+//! bound covers queued *and* executing requests — memory is bounded end to
+//! end.
 
 use crate::stats::StatsInner;
 use crate::{ServeError, ServeReport};
 use collectives::Timeline;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dlframe::Sequential;
-use parx::WorkerPool;
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tensor::Tensor;
-
-/// How often the idle batcher wakes to check for shutdown.
-const IDLE_TICK: Duration = Duration::from_millis(10);
 
 /// Serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Maximum rows coalesced into one forward pass.
     pub max_batch: usize,
-    /// Maximum time the batcher holds an open batch waiting for more
-    /// rows. An idle server adds at most this much latency.
+    /// Upper bound on the latency batching adds to a request on an idle
+    /// server. Nothing reads this field: workers never hold a batch open
+    /// (they take what is queued and run), so the latency added is zero
+    /// and every value satisfies the bound. It remains only because the
+    /// benchmark builds this struct with a literal that names it; it goes
+    /// when a benchmark-archetype PR drops it there.
     pub max_wait: Duration,
     /// Maximum in-flight requests (queued + executing). Submissions
     /// beyond this are shed with [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Worker threads running batched forward passes.
+    /// Worker threads, each pulling its own batches off the shared queue.
     pub workers: usize,
     /// Optional per-request latency target; completed requests slower
     /// than this are counted in [`ServeReport::slo_violations`].
     pub slo: Option<Duration>,
-    /// Fault injection: batch sequence numbers (0-based, in dispatch
-    /// order) whose executing worker dies mid-batch. The affected batch's
-    /// requests are answered with [`ServeError::WorkerCrashed`], the
-    /// worker restarts (counted in [`ServeReport::worker_restarts`]), and
-    /// serving continues. Empty in production.
+    /// Fault injection: batch sequence numbers (0-based, in the order
+    /// workers start them) whose executing worker dies mid-batch. The
+    /// affected batch's requests are answered with
+    /// [`ServeError::WorkerCrashed`], the worker restarts (counted in
+    /// [`ServeReport::worker_restarts`]), and serving continues. Empty in
+    /// production.
     pub kill_batches: Vec<u64>,
 }
 
@@ -69,15 +74,43 @@ pub struct Prediction {
     pub output: Vec<f32>,
     /// Rows in the batch this request was served in.
     pub batch_size: usize,
-    /// Time spent queued before batch dispatch.
+    /// Time spent queued before a worker pulled the request's batch.
     pub enqueue_wait: Duration,
     /// End-to-end submit → reply latency.
     pub latency: Duration,
 }
 
+type Answer = Result<Prediction, ServeError>;
+
+/// The one-shot reply slot a [`Ticket`] and its queued [`Request`] share:
+/// the request's only allocation besides its rows.
+struct Slot {
+    state: Mutex<SlotState>,
+    ready: Condvar,
+}
+
+enum SlotState {
+    Empty,
+    Filled(Answer),
+    Taken,
+}
+
+impl Slot {
+    /// Writes the answer if none was written before, and wakes the
+    /// ticket's holder.
+    fn fill(&self, answer: Answer) {
+        let mut state = self.state.lock();
+        if matches!(*state, SlotState::Empty) {
+            *state = SlotState::Filled(answer);
+            drop(state);
+            self.ready.notify_one();
+        }
+    }
+}
+
 /// A pending request's receipt; resolves via [`Ticket::wait`].
 pub struct Ticket {
-    rx: Receiver<Result<Prediction, ServeError>>,
+    slot: Arc<Slot>,
 }
 
 impl std::fmt::Debug for Ticket {
@@ -88,10 +121,17 @@ impl std::fmt::Debug for Ticket {
 
 impl Ticket {
     /// Blocks until the prediction (or its error) arrives. Returns
-    /// [`ServeError::ShuttingDown`] if the engine stopped before
-    /// answering.
+    /// [`ServeError::ShuttingDown`] if the engine dropped the request
+    /// without answering.
     pub fn wait(self) -> Result<Prediction, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::ShuttingDown)?
+        let mut state = self.slot.state.lock();
+        loop {
+            match std::mem::replace(&mut *state, SlotState::Taken) {
+                SlotState::Filled(answer) => return answer,
+                waiting => *state = waiting,
+            }
+            self.slot.ready.wait(&mut state);
+        }
     }
 }
 
@@ -103,43 +143,101 @@ struct Request {
     /// answered with [`ServeError::DeadlineExceeded`] instead of being
     /// included in a forward pass.
     deadline: Option<Instant>,
-    reply: Sender<Result<Prediction, ServeError>>,
+    reply: Arc<Slot>,
 }
 
-/// Shared state the batcher and workers need per batch.
+impl Drop for Request {
+    fn drop(&mut self) {
+        // No-op for an answered request; one dropped unanswered must not
+        // leave its ticket waiting forever.
+        self.reply.fill(Err(ServeError::ShuttingDown));
+    }
+}
+
+/// What submitters and workers share: the queue, the in-flight count and
+/// the stop flag.
+struct Shared {
+    queue: Mutex<VecDeque<Request>>,
+    /// Signalled once per pushed request, and to every worker when the
+    /// exit condition of [`Shared::pull`] may have become true.
+    ready: Condvar,
+    depth: AtomicUsize,
+    stopping: AtomicBool,
+    stats: StatsInner,
+}
+
+impl Shared {
+    /// Blocks for a first request, then moves it and whatever else is
+    /// already queued — at most `max` rows, never waiting for more — into
+    /// `batch`. Returns `false` once the engine is stopping and every
+    /// admitted request has been answered.
+    fn pull(&self, batch: &mut Vec<Request>, max: usize) -> bool {
+        let mut queue = self.queue.lock();
+        loop {
+            if !queue.is_empty() {
+                let rows = queue.len().min(max);
+                batch.extend(queue.drain(..rows));
+                return true;
+            }
+            // `depth` counts queued + executing requests, and a submission
+            // that raced the stop flag has already reserved its slot
+            // (SeqCst pairing in `ServeHandle::submit_inner`), so leaving
+            // only at depth zero strands nothing — including a request
+            // pushed *after* the flag was set by a submit that won the
+            // race.
+            if self.stopping.load(Ordering::SeqCst) && self.depth.load(Ordering::SeqCst) == 0 {
+                return false;
+            }
+            self.ready.wait(&mut queue);
+        }
+    }
+
+    /// Releases one in-flight slot. The release that empties a stopping
+    /// engine wakes the workers parked in [`Shared::pull`] so they leave.
+    fn release(&self) {
+        if self.depth.fetch_sub(1, Ordering::SeqCst) == 1 && self.stopping.load(Ordering::SeqCst) {
+            self.wake_all();
+        }
+    }
+
+    /// Wakes every parked worker. Passing through the queue lock first
+    /// orders the wake-up after a worker's check-then-wait, which runs
+    /// under that lock: the worker either sees the new state or is already
+    /// waiting.
+    fn wake_all(&self) {
+        drop(self.queue.lock());
+        self.ready.notify_all();
+    }
+}
+
+/// What only the workers need.
 struct Ctx {
+    shared: Arc<Shared>,
     model: Arc<Sequential>,
-    stats: Arc<StatsInner>,
-    depth: Arc<AtomicUsize>,
-    timeline: Option<Timeline>,
+    max_batch: usize,
+    trace: Option<Trace>,
     origin: Instant,
     slo: Option<Duration>,
-    /// Batches dispatched so far; gives each batch its deterministic
+    /// Batches started so far; gives each batch its deterministic
     /// sequence number for fault injection.
     batch_seq: AtomicU64,
     /// Sorted copy of [`ServeConfig::kill_batches`].
     kill_batches: Vec<u64>,
 }
 
-/// The submitting half of the engine; cheap to clone, one per client.
-pub struct ServeHandle {
-    tx: Sender<Request>,
-    depth: Arc<AtomicUsize>,
-    capacity: usize,
-    stopping: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
+/// The timeline and its two span names, built once so that recording a
+/// batch allocates nothing.
+struct Trace {
+    timeline: Timeline,
+    enqueue_wait: Arc<str>,
+    batch_forward: Arc<str>,
 }
 
-impl Clone for ServeHandle {
-    fn clone(&self) -> Self {
-        Self {
-            tx: self.tx.clone(),
-            depth: Arc::clone(&self.depth),
-            capacity: self.capacity,
-            stopping: Arc::clone(&self.stopping),
-            stats: Arc::clone(&self.stats),
-        }
-    }
+/// The submitting half of the engine; cheap to clone, one per client.
+#[derive(Clone)]
+pub struct ServeHandle {
+    shared: Arc<Shared>,
+    capacity: usize,
 }
 
 impl ServeHandle {
@@ -167,37 +265,39 @@ impl ServeHandle {
         features: Vec<f32>,
         deadline: Option<Instant>,
     ) -> Result<Ticket, ServeError> {
+        let shared = &*self.shared;
         // Reserve the in-flight slot BEFORE the stopping check (SeqCst,
-        // Dekker-style pairing with the shutdown drain): the drain loop
-        // only exits once `depth` reaches zero, so a submission that
+        // Dekker-style pairing with the workers' exit condition): a worker
+        // only leaves once `depth` reaches zero, so a submission that
         // observed `stopping == false` has already published its slot
         // and is guaranteed to be answered. The slot is released by the
-        // worker when the reply is sent.
-        let depth = self.depth.fetch_add(1, Ordering::SeqCst);
-        if self.stopping.load(Ordering::SeqCst) {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
+        // worker when the reply is written.
+        let depth = shared.depth.fetch_add(1, Ordering::SeqCst);
+        if shared.stopping.load(Ordering::SeqCst) {
+            shared.release();
             return Err(ServeError::ShuttingDown);
         }
         if depth >= self.capacity {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
+            shared.release();
+            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded {
                 depth,
                 capacity: self.capacity,
             });
         }
-        let (reply, rx) = unbounded();
-        let req = Request {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState::Empty),
+            ready: Condvar::new(),
+        });
+        let request = Request {
             features,
             enqueued: Instant::now(),
             deadline,
-            reply,
+            reply: Arc::clone(&slot),
         };
-        if self.tx.send(req).is_err() {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return Err(ServeError::ShuttingDown);
-        }
-        Ok(Ticket { rx })
+        shared.queue.lock().push_back(request);
+        shared.ready.notify_one();
+        Ok(Ticket { slot })
     }
 
     /// Submit-and-wait convenience for closed-loop clients.
@@ -207,7 +307,7 @@ impl ServeHandle {
 
     /// Current in-flight depth (queued + executing).
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Acquire)
+        self.shared.depth.load(Ordering::Acquire)
     }
 
     /// Configured in-flight capacity.
@@ -219,10 +319,7 @@ impl ServeHandle {
 /// A running serving engine; dropping or [`ServeEngine::shutdown`] stops it.
 pub struct ServeEngine {
     handle: ServeHandle,
-    stopping: Arc<AtomicBool>,
-    batcher: Option<std::thread::JoinHandle<()>>,
-    pool: Arc<WorkerPool>,
-    stats: Arc<StatsInner>,
+    workers: Vec<std::thread::JoinHandle<()>>,
     started: Instant,
 }
 
@@ -236,7 +333,8 @@ impl ServeEngine {
     }
 
     /// Starts serving with batch spans (`enqueue_wait`, `batch_forward`)
-    /// recorded to `timeline` for `chrome://tracing` inspection.
+    /// recorded to `timeline` for `chrome://tracing` inspection, one lane
+    /// per worker.
     pub fn with_timeline(model: Arc<Sequential>, config: ServeConfig, timeline: Timeline) -> Self {
         Self::build(model, config, Some(timeline))
     }
@@ -248,45 +346,44 @@ impl ServeEngine {
             "serve: queue_capacity must be positive"
         );
         assert!(config.workers >= 1, "serve: workers must be positive");
-        let (tx, rx) = unbounded::<Request>();
-        let depth = Arc::new(AtomicUsize::new(0));
-        let stats = Arc::new(StatsInner::new());
-        let stopping = Arc::new(AtomicBool::new(false));
-        let pool = Arc::new(WorkerPool::new(config.workers));
-        let mut kill_batches = config.kill_batches.clone();
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
+            depth: AtomicUsize::new(0),
+            stopping: AtomicBool::new(false),
+            stats: StatsInner::new(),
+        });
+        let mut kill_batches = config.kill_batches;
         kill_batches.sort_unstable();
         let ctx = Arc::new(Ctx {
+            shared: Arc::clone(&shared),
             model,
-            stats: Arc::clone(&stats),
-            depth: Arc::clone(&depth),
-            timeline,
+            max_batch: config.max_batch,
+            trace: timeline.map(|timeline| Trace {
+                timeline,
+                enqueue_wait: "enqueue_wait".into(),
+                batch_forward: "batch_forward".into(),
+            }),
             origin: Instant::now(),
             slo: config.slo,
             batch_seq: AtomicU64::new(0),
             kill_batches,
         });
-        let batcher = {
-            let pool = Arc::clone(&pool);
-            let stopping = Arc::clone(&stopping);
-            let cfg = config.clone();
-            std::thread::Builder::new()
-                .name("serve-batcher".into())
-                .spawn(move || batcher_loop(rx, ctx, pool, stopping, cfg))
-                .expect("failed to spawn serve batcher")
-        };
-        let handle = ServeHandle {
-            tx,
-            depth,
-            capacity: config.queue_capacity,
-            stopping: Arc::clone(&stopping),
-            stats: Arc::clone(&stats),
-        };
+        let workers = (0..config.workers)
+            .map(|lane| {
+                let ctx = Arc::clone(&ctx);
+                std::thread::Builder::new()
+                    .name(format!("serve-worker-{lane}"))
+                    .spawn(move || worker_loop(lane, &ctx))
+                    .expect("failed to spawn serve worker")
+            })
+            .collect();
         Self {
-            handle,
-            stopping,
-            batcher: Some(batcher),
-            pool,
-            stats,
+            handle: ServeHandle {
+                shared,
+                capacity: config.queue_capacity,
+            },
+            workers,
             started: Instant::now(),
         }
     }
@@ -298,24 +395,26 @@ impl ServeEngine {
 
     /// Snapshot of serving stats so far.
     pub fn report(&self) -> ServeReport {
-        self.stats
-            .report(self.started.elapsed().as_secs_f64(), self.pool.restarts())
+        self.handle
+            .shared
+            .stats
+            .report(self.started.elapsed().as_secs_f64())
     }
 
-    /// Stops accepting requests, drains the queue, waits for in-flight
-    /// batches and returns the final stats.
+    /// Stops accepting requests, answers every request already admitted
+    /// and returns the final stats.
     pub fn shutdown(mut self) -> ServeReport {
         self.stop_and_join();
-        self.stats
-            .report(self.started.elapsed().as_secs_f64(), self.pool.restarts())
+        self.report()
     }
 
     fn stop_and_join(&mut self) {
-        self.stopping.store(true, Ordering::SeqCst);
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
+        let shared = &self.handle.shared;
+        shared.stopping.store(true, Ordering::SeqCst);
+        shared.wake_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
-        self.pool.join();
     }
 }
 
@@ -325,240 +424,166 @@ impl Drop for ServeEngine {
     }
 }
 
-/// The micro-batcher: pulls the queue into batches and hands them to the
-/// worker pool.
-fn batcher_loop(
-    rx: Receiver<Request>,
-    ctx: Arc<Ctx>,
-    pool: Arc<WorkerPool>,
-    stopping: Arc<AtomicBool>,
-    cfg: ServeConfig,
-) {
-    loop {
-        match rx.recv_timeout(IDLE_TICK) {
-            Ok(first) => {
-                let batch = collect_batch(&rx, first, &cfg);
-                dispatch(batch, &ctx, &pool);
-                // Check between batches too: a loaded engine would
-                // otherwise never hit the idle tick and never stop.
-                if stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
+/// One worker: pull a batch, run it, repeat until the engine has stopped
+/// and drained. `lane` is the worker's timeline lane.
+fn worker_loop(lane: usize, ctx: &Ctx) {
+    let mut batch = Vec::with_capacity(ctx.max_batch.min(64));
+    // The assembled input rows; the buffer goes into the batch's tensor
+    // and comes back out, so a warm worker assembles without allocating.
+    let mut rows = Vec::new();
+    while ctx.shared.pull(&mut batch, ctx.max_batch) {
+        // A batch that panics must not take the worker down with it: that
+        // would silently shrink the engine. Its requests are answered by
+        // the `PendingBatch` guard on the way out; count the restart and
+        // keep serving.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_batch(&mut batch, &mut rows, lane, ctx);
+        }));
+        if outcome.is_err() {
+            ctx.shared.stats.restarts.fetch_add(1, Ordering::Relaxed);
         }
     }
-    // Graceful drain: answer every admitted request. `depth` counts
-    // queued + executing requests, and any submission that raced the
-    // stop flag has already reserved its slot (SeqCst pairing in
-    // `ServeHandle::submit_inner`), so draining until depth reaches zero
-    // strands nothing — including requests enqueued *after* the stop
-    // flag was set by a submit that won the race.
-    loop {
-        match rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(first) => {
-                let mut batch = vec![first];
-                while batch.len() < cfg.max_batch {
-                    match rx.try_recv() {
-                        Ok(r) => batch.push(r),
-                        Err(_) => break,
-                    }
-                }
-                dispatch(batch, &ctx, &pool);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if ctx.depth.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// Fills a batch starting from `first`: flush on `max_batch` rows or
-/// `max_wait` elapsed, whichever comes first.
-fn collect_batch(rx: &Receiver<Request>, first: Request, cfg: &ServeConfig) -> Vec<Request> {
-    let mut batch = Vec::with_capacity(cfg.max_batch.min(64));
-    batch.push(first);
-    if cfg.max_batch > 1 {
-        let deadline = Instant::now() + cfg.max_wait;
-        while batch.len() < cfg.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(r) => batch.push(r),
-                Err(_) => break,
-            }
-        }
-    }
-    batch
-}
-
-/// Hands one batch to the pool.
-fn dispatch(batch: Vec<Request>, ctx: &Arc<Ctx>, pool: &WorkerPool) {
-    let ctx = Arc::clone(ctx);
-    pool.submit(move || run_batch(batch, &ctx));
 }
 
 /// Holds a batch's unanswered requests while the worker executes it. If
-/// the worker dies mid-batch (a panic anywhere during assembly or the
-/// forward pass), the drop during unwinding still answers every pending
-/// request with [`ServeError::WorkerCrashed`] and releases its in-flight
-/// slot — a crash must not leak capacity or strand waiting clients.
+/// the worker dies mid-batch (a panic anywhere during filtering, assembly
+/// or the forward pass), the drop during unwinding still answers every
+/// pending request with [`ServeError::WorkerCrashed`] and releases its
+/// in-flight slot — a crash must not leak capacity or strand waiting
+/// clients. After normal completion it finds the batch empty.
 struct PendingBatch<'a> {
-    requests: Vec<Request>,
+    requests: &'a mut Vec<Request>,
     ctx: &'a Ctx,
 }
 
 impl PendingBatch<'_> {
-    /// Takes the requests for normal (non-crash) completion.
-    fn take(&mut self) -> Vec<Request> {
-        std::mem::take(&mut self.requests)
+    /// Answers, and removes from the batch, every request `reject` has an
+    /// error for.
+    fn reject(&mut self, mut reject: impl FnMut(&Request) -> Option<ServeError>) {
+        let ctx = self.ctx;
+        self.requests.retain(|r| match reject(r) {
+            Some(e) => {
+                finish(r, Err(e), ctx);
+                false
+            }
+            None => true,
+        });
     }
 }
 
 impl Drop for PendingBatch<'_> {
     fn drop(&mut self) {
         for r in self.requests.drain(..) {
-            finish(r, Err(ServeError::WorkerCrashed), self.ctx);
+            finish(&r, Err(ServeError::WorkerCrashed), self.ctx);
         }
     }
 }
 
-/// Executes one batch on a worker thread: assemble rows, one forward
-/// pass, scatter replies, record stats and timeline spans.
-fn run_batch(batch: Vec<Request>, ctx: &Ctx) {
-    let dispatched = Instant::now();
+/// Executes one batch on its worker: drop what cannot be served, assemble
+/// rows, one forward pass, scatter replies, record stats and timeline
+/// spans. Leaves `batch` empty.
+fn run_batch(batch: &mut Vec<Request>, rows: &mut Vec<f32>, lane: usize, ctx: &Ctx) {
+    let pulled = Instant::now();
     let seq = ctx.batch_seq.fetch_add(1, Ordering::Relaxed);
+    let stats = &ctx.shared.stats;
+    let mut pending = PendingBatch {
+        requests: batch,
+        ctx,
+    };
     // Expired requests are answered (and dropped) *before* the forward
     // pass: running the model for a reply nobody can use wastes the
     // batch's capacity exactly when the queue is deepest.
-    let mut live = Vec::with_capacity(batch.len());
-    for r in batch {
-        if r.deadline.is_some_and(|d| dispatched >= d) {
-            ctx.stats.expired.fetch_add(1, Ordering::Relaxed);
-            finish(r, Err(ServeError::DeadlineExceeded), ctx);
-        } else {
-            live.push(r);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
+    pending.reject(|r| {
+        r.deadline.is_some_and(|d| pulled >= d).then(|| {
+            stats.expired.fetch_add(1, Ordering::Relaxed);
+            ServeError::DeadlineExceeded
+        })
+    });
     // All rows in a batch must share the first row's width; stragglers
     // are answered individually so they cannot poison the forward pass.
-    let width = live[0].features.len();
-    let mut pending = PendingBatch {
-        requests: Vec::with_capacity(live.len()),
-        ctx,
+    let Some(width) = pending.requests.first().map(|r| r.features.len()) else {
+        return;
     };
-    for r in live {
-        if r.features.len() == width {
-            pending.requests.push(r);
-        } else {
-            let msg = format!(
+    pending.reject(|r| {
+        (r.features.len() != width).then(|| {
+            ServeError::BadRequest(format!(
                 "feature width {} differs from batch width {width}",
                 r.features.len()
-            );
-            finish(r, Err(ServeError::BadRequest(msg)), ctx);
-        }
-    }
-    if pending.requests.is_empty() {
-        return;
-    }
+            ))
+        })
+    });
     // Injected fault: this worker dies mid-batch. The PendingBatch guard
-    // answers the batch with WorkerCrashed on the way down, and the pool
-    // restarts the worker.
+    // answers the batch with WorkerCrashed on the way down, and the
+    // worker loop counts the restart.
     if ctx.kill_batches.binary_search(&seq).is_ok() {
         panic!("injected worker death at batch {seq}");
     }
     let n = pending.requests.len();
-    let mut data = Vec::with_capacity(n * width);
-    for r in &pending.requests {
-        data.extend_from_slice(&r.features);
+    rows.clear();
+    for r in pending.requests.iter() {
+        rows.extend_from_slice(&r.features);
     }
-    let x = Tensor::from_vec([n, width], data).expect("batch assembly is shape-exact");
+    let x =
+        Tensor::from_vec([n, width], std::mem::take(rows)).expect("batch assembly is shape-exact");
     let forward_start = Instant::now();
     let result = ctx.model.predict(&x);
     let forward = forward_start.elapsed();
-    ctx.stats.record_batch(forward);
-    if let Some(tl) = &ctx.timeline {
-        let rank = worker_rank();
+    *rows = x.into_vec();
+    if let Some(trace) = &ctx.trace {
         let earliest = pending
             .requests
             .iter()
             .map(|r| r.enqueued)
             .min()
             .expect("batch is non-empty");
-        tl.record(
-            "enqueue_wait",
-            rank,
+        trace.timeline.record(
+            Arc::clone(&trace.enqueue_wait),
+            lane,
             micros_since(ctx.origin, earliest),
-            (dispatched - earliest).as_micros() as u64,
+            (pulled - earliest).as_micros() as u64,
         );
-        tl.record(
-            "batch_forward",
-            rank,
+        trace.timeline.record(
+            Arc::clone(&trace.batch_forward),
+            lane,
             micros_since(ctx.origin, forward_start),
             forward.as_micros() as u64,
         );
     }
-    let valid = pending.take();
+    let mut recorder = stats.batch(forward);
     match result {
         Ok(out) => {
             let out_width = out.len() / n;
-            for (i, r) in valid.into_iter().enumerate() {
-                let wait = dispatched - r.enqueued;
+            for (i, r) in pending.requests.drain(..).enumerate() {
+                let wait = pulled - r.enqueued;
                 let latency = r.enqueued.elapsed();
-                ctx.stats.record_request(wait, latency, ctx.slo);
-                let row = out.data()[i * out_width..(i + 1) * out_width].to_vec();
-                finish(
-                    r,
-                    Ok(Prediction {
-                        output: row,
-                        batch_size: n,
-                        enqueue_wait: wait,
-                        latency,
-                    }),
-                    ctx,
-                );
+                recorder.request(wait, latency, ctx.slo);
+                let answer = Prediction {
+                    output: out.data()[i * out_width..(i + 1) * out_width].to_vec(),
+                    batch_size: n,
+                    enqueue_wait: wait,
+                    latency,
+                };
+                finish(&r, Ok(answer), ctx);
             }
+            drop(recorder);
+            // The output came from this thread's scratch workspace; hand
+            // the buffer back so the next batch's last layer reuses it.
+            tensor::with_scratch(|ws| ws.recycle(out));
         }
         Err(e) => {
-            for r in valid {
-                finish(r, Err(ServeError::Model(e.clone())), ctx);
-            }
+            drop(recorder);
+            pending.reject(|_| Some(ServeError::Model(e.clone())));
         }
     }
 }
 
-/// Sends a reply and releases the request's in-flight slot. The send can
-/// fail only if the client dropped its ticket; the slot is released
-/// either way.
-fn finish(r: Request, result: Result<Prediction, ServeError>, ctx: &Ctx) {
+/// Writes a reply and releases the request's in-flight slot.
+fn finish(r: &Request, answer: Answer, ctx: &Ctx) {
     // Release the slot before the reply hand-off: a client that has its
     // reply must observe the slot free too, or a sequential caller can
     // read a stale nonzero depth from an otherwise idle engine.
-    ctx.depth.fetch_sub(1, Ordering::AcqRel);
-    let _ = r.reply.send(result);
-}
-
-/// Timeline lane for the current pool worker, parsed from the
-/// `parx-worker-N` thread name (0 if unnamed).
-fn worker_rank() -> usize {
-    std::thread::current()
-        .name()
-        .and_then(|n| n.rsplit('-').next())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+    ctx.shared.release();
+    r.reply.fill(answer);
 }
 
 /// Microseconds from `origin` to `t`, saturating at 0.
@@ -569,17 +594,30 @@ fn micros_since(origin: Instant, t: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_gate::Gate;
     use dlframe::{Activation, Dense, Loss, Optimizer};
 
     /// A small deterministic MLP (untrained weights are fine: inference
     /// is a pure function of the weights).
     fn model(seed: u64, in_dim: usize, out_dim: usize) -> Arc<Sequential> {
+        Arc::new(build_model(seed, in_dim, out_dim, None))
+    }
+
+    /// The same MLP behind `gate`.
+    fn gated_model(gate: &Gate, seed: u64, in_dim: usize, out_dim: usize) -> Arc<Sequential> {
+        Arc::new(build_model(seed, in_dim, out_dim, Some(gate)))
+    }
+
+    fn build_model(seed: u64, in_dim: usize, out_dim: usize, gate: Option<&Gate>) -> Sequential {
         let mut rng = xrng::seeded(seed);
         let mut m = Sequential::new(seed);
+        if let Some(gate) = gate {
+            m.add(Box::new(gate.clone()));
+        }
         m.add(Box::new(Dense::new(in_dim, 32, Activation::Relu, &mut rng)));
         m.add(Box::new(Dense::new(32, out_dim, Activation::Linear, &mut rng)));
         m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
-        Arc::new(m)
+        m
     }
 
     fn row(i: usize, width: usize) -> Vec<f32> {
@@ -629,48 +667,107 @@ mod tests {
 
     #[test]
     fn dynamic_batching_coalesces_queued_requests() {
-        let m = model(3, 6, 2);
-        // One worker and a generous flush window: a burst submitted while
-        // the queue is held open must coalesce.
+        let gate = Gate::shut();
+        // One worker, parked at the gate: the burst submitted meanwhile
+        // is all queued when the worker comes back, and must coalesce.
         let engine = ServeEngine::start(
-            m,
+            gated_model(&gate, 3, 6, 2),
             ServeConfig {
                 max_batch: 32,
-                max_wait: Duration::from_millis(50),
                 workers: 1,
                 ..Default::default()
             },
         );
         let handle = engine.handle();
+        let plug = gate.plug(&handle, row(99, 6));
         let tickets: Vec<_> = (0..32).map(|i| handle.submit(row(i, 6)).unwrap()).collect();
-        let mut max_seen = 0;
+        gate.open();
+        assert_eq!(plug.wait().unwrap().batch_size, 1);
         for t in tickets {
-            max_seen = max_seen.max(t.wait().unwrap().batch_size);
+            assert_eq!(t.wait().unwrap().batch_size, 32);
         }
-        assert!(max_seen > 1, "no coalescing observed (max batch {max_seen})");
         let report = engine.shutdown();
-        assert!(report.mean_batch > 1.0);
-        assert!(report.batches < 32);
+        assert_eq!(report.batches, 2);
+        assert_eq!(report.completed, 33);
+    }
+
+    #[test]
+    fn lone_request_is_served_at_once_whatever_max_wait_says() {
+        // Nothing holds a batch open for more rows: with an hour of
+        // `max_wait` and room for 16, a lone request still runs alone and
+        // returns (under a batcher that waits, this test never ends).
+        let m = model(13, 4, 2);
+        let engine = ServeEngine::start(
+            Arc::clone(&m),
+            ServeConfig {
+                max_batch: 16,
+                max_wait: Duration::from_secs(3600),
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let p = engine.handle().predict(row(0, 4)).unwrap();
+        assert_eq!(p.batch_size, 1);
+        let direct = m
+            .predict(&Tensor::from_vec([1, 4], row(0, 4)).unwrap())
+            .unwrap();
+        assert_eq!(p.output, direct.data());
+        assert_eq!(engine.shutdown().batches, 1);
+    }
+
+    #[test]
+    fn queued_rows_are_pulled_in_order_up_to_max_batch() {
+        let gate = Gate::shut();
+        let m = gated_model(&gate, 14, 6, 3);
+        let engine = ServeEngine::start(
+            Arc::clone(&m),
+            ServeConfig {
+                max_batch: 16,
+                workers: 1,
+                ..Default::default()
+            },
+        );
+        let handle = engine.handle();
+        let plug = gate.plug(&handle, row(99, 6));
+        let tickets: Vec<_> = (0..40).map(|i| handle.submit(row(i, 6)).unwrap()).collect();
+        assert_eq!(handle.depth(), 41);
+        gate.open();
+        plug.wait().unwrap();
+        let served: Vec<Prediction> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        // 40 queued rows leave as 16, 16, 8 in submission order ...
+        let sizes: Vec<usize> = served.iter().map(|p| p.batch_size).collect();
+        let expected: Vec<usize> = [[16; 16].as_slice(), &[16; 16], &[8; 8]].concat();
+        assert_eq!(sizes, expected);
+        // ... each row bit-equal to the model run directly on it.
+        for (i, p) in served.iter().enumerate() {
+            let direct = m
+                .predict(&Tensor::from_vec([1, 6], row(i, 6)).unwrap())
+                .unwrap();
+            assert_eq!(p.output, direct.data(), "request {i}");
+        }
+        let report = engine.shutdown();
+        assert_eq!(report.batches, 4);
+        assert_eq!(report.completed, 41);
     }
 
     #[test]
     fn overload_sheds_fast_without_deadlock() {
-        let m = model(4, 4, 2);
-        // Hold the batcher's first batch open so admitted requests stay
-        // in flight, then overflow the capacity.
+        let gate = Gate::shut();
+        // The one worker is parked at the gate, so admitted requests
+        // stay in flight; then overflow the capacity.
         let engine = ServeEngine::start(
-            m,
+            gated_model(&gate, 4, 4, 2),
             ServeConfig {
                 max_batch: 64,
-                max_wait: Duration::from_millis(600),
                 queue_capacity: 4,
                 workers: 1,
                 ..Default::default()
             },
         );
         let handle = engine.handle();
-        let tickets: Vec<_> = (0..4).map(|i| handle.submit(row(i, 4)).unwrap()).collect();
-        // Queue is at the watermark: further submissions shed immediately.
+        let mut tickets = vec![gate.plug(&handle, row(0, 4))];
+        tickets.extend((1..4).map(|i| handle.submit(row(i, 4)).unwrap()));
+        // The engine is at the watermark: further submissions shed immediately.
         for i in 4..8 {
             match handle.submit(row(i, 4)) {
                 Err(ServeError::Overloaded { depth, capacity }) => {
@@ -680,10 +777,12 @@ mod tests {
                 other => panic!("expected Overloaded, got {other:?}"),
             }
         }
-        // Admitted requests still complete after the flush window.
+        // Admitted requests still complete once the worker moves on.
+        gate.open();
         for t in tickets {
             t.wait().unwrap();
         }
+        assert_eq!(handle.depth(), 0);
         let report = engine.shutdown();
         assert_eq!(report.completed, 4);
         assert_eq!(report.shed, 4);
@@ -691,21 +790,25 @@ mod tests {
 
     #[test]
     fn mismatched_width_rejected_individually() {
-        let m = model(5, 8, 2);
+        let gate = Gate::shut();
         let engine = ServeEngine::start(
-            m,
+            gated_model(&gate, 5, 8, 2),
             ServeConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(50),
                 workers: 1,
                 ..Default::default()
             },
         );
         let handle = engine.handle();
+        // Queued behind the plug, the two rows share one batch.
+        let plug = gate.plug(&handle, row(9, 8));
         let good = handle.submit(row(0, 8)).unwrap();
         let bad = handle.submit(row(1, 5)).unwrap();
-        assert!(good.wait().is_ok());
+        gate.open();
+        plug.wait().unwrap();
+        assert_eq!(good.wait().unwrap().batch_size, 1);
         assert!(matches!(bad.wait(), Err(ServeError::BadRequest(_))));
+        assert_eq!(handle.depth(), 0);
         engine.shutdown();
     }
 
@@ -815,68 +918,90 @@ mod tests {
         assert_eq!(report.completed, 11);
     }
 
+    /// Sleeps until `budget` after now has certainly elapsed.
+    fn outlast(budget: Duration) {
+        std::thread::sleep(budget + Duration::from_millis(5));
+    }
+
     #[test]
     fn expired_requests_drop_before_batch_forward() {
-        let m = model(11, 4, 2);
-        // A long flush window guarantees the queued request's deadline
-        // elapses before its batch dispatches.
+        let gate = Gate::shut();
         let engine = ServeEngine::start(
-            m,
+            gated_model(&gate, 11, 4, 2),
             ServeConfig {
                 max_batch: 8,
-                max_wait: Duration::from_millis(80),
                 workers: 1,
                 ..Default::default()
             },
         );
         let handle = engine.handle();
-        let expired = handle
-            .submit_with_deadline(row(0, 4), Duration::from_millis(1))
-            .unwrap();
+        // Both requests queue behind the parked worker; the first one's
+        // deadline elapses there.
+        let plug = gate.plug(&handle, row(9, 4));
+        let budget = Duration::from_millis(1);
+        let expired = handle.submit_with_deadline(row(0, 4), budget).unwrap();
         let fresh = handle
             .submit_with_deadline(row(1, 4), Duration::from_secs(30))
             .unwrap();
+        outlast(budget);
+        gate.open();
+        plug.wait().unwrap();
         assert!(matches!(expired.wait(), Err(ServeError::DeadlineExceeded)));
-        assert!(fresh.wait().is_ok());
+        assert_eq!(fresh.wait().unwrap().batch_size, 1);
         assert_eq!(handle.depth(), 0, "expired request leaked its slot");
         let report = engine.shutdown();
         assert_eq!(report.deadline_expired, 1);
-        assert_eq!(report.completed, 1);
-        // The expired request never entered a forward pass: the batch's
-        // latency histogram saw only the fresh request.
-        assert_eq!(report.latency.count, 1);
+        assert_eq!(report.completed, 2);
+        // The expired request never entered a forward pass: the latency
+        // histogram saw only the plug and the fresh request.
+        assert_eq!(report.latency.count, 2);
     }
 
     #[test]
     fn fully_expired_batch_runs_no_forward() {
-        let m = model(12, 4, 2);
-        // max_batch above the submission count: the batch holds for the
-        // full 60 ms flush window, past every 1 ms deadline.
+        let gate = Gate::shut();
         let engine = ServeEngine::start(
-            m,
+            gated_model(&gate, 12, 4, 2),
             ServeConfig {
                 max_batch: 16,
-                max_wait: Duration::from_millis(60),
                 workers: 1,
                 ..Default::default()
             },
         );
         let handle = engine.handle();
+        let plug = gate.plug(&handle, row(9, 4));
+        let budget = Duration::from_millis(1);
         let tickets: Vec<_> = (0..4)
-            .map(|i| {
-                handle
-                    .submit_with_deadline(row(i, 4), Duration::from_millis(1))
-                    .unwrap()
-            })
+            .map(|i| handle.submit_with_deadline(row(i, 4), budget).unwrap())
             .collect();
+        outlast(budget);
+        gate.open();
+        plug.wait().unwrap();
         for t in tickets {
             assert!(matches!(t.wait(), Err(ServeError::DeadlineExceeded)));
         }
+        assert_eq!(handle.depth(), 0);
         let report = engine.shutdown();
         assert_eq!(report.deadline_expired, 4);
-        assert_eq!(report.completed, 0);
-        // No forward pass ran for the all-expired batch.
-        assert_eq!(report.batches, 0);
+        assert_eq!(report.completed, 1);
+        // Only the plug ran a forward pass; the all-expired batch ran none.
+        assert_eq!(report.batches, 1);
+    }
+
+    #[test]
+    fn idle_engine_shuts_down_without_waiting_out_a_tick() {
+        // Stopping wakes the parked workers; nothing polls. A hundred
+        // start → one request → shutdown cycles took over 1.1 s when an
+        // idle engine noticed the stop flag on a 10 ms tick.
+        let m = model(15, 4, 2);
+        let start = Instant::now();
+        for i in 0..100 {
+            let engine = ServeEngine::start(Arc::clone(&m), ServeConfig::default());
+            engine.handle().predict(row(i, 4)).unwrap();
+            assert_eq!(engine.shutdown().completed, 1);
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(500), "100 cycles took {took:?}");
     }
 
     #[test]

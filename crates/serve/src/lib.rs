@@ -5,21 +5,24 @@
 //! pipeline *around* the model (its §4–5 attribute most CANDLE runtime to
 //! `read_csv`, not training math). Serving has the same shape: a single
 //! request's forward pass is cheap, so throughput is determined by how
-//! requests are queued, coalesced and dispatched. This crate provides that
+//! requests are queued, coalesced and handed back. This crate provides that
 //! pipeline:
 //!
 //! * a **bounded submission queue** — [`ServeHandle::submit`] fails fast
 //!   with [`ServeError::Overloaded`] once the number of in-flight requests
 //!   reaches the configured capacity (load shedding instead of unbounded
 //!   memory growth and collapse);
-//! * a **dynamic micro-batcher** — requests are coalesced into batches
-//!   that flush on `max_batch` *or* `max_wait`, whichever comes first, so
-//!   a loaded server amortizes per-forward overhead while an idle server
-//!   adds at most `max_wait` latency;
-//! * a **`parx`-pooled worker set** — batched forward passes run on
-//!   shared, immutable model replicas (`Arc<Sequential>`, enabled by
-//!   `dlframe`'s `predict(&self)` inference path), so no weight copies and
-//!   no locks on the hot path;
+//! * **work-conserving micro-batching** — the engine's workers share one
+//!   queue; each blocks for a first request, takes whatever else is
+//!   already queued up to `max_batch` rows and runs the batch itself,
+//!   never holding it open for more. A request waits only for a busy
+//!   worker, and a loaded server's batches fill on their own — the queue
+//!   builds exactly when amortizing per-forward overhead pays;
+//! * **shared replicas, one reply slot per request** — batched forward
+//!   passes run on an immutable `Arc<Sequential>` (enabled by `dlframe`'s
+//!   `predict(&self)` inference path), so no weight copies and no locks
+//!   on the hot path; a [`Ticket`] is a one-shot slot the worker fills,
+//!   and a warm worker allocates nothing per batch but its reply rows;
 //! * **latency SLO instrumentation** — per-request end-to-end latency,
 //!   per-request queue wait and per-batch forward time are recorded into
 //!   [`simcore::LogHistogram`]s (p50/p95/p99/max) together with an
@@ -40,6 +43,8 @@
 mod engine;
 mod loadgen;
 mod stats;
+#[cfg(test)]
+mod test_gate;
 
 pub use engine::{Prediction, ServeConfig, ServeEngine, ServeHandle, Ticket};
 pub use loadgen::{

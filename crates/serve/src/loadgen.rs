@@ -219,13 +219,21 @@ pub fn run_open_loop(handle: &ServeHandle, cfg: &OpenLoopConfig) -> LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_gate::Gate;
     use crate::{ServeConfig, ServeEngine};
     use dlframe::{Activation, Dense, Loss, Optimizer, Sequential};
     use std::sync::Arc;
 
     fn model(seed: u64) -> Arc<Sequential> {
+        gated_model(seed, None)
+    }
+
+    fn gated_model(seed: u64, gate: Option<&Gate>) -> Arc<Sequential> {
         let mut rng = xrng::seeded(seed);
         let mut m = Sequential::new(seed);
+        if let Some(gate) = gate {
+            m.add(Box::new(gate.clone()));
+        }
         m.add(Box::new(Dense::new(6, 16, Activation::Relu, &mut rng)));
         m.add(Box::new(Dense::new(16, 3, Activation::Linear, &mut rng)));
         m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
@@ -286,26 +294,38 @@ mod tests {
 
     #[test]
     fn open_loop_sheds_under_overload_without_deadlock() {
-        // Tiny capacity, slow flush: most of a fast burst must shed.
+        // Tiny capacity and the only worker parked at a gate: a fast burst
+        // fills the engine and must shed. The gate opens once it has.
+        let gate = Gate::shut();
         let engine = ServeEngine::start(
-            model(13),
+            gated_model(13, Some(&gate)),
             ServeConfig {
                 max_batch: 64,
-                max_wait: Duration::from_millis(50),
                 queue_capacity: 8,
                 workers: 1,
                 ..Default::default()
             },
         );
-        let r = run_open_loop(
-            &engine.handle(),
-            &OpenLoopConfig {
-                rate_rps: 1e6,
-                requests: 500,
-                features: 6,
-                seed: 8,
-            },
-        );
+        let handle = engine.handle();
+        let plug = gate.plug(&handle, request_row(8, 999, 6));
+        let r = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while engine.report().shed == 0 {
+                    std::thread::yield_now();
+                }
+                gate.open();
+            });
+            run_open_loop(
+                &handle,
+                &OpenLoopConfig {
+                    rate_rps: 1e6,
+                    requests: 500,
+                    features: 6,
+                    seed: 8,
+                },
+            )
+        });
+        plug.wait().unwrap();
         let report = engine.shutdown();
         assert!(r.shed > 0, "expected shedding at capacity 8");
         assert_eq!(r.submitted + r.shed, 500);

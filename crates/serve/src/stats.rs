@@ -1,23 +1,50 @@
 //! Serving statistics: lock-free counters plus histogram-backed latency
-//! summaries.
+//! summaries, recorded by the workers one batch at a time.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use simcore::LogHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Shared mutable recording state. Counters are atomics (workers bump
-/// them per request); histograms sit behind short-lived mutexes that are
-/// taken once per request or batch, far off the matmul critical path.
+/// Shared mutable recording state. Counters are atomics; the three
+/// histograms sit behind one mutex that a worker takes once per batch
+/// (see [`StatsInner::batch`]), far off the matmul critical path.
 pub(crate) struct StatsInner {
     pub completed: AtomicU64,
     pub shed: AtomicU64,
     pub batches: AtomicU64,
     pub slo_violations: AtomicU64,
     pub expired: AtomicU64,
-    pub latency: Mutex<LogHistogram>,
-    pub wait: Mutex<LogHistogram>,
-    pub forward: Mutex<LogHistogram>,
+    /// Workers that died mid-batch and carried on (see
+    /// [`ServeReport::worker_restarts`]).
+    pub restarts: AtomicU64,
+    histograms: Mutex<Histograms>,
+}
+
+struct Histograms {
+    latency: LogHistogram,
+    wait: LogHistogram,
+    forward: LogHistogram,
+}
+
+/// One executed batch being recorded: holds the histogram lock from the
+/// forward's end to the last reply, so a batch costs one lock however
+/// many rows it has.
+pub(crate) struct BatchStats<'a> {
+    stats: &'a StatsInner,
+    histograms: MutexGuard<'a, Histograms>,
+}
+
+impl BatchStats<'_> {
+    /// Records one completed request of this batch.
+    pub fn request(&mut self, wait: Duration, latency: Duration, slo: Option<Duration>) {
+        self.stats.completed.fetch_add(1, Ordering::Relaxed);
+        if slo.is_some_and(|target| latency > target) {
+            self.stats.slo_violations.fetch_add(1, Ordering::Relaxed);
+        }
+        self.histograms.wait.record(wait.as_secs_f64());
+        self.histograms.latency.record(latency.as_secs_f64());
+    }
 }
 
 impl StatsInner {
@@ -28,40 +55,39 @@ impl StatsInner {
             batches: AtomicU64::new(0),
             slo_violations: AtomicU64::new(0),
             expired: AtomicU64::new(0),
-            latency: Mutex::new(LogHistogram::for_latency_seconds()),
-            wait: Mutex::new(LogHistogram::for_latency_seconds()),
-            forward: Mutex::new(LogHistogram::for_latency_seconds()),
+            restarts: AtomicU64::new(0),
+            histograms: Mutex::new(Histograms {
+                latency: LogHistogram::for_latency_seconds(),
+                wait: LogHistogram::for_latency_seconds(),
+                forward: LogHistogram::for_latency_seconds(),
+            }),
         }
     }
 
-    /// Records one completed request.
-    pub fn record_request(&self, wait: Duration, latency: Duration, slo: Option<Duration>) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        if slo.is_some_and(|target| latency > target) {
-            self.slo_violations.fetch_add(1, Ordering::Relaxed);
-        }
-        self.wait.lock().record(wait.as_secs_f64());
-        self.latency.lock().record(latency.as_secs_f64());
-    }
-
-    /// Records one dispatched batch's forward time.
-    pub fn record_batch(&self, forward: Duration) {
+    /// Records one executed batch's forward time and returns the recorder
+    /// for its requests.
+    pub fn batch(&self, forward: Duration) -> BatchStats<'_> {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.forward.lock().record(forward.as_secs_f64());
+        let mut histograms = self.histograms.lock();
+        histograms.forward.record(forward.as_secs_f64());
+        BatchStats {
+            stats: self,
+            histograms,
+        }
     }
 
-    /// Snapshot over `elapsed_s` seconds of serving; `worker_restarts`
-    /// comes from the worker pool, which owns that counter.
-    pub fn report(&self, elapsed_s: f64, worker_restarts: u64) -> ServeReport {
+    /// Snapshot over `elapsed_s` seconds of serving.
+    pub fn report(&self, elapsed_s: f64) -> ServeReport {
         let completed = self.completed.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
+        let histograms = self.histograms.lock();
         ServeReport {
             completed,
             shed: self.shed.load(Ordering::Relaxed),
             batches,
             slo_violations: self.slo_violations.load(Ordering::Relaxed),
             deadline_expired: self.expired.load(Ordering::Relaxed),
-            worker_restarts,
+            worker_restarts: self.restarts.load(Ordering::Relaxed),
             mean_batch: if batches == 0 {
                 0.0
             } else {
@@ -73,9 +99,9 @@ impl StatsInner {
             } else {
                 0.0
             },
-            latency: LatencySummary::from_histogram(&self.latency.lock()),
-            enqueue_wait: LatencySummary::from_histogram(&self.wait.lock()),
-            batch_forward: LatencySummary::from_histogram(&self.forward.lock()),
+            latency: LatencySummary::from_histogram(&histograms.latency),
+            enqueue_wait: LatencySummary::from_histogram(&histograms.wait),
+            batch_forward: LatencySummary::from_histogram(&histograms.forward),
         }
     }
 }
@@ -129,7 +155,7 @@ pub struct ServeReport {
     pub completed: u64,
     /// Requests rejected at the queue watermark ([`crate::ServeError::Overloaded`]).
     pub shed: u64,
-    /// Batches dispatched to workers.
+    /// Batches that ran a forward pass.
     pub batches: u64,
     /// Completed requests whose end-to-end latency exceeded the SLO
     /// target (0 when no SLO is configured).
@@ -140,7 +166,7 @@ pub struct ServeReport {
     /// Workers that died mid-batch and were restarted (0 in a healthy
     /// run; see [`crate::ServeError::WorkerCrashed`]).
     pub worker_restarts: u64,
-    /// Mean rows per dispatched batch.
+    /// Mean rows per batch.
     pub mean_batch: f64,
     /// Serving wall-clock covered by this report, seconds.
     pub elapsed_s: f64,
@@ -148,7 +174,7 @@ pub struct ServeReport {
     pub throughput_rps: f64,
     /// End-to-end (submit → reply) per-request latency.
     pub latency: LatencySummary,
-    /// Per-request time spent queued before batch dispatch.
+    /// Per-request time spent queued before a worker pulled its batch.
     pub enqueue_wait: LatencySummary,
     /// Per-batch forward-pass time.
     pub batch_forward: LatencySummary,
@@ -200,15 +226,17 @@ mod tests {
     #[test]
     fn report_ratios() {
         let inner = StatsInner::new();
-        inner.record_batch(Duration::from_millis(4));
+        let mut batch = inner.batch(Duration::from_millis(4));
         for _ in 0..8 {
-            inner.record_request(
+            batch.request(
                 Duration::from_millis(1),
                 Duration::from_millis(5),
                 Some(Duration::from_millis(3)),
             );
         }
-        let r = inner.report(2.0, 1);
+        drop(batch);
+        inner.restarts.fetch_add(1, Ordering::Relaxed);
+        let r = inner.report(2.0);
         assert_eq!(r.worker_restarts, 1);
         assert_eq!(r.completed, 8);
         assert_eq!(r.batches, 1);
@@ -222,7 +250,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_benign() {
-        let r = StatsInner::new().report(0.0, 0);
+        let r = StatsInner::new().report(0.0);
         assert_eq!(r.completed, 0);
         assert_eq!(r.throughput_rps, 0.0);
         assert_eq!(r.mean_batch, 0.0);

@@ -1,0 +1,77 @@
+//! Test staging shared by the engine's and the load generators' tests.
+
+use crate::{ServeHandle, Ticket};
+use dlframe::{DlError, Layer};
+use parking_lot::{Condvar, Mutex};
+use std::sync::Arc;
+use tensor::{Tensor, Workspace};
+
+/// An identity layer whose inference forward blocks while the gate is
+/// shut. Tests stage their queues with it instead of with
+/// wall-clock: a worker parked inside a forward is busy for exactly as
+/// long as the test says, so requests submitted meanwhile stay queued
+/// — to coalesce, to expire or to fill the engine to capacity.
+#[derive(Clone)]
+pub(crate) struct Gate(Arc<GateState>);
+
+struct GateState {
+    /// `(open, forwards waiting at the gate)`.
+    state: Mutex<(bool, usize)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    pub fn shut() -> Self {
+        Gate(Arc::new(GateState {
+            state: Mutex::new((false, 0)),
+            changed: Condvar::new(),
+        }))
+    }
+
+    /// Submits one request and returns once a worker is parked at the
+    /// gate with it: from here on that worker pulls nothing.
+    pub fn plug(&self, handle: &ServeHandle, features: Vec<f32>) -> Ticket {
+        let ticket = handle.submit(features).unwrap();
+        let mut state = self.0.state.lock();
+        while state.1 == 0 {
+            self.0.changed.wait(&mut state);
+        }
+        ticket
+    }
+
+    pub fn open(&self) {
+        self.0.state.lock().0 = true;
+        self.0.changed.notify_all();
+    }
+}
+
+impl Layer for Gate {
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+
+    fn forward(&mut self, x: &Tensor, _: bool, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        Ok(ws.alloc_copy(x))
+    }
+
+    fn forward_infer(&self, x: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+        let mut state = self.0.state.lock();
+        state.1 += 1;
+        self.0.changed.notify_all();
+        while !state.0 {
+            self.0.changed.wait(&mut state);
+        }
+        state.1 -= 1;
+        drop(state);
+        Ok(ws.alloc_copy(x))
+    }
+
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        input_grad: bool,
+        ws: &mut Workspace,
+    ) -> Result<Option<Tensor>, DlError> {
+        Ok(input_grad.then(|| ws.alloc_copy(grad_out)))
+    }
+}

@@ -333,6 +333,53 @@ pub fn conv1d_backward(
     })
 }
 
+/// The window walk both max-pool forwards share: the pooled output
+/// (zero-filled, from `ws`'s pool) and, in output order, the flat input
+/// index where each window's `pool` rows of `ch` values start.
+fn pool_windows(
+    input: &Tensor,
+    pool: usize,
+    ws: &mut Workspace,
+) -> Result<(Tensor, impl Iterator<Item = usize>), TensorError> {
+    let (batch, steps, ch) = input.shape().as_3d();
+    let out_steps = pool1d_output_len(steps, pool).ok_or_else(|| TensorError::ShapeMismatch {
+        left: input.shape().clone(),
+        right: Shape::from([pool]),
+    })?;
+    let out = ws.alloc([batch, out_steps, ch]);
+    let bases =
+        (0..batch).flat_map(move |b| (0..out_steps).map(move |t| (b * steps + t * pool) * ch));
+    Ok((out, bases))
+}
+
+/// Forward-only non-overlapping 1-D max pool on a workspace: the pooled
+/// tensor of [`maxpool1d_forward_ws`], bit for bit, without the argmax
+/// only a backward pass reads. Each output row is the running maximum over
+/// its window's rows, channels innermost, with the same strict
+/// comparison in the same order (so a NaN never wins and a window with
+/// no value above `-inf` yields `-inf`).
+pub fn maxpool1d_infer_ws(
+    input: &Tensor,
+    pool: usize,
+    ws: &mut Workspace,
+) -> Result<Tensor, TensorError> {
+    let (mut out, bases) = pool_windows(input, pool, ws)?;
+    let ch = input.shape().as_3d().2;
+    if ch == 0 {
+        return Ok(out);
+    }
+    let id = input.data();
+    for (base, out) in bases.zip(out.data_mut().chunks_exact_mut(ch)) {
+        out.fill(f32::NEG_INFINITY);
+        for cand in id[base..][..pool * ch].chunks_exact(ch) {
+            for (best, &v) in out.iter_mut().zip(cand) {
+                *best = if v > *best { v } else { *best };
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// Forward non-overlapping 1-D max pool on a workspace.
 ///
 /// Writes the flat input index of each selected maximum into `argmax`
@@ -345,17 +392,13 @@ pub fn maxpool1d_forward_ws(
     argmax: &mut Vec<usize>,
     ws: &mut Workspace,
 ) -> Result<Tensor, TensorError> {
-    let (batch, steps, ch) = input.shape().as_3d();
-    let out_steps = pool1d_output_len(steps, pool).ok_or_else(|| TensorError::ShapeMismatch {
-        left: input.shape().clone(),
-        right: Shape::from([pool]),
-    })?;
+    let (mut out, bases) = pool_windows(input, pool, ws)?;
     // Candidate rows are numbered in 32 bits so the compare-and-select
     // below is one width throughout; `u32::MAX` means "none yet".
     assert!(pool < u32::MAX as usize, "maxpool1d: pool window too large");
-    let mut out = ws.alloc([batch, out_steps, ch]);
+    let ch = input.shape().as_3d().2;
     // Every element is overwritten below, so a warm buffer is not cleared.
-    argmax.resize(batch * out_steps * ch, 0);
+    argmax.resize(out.len(), 0);
     if ch == 0 {
         return Ok(out);
     }
@@ -364,7 +407,6 @@ pub fn maxpool1d_forward_ws(
         .data_mut()
         .chunks_exact_mut(ch)
         .zip(argmax.chunks_exact_mut(ch));
-    let bases = (0..batch).flat_map(|b| (0..out_steps).map(move |t| (b * steps + t * pool) * ch));
     for (base, (out, argmax)) in bases.zip(windows) {
         // A tile of channels at a time: candidate rows outermost, channels
         // innermost, so the inner loop is a branch-free compare-and-select

@@ -22,7 +22,8 @@ mod shape;
 
 pub use conv::{
     conv1d_backward, conv1d_forward, conv1d_forward_ws, conv1d_input_grad_ws, conv1d_output_len,
-    conv1d_weight_grad_ws, maxpool1d_backward_ws, maxpool1d_forward_ws, pool1d_output_len,
+    conv1d_weight_grad_ws, maxpool1d_backward_ws, maxpool1d_forward_ws, maxpool1d_infer_ws,
+    pool1d_output_len,
 };
 pub use gemm::{
     gemm_into, gemm_into_with_threads, gemm_slice, sigmoid, with_scratch, Epilogue, FusedAct,

@@ -13,7 +13,6 @@ use fleet::sim::ScalePolicy;
 use fleet::{AutoscaleConfig, Burst, RealFleetConfig, RouterPolicy, TraceConfig};
 use serve::ServeConfig;
 use std::sync::Arc;
-use std::time::Duration;
 
 const FEATURES: usize = 256;
 
@@ -31,11 +30,9 @@ fn real_config(scaling: ScalePolicy) -> RealFleetConfig {
     RealFleetConfig {
         engine: ServeConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 512,
             workers: 1,
-            slo: None,
-            kill_batches: Vec::new(),
+            ..Default::default()
         },
         router: RouterPolicy::PowerOfTwo,
         scaling,

@@ -62,11 +62,10 @@ fn main() {
         Arc::clone(&model),
         ServeConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 2048,
             workers: 2,
             slo: Some(Duration::from_millis(5)),
-            kill_batches: Vec::new(),
+            ..Default::default()
         },
         timeline.clone(),
     );
