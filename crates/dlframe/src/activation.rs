@@ -47,7 +47,7 @@ impl Activation {
     }
 
     /// Writes `dL/dx` into `out`, given the activation *output* `y` and
-    /// `dL/dy`; `out` must have `grad_out`'s length.
+    /// `dL/dy`.
     ///
     /// Using the output (rather than the input) is valid for every function
     /// here because each derivative is expressible in terms of the output —
@@ -55,39 +55,80 @@ impl Activation {
     ///
     /// For `Softmax` this computes the full row-wise Jacobian product,
     /// `dx_i = y_i (g_i - Σ_j g_j y_j)`.
+    ///
+    /// # Panics
+    /// Panics unless `y`, `grad_out` and `out` have one length: zipping
+    /// them would silently yield a short gradient. Layers check shapes
+    /// first and answer `BadInput`.
     pub fn backward_into(self, y: &Tensor, grad_out: &Tensor, out: &mut Tensor) {
-        debug_assert_eq!(out.len(), grad_out.len());
-        let pairs = grad_out.data().iter().zip(y.data());
-        let pointwise = out.data_mut().iter_mut().zip(pairs);
+        self.backward_rows(y, grad_out, out, None);
+    }
+
+    /// [`Activation::backward_into`] for a layer whose pre-activation is
+    /// `z = x·W + b`: also overwrites `grad_bias` with the column sums of
+    /// the `dL/dz` it writes (rows are `grad_bias.len()` wide, summed in
+    /// ascending row order), in the same pass over the rows rather than a
+    /// second one over `out`.
+    ///
+    /// # Panics
+    /// As [`Activation::backward_into`]; also if the length is not a whole
+    /// number of rows.
+    pub fn backward_with_bias_into(
+        self,
+        y: &Tensor,
+        grad_out: &Tensor,
+        out: &mut Tensor,
+        grad_bias: &mut Tensor,
+    ) {
+        self.backward_rows(y, grad_out, out, Some(grad_bias.data_mut()));
+    }
+
+    fn backward_rows(
+        self,
+        y: &Tensor,
+        grad_out: &Tensor,
+        out: &mut Tensor,
+        col_sum: Option<&mut [f32]>,
+    ) {
+        assert_eq!(y.len(), grad_out.len(), "activation backward: y vs dL/dy");
+        assert_eq!(
+            out.len(),
+            grad_out.len(),
+            "activation backward: out vs dL/dy"
+        );
+        let g = grad_out.data();
         match self {
-            Activation::Linear => out.data_mut().copy_from_slice(grad_out.data()),
-            Activation::Relu => {
-                // A select, not a conditional store: it vectorizes, and a
-                // branch on the sign of a ReLU output mispredicts half the
-                // time.
-                for (o, (&gv, &yv)) in pointwise {
-                    *o = if yv <= 0.0 { 0.0 } else { gv };
+            Activation::Linear => pointwise(y.data(), g, out.data_mut(), col_sum, |_, gv| gv),
+            // A select, not a conditional store: it vectorizes, and a
+            // branch on the sign of a ReLU output mispredicts half the
+            // time.
+            Activation::Relu => pointwise(y.data(), g, out.data_mut(), col_sum, |yv, gv| {
+                if yv <= 0.0 {
+                    0.0
+                } else {
+                    gv
                 }
-            }
-            Activation::Sigmoid => {
-                for (o, (&gv, &yv)) in pointwise {
-                    *o = gv * (yv * (1.0 - yv));
-                }
-            }
-            Activation::Tanh => {
-                for (o, (&gv, &yv)) in pointwise {
-                    *o = gv * (1.0 - yv * yv);
-                }
-            }
+            }),
+            Activation::Sigmoid => pointwise(y.data(), g, out.data_mut(), col_sum, |yv, gv| {
+                gv * (yv * (1.0 - yv))
+            }),
+            Activation::Tanh => pointwise(y.data(), g, out.data_mut(), col_sum, |yv, gv| {
+                gv * (1.0 - yv * yv)
+            }),
             Activation::Softmax => {
-                out.data_mut().copy_from_slice(grad_out.data());
-                let (rows, cols) = y.shape().as_2d();
-                for r in 0..rows {
-                    let yrow = &y.data()[r * cols..(r + 1) * cols];
-                    let grow = &mut out.data_mut()[r * cols..(r + 1) * cols];
+                let (_, cols) = y.shape().as_2d();
+                let out = out.data_mut();
+                out.copy_from_slice(g);
+                for (yrow, grow) in y.data().chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
                     let dot: f32 = grow.iter().zip(yrow).map(|(g, y)| g * y).sum();
                     for (gv, &yv) in grow.iter_mut().zip(yrow) {
                         *gv = yv * (*gv - dot);
+                    }
+                }
+                if let Some(sum) = col_sum {
+                    sum.fill(0.0);
+                    for row in out.chunks_exact(row_width(out.len(), sum.len())) {
+                        add_row(sum, row);
                     }
                 }
             }
@@ -103,6 +144,62 @@ impl Activation {
             Activation::Tanh => "tanh",
             Activation::Softmax => "softmax",
         }
+    }
+}
+
+/// `out[i] = d(y[i], g[i])`, and with `col_sum` the column sums of `out`
+/// read as rows `col_sum.len()` wide.
+#[inline(always)]
+fn pointwise(
+    y: &[f32],
+    g: &[f32],
+    out: &mut [f32],
+    col_sum: Option<&mut [f32]>,
+    d: impl Fn(f32, f32) -> f32,
+) {
+    let derive = |out: &mut [f32], y: &[f32], g: &[f32]| {
+        for ((o, &yv), &gv) in out.iter_mut().zip(y).zip(g) {
+            *o = d(yv, gv);
+        }
+    };
+    let Some(sum) = col_sum else {
+        return derive(out, y, g);
+    };
+    sum.fill(0.0);
+    let cols = row_width(out.len(), sum.len());
+    let rows = out
+        .chunks_exact_mut(cols)
+        .zip(y.chunks_exact(cols).zip(g.chunks_exact(cols)));
+    for (out, (y, g)) in rows {
+        // Two loops over the row, not one: a single select-and-accumulate
+        // body compiles to a branch on the data, and on ReLU outputs that
+        // branch mispredicts every other element.
+        derive(out, y, g);
+        add_row(sum, out);
+    }
+}
+
+/// `cols` as a chunk width for `len` values (1 where there is nothing to
+/// chunk).
+///
+/// # Panics
+/// Panics if `len` values are not whole rows of `cols`.
+fn row_width(len: usize, cols: usize) -> usize {
+    assert!(
+        if cols == 0 {
+            len == 0
+        } else {
+            len.is_multiple_of(cols)
+        },
+        "activation backward: {len} values are not rows of {cols}"
+    );
+    cols.max(1)
+}
+
+#[inline(always)]
+fn add_row(sum: &mut [f32], row: &[f32]) {
+    for (s, &v) in sum.iter_mut().zip(row) {
+        *s += v;
     }
 }
 
@@ -199,6 +296,46 @@ mod tests {
         for v in gx.data() {
             assert!(v.abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn fused_bias_sum_matches_the_two_pass_form_bit_for_bit() {
+        let mut rng = xrng::seeded(77);
+        for act in [
+            Activation::Linear,
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Tanh,
+            Activation::Softmax,
+        ] {
+            for (rows, cols) in [(37, 16), (5, 3), (1, 1), (0, 4)] {
+                let x = Tensor::from_fn([rows, cols], |_| rng.next_f32() * 2.0 - 1.0);
+                let g = Tensor::from_fn([rows, cols], |_| rng.next_f32() * 2.0 - 1.0);
+                let y = apply(act, &x);
+                let want = input_grad(act, &y, &g);
+                let mut want_bias = Tensor::full([cols], f32::NAN);
+                want.sum_rows_into(&mut want_bias);
+                let mut got = Tensor::full([rows, cols], f32::NAN);
+                let mut got_bias = Tensor::full([cols], f32::NAN);
+                act.backward_with_bias_into(&y, &g, &mut got, &mut got_bias);
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{} {rows}x{cols}", act.name());
+                assert_eq!(
+                    bits(&got_bias),
+                    bits(&want_bias),
+                    "{} {rows}x{cols}",
+                    act.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "y vs dL/dy")]
+    fn a_gradient_of_another_length_is_not_silently_truncated() {
+        let y = Tensor::zeros([4, 3]);
+        let g = Tensor::zeros([3, 3]);
+        Activation::Relu.backward_into(&y, &g, &mut Tensor::zeros([3, 3]));
     }
 
     #[test]

@@ -1,22 +1,18 @@
 //! Standalone activation layer (Keras `Activation("relu")`).
 
-use super::{require_cached, store_cache, Layer};
+use super::{misfit, Layer};
 use crate::{Activation, DlError};
 use tensor::{Tensor, Workspace};
 
 /// Applies an [`Activation`] as its own layer.
 pub struct ActivationLayer {
     activation: Activation,
-    output_cache: Option<Tensor>,
 }
 
 impl ActivationLayer {
     /// Wraps an activation function in a layer.
     pub fn new(activation: Activation) -> Self {
-        Self {
-            activation,
-            output_cache: None,
-        }
+        Self { activation }
     }
 
     /// The wrapped activation.
@@ -36,9 +32,7 @@ impl Layer for ActivationLayer {
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        let y = self.forward_infer(input, ws)?;
-        store_cache(&mut self.output_cache, &y, ws);
-        Ok(y)
+        self.forward_infer(input, ws)
     }
 
     fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
@@ -49,16 +43,21 @@ impl Layer for ActivationLayer {
 
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, DlError> {
+        if input.shape() != output.shape() || grad_out.shape() != output.shape() {
+            return Err(misfit("activation", input, output, grad_out));
+        }
         if !input_grad {
             return Ok(None);
         }
-        let y = require_cached(&self.output_cache, "activation")?;
-        let mut g = ws.alloc(y.shape().clone());
-        self.activation.backward_into(y, grad_out, &mut g);
+        // As-is: the derivative pass stores every element.
+        let mut g = ws.alloc_as_is(output.shape().clone());
+        self.activation.backward_into(output, grad_out, &mut g);
         Ok(Some(g))
     }
 }
@@ -75,7 +74,7 @@ mod tests {
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
         let g = layer
-            .backward(&Tensor::full([4], 1.0), true, ws)
+            .backward(&x, &y, &Tensor::full([4], 1.0), true, ws)
             .unwrap()
             .unwrap();
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);

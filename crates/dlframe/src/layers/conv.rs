@@ -2,11 +2,12 @@
 //!
 //! Runs on the strided-GEMM convolution kernels: forward is one
 //! fused-epilogue product per sample (bias and pointwise activation
-//! applied inside the kernel), and backward writes the weight gradient
-//! straight into the persistent tensor and computes the input gradient
-//! only when the caller reads it.
+//! applied inside the kernel), and backward turns `dL/dy` into `dL/dz` and
+//! the bias gradient in one pass, writes the weight gradient straight
+//! into the persistent tensor and computes the input gradient only when
+//! the caller reads it.
 
-use super::{require_cached, store_cache, Layer};
+use super::{misfit, Layer};
 use crate::{Activation, DlError};
 use tensor::{
     conv1d_forward_ws, conv1d_input_grad_ws, conv1d_output_len, conv1d_weight_grad_ws, FusedAct,
@@ -28,8 +29,6 @@ pub struct Conv1D {
     kernel: usize,
     in_channels: usize,
     filters: usize,
-    input_cache: Option<Tensor>,
-    output_cache: Option<Tensor>,
 }
 
 impl Conv1D {
@@ -63,8 +62,6 @@ impl Conv1D {
             kernel,
             in_channels,
             filters,
-            input_cache: None,
-            output_cache: None,
         }
     }
 
@@ -119,10 +116,7 @@ impl Layer for Conv1D {
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        let y = self.compute(input, ws)?;
-        store_cache(&mut self.input_cache, input, ws);
-        store_cache(&mut self.output_cache, &y, ws);
-        Ok(y)
+        self.compute(input, ws)
     }
 
     fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
@@ -131,32 +125,35 @@ impl Layer for Conv1D {
 
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, DlError> {
-        let grad_z = {
-            let y = require_cached(&self.output_cache, "conv1d")?;
-            let mut gz = ws.alloc(y.shape().clone());
-            self.activation.backward_into(y, grad_out, &mut gz);
-            gz
-        };
-        let x = require_cached(&self.input_cache, "conv1d")?;
-        conv1d_weight_grad_ws(x, &grad_z, self.stride, &mut self.grad_weights, 0, ws)
-            .map_err(|e| DlError::BadInput(e.to_string()))?;
-        let grad_input = input_grad
-            .then(|| conv1d_input_grad_ws(x.shape(), &self.weights, &grad_z, self.stride, 0, ws))
-            .transpose()
-            .map_err(|e| DlError::BadInput(e.to_string()))?;
-        // Bias gradient: sum of grad_z over batch and steps per channel.
-        let (_, _, out_ch) = grad_z.shape().as_3d();
-        let gb = self.grad_bias.data_mut();
-        gb.fill(0.0);
-        for row in grad_z.data().chunks_exact(out_ch) {
-            for (g, &v) in gb.iter_mut().zip(row) {
-                *g += v;
-            }
+        let fits = matches!(
+            (input.shape().dims(), output.shape().dims()),
+            (&[b, steps, in_ch], &[ob, out_steps, out_ch])
+                if (b, in_ch, out_ch) == (ob, self.in_channels, self.filters)
+                    && self.output_len(steps) == Some(out_steps)
+        );
+        if !fits || grad_out.shape() != output.shape() {
+            return Err(misfit("conv1d", input, output, grad_out));
         }
+        // As-is: the one pass below stores every element.
+        let mut grad_z = ws.alloc_as_is(output.shape().clone());
+        self.activation
+            .backward_with_bias_into(output, grad_out, &mut grad_z, &mut self.grad_bias);
+        // The kernels re-check the geometry established above.
+        let kernel_err = |e: tensor::TensorError| DlError::BadInput(e.to_string());
+        conv1d_weight_grad_ws(input, &grad_z, self.stride, &mut self.grad_weights, 0, ws)
+            .map_err(kernel_err)?;
+        let grad_input = input_grad
+            .then(|| {
+                conv1d_input_grad_ws(input.shape(), &self.weights, &grad_z, self.stride, 0, ws)
+            })
+            .transpose()
+            .map_err(kernel_err)?;
         ws.recycle(grad_z);
         Ok(grad_input)
     }
@@ -226,7 +223,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let y = layer.forward(&x, true, ws).unwrap();
         let w_dir = Tensor::from_fn(y.shape().clone().dims().to_vec(), |_| rng.next_f32() - 0.5);
-        let gx = layer.backward(&w_dir, true, ws).unwrap().unwrap();
+        let gx = layer.backward(&x, &y, &w_dir, true, ws).unwrap().unwrap();
         let gw = layer.grad_weights.clone();
         let gb = layer.grad_bias.clone();
         let eps = 1e-3f32;

@@ -1,12 +1,13 @@
 //! Fully connected layer.
 //!
 //! Forward is a single fused-epilogue GEMM (`y = act(x·W + b)` in one
-//! pass over the output) and backward is one `gemm_into` call per
+//! pass over the output) and backward is one pass that turns `dL/dy` into
+//! `δ = dL/dz` and the bias gradient, then one `gemm_into` call per
 //! gradient — `xᵀ·δ` straight into the persistent weight-gradient tensor,
 //! `δ·Wᵀ` only when the caller reads the input gradient — with no
 //! temporaries beyond the workspace pool.
 
-use super::{require_cached, store_cache, Layer};
+use super::{misfit, Layer};
 use crate::{Activation, DlError};
 use tensor::{gemm_into, gemm_slice, Epilogue, GemmMode, Initializer, Tensor, Workspace};
 use xrng::Rng;
@@ -21,8 +22,6 @@ pub struct Dense {
     grad_weights: Tensor,
     grad_bias: Tensor,
     activation: Activation,
-    input_cache: Option<Tensor>,
-    output_cache: Option<Tensor>,
     in_dim: usize,
     out_dim: usize,
 }
@@ -37,8 +36,6 @@ impl Dense {
             grad_weights: Tensor::zeros([in_dim, out_dim]),
             grad_bias: Tensor::zeros([out_dim]),
             activation,
-            input_cache: None,
-            output_cache: None,
             in_dim,
             out_dim,
         }
@@ -66,7 +63,8 @@ impl Dense {
                 self.in_dim
             )));
         }
-        let mut z = ws.alloc([batch, self.out_dim]);
+        // As-is: the product's first reduction block stores every element.
+        let mut z = ws.alloc_as_is([batch, self.out_dim]);
         let fused = self.activation.fused();
         let epilogue = Epilogue {
             bias: Some(self.bias.data()),
@@ -103,10 +101,7 @@ impl Layer for Dense {
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        let y = self.compute(input, ws)?;
-        store_cache(&mut self.input_cache, input, ws);
-        store_cache(&mut self.output_cache, &y, ws);
-        Ok(y)
+        self.compute(input, ws)
     }
 
     fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
@@ -115,43 +110,38 @@ impl Layer for Dense {
 
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, DlError> {
-        let grad_z = {
-            let y = require_cached(&self.output_cache, "dense")?;
-            let mut gz = ws.alloc(y.shape().clone());
-            self.activation.backward_into(y, grad_out, &mut gz);
-            gz
+        let (&[batch, in_dim], &[out_batch, out_dim]) =
+            (input.shape().dims(), output.shape().dims())
+        else {
+            return Err(misfit("dense", input, output, grad_out));
         };
-        let x = require_cached(&self.input_cache, "dense")?;
-        gemm_into(
-            GemmMode::AtB,
-            x,
-            &grad_z,
-            &mut self.grad_weights,
-            &Epilogue::NONE,
-            ws,
-        )
-        .map_err(|e| DlError::BadInput(e.to_string()))?;
-        grad_z.sum_rows_into(&mut self.grad_bias);
-        let gx = if input_grad {
-            let (batch, _) = grad_z.shape().as_2d();
-            let mut gx = ws.alloc([batch, self.in_dim]);
-            gemm_into(
-                GemmMode::ABt,
-                &grad_z,
-                &self.weights,
-                &mut gx,
-                &Epilogue::NONE,
-                ws,
-            )
-            .map_err(|e| DlError::BadInput(e.to_string()))?;
-            Some(gx)
-        } else {
-            None
-        };
+        if (in_dim, out_dim, out_batch) != (self.in_dim, self.out_dim, batch)
+            || grad_out.shape() != output.shape()
+        {
+            return Err(misfit("dense", input, output, grad_out));
+        }
+        // As-is, like `gx` below: one pass, one product, each storing
+        // every element.
+        let mut grad_z = ws.alloc_as_is([batch, out_dim]);
+        self.activation
+            .backward_with_bias_into(output, grad_out, &mut grad_z, &mut self.grad_bias);
+        // The products re-check the shapes established above.
+        let kernel_err = |e: tensor::TensorError| DlError::BadInput(e.to_string());
+        let (gw, none) = (&mut self.grad_weights, &Epilogue::NONE);
+        gemm_into(GemmMode::AtB, input, &grad_z, gw, none, ws).map_err(kernel_err)?;
+        let gx = input_grad
+            .then(|| {
+                let mut gx = ws.alloc_as_is([batch, in_dim]);
+                gemm_into(GemmMode::ABt, &grad_z, &self.weights, &mut gx, none, ws).map(|()| gx)
+            })
+            .transpose()
+            .map_err(kernel_err)?;
         ws.recycle(grad_z);
         Ok(gx)
     }
@@ -211,8 +201,8 @@ mod tests {
         let w_dir = Tensor::from_fn([5, 3], |_| rng.next_f32() - 0.5);
         let ws = &mut Workspace::new();
         // Loss = sum(y * w_dir).
-        layer.forward(&x, true, ws).unwrap();
-        let gx = layer.backward(&w_dir, true, ws).unwrap().unwrap();
+        let y = layer.forward(&x, true, ws).unwrap();
+        let gx = layer.backward(&x, &y, &w_dir, true, ws).unwrap().unwrap();
         let eps = 1e-3f32;
         // Input gradient.
         for idx in [0usize, 7, 19] {
@@ -238,9 +228,8 @@ mod tests {
                 "input grad idx {idx}"
             );
         }
-        // Weight gradient (recompute baseline gradient after the probes).
-        layer.forward(&x, true, ws).unwrap();
-        layer.backward(&w_dir, false, ws).unwrap();
+        // Weight gradient, from a parameters-only backward.
+        layer.backward(&x, &y, &w_dir, false, ws).unwrap();
         let gw = layer.grad_weights.clone();
         for idx in [0usize, 5, 11] {
             let orig = layer.weights.data()[idx];

@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use super::Layer;
+use super::{misfit, Layer};
 use crate::DlError;
 use tensor::{Tensor, Workspace};
 use xrng::{Bernoulli, Rng};
@@ -90,22 +90,23 @@ impl Layer for Dropout {
 
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, DlError> {
+        if input.shape() != output.shape()
+            || grad_out.shape() != output.shape()
+            || (self.active && self.mask.len() != grad_out.len())
+        {
+            return Err(misfit("dropout", input, output, grad_out));
+        }
         if !input_grad {
             return Ok(None);
         }
         if !self.active {
             return Ok(Some(ws.alloc_copy(grad_out)));
-        }
-        if self.mask.len() != grad_out.len() {
-            return Err(DlError::BadInput(format!(
-                "dropout mask length {} vs gradient length {}",
-                self.mask.len(),
-                grad_out.len()
-            )));
         }
         let mut g = ws.alloc_copy(grad_out);
         for (x, &m) in g.data_mut().iter_mut().zip(&self.mask) {
@@ -160,7 +161,7 @@ mod tests {
         let x = Tensor::full([1000], 1.0);
         let y = layer.forward(&x, true, &mut Workspace::new()).unwrap();
         let g = layer
-            .backward(&Tensor::full([1000], 1.0), true, &mut Workspace::new())
+            .backward(&x, &y, &x, true, &mut Workspace::new())
             .unwrap()
             .unwrap();
         // Gradient passes exactly where the forward output was nonzero.

@@ -1,8 +1,9 @@
 //! Neural-network layers.
 //!
 //! Each layer owns its parameters and the gradient buffers the last
-//! backward pass produced; the [`Sequential`](crate::Sequential) model walks
-//! these through the optimizer (and, in distributed runs, through the
+//! backward pass produced — and no activations, which belong to the model.
+//! The [`Sequential`](crate::Sequential) model walks the parameters and
+//! gradients through the optimizer (and, in distributed runs, through the
 //! gradient-averaging allreduce) in a fixed layer/parameter order so every
 //! worker sees an identical flat layout.
 
@@ -31,16 +32,28 @@ use tensor::{Tensor, Workspace};
 /// caller owns the returned tensor and hands it back with
 /// [`Workspace::recycle`] when done.
 ///
+/// A layer keeps no activation: the caller ([`Sequential`] holds one
+/// tensor per layer boundary for the length of a step) passes `backward`
+/// the input and output of the forward pass it differentiates. A layer
+/// keeps only what its own forward alone knows — a dropout mask, each
+/// pooling window's winner.
+///
+/// Allocation forms (see [`Workspace`]): a tensor some kernel writes
+/// completely — every `forward` output, `Dense` / `Conv1D`'s `dL/dz`,
+/// `Dense`'s and the pool's input gradient — is taken as-is; only the
+/// convolution input gradient, which is accumulated into, is zeroed.
+///
 /// `Send + Sync` is required so a trained model can be shared immutably
 /// between inference worker threads (the `serve` crate wraps one replica
 /// in an `Arc` and runs [`Layer::forward_infer`] from many workers).
+///
+/// [`Sequential`]: crate::Sequential
 pub trait Layer: Send + Sync {
     /// Keras-style layer name (for summaries and traces).
     fn name(&self) -> &'static str;
 
-    /// Training-path forward: computes the layer output and caches
-    /// whatever [`Layer::backward`] needs. `training` switches train-time
-    /// stochasticity (dropout) on.
+    /// Training-path forward: computes the layer output. `training`
+    /// switches train-time stochasticity (dropout) on.
     fn forward(
         &mut self,
         input: &Tensor,
@@ -49,7 +62,7 @@ pub trait Layer: Send + Sync {
     ) -> Result<Tensor, DlError>;
 
     /// Inference-only forward: no training-time stochasticity (dropout is
-    /// identity) and no backward cache, so it works on a shared `&self` and
+    /// identity) and no state written, so it works on a shared `&self` and
     /// is safe to call concurrently, each caller with its own workspace.
     /// Must produce bit-identical outputs to `forward(input, false, ws)`.
     fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError>;
@@ -59,10 +72,15 @@ pub trait Layer: Send + Sync {
     /// `Some` exactly when it was asked for. Training clears `input_grad`
     /// on the lowest layer that owns parameters: nothing below it reads
     /// that gradient, and for a `Dense` or `Conv1D` it is a whole GEMM.
-    /// A layer whose backward reads state cached by [`Layer::forward`]
-    /// returns [`DlError::NotReady`] when no forward has run.
+    ///
+    /// `input` and `output` are what the last [`Layer::forward`] took and
+    /// returned. Tensors that do not fit together — a gradient not shaped
+    /// like `output`, an `input` this layer cannot have mapped to it — are
+    /// [`DlError::BadInput`], never a short or misrouted gradient.
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
@@ -108,25 +126,15 @@ pub trait Layer: Send + Sync {
     }
 }
 
-/// Stores `src` into a layer's persistent cache slot. The first call takes
-/// a pooled buffer from `ws`; every later call reuses the slot's own buffer
-/// via [`Tensor::copy_from`], so steady-state caching allocates nothing.
-pub(crate) fn store_cache(slot: &mut Option<Tensor>, src: &Tensor, ws: &mut Workspace) {
-    match slot {
-        Some(t) => t.copy_from(src),
-        None => *slot = Some(ws.alloc_copy(src)),
-    }
-}
-
-/// Validates that a cached forward activation exists; shared helper for the
-/// "backward before forward" error.
-pub(crate) fn require_cached<'t>(
-    cache: &'t Option<Tensor>,
-    layer: &'static str,
-) -> Result<&'t Tensor, DlError> {
-    cache
-        .as_ref()
-        .ok_or_else(|| DlError::NotReady(format!("{layer}: backward called before forward")))
+/// The [`DlError::BadInput`] of a [`Layer::backward`] whose three tensors
+/// do not fit together.
+pub(crate) fn misfit(layer: &str, input: &Tensor, output: &Tensor, grad_out: &Tensor) -> DlError {
+    DlError::BadInput(format!(
+        "{layer}: backward got input {}, output {} and gradient {}",
+        input.shape(),
+        output.shape(),
+        grad_out.shape()
+    ))
 }
 
 #[cfg(test)]
@@ -151,6 +159,8 @@ mod tests {
         }
         fn backward(
             &mut self,
+            _input: &Tensor,
+            _output: &Tensor,
             grad_out: &Tensor,
             input_grad: bool,
             ws: &mut Workspace,
@@ -168,12 +178,5 @@ mod tests {
         l.for_each_grad(&mut |_| visits += 1);
         assert_eq!(visits, 0);
         assert_eq!(l.param_count(), 0);
-    }
-
-    #[test]
-    fn require_cached_error_message() {
-        let none: Option<Tensor> = None;
-        let err = require_cached(&none, "dense").unwrap_err();
-        assert!(matches!(err, DlError::NotReady(_)));
     }
 }

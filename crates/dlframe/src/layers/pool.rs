@@ -1,18 +1,18 @@
 //! Max-pooling layer.
 
-use super::Layer;
+use super::{misfit, Layer};
 use crate::DlError;
 use tensor::{
-    maxpool1d_backward_ws, maxpool1d_forward_ws, maxpool1d_infer_ws, Shape, Tensor, Workspace,
+    maxpool1d_backward_ws, maxpool1d_forward_ws, maxpool1d_infer_ws, pool1d_output_len, Tensor,
+    Workspace,
 };
 
 /// Keras-style `MaxPooling1D(pool_size)` with non-overlapping windows.
 pub struct MaxPooling1D {
     pool: usize,
-    /// Argmax buffer of the last training forward; the `Vec` is moved out
-    /// and back so its capacity survives across batches.
-    argmax: Option<Vec<usize>>,
-    input_shape: Option<Shape>,
+    /// Which row of its window each output of the last forward came from:
+    /// what backward needs and neither boundary tensor says cheaply.
+    offsets: Vec<u32>,
 }
 
 impl MaxPooling1D {
@@ -24,8 +24,7 @@ impl MaxPooling1D {
         assert!(pool > 0, "pool size must be positive");
         Self {
             pool,
-            argmax: None,
-            input_shape: None,
+            offsets: Vec::new(),
         }
     }
 
@@ -46,39 +45,38 @@ impl Layer for MaxPooling1D {
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        let mut argmax = self.argmax.take().unwrap_or_default();
-        let out = maxpool1d_forward_ws(input, self.pool, &mut argmax, ws)
-            .map_err(|e| DlError::BadInput(e.to_string()))?;
-        self.argmax = Some(argmax);
-        self.input_shape = Some(input.shape().clone());
-        Ok(out)
+        maxpool1d_forward_ws(input, self.pool, &mut self.offsets, ws)
+            .map_err(|e| DlError::BadInput(e.to_string()))
     }
 
     fn forward_infer(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
-        // Only backward reads the argmax, and inference has none.
+        // Only backward reads the offsets, and inference has none.
         maxpool1d_infer_ws(input, self.pool, ws).map_err(|e| DlError::BadInput(e.to_string()))
     }
 
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, DlError> {
+        let fits = matches!(
+            (input.shape().dims(), output.shape().dims()),
+            (&[b, steps, ch], &[ob, out_steps, och])
+                if (b, ch) == (ob, och) && pool1d_output_len(steps, self.pool) == Some(out_steps)
+        );
+        if !fits || grad_out.shape() != output.shape() {
+            return Err(misfit("max_pooling1d", input, output, grad_out));
+        }
         if !input_grad {
             return Ok(None);
         }
-        let argmax = self
-            .argmax
-            .as_ref()
-            .ok_or_else(|| DlError::NotReady("max_pooling1d: backward before forward".into()))?;
-        let shape = self
-            .input_shape
-            .as_ref()
-            .ok_or_else(|| DlError::NotReady("max_pooling1d: missing input shape".into()))?;
-        maxpool1d_backward_ws(shape, grad_out, argmax, ws)
+        // The kernel checks the last forward's offsets against `input` too.
+        maxpool1d_backward_ws(input.shape(), grad_out, self.pool, &self.offsets, ws)
             .map(Some)
-            .map_err(|e| DlError::BadInput(e.to_string()))
+            .map_err(|_| misfit("max_pooling1d", input, output, grad_out))
     }
 }
 
@@ -93,14 +91,8 @@ mod tests {
         let ws = &mut Workspace::new();
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.data(), &[9.0, 3.0]);
-        let g = layer
-            .backward(
-                &Tensor::from_vec([1, 2, 1], vec![5.0, 7.0]).unwrap(),
-                true,
-                ws,
-            )
-            .unwrap()
-            .unwrap();
+        let grad = Tensor::from_vec([1, 2, 1], vec![5.0, 7.0]).unwrap();
+        let g = layer.backward(&x, &y, &grad, true, ws).unwrap().unwrap();
         assert_eq!(g.data(), &[0.0, 5.0, 7.0, 0.0]);
     }
 

@@ -5,25 +5,18 @@
 //! NT3's first `Conv1D` as a `(steps, 1)` sequence; `Flatten` is the Keras
 //! layer between the convolutional stack and the dense head.
 
-use super::Layer;
+use super::{misfit, Layer};
 use crate::DlError;
 use tensor::{Shape, Tensor, Workspace};
 
 /// Collapses `(batch, steps, channels)` to `(batch, steps*channels)`.
-pub struct Flatten {
-    input_shape: Option<Shape>,
-}
+#[derive(Default)]
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Self { input_shape: None }
-    }
-}
-
-impl Default for Flatten {
-    fn default() -> Self {
-        Self::new()
+        Self
     }
 }
 
@@ -38,7 +31,6 @@ impl Layer for Flatten {
         _training: bool,
         ws: &mut Workspace,
     ) -> Result<Tensor, DlError> {
-        self.input_shape = Some(input.shape().clone());
         self.forward_infer(input, ws)
     }
 
@@ -49,19 +41,35 @@ impl Layer for Flatten {
 
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, DlError> {
-        if !input_grad {
-            return Ok(None);
-        }
-        let shape = self
-            .input_shape
-            .clone()
-            .ok_or_else(|| DlError::NotReady("flatten: backward before forward".into()))?;
-        reshaped_copy(grad_out, shape, ws).map(Some)
+        relabelled_grad("flatten", input, output, grad_out, input_grad, ws)
     }
+}
+
+/// Backward of a layer that only relabels its input: `grad_out` under
+/// `input`'s shape, once the three tensors are seen to fit together.
+fn relabelled_grad(
+    layer: &str,
+    input: &Tensor,
+    output: &Tensor,
+    grad_out: &Tensor,
+    input_grad: bool,
+    ws: &mut Workspace,
+) -> Result<Option<Tensor>, DlError> {
+    if input.len() != output.len()
+        || input.shape().dims().first() != output.shape().dims().first()
+        || grad_out.shape() != output.shape()
+    {
+        return Err(misfit(layer, input, output, grad_out));
+    }
+    input_grad
+        .then(|| reshaped_copy(grad_out, input.shape().clone(), ws))
+        .transpose()
 }
 
 /// A pooled copy of `src` under a new shape of equal volume.
@@ -119,15 +127,13 @@ impl Layer for Reshape3 {
 
     fn backward(
         &mut self,
+        input: &Tensor,
+        output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,
     ) -> Result<Option<Tensor>, DlError> {
-        if !input_grad {
-            return Ok(None);
-        }
-        let (batch, steps, ch) = grad_out.shape().as_3d();
-        reshaped_copy(grad_out, [batch, steps * ch], ws).map(Some)
+        relabelled_grad("reshape3", input, output, grad_out, input_grad, ws)
     }
 }
 
@@ -143,7 +149,7 @@ mod tests {
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.shape().dims(), &[2, 12]);
         assert_eq!(y.data(), x.data());
-        let g = layer.backward(&y, true, ws).unwrap().unwrap();
+        let g = layer.backward(&x, &y, &y, true, ws).unwrap().unwrap();
         assert_eq!(g.shape().dims(), &[2, 3, 4]);
     }
 
@@ -154,7 +160,7 @@ mod tests {
         let ws = &mut Workspace::new();
         let y = layer.forward(&x, true, ws).unwrap();
         assert_eq!(y.shape().dims(), &[3, 5, 2]);
-        let g = layer.backward(&y, true, ws).unwrap().unwrap();
+        let g = layer.backward(&x, &y, &y, true, ws).unwrap().unwrap();
         assert_eq!(g.shape().dims(), &[3, 10]);
         assert_eq!(g.data(), x.data());
     }

@@ -116,6 +116,11 @@ pub struct Sequential {
     ws: Workspace,
     /// Flat gradient buffer reused across batches for sync + optimizer.
     flat_buf: Vec<f32>,
+    /// The activations of the training step in flight: `chain[i]` is layer
+    /// `i`'s output, and so layer `i + 1`'s input. The model, not the
+    /// layers, owns these — each layer borrows its two during backward —
+    /// and every one is back in `ws`'s pool when `train_batch` returns.
+    chain: Vec<Tensor>,
     hot: HotStats,
 }
 
@@ -129,6 +134,7 @@ impl Sequential {
             rng: xrng::seeded(xrng::derive_seed(seed, 0xF17)),
             ws: Workspace::new(),
             flat_buf: Vec::new(),
+            chain: Vec::new(),
             hot: HotStats::default(),
         }
     }
@@ -283,6 +289,10 @@ impl Sequential {
     /// from the model's [`Workspace`] pool and are recycled as the chain
     /// advances, gradients flow through one reused flat buffer, and the
     /// optimizer updates parameter slices in place.
+    ///
+    /// An `Err` from any layer, forward or backward, leaves the parameters
+    /// and the optimizer untouched and every activation back in the pool:
+    /// the next call starts from the state this one found.
     pub fn train_batch(
         &mut self,
         x: &Tensor,
@@ -298,73 +308,18 @@ impl Sequential {
         if self.optimizer.is_none() {
             return Err(DlError::NotReady("compile before fit".into()));
         }
-        // Forward chain, recycling each intermediate activation once the
-        // next layer has consumed it (layers cache what backward needs).
-        let fwd_start = Instant::now();
-        let mut h: Option<Tensor> = None;
-        for layer in &mut self.layers {
-            let out = match h.as_ref() {
-                Some(t) => layer.forward(t, true, &mut self.ws)?,
-                None => layer.forward(x, true, &mut self.ws)?,
-            };
-            if let Some(prev) = h.replace(out) {
-                self.ws.recycle(prev);
-            }
+        let step = self.forward_backward(x, y, loss_fn, sync);
+        // Backward hands each boundary back as it passes it; what is left
+        // lies below the lowest parameters, or above a layer that failed.
+        while let Some(t) = self.chain.pop() {
+            self.ws.recycle(t);
         }
-        let pred = h.expect("at least one layer");
-        let (loss, grad) = loss_fn.loss_and_grad_ws(&pred, y, &mut self.ws);
-        let correct = count_argmax_matches(&pred, y);
-        self.ws.recycle(pred);
-        self.hot.forward += fwd_start.elapsed();
-        // Backward through the stack, recycling each upstream gradient. In
-        // overlapped mode each layer's gradient region is streamed to the
-        // sync hook the moment that layer's backward finishes (descending
-        // flat offsets), so communication proceeds under the remaining
-        // layers' compute.
-        let bwd_start = Instant::now();
-        let total = self.param_count();
-        let overlap = sync.begin_step(total);
-        if overlap {
-            self.flat_buf.resize(total, 0.0);
-        }
-        // The walk ends at the lowest layer that owns parameters, which is
-        // asked for its parameter gradients only: the input gradient it
-        // would pass down feeds no parameter.
-        let lowest = self
-            .layers
-            .iter()
-            .position(|l| l.param_count() > 0)
-            .unwrap_or(self.layers.len());
-        let mut end = total;
-        let mut g = grad;
-        for (i, layer) in self.layers.iter_mut().enumerate().skip(lowest).rev() {
-            if let Some(gi) = layer.backward(&g, i > lowest, &mut self.ws)? {
-                self.ws.recycle(std::mem::replace(&mut g, gi));
-            }
-            if overlap {
-                let n = layer.param_count();
-                if n == 0 {
-                    continue;
-                }
-                let start = end - n;
-                let mut off = start;
-                let flat = &mut self.flat_buf;
-                layer.for_each_grad(&mut |gt| {
-                    flat[off..off + gt.len()].copy_from_slice(gt.data());
-                    off += gt.len();
-                });
-                sync.region_ready(start, &self.flat_buf[start..end]);
-                end = start;
-            }
-        }
-        self.ws.recycle(g);
-        self.hot.backward += bwd_start.elapsed();
+        let (loss, correct, overlap) = step?;
         // Gradient synchronization on the flat layout. The synchronized
         // values live only there: the optimizer reads them from it, and the
         // layers' own gradient tensors keep this rank's local values.
         let opt_start = Instant::now();
         if overlap {
-            debug_assert_eq!(end, 0, "streamed regions must cover the layout");
             sync.finish_step(&mut self.flat_buf);
         } else {
             self.flat_buf.clear();
@@ -389,6 +344,91 @@ impl Sequential {
         self.hot.optimizer += opt_start.elapsed();
         self.hot.batches += 1;
         Ok((loss, correct))
+    }
+
+    /// The forward chain, the loss, and the backward walk of one step:
+    /// `(loss, correct predictions, whether `sync` streamed the step)`.
+    /// On `Err` the chain may still hold tensors; the caller recycles
+    /// them.
+    fn forward_backward(
+        &mut self,
+        x: &Tensor,
+        y: &Tensor,
+        loss_fn: Loss,
+        sync: &mut dyn GradientSync,
+    ) -> Result<(f64, usize, bool), DlError> {
+        // Forward: each layer reads the boundary below it and its output
+        // becomes the next boundary. Nothing is copied aside for backward
+        // — the chain is what backward reads.
+        let fwd_start = Instant::now();
+        debug_assert!(self.chain.is_empty(), "a step left tensors in the chain");
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let input = input_of(x, &self.chain, i);
+            let out = layer.forward(input, true, &mut self.ws)?;
+            self.chain.push(out);
+        }
+        let pred = self.chain.last().expect("at least one layer");
+        let (loss, grad) = loss_fn.loss_and_grad_ws(pred, y, &mut self.ws);
+        let correct = count_argmax_matches(pred, y);
+        self.hot.forward += fwd_start.elapsed();
+        // Backward through the stack, recycling each upstream gradient and
+        // each boundary tensor the moment the layer under it has used it.
+        // In overlapped mode each layer's gradient region is streamed to
+        // the sync hook as soon as that layer's backward finishes
+        // (descending flat offsets), so communication proceeds under the
+        // remaining layers' compute.
+        let bwd_start = Instant::now();
+        let total = self.param_count();
+        let overlap = sync.begin_step(total);
+        if overlap {
+            self.flat_buf.resize(total, 0.0);
+        }
+        // The walk ends at the lowest layer that owns parameters, which is
+        // asked for its parameter gradients only: the input gradient it
+        // would pass down feeds no parameter.
+        let lowest = self
+            .layers
+            .iter()
+            .position(|l| l.param_count() > 0)
+            .unwrap_or(self.layers.len());
+        let mut end = total;
+        let mut g = grad;
+        for (i, layer) in self.layers.iter_mut().enumerate().skip(lowest).rev() {
+            let output = self.chain.pop().expect("one boundary per layer");
+            let input = input_of(x, &self.chain, i);
+            let passed = layer.backward(input, &output, &g, i > lowest, &mut self.ws);
+            self.ws.recycle(output);
+            match passed {
+                Ok(Some(gi)) => self.ws.recycle(std::mem::replace(&mut g, gi)),
+                Ok(None) => {}
+                Err(e) => {
+                    self.ws.recycle(g);
+                    return Err(e);
+                }
+            }
+            if overlap {
+                let n = layer.param_count();
+                if n == 0 {
+                    continue;
+                }
+                let start = end - n;
+                let mut off = start;
+                let flat = &mut self.flat_buf;
+                layer.for_each_grad(&mut |gt| {
+                    flat[off..off + gt.len()].copy_from_slice(gt.data());
+                    off += gt.len();
+                });
+                sync.region_ready(start, &self.flat_buf[start..end]);
+                end = start;
+            }
+        }
+        self.ws.recycle(g);
+        debug_assert!(
+            !overlap || end == 0,
+            "streamed regions must cover the layout"
+        );
+        self.hot.backward += bwd_start.elapsed();
+        Ok((loss, correct, overlap))
     }
 
     /// Trains for `config.epochs` passes over `data`, invoking `sync` on
@@ -553,6 +593,12 @@ impl Sequential {
             ))
         })
     }
+}
+
+/// Layer `i`'s input: the batch itself for the first layer, otherwise the
+/// boundary tensor the layer below wrote.
+fn input_of<'t>(x: &'t Tensor, chain: &'t [Tensor], i: usize) -> &'t Tensor {
+    i.checked_sub(1).map_or(x, |below| &chain[below])
 }
 
 /// Counts rows where prediction and target argmax agree (classification

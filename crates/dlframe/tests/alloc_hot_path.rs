@@ -1,10 +1,11 @@
 //! Proves the zero-allocation training hot path: once the workspace pool,
-//! layer caches, and batch buffers are warm, repeated `train_batch` calls
-//! perform **zero** heap allocations.
+//! the model's activation chain, and batch buffers are warm, repeated
+//! `train_batch` calls perform **zero** heap allocations — also when the
+//! batch size alternates, as it does at the ragged end of every epoch.
 //!
-//! [`parx::CountingAlloc`] is the global allocator; the test runs a
-//! warm-up phase, snapshots this thread's allocation counter, trains three
-//! more epochs, and asserts the counter did not move.
+//! [`parx::CountingAlloc`] is the global allocator; each test runs a
+//! warm-up phase, snapshots this thread's allocation counter, trains
+//! further, and asserts the counter did not move.
 
 use parx::{thread_allocs, CountingAlloc};
 
@@ -52,8 +53,9 @@ fn train_batch_steady_state_allocates_nothing() {
     let batches = data.batch_indices(16, None);
     let mut bx = Tensor::zeros([1, 1]);
     let mut by = Tensor::zeros([1, 1]);
-    // Warm-up: populates the workspace pool, the layers' cache slots, the
-    // dropout mask / pooling argmax buffers, and the flat gradient buffer.
+    // Warm-up: populates the workspace pool, the model's activation chain,
+    // the dropout mask / pooling offset buffers, and the flat gradient
+    // buffer.
     for _ in 0..2 {
         for idx in &batches {
             data.batch_into(idx, &mut bx, &mut by);
@@ -77,4 +79,49 @@ fn train_batch_steady_state_allocates_nothing() {
     );
     // The accounting also proves the batches actually ran.
     assert_eq!(model.hot_stats().batches, 20);
+}
+
+#[test]
+fn alternating_batch_sizes_stay_allocation_free_and_train_the_same() {
+    // An epoch that does not divide by the batch size ends on a short
+    // batch, so the chain's tensors — taken from the pool as they are —
+    // have to fit 16 rows, then 5, then 16 again: buffers that are larger
+    // than asked for, and hold another batch's values.
+    let data = toy_data();
+    let sizes: [&[usize]; 3] = [
+        &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        &[16, 17, 18, 19, 20],
+        &[21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36],
+    ];
+    let mut bx = Tensor::zeros([1, 1]);
+    let mut by = Tensor::zeros([1, 1]);
+    let mut train = |model: &mut Sequential| {
+        for idx in sizes {
+            data.batch_into(idx, &mut bx, &mut by);
+            model.train_batch(&bx, &by, &mut NoSync).unwrap();
+        }
+    };
+    let mut warm = nt3ish_model();
+    // See each size (twice over), then put the parameters and the random
+    // streams back: what stays warm is only the memory.
+    let (params, streams) = (warm.flat_params(), warm.rng_states());
+    train(&mut warm);
+    train(&mut warm);
+    warm.set_flat_params(&params);
+    warm.set_rng_states(&streams);
+    let before = thread_allocs();
+    train(&mut warm);
+    assert_eq!(
+        thread_allocs() - before,
+        0,
+        "training on batch sizes already seen allocated"
+    );
+    let mut fresh = nt3ish_model();
+    train(&mut fresh);
+    let bits = |m: &Sequential| -> Vec<u32> { m.flat_params().iter().map(|v| v.to_bits()).collect() };
+    assert_eq!(
+        bits(&warm),
+        bits(&fresh),
+        "a warm pool's oversized, stale buffers changed what was computed"
+    );
 }

@@ -91,24 +91,34 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Containers nested deeper than this are an error: the parser recurses
+/// once per level, and a garbage file of `[[[[…` must not be able to
+/// overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Always on a character boundary of `text`: it only ever steps over
+    /// ASCII bytes or one whole scalar.
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -119,8 +129,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The grammar is ASCII, so it is matched on bytes.
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -139,7 +154,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -149,8 +164,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -158,6 +173,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("containers nested too deeply"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -234,11 +262,15 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Four hex digits exactly: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ASCII \\u escape"))?;
+                                .ok()
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
                             // Basic-multilingual-plane only; our writers
@@ -254,11 +286,11 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().unwrap();
+                    // Consume one whole scalar of the `&str`.
+                    let ch = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peek saw a byte here");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -289,8 +321,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.err("invalid number"))
     }
@@ -342,5 +374,79 @@ mod tests {
         let original = "tab\there \"quoted\" back\\slash\nnewline";
         let doc = format!("\"{}\"", escape(original));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+    }
+
+    /// A document shaped like the bench artifacts this crate reads, with
+    /// every kind of token in it: nesting, escapes, a `\u` escape,
+    /// multi-byte characters, exponents, negative numbers, literals.
+    const DOCUMENT: &str = r#"{"suite": "kernels µs", "host": {"threads": 2, "avx2": true, "note": null},
+        "series": [{"label": "conv1 fwd — é", "x": [1, 2.5e3, -4], "y": [0.41, 1.19E-1, 7]},
+                   {"label": "tab\there \"q\" \\ \/ \u00b5", "x": [], "y": [{}]}]}"#;
+
+    /// What the CDS1 / RCP1 decoders promise, for the text format: damage
+    /// is a typed error that names a byte inside the input — never a
+    /// panic, an out-of-range offset, or a hang.
+    fn assert_typed_outcome(text: &str) -> Result<Value, ParseError> {
+        let outcome = parse(text);
+        if let Err(e) = &outcome {
+            assert!(e.offset <= text.len(), "offset {} past {}", e.offset, text.len());
+            assert!(!e.message.is_empty());
+        }
+        outcome
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error() {
+        assert!(assert_typed_outcome(DOCUMENT).is_ok());
+        for len in (0..DOCUMENT.len()).filter(|&i| DOCUMENT.is_char_boundary(i)) {
+            assert!(
+                assert_typed_outcome(&DOCUMENT[..len]).is_err(),
+                "the first {len} bytes parsed as a whole document"
+            );
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_is_a_document_or_a_typed_error() {
+        let mut survived = 0;
+        for i in 0..DOCUMENT.len() {
+            for bit in 0..8 {
+                let mut bytes = DOCUMENT.as_bytes().to_vec();
+                bytes[i] ^= 1 << bit;
+                // `parse` takes a `&str`: damage that breaks the encoding
+                // is the caller's `from_utf8` error, not this parser's.
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    survived += assert_typed_outcome(text).is_ok() as usize;
+                }
+            }
+        }
+        // Some flips only change a letter inside a string or a digit:
+        // those are still documents, and most others are not.
+        assert!(survived > 0 && survived < DOCUMENT.len() * 4);
+    }
+
+    #[test]
+    fn garbage_is_a_typed_error() {
+        use xrng::RandomSource;
+        let mut rng = xrng::seeded(0x150);
+        // Characters biased toward JSON's own punctuation, so the parser
+        // gets past its first token often enough to reach every state.
+        let alphabet: Vec<char> = r#"{}[]",:\u0123456789eE+-.tfn alsr é"#.chars().collect();
+        for len in (0..200).chain([1000, 5000]) {
+            let text: String = (0..len)
+                .map(|_| alphabet[(rng.next_u64() % alphabet.len() as u64) as usize])
+                .collect();
+            let _ = assert_typed_outcome(&text);
+        }
+        assert!(parse("\"\\u+123\"").is_err(), "a sign is not a hex digit");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested too deeply"), "{err}");
+        assert!(assert_typed_outcome(&"[{\"k\":".repeat(100_000)).is_err());
     }
 }

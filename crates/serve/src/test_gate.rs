@@ -68,6 +68,8 @@ impl Layer for Gate {
 
     fn backward(
         &mut self,
+        _input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,

@@ -111,6 +111,8 @@ impl Layer for Probe {
 
     fn backward(
         &mut self,
+        _input: &Tensor,
+        _output: &Tensor,
         grad_out: &Tensor,
         input_grad: bool,
         ws: &mut Workspace,

@@ -37,9 +37,6 @@ const WGRAD_BLOCK_ROWS: usize = 1024;
 /// gradient, enough that packing `Wᵀ` once per tile is noise.
 const IGRAD_TILE_ROWS: usize = 256;
 
-/// Channels per compare-and-select tile of the max pool.
-const POOL_TILE: usize = 16;
-
 /// Output length of a valid-padding 1-D convolution.
 ///
 /// Returns `None` if the input is shorter than the kernel.
@@ -104,7 +101,9 @@ pub fn conv1d_forward_ws(
     }
     let k = kernel * in_ch;
     let lda = stride * in_ch;
-    let mut out = ws.alloc([batch, out_steps, out_ch]);
+    // As-is: every output element is stored by its product's first
+    // reduction block.
+    let mut out = ws.alloc_as_is([batch, out_steps, out_ch]);
     let workers = fork_width(threads, gemm_flops(batch * out_steps, k, out_ch), batch);
     let per_worker = scratch_len(out_ch);
     fork_disjoint(
@@ -187,7 +186,8 @@ pub fn conv1d_weight_grad_ws(
     let lda = stride * in_ch;
     let gd = grad_out.data();
     let nblocks = m.div_ceil(WGRAD_BLOCK_ROWS);
-    let mut partials = ws.alloc([nblocks, k * out_ch]);
+    // As-is: each block's first run stores its whole partial.
+    let mut partials = ws.alloc_as_is([nblocks, k * out_ch]);
     let workers = fork_width(threads, gemm_flops(m, k, out_ch), nblocks);
     let per_worker = scratch_len(out_ch);
     fork_disjoint(
@@ -271,7 +271,8 @@ pub fn conv1d_input_grad_ws(
     let lda = stride * in_ch;
     let gd = grad_out.data();
     let tile_rows = IGRAD_TILE_ROWS.min(out_steps.next_multiple_of(MR));
-    let mut grad_input = ws.alloc([batch, steps, in_ch]);
+    // Zeroed: overlapping fields are added onto it tile by tile.
+    let mut grad_input = ws.alloc_zeroed([batch, steps, in_ch]);
     let workers = fork_width(threads, gemm_flops(batch * out_steps, out_ch, k), batch);
     let per_worker = scratch_len(k) + tile_rows * k;
     fork_disjoint(
@@ -333,27 +334,32 @@ pub fn conv1d_backward(
     })
 }
 
-/// The window walk both max-pool forwards share: the pooled output
-/// (zero-filled, from `ws`'s pool) and, in output order, the flat input
-/// index where each window's `pool` rows of `ch` values start.
+/// Channels per compare-and-select group of the training max pool.
+const POOL_LANES: usize = 16;
+
+/// No candidate beat `-inf` (a window of NaNs and `-inf`s): the offset a
+/// training pool records for an output that has no winner.
+const NO_WINNER: u32 = u32::MAX;
+
+/// The window walk every max-pool kernel shares: the output length and,
+/// in output order, the flat input index where each window's `pool` rows
+/// of `ch` values start.
 fn pool_windows(
-    input: &Tensor,
+    input_shape: &Shape,
     pool: usize,
-    ws: &mut Workspace,
-) -> Result<(Tensor, impl Iterator<Item = usize>), TensorError> {
-    let (batch, steps, ch) = input.shape().as_3d();
+) -> Result<(usize, impl Iterator<Item = usize>), TensorError> {
+    let (batch, steps, ch) = input_shape.as_3d();
     let out_steps = pool1d_output_len(steps, pool).ok_or_else(|| TensorError::ShapeMismatch {
-        left: input.shape().clone(),
+        left: input_shape.clone(),
         right: Shape::from([pool]),
     })?;
-    let out = ws.alloc([batch, out_steps, ch]);
     let bases =
         (0..batch).flat_map(move |b| (0..out_steps).map(move |t| (b * steps + t * pool) * ch));
-    Ok((out, bases))
+    Ok((out_steps, bases))
 }
 
 /// Forward-only non-overlapping 1-D max pool on a workspace: the pooled
-/// tensor of [`maxpool1d_forward_ws`], bit for bit, without the argmax
+/// tensor of [`maxpool1d_forward_ws`], bit for bit, without the offsets
 /// only a backward pass reads. Each output row is the running maximum over
 /// its window's rows, channels innermost, with the same strict
 /// comparison in the same order (so a NaN never wins and a window with
@@ -363,8 +369,10 @@ pub fn maxpool1d_infer_ws(
     pool: usize,
     ws: &mut Workspace,
 ) -> Result<Tensor, TensorError> {
-    let (mut out, bases) = pool_windows(input, pool, ws)?;
-    let ch = input.shape().as_3d().2;
+    let (batch, _, ch) = input.shape().as_3d();
+    let (out_steps, bases) = pool_windows(input.shape(), pool)?;
+    // As-is: every output row is filled before its window is walked.
+    let mut out = ws.alloc_as_is([batch, out_steps, ch]);
     if ch == 0 {
         return Ok(out);
     }
@@ -380,57 +388,76 @@ pub fn maxpool1d_infer_ws(
     Ok(out)
 }
 
-/// Forward non-overlapping 1-D max pool on a workspace.
+/// Forward non-overlapping 1-D max pool on a workspace, for training.
 ///
-/// Writes the flat input index of each selected maximum into `argmax`
-/// (resized to the output's length) and returns the pooled tensor from
-/// `ws`'s pool. Ties go to the first candidate; a window with no value above `-inf`
-/// yields `-inf` with index 0.
+/// Returns the pooled tensor from `ws`'s pool and writes into `offsets`
+/// (resized to the output's length) which of its window's `pool` rows
+/// each output came from — all [`maxpool1d_backward_ws`] needs, in 32
+/// bits per output. Ties go to the first candidate; a window with no value
+/// above `-inf` yields `-inf` and an offset no row has, so its gradient is
+/// dropped.
+///
+/// The walk is the inference kernel's with one more select per compare:
+/// window rows outermost, channels innermost over contiguous values, no
+/// branch on the data.
 pub fn maxpool1d_forward_ws(
     input: &Tensor,
     pool: usize,
-    argmax: &mut Vec<usize>,
+    offsets: &mut Vec<u32>,
     ws: &mut Workspace,
 ) -> Result<Tensor, TensorError> {
-    let (mut out, bases) = pool_windows(input, pool, ws)?;
-    // Candidate rows are numbered in 32 bits so the compare-and-select
-    // below is one width throughout; `u32::MAX` means "none yet".
-    assert!(pool < u32::MAX as usize, "maxpool1d: pool window too large");
-    let ch = input.shape().as_3d().2;
-    // Every element is overwritten below, so a warm buffer is not cleared.
-    argmax.resize(out.len(), 0);
+    let (batch, _, ch) = input.shape().as_3d();
+    let (out_steps, bases) = pool_windows(input.shape(), pool)?;
+    assert!(
+        pool < NO_WINNER as usize,
+        "maxpool1d: pool window too large"
+    );
+    // As-is, like the offsets: every output row is filled before its
+    // window is walked.
+    let mut out = ws.alloc_as_is([batch, out_steps, ch]);
+    offsets.resize(out.len(), NO_WINNER);
     if ch == 0 {
         return Ok(out);
     }
     let id = input.data();
-    let windows = out
+    let rows = out
         .data_mut()
         .chunks_exact_mut(ch)
-        .zip(argmax.chunks_exact_mut(ch));
-    for (base, (out, argmax)) in bases.zip(windows) {
-        // A tile of channels at a time: candidate rows outermost, channels
-        // innermost, so the inner loop is a branch-free compare-and-select
-        // over contiguous values that the compiler vectorizes.
-        for c0 in (0..ch).step_by(POOL_TILE) {
-            let width = POOL_TILE.min(ch - c0);
-            let mut best = [f32::NEG_INFINITY; POOL_TILE];
-            let mut which = [u32::MAX; POOL_TILE];
-            for p in 0..pool {
-                let cand = &id[base + p * ch + c0..][..width];
-                // A full tile goes in as an array: a fixed trip count is
-                // what lets the select loop compile to straight vector code.
-                match <&[f32; POOL_TILE]>::try_from(cand) {
-                    Ok(cand) => select_max(&mut best, &mut which, cand, p as u32),
-                    Err(_) => select_max(&mut best[..width], &mut which[..width], cand, p as u32),
+        .zip(offsets.chunks_exact_mut(ch));
+    for (base, (out, offsets)) in bases.zip(rows) {
+        let window = &id[base..][..pool * ch];
+        let lanes = out
+            .chunks_mut(POOL_LANES)
+            .zip(offsets.chunks_mut(POOL_LANES));
+        for (c0, (out, offsets)) in (0..).step_by(POOL_LANES).zip(lanes) {
+            // The running maxima live in locals, not in `out`: selecting
+            // into memory compiles to a store under a branch on the data,
+            // which on ReLU activations mispredicts every other element.
+            let mut best = [f32::NEG_INFINITY; POOL_LANES];
+            let mut which = [NO_WINNER; POOL_LANES];
+            match (
+                <&mut [f32; POOL_LANES]>::try_from(&mut *out),
+                <&mut [u32; POOL_LANES]>::try_from(&mut *offsets),
+            ) {
+                // Full width: fixed trip counts throughout, so the selects
+                // and the two stores are straight vector code.
+                (Ok(out), Ok(offsets)) => {
+                    for (p, cand) in (0u32..).zip(window.chunks_exact(ch)) {
+                        let cand: &[f32; POOL_LANES] =
+                            cand[c0..].first_chunk().expect("a full lane group");
+                        select_max(&mut best, &mut which, cand, p);
+                    }
+                    *out = best;
+                    *offsets = which;
                 }
-            }
-            out[c0..c0 + width].copy_from_slice(&best[..width]);
-            for (c, (idx, &p)) in argmax[c0..c0 + width].iter_mut().zip(&which).enumerate() {
-                *idx = if p == u32::MAX {
-                    0
-                } else {
-                    base + p as usize * ch + c0 + c
-                };
+                _ => {
+                    let width = out.len();
+                    for (p, cand) in (0u32..).zip(window.chunks_exact(ch)) {
+                        select_max(&mut best[..width], &mut which[..width], &cand[c0..], p);
+                    }
+                    out.copy_from_slice(&best[..width]);
+                    offsets.copy_from_slice(&which[..width]);
+                }
             }
         }
     }
@@ -447,24 +474,53 @@ fn select_max(best: &mut [f32], which: &mut [u32], cand: &[f32], p: u32) {
     }
 }
 
-/// Backward max pool on a workspace: routes each upstream gradient to the
-/// input position that produced the maximum.
+/// Backward max pool on a workspace: the gradient of an input of
+/// `input_shape`, given the `offsets` [`maxpool1d_forward_ws`] recorded
+/// for it. Every input position is written exactly once — the upstream
+/// gradient where it won its window, zero elsewhere (and in the trailing
+/// steps no window covers) — so nothing is cleared first and nothing is
+/// scattered.
 pub fn maxpool1d_backward_ws(
     input_shape: &Shape,
     grad_out: &Tensor,
-    argmax: &[usize],
+    pool: usize,
+    offsets: &[u32],
     ws: &mut Workspace,
 ) -> Result<Tensor, TensorError> {
-    if grad_out.len() != argmax.len() {
-        return Err(TensorError::LengthMismatch {
-            expected: grad_out.len(),
-            actual: argmax.len(),
+    let (batch, steps, ch) = input_shape.as_3d();
+    let (out_steps, bases) = pool_windows(input_shape, pool)?;
+    if grad_out.shape().dims() != [batch, out_steps, ch] {
+        return Err(TensorError::ShapeMismatch {
+            left: input_shape.clone(),
+            right: grad_out.shape().clone(),
         });
     }
-    let mut grad_input = ws.alloc(input_shape.clone());
+    if offsets.len() != grad_out.len() {
+        return Err(TensorError::LengthMismatch {
+            expected: grad_out.len(),
+            actual: offsets.len(),
+        });
+    }
+    // As-is: the windows and the per-sample remainder below tile it.
+    let mut grad_input = ws.alloc_as_is(input_shape.clone());
+    if ch == 0 {
+        return Ok(grad_input);
+    }
     let gi = grad_input.data_mut();
-    for (&g, &idx) in grad_out.data().iter().zip(argmax) {
-        gi[idx] += g;
+    let rows = grad_out
+        .data()
+        .chunks_exact(ch)
+        .zip(offsets.chunks_exact(ch));
+    for (base, (grad, offsets)) in bases.zip(rows) {
+        for (p, gi) in (0u32..).zip(gi[base..][..pool * ch].chunks_exact_mut(ch)) {
+            for ((d, &g), &which) in gi.iter_mut().zip(grad).zip(offsets) {
+                *d = if which == p { g } else { 0.0 };
+            }
+        }
+    }
+    let covered = out_steps * pool * ch;
+    for sample in gi.chunks_exact_mut(steps * ch) {
+        sample[covered..].fill(0.0);
     }
     Ok(grad_input)
 }
@@ -476,11 +532,11 @@ mod tests {
     use proptest::prelude::*;
     use xrng::RandomSource;
 
-    /// Pooled output plus the argmax indices backward routes through.
-    fn maxpool(input: &Tensor, pool: usize) -> (Tensor, Vec<usize>) {
-        let mut argmax = Vec::new();
-        let out = maxpool1d_forward_ws(input, pool, &mut argmax, &mut Workspace::new()).unwrap();
-        (out, argmax)
+    /// Pooled output plus the window offsets backward routes through.
+    fn maxpool(input: &Tensor, pool: usize) -> (Tensor, Vec<u32>) {
+        let mut offsets = Vec::new();
+        let out = maxpool1d_forward_ws(input, pool, &mut offsets, &mut Workspace::new()).unwrap();
+        (out, offsets)
     }
 
     fn rand3(b: usize, s: usize, c: usize, seed: u64) -> Tensor {
@@ -652,20 +708,21 @@ mod tests {
     fn maxpool_forward_selects_maxima() {
         let input =
             Tensor::from_vec([1, 4, 2], vec![1.0, -1.0, 3.0, 0.5, 2.0, 9.0, -4.0, 8.0]).unwrap();
-        let (out, argmax) = maxpool(&input, 2);
+        let (out, offsets) = maxpool(&input, 2);
         assert_eq!(out.shape().dims(), &[1, 2, 2]);
         assert_eq!(out.data(), &[3.0, 0.5, 2.0, 9.0]);
-        assert_eq!(argmax, vec![2, 3, 4, 5]);
+        assert_eq!(offsets, vec![1, 1, 0, 0]);
     }
 
     #[test]
     fn maxpool_backward_routes_gradient() {
         let input = Tensor::from_vec([1, 4, 1], vec![1.0, 5.0, 2.0, 0.0]).unwrap();
-        let (out, argmax) = maxpool(&input, 2);
+        let (out, offsets) = maxpool(&input, 2);
         let grad_out =
             Tensor::from_vec(out.shape().clone().dims().to_vec(), vec![10.0, 20.0]).unwrap();
-        let gi = maxpool1d_backward_ws(input.shape(), &grad_out, &argmax, &mut Workspace::new())
-            .unwrap();
+        let gi =
+            maxpool1d_backward_ws(input.shape(), &grad_out, 2, &offsets, &mut Workspace::new())
+                .unwrap();
         assert_eq!(gi.data(), &[0.0, 10.0, 20.0, 0.0]);
     }
 
@@ -685,9 +742,9 @@ mod tests {
         ) {
             prop_assume!(s >= pool && pool >= 1);
             let input = rand3(b, s, c, seed);
-            let (out, argmax) = maxpool(&input, pool);
+            let (out, offsets) = maxpool(&input, pool);
             let grad = Tensor::full(out.shape().clone().dims().to_vec(), 1.0);
-            let gi = maxpool1d_backward_ws(input.shape(), &grad, &argmax, &mut Workspace::new()).unwrap();
+            let gi = maxpool1d_backward_ws(input.shape(), &grad, pool, &offsets, &mut Workspace::new()).unwrap();
             // Gradient mass is conserved through the routing.
             prop_assert!((gi.sum() - grad.sum()).abs() < 1e-4);
         }

@@ -6,16 +6,19 @@
 //! * macro-loops tile the output into `KC`-deep, `NC`-wide blocks whose
 //!   packed B slab stays L2-resident;
 //! * each block is driven row-panel by row-panel through a register-blocked
-//!   `MR×NR` micro-kernel over a stack-packed A panel;
-//! * transposition is handled entirely in the pack routines, so the
-//!   micro-kernel — the only hot loop — is branch-free and identical for
-//!   all three modes (the old `aval == 0.0` skip that poisoned
-//!   autovectorization is gone).
+//!   `MR×NR` micro-kernel over one [`Panel`] of A and a packed B strip;
+//! * transposition is handled outside the micro-kernel — B by its pack
+//!   routine, A by the panel it is handed — so the only hot loop is
+//!   branch-free and the same arithmetic for all three modes.
 //!
 //! The A operand takes a row stride, so a matrix whose rows overlap or
 //! are spaced in memory — a convolution's receptive fields, which the
-//! `(batch, steps, channels)` input already holds back to back — is read
-//! in place by the pack routine instead of being copied out first.
+//! `(batch, steps, channels)` input already holds back to back — is never
+//! copied out. A non-transposed A (`Ab`, `ABt`: every forward product and
+//! input gradient) is not packed either: the micro-kernel broadcasts each
+//! value from where it lies, because packing it was a scalar transpose
+//! that cost as much as the multiply-adds it fed when `n` is one or two
+//! strips wide.
 //!
 //! # Determinism
 //!
@@ -149,9 +152,16 @@ impl Epilogue<'_> {
 ///
 /// Holds the kernels' per-worker scratch (each worker's packed GEMM
 /// panels, plus the row tile a convolution's input gradient is scattered
-/// from) and a pool of retired `Tensor` buffers that [`Workspace::alloc`]
-/// hands back out — so a warmed-up training step performs no heap
-/// allocation.
+/// from) and a pool of retired `Tensor` buffers that the two allocation
+/// forms hand back out — so a warmed-up training step performs no heap
+/// allocation:
+///
+/// * [`Workspace::alloc_as_is`] for a tensor whose every element the
+///   caller is about to overwrite (a GEMM or pooling output, a gradient
+///   written by one select pass, a copy): the pooled buffer is handed over
+///   with whatever it last held, so no pass is spent filling it;
+/// * [`Workspace::alloc_zeroed`] for a tensor the caller accumulates into
+///   (the convolution input gradient is the one such user).
 #[derive(Debug, Default)]
 pub struct Workspace {
     scratch: Vec<f32>,
@@ -164,23 +174,50 @@ impl Workspace {
         Self::default()
     }
 
-    /// Returns a zero-filled tensor of `shape`, reusing a pooled buffer
-    /// when one with enough capacity exists.
-    pub fn alloc(&mut self, shape: impl Into<Shape>) -> Tensor {
-        let shape = shape.into();
-        let len = shape.volume();
-        let mut buf = self.grab(len);
-        buf.clear();
-        buf.resize(len, 0.0);
-        Tensor::from_vec(shape, buf).expect("buffer length matches shape volume")
+    /// Returns a tensor of `shape` whose contents are unspecified: the
+    /// caller must write every element before reading any. Reuses a pooled
+    /// buffer when one with enough capacity exists and leaves what it held
+    /// in place — sound, because the pool only ever holds initialised
+    /// `f32`s (a retired tensor's values; any tail past them is filled
+    /// here), so "unspecified" means stale, never uninitialised. Debug
+    /// builds fill the tensor with NaN instead, so a kernel that skips an
+    /// element fails the tests that read it.
+    pub fn alloc_as_is(&mut self, shape: impl Into<Shape>) -> Tensor {
+        self.alloc_with(shape.into(), |buf, len| {
+            // Shortens, or extends with zeros past the old length: in
+            // steady state the buffer already has this length and nothing
+            // is written.
+            buf.resize(len, 0.0);
+            if cfg!(debug_assertions) {
+                buf.fill(f32::NAN);
+            }
+        })
     }
 
-    /// Returns a copy of `src` backed by a pooled buffer.
+    /// Returns a zero-filled tensor of `shape`, for callers that add into
+    /// it; pooled like [`Workspace::alloc_as_is`].
+    pub fn alloc_zeroed(&mut self, shape: impl Into<Shape>) -> Tensor {
+        self.alloc_with(shape.into(), |buf, len| {
+            buf.clear();
+            buf.resize(len, 0.0);
+        })
+    }
+
+    /// Returns a copy of `src` backed by a pooled buffer (the as-is form,
+    /// overwritten by the copy).
     pub fn alloc_copy(&mut self, src: &Tensor) -> Tensor {
-        let mut buf = self.grab(src.len());
-        buf.clear();
-        buf.extend_from_slice(src.data());
-        Tensor::from_vec(src.shape().clone(), buf).expect("buffer length matches shape volume")
+        self.alloc_with(src.shape().clone(), |buf, _| {
+            buf.clear();
+            buf.extend_from_slice(src.data());
+        })
+    }
+
+    /// A pooled buffer, brought to `shape`'s volume by `fill`, as a tensor.
+    fn alloc_with(&mut self, shape: Shape, fill: impl FnOnce(&mut Vec<f32>, usize)) -> Tensor {
+        let len = shape.volume();
+        let mut buf = self.grab(len);
+        fill(&mut buf, len);
+        Tensor::from_vec(shape, buf).expect("buffer length matches shape volume")
     }
 
     /// Retires a tensor's buffer into the pool for later `alloc` calls.
@@ -452,12 +489,51 @@ impl Product<'_> {
                 };
                 for i0 in (i_start..i_end).step_by(MR) {
                     let mr = MR.min(i_end - i0);
-                    pack_a(self.mode, self.a, self.lda, i0, mr, pc, kc, apack);
+                    let a = if self.mode.trans_a() {
+                        pack_at(self.a, self.lda, i0, mr, pc, kc, apack);
+                        Panel::Packed(apack)
+                    } else {
+                        Panel::Rows(RowPanel::new(self.a, self.lda, i0, mr, pc, kc))
+                    };
                     let panel = &mut c_rows[(i0 - i_start) * n..];
-                    row_panel(self, block, mr, apack, bpack, panel, avx2);
+                    row_panel(self, block, mr, a, bpack, panel, avx2);
                 }
             }
         }
+    }
+}
+
+/// Where the micro-kernel finds the `mr × kc` values of `op(A)` it
+/// broadcasts for one row panel and one reduction block.
+#[derive(Clone, Copy)]
+enum Panel<'a> {
+    /// A stored `(m×k)`, read where it lies.
+    Rows(RowPanel<'a>),
+    /// A stored `(k×m)`, copied by [`pack_at`]: reduction step `l` is
+    /// `apack[l * MR..][..MR]`.
+    Packed(&'a [f32; MR * KC]),
+}
+
+/// One row panel of a non-transposed A for one reduction block: `kc`
+/// values of each of its `MR` rows, where they lie.
+///
+/// Invariant (the AVX2 kernel's unchecked loads rest on it): every row is
+/// exactly `kc` values long. [`RowPanel::new`] is the only constructor.
+#[derive(Clone, Copy)]
+struct RowPanel<'a> {
+    rows: [&'a [f32]; MR],
+    kc: usize,
+}
+
+impl<'a> RowPanel<'a> {
+    /// Rows `i0..i0 + mr` of `a` (row `r` at `a[r * lda]`), reduction
+    /// slice `pc..pc + kc`, bounds-checked here once per panel. Rows past
+    /// `mr` repeat the last live one: the portable kernel computes on
+    /// them and never stores the result.
+    #[inline(always)]
+    fn new(a: &'a [f32], lda: usize, i0: usize, mr: usize, pc: usize, kc: usize) -> Self {
+        let rows = std::array::from_fn(|r| &a[(i0 + r.min(mr - 1)) * lda + pc..][..kc]);
+        Self { rows, kc }
     }
 }
 
@@ -583,14 +659,14 @@ pub fn gemm_into_with_threads(
 }
 
 /// Drives the micro-kernel across every `NR` strip of the current block
-/// for one packed row panel, applying the epilogue on the last reduction
-/// block. `panel` starts at the panel's first output row (column 0).
+/// for one row panel, applying the epilogue on the last reduction block.
+/// `panel` starts at the panel's first output row (column 0).
 #[inline(always)]
 fn row_panel(
     product: &Product,
     block: Block,
     mr: usize,
-    apack: &[f32; MR * KC],
+    a: Panel,
     bpack: &[f32],
     panel: &mut [f32],
     avx2: bool,
@@ -624,7 +700,7 @@ fn row_panel(
             unsafe {
                 micro_tile_avx2(
                     block.kc,
-                    apack,
+                    a,
                     bstrip,
                     tile,
                     n,
@@ -642,7 +718,7 @@ fn row_panel(
             continue;
         }
         let _ = avx2;
-        micro_tile(block.kc, apack, bstrip, tile, n, mr, nr, block.first);
+        micro_tile(block.kc, a, bstrip, tile, n, mr, nr, block.first);
         apply_epilogue(tile, n, mr, nr, bias, act);
     }
 }
@@ -664,7 +740,7 @@ fn row_panel(
 #[allow(clippy::too_many_arguments)]
 unsafe fn micro_tile_avx2(
     kc: usize,
-    apack: &[f32; MR * KC],
+    a: Panel,
     bstrip: &[f32],
     c: &mut [f32],
     ldc: usize,
@@ -674,27 +750,27 @@ unsafe fn micro_tile_avx2(
     relu: bool,
 ) {
     match mr {
-        8 => micro_tile_avx2_rows::<8>(kc, apack, bstrip, c, ldc, first, bias, relu),
-        7 => micro_tile_avx2_rows::<7>(kc, apack, bstrip, c, ldc, first, bias, relu),
-        6 => micro_tile_avx2_rows::<6>(kc, apack, bstrip, c, ldc, first, bias, relu),
-        5 => micro_tile_avx2_rows::<5>(kc, apack, bstrip, c, ldc, first, bias, relu),
-        4 => micro_tile_avx2_rows::<4>(kc, apack, bstrip, c, ldc, first, bias, relu),
-        3 => micro_tile_avx2_rows::<3>(kc, apack, bstrip, c, ldc, first, bias, relu),
-        2 => micro_tile_avx2_rows::<2>(kc, apack, bstrip, c, ldc, first, bias, relu),
-        _ => micro_tile_avx2_rows::<1>(kc, apack, bstrip, c, ldc, first, bias, relu),
+        8 => micro_tile_avx2_rows::<8>(kc, a, bstrip, c, ldc, first, bias, relu),
+        7 => micro_tile_avx2_rows::<7>(kc, a, bstrip, c, ldc, first, bias, relu),
+        6 => micro_tile_avx2_rows::<6>(kc, a, bstrip, c, ldc, first, bias, relu),
+        5 => micro_tile_avx2_rows::<5>(kc, a, bstrip, c, ldc, first, bias, relu),
+        4 => micro_tile_avx2_rows::<4>(kc, a, bstrip, c, ldc, first, bias, relu),
+        3 => micro_tile_avx2_rows::<3>(kc, a, bstrip, c, ldc, first, bias, relu),
+        2 => micro_tile_avx2_rows::<2>(kc, a, bstrip, c, ldc, first, bias, relu),
+        _ => micro_tile_avx2_rows::<1>(kc, a, bstrip, c, ldc, first, bias, relu),
     }
 }
 
 /// # Safety
-/// The CPU must support AVX2, `kc <= KC`, `bstrip` must hold `kc * NR`
-/// values, and `c` must hold `M` rows of `NR` values at row stride `ldc`
-/// (`c.len() >= (M - 1) * ldc + NR`).
+/// The CPU must support AVX2 and `c` must hold `M` rows of `NR` values at
+/// row stride `ldc` (`c.len() >= (M - 1) * ldc + NR`). A and B are read
+/// through slices: a panel or strip shorter than `kc` steps panics.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn micro_tile_avx2_rows<const M: usize>(
     kc: usize,
-    apack: &[f32; MR * KC],
+    a: Panel,
     bstrip: &[f32],
     c: &mut [f32],
     ldc: usize,
@@ -703,8 +779,7 @@ unsafe fn micro_tile_avx2_rows<const M: usize>(
     relu: bool,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(kc <= KC && M <= MR);
-    debug_assert!(bstrip.len() >= kc * NR);
+    debug_assert!(M <= MR);
     debug_assert!(c.len() >= (M - 1) * ldc + NR);
     let c = c.as_mut_ptr();
     let mut acc = [_mm256_setzero_ps(); M];
@@ -715,18 +790,32 @@ unsafe fn micro_tile_avx2_rows<const M: usize>(
             *v = unsafe { _mm256_loadu_ps(c.add(r * ldc)) };
         }
     }
-    let ap = apack.as_ptr();
-    let bp = bstrip.as_ptr();
-    for l in 0..kc {
-        // SAFETY: `l < kc`, so the `NR` values at `l * NR` are inside
-        // `bstrip` and the `MR` values at `l * MR` inside `apack`
-        // (`kc <= KC`); `r < M <= MR`.
-        unsafe {
-            let bv = _mm256_loadu_ps(bp.add(l * NR));
-            let arow = ap.add(l * MR);
-            for (r, v) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(*arow.add(r));
-                *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
+    let brows = &bstrip.as_chunks::<NR>().0[..kc];
+    match a {
+        Panel::Rows(panel) => {
+            for (l, brow) in brows[..panel.kc].iter().enumerate() {
+                // SAFETY: `brow` is `NR` values.
+                let bv = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
+                for (v, row) in acc.iter_mut().zip(&panel.rows) {
+                    // SAFETY: `l < panel.kc`, and every row of a
+                    // `RowPanel` holds exactly `kc` values (its
+                    // invariant, bounds-checked where it is built).
+                    // Checked, this load costs half the loop again — the
+                    // compiler does not see that the rows are equally
+                    // long — and an in-place read that slow loses to
+                    // packing.
+                    let av = unsafe { *row.get_unchecked(l) };
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+                }
+            }
+        }
+        Panel::Packed(apack) => {
+            for (arow, brow) in apack.as_chunks::<MR>().0.iter().zip(brows) {
+                // SAFETY: `brow` is `NR` values.
+                let bv = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
+                for (v, &av) in acc.iter_mut().zip(arow) {
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+                }
             }
         }
     }
@@ -751,20 +840,20 @@ unsafe fn micro_tile_avx2_rows<const M: usize>(
     }
 }
 
-/// The register-blocked micro-kernel: an `MR×NR` accumulator tile over a
-/// packed A panel and one packed B strip. `c` starts at the tile's first
+/// The register-blocked micro-kernel: an `MR×NR` accumulator tile over
+/// one A panel and one packed B strip. `c` starts at the tile's first
 /// element and has row stride `ldc`.
 ///
 /// On the first reduction block the accumulators start from zero (so `C`
 /// may hold garbage from a recycled buffer); on later blocks the partial
 /// `C` tile is loaded, extended in ascending `l`, and stored back —
-/// preserving one strictly ordered sum per element. Padded panel rows and
-/// strip columns are computed on zeros and never stored.
+/// preserving one strictly ordered sum per element. Panel rows past `mr`
+/// and padded strip columns are computed and never stored.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn micro_tile(
     kc: usize,
-    apack: &[f32; MR * KC],
+    a: Panel,
     bstrip: &[f32],
     c: &mut [f32],
     ldc: usize,
@@ -778,13 +867,32 @@ fn micro_tile(
             row[..nr].copy_from_slice(&c[r * ldc..][..nr]);
         }
     }
-    for l in 0..kc {
-        let arow = &apack[l * MR..l * MR + MR];
-        let brow = &bstrip[l * NR..l * NR + NR];
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = arow[r];
-            for (v, &bv) in row.iter_mut().zip(brow) {
-                *v += av * bv;
+    // The multiply-add body is written out in both arms: behind a shared
+    // helper that takes `&mut acc` the tile lives in memory instead of
+    // registers, and the edge strips this kernel serves on AVX2 hosts (a
+    // dense head with `n` of 1, 2 or 10) run five times slower.
+    match a {
+        Panel::Rows(panel) => {
+            for l in 0..kc {
+                let arow: [f32; MR] = std::array::from_fn(|r| panel.rows[r][l]);
+                let brow = &bstrip[l * NR..l * NR + NR];
+                for (row, av) in acc.iter_mut().zip(arow) {
+                    for (v, &bv) in row.iter_mut().zip(brow) {
+                        *v += av * bv;
+                    }
+                }
+            }
+        }
+        Panel::Packed(apack) => {
+            for l in 0..kc {
+                let arow = &apack[l * MR..l * MR + MR];
+                let brow = &bstrip[l * NR..l * NR + NR];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = arow[r];
+                    for (v, &bv) in row.iter_mut().zip(brow) {
+                        *v += av * bv;
+                    }
+                }
             }
         }
     }
@@ -835,13 +943,15 @@ fn apply_epilogue(
     }
 }
 
-/// Packs rows `i0..i0+mr` of `op(A)`, reduction slice `pc..pc+kc`, into
-/// the `l`-major panel `apack[l*MR + r]`, zero-padding rows past `mr`.
-/// Stored row `r` of A starts at `a[r * lda]`.
-#[allow(clippy::too_many_arguments)]
+/// Packs rows `i0..i0+mr` of `Aᵀ`, reduction slice `pc..pc+kc`, into the
+/// `l`-major panel `apack[l*MR + r]`. A is stored `(k×m)`, row `l`
+/// starting at `a[l * lda]`, so each step's `mr` values are contiguous and
+/// the pack is a row copy, not a transpose. Rows past `mr` get whatever
+/// follows in A (zeros where A ends): the kernels never store them, and a
+/// fixed-width copy is what keeps a narrow panel — a convolution's
+/// `kernel * in_ch` can be 5 — from paying a `memcpy` call per step.
 #[inline(always)]
-fn pack_a(
-    mode: GemmMode,
+fn pack_at(
     a: &[f32],
     lda: usize,
     i0: usize,
@@ -850,25 +960,12 @@ fn pack_a(
     kc: usize,
     apack: &mut [f32; MR * KC],
 ) {
-    if mode.trans_a() {
-        // A stored (k×m): panel rows are contiguous per reduction index.
-        let (rows, _) = apack.as_chunks_mut::<MR>();
-        for (l, dst) in rows[..kc].iter_mut().enumerate() {
-            copy_padded(&a[(pc + l) * lda + i0..][..mr], dst);
-        }
-    } else {
-        // A stored (m×k): transpose row-by-row into the panel.
-        for r in 0..MR {
-            if r < mr {
-                let src = &a[(i0 + r) * lda + pc..][..kc];
-                for (l, &v) in src.iter().enumerate() {
-                    apack[l * MR + r] = v;
-                }
-            } else {
-                for l in 0..kc {
-                    apack[l * MR + r] = 0.0;
-                }
-            }
+    let (rows, _) = apack.as_chunks_mut::<MR>();
+    for (l, dst) in rows[..kc].iter_mut().enumerate() {
+        let src = &a[(pc + l) * lda + i0..];
+        match src.first_chunk() {
+            Some(wide) => *dst = *wide,
+            None => copy_padded(&src[..mr], dst),
         }
     }
 }
@@ -1104,10 +1201,10 @@ mod tests {
     #[test]
     fn workspace_reuses_buffers() {
         let mut ws = Workspace::new();
-        let t = ws.alloc([4, 4]);
+        let t = ws.alloc_zeroed([4, 4]);
         let ptr = t.data().as_ptr();
         ws.recycle(t);
-        let t2 = ws.alloc([2, 8]);
+        let t2 = ws.alloc_zeroed([2, 8]);
         assert_eq!(t2.data().as_ptr(), ptr, "pooled buffer not reused");
         assert!(t2.data().iter().all(|&v| v == 0.0));
         let copy_src = Tensor::from_fn([3, 3], |i| i as f32);
@@ -1115,6 +1212,130 @@ mod tests {
         let copied = ws.alloc_copy(&copy_src);
         assert_eq!(copied.data(), copy_src.data());
         assert_eq!(copied.shape(), copy_src.shape());
+    }
+
+    #[test]
+    fn as_is_allocation_hands_the_buffer_over_without_filling_it() {
+        let mut ws = Workspace::new();
+        let mut t = ws.alloc_zeroed([4, 4]);
+        t.data_mut().fill(7.0);
+        let ptr = t.data().as_ptr();
+        ws.recycle(t);
+        // Shorter than what the buffer held: the stale values stay (debug
+        // builds poison them instead, so a reader of unwritten elements
+        // sees NaN).
+        let short = ws.alloc_as_is([3, 2]);
+        assert_eq!(short.data().as_ptr(), ptr, "pooled buffer not reused");
+        assert_eq!(short.len(), 6);
+        let expect = if cfg!(debug_assertions) {
+            f32::NAN
+        } else {
+            7.0
+        };
+        assert!(short.data().iter().all(|v| v.to_bits() == expect.to_bits()));
+        ws.recycle(short);
+        // Longer than what it last held, within its capacity: the tail is
+        // initialised here, never handed out raw.
+        let long = ws.alloc_as_is([4, 4]);
+        assert_eq!(long.data().as_ptr(), ptr);
+        assert_eq!(long.len(), 16);
+        if !cfg!(debug_assertions) {
+            assert!(long.data()[..6].iter().all(|&v| v == 7.0));
+            assert!(long.data()[6..].iter().all(|&v| v == 0.0));
+        }
+        ws.recycle(long);
+        // The zeroed form clears whatever the buffer held.
+        let zeroed = ws.alloc_zeroed([4, 4]);
+        assert_eq!(zeroed.data().as_ptr(), ptr);
+        assert!(zeroed.data().iter().all(|&v| v == 0.0));
+    }
+
+    /// The AVX2 and the portable micro-kernels, run through the same
+    /// macro loops on the same operands, agree on every output bit: all
+    /// three modes, shapes that cross the `MR` / `NR` / `KC` / `NC` edges,
+    /// an A whose rows abut (`lda` = row length), are spaced, or overlap
+    /// (`lda` < row length: a convolution's receptive fields), a first
+    /// pass and an accumulating one, with and without the fused epilogue.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_and_portable_micro_kernels_agree_bit_for_bit() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let shapes = [
+            (1, 1, 1),
+            (5, 5, 8),
+            (8, 16, 16),
+            (13, 255, 9),
+            (9, 257, 17),
+            (16, 300, 23),
+            (3, 7, NC + 9),
+        ];
+        for (case, &(m, k, n)) in shapes.iter().enumerate() {
+            for mode in MODES {
+                // Stored A is (rows × cols).
+                let (rows, cols) = if mode.trans_a() { (k, m) } else { (m, k) };
+                for lda in [cols, cols + 3, (cols / 3).max(1)] {
+                    let seed = (case * 31 + lda) as u64;
+                    let a = rand_vec((rows - 1) * lda + cols, seed);
+                    let b = rand_vec(k * n, seed ^ 0xB);
+                    let bias = rand_vec(n, seed ^ 0xC);
+                    let partial = rand_vec(m * n, seed ^ 0xD);
+                    for accumulate in [false, true] {
+                        for (with_bias, act) in [
+                            (false, FusedAct::Linear),
+                            (true, FusedAct::Relu),
+                            (true, FusedAct::Tanh),
+                        ] {
+                            let product = Product {
+                                mode,
+                                a: &a,
+                                lda,
+                                b: &b,
+                                m,
+                                k,
+                                n,
+                                epilogue: Epilogue {
+                                    bias: with_bias.then_some(bias.as_slice()),
+                                    act,
+                                },
+                            };
+                            product.validate();
+                            let run = |avx2: bool| {
+                                // Garbage where nothing is accumulated:
+                                // the first block must not read it.
+                                let mut c = if accumulate {
+                                    partial.clone()
+                                } else {
+                                    vec![f32::NAN; m * n]
+                                };
+                                let mut apack = [0.0f32; MR * KC];
+                                let mut bpack = vec![0.0f32; scratch_len(n) - MR * KC];
+                                if avx2 {
+                                    // SAFETY: AVX2 was detected above.
+                                    unsafe {
+                                        product.blocks_avx2(
+                                            0, &mut c, accumulate, &mut apack, &mut bpack,
+                                        )
+                                    };
+                                } else {
+                                    product.blocks(
+                                        0, &mut c, accumulate, &mut apack, &mut bpack, false,
+                                    );
+                                }
+                                c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(
+                                run(true),
+                                run(false),
+                                "{mode:?} {m}x{k}x{n} lda {lda} accumulate {accumulate} \
+                                 bias {with_bias} {act:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

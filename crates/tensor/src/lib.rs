@@ -198,14 +198,6 @@ impl Tensor {
             out.data.extend_from_slice(self.row(src));
         }
     }
-
-    /// Makes `self` an exact copy of `src` (shape and data) without
-    /// allocating when the existing buffer has enough capacity.
-    pub fn copy_from(&mut self, src: &Tensor) {
-        self.shape = src.shape.clone();
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
 }
 
 impl std::fmt::Display for Tensor {
@@ -292,16 +284,6 @@ mod tests {
         t.gather_rows_into(&[0], &mut out);
         assert_eq!(out.shape().dims(), &[1, 2]);
         assert_eq!(out.data(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn copy_from_matches_clone_without_alloc() {
-        let src = Tensor::from_fn([2, 3], |i| i as f32);
-        let mut dst = Tensor::zeros([6]);
-        let ptr = dst.data().as_ptr();
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
-        assert_eq!(dst.data().as_ptr(), ptr, "buffer must be reused");
     }
 
     #[test]

@@ -13,6 +13,14 @@ if grep -rn --include='*.rs' 'temp_dir()' crates src tests examples |
     exit 1
 fi
 
+# Activations belong to the model's chain (DESIGN §5f): a layer that grows a
+# cache field again is copying its input or output every step.
+echo "==> no _cache: Option<Tensor> field under crates/dlframe/src/layers"
+if grep -rnE '_cache: *Option<Tensor>' crates/dlframe/src/layers; then
+    echo "error: layers keep no activations; Layer::backward is handed input and output" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
