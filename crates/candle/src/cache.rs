@@ -9,7 +9,7 @@
 //! [`Prefetcher`] so shard decode overlaps with consumption.
 
 use crate::dataset::{benchmark_dataset, BenchDataKind};
-use datacache::format::fnv1a64;
+use datacache::format::{fnv1a64_extend, FNV_OFFSET};
 use datacache::{
     source_key_for_file, CacheError, CacheOutcome, CacheStore, PrefetchStats, Prefetcher,
 };
@@ -197,7 +197,7 @@ pub fn dataset_key(kind: &BenchDataKind, seed: u64) -> (u64, String) {
         "candle:{:?}:features={}:train={}:test={}:seed={}",
         kind.bench, kind.features, kind.train_rows, kind.test_rows, seed
     );
-    (fnv1a64(desc.as_bytes()), desc)
+    (fnv1a64_extend(FNV_OFFSET, desc.as_bytes()), desc)
 }
 
 /// Loads (warm) or generates-and-caches (cold) the train/test pair for a

@@ -8,14 +8,16 @@
 //!
 //! * [`shard`] + [`format`] — a compact little-endian columnar encoding of
 //!   a [`dataio::Frame`] split into N row-range shards, each carrying a
-//!   header (magic, version, dtype table, row/col counts) and an FNV-1a
-//!   checksum.
+//!   header (magic, version, dtype table, row/col counts) and sealed with
+//!   an XXH64 checksum ([`format::xxh64`], also `resil`'s checkpoint
+//!   seal); decode names a wrong magic or version before it hashes.
 //! * [`manifest`] — a small text manifest keyed by a content hash of the
 //!   source (path, size, mtime, parse strategy), so a cold run parses CSV
 //!   once and writes shards, and every warm run or rank loads its shards
 //!   directly.
 //! * [`store`] — [`CacheStore`]: the cold/warm decision, shard writing and
-//!   verified reloading, per-rank shard assignment.
+//!   verified reloading (each shard's trailer cross-checked against the
+//!   manifest before it is hashed), per-rank shard assignment.
 //! * [`prefetch`] — [`Prefetcher`]: a double-buffered background loader on
 //!   [`parx::WorkerPool`] that decodes shard *k+1* while the consumer works
 //!   on shard *k*, exposing ready [`tensor::Tensor`] batches plus

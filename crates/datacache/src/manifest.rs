@@ -11,8 +11,10 @@ use crate::format::{fnv1a64_extend, FNV_OFFSET};
 use crate::CacheError;
 use std::path::Path;
 
-/// Manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Manifest format version. Version 2 lists XXH64-sealed version-2
+/// shards; a version-1 manifest (FNV-1a shards) fails to parse, so its
+/// dataset is rebuilt cold instead of warm-hitting shards that all fail.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// One shard file registered in a manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,8 +27,9 @@ pub struct ShardEntry {
     pub rows: usize,
     /// Encoded size in bytes (including header and checksum).
     pub bytes: u64,
-    /// The shard's trailing FNV-1a checksum, duplicated here so a warm
-    /// open can cross-check file identity before decoding.
+    /// The shard's trailing XXH64 checksum, duplicated here so a warm
+    /// load can cross-check file identity before decoding: a file that
+    /// checksums clean but is not the one this manifest wrote fails there.
     pub checksum: u64,
 }
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic      [u8; 4]   "CDS1"
-//! version    u16
+//! version    u16       2
 //! shard_idx  u32
 //! start_row  u64       row offset of this shard in the source frame
 //! nrows      u64       rows stored in this shard
@@ -15,11 +15,14 @@
 //!                        Int64   -> i64 raw
 //!                        Float64 -> f64 bit pattern (bit-exact)
 //!                        Str     -> u32 byte length + UTF-8 bytes
-//! checksum   u64       FNV-1a 64 over every preceding byte
+//! checksum   u64       XXH64 (seed 0) over every preceding byte
 //! ```
+//!
+//! Version 1 was this layout sealed with FNV-1a-64; it is rejected by
+//! version, never read.
 
 use crate::format::{
-    dtype_code, dtype_from_code, fnv1a64, put_u16, put_u32, put_u64, ByteReader, MAGIC, VERSION,
+    dtype_code, dtype_from_code, put_u16, put_u32, put_u64, put_words, seal, unseal, MAGIC, VERSION,
 };
 use crate::CacheError;
 use dataio::{Column, Dtype, Frame};
@@ -54,9 +57,9 @@ pub fn encode_shard(frame: &Frame, index: u32, start: usize, end: usize) -> Vec<
     }
     for col in frame.columns() {
         match col {
-            Column::Int64(v) => put_words(&mut buf, &v[start..end], |x| x.to_le_bytes()),
+            Column::Int64(v) => put_words(&mut buf, &v[start..end], i64::to_le_bytes),
             // Bit-exact: NaN payloads and signed zeros survive the round trip.
-            Column::Float64(v) => put_words(&mut buf, &v[start..end], |x| x.to_le_bytes()),
+            Column::Float64(v) => put_words(&mut buf, &v[start..end], f64::to_le_bytes),
             Column::Str(v) => {
                 for s in &v[start..end] {
                     put_u32(&mut buf, s.len() as u32);
@@ -65,66 +68,15 @@ pub fn encode_shard(frame: &Frame, index: u32, start: usize, end: usize) -> Vec<
             }
         }
     }
-    let checksum = fnv1a64(&buf);
-    put_u64(&mut buf, checksum);
+    seal(&mut buf);
     buf
 }
 
-/// Appends a numeric column's values as little-endian 8-byte words: the
-/// buffer grows once and the slice is laid down in one pass (a plain copy
-/// on a little-endian host), not one bounds-checked 8-byte append per value.
-fn put_words<T: Copy>(buf: &mut Vec<u8>, values: &[T], to_le: impl Fn(T) -> [u8; 8]) {
-    let at = buf.len();
-    buf.resize(at + values.len() * 8, 0);
-    for (word, &x) in buf[at..].chunks_exact_mut(8).zip(values) {
-        word.copy_from_slice(&to_le(x));
-    }
-}
-
-/// Reads a numeric column of `nrows` little-endian 8-byte words: one bounds
-/// check for the whole column, then a pass over the slice.
-fn take_words<T>(
-    r: &mut ByteReader<'_>,
-    nrows: usize,
-    from_le: impl Fn([u8; 8]) -> T,
-) -> Result<Vec<T>, CacheError> {
-    // `nrows` passed `ByteReader::count(4)`, so eight times it cannot
-    // overflow; a column the bytes cannot hold fails in `take_bytes`.
-    let raw = r.take_bytes(nrows * 8)?;
-    Ok(raw
-        .chunks_exact(8)
-        .map(|word| from_le(word.try_into().expect("chunks_exact(8)")))
-        .collect())
-}
-
-/// Decodes and validates one shard: magic, version, structural bounds, and
-/// the trailing checksum all have to match.
+/// Decodes and validates one shard: magic and version, then the trailing
+/// checksum, then structural bounds all have to hold.
 pub fn decode_shard(bytes: &[u8]) -> Result<DecodedShard, CacheError> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(CacheError::Corrupt(format!(
-            "shard file too short ({} bytes)",
-            bytes.len()
-        )));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(CacheError::Corrupt(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-
-    let mut r = ByteReader::new(body);
-    if r.take_bytes(4)? != MAGIC {
-        return Err(CacheError::Corrupt("bad magic".into()));
-    }
-    let version = r.take_u16()?;
-    if version != VERSION {
-        return Err(CacheError::Corrupt(format!(
-            "unsupported shard version {version} (expected {VERSION})"
-        )));
-    }
+    let mut r =
+        unseal(bytes, MAGIC, VERSION).map_err(|e| CacheError::Corrupt(e.message("shard")))?;
     let index = r.take_u32()?;
     let start_row = r.take_u64()? as usize;
     // Both counts size allocations below, so each is checked against the
@@ -143,8 +95,8 @@ pub fn decode_shard(bytes: &[u8]) -> Result<DecodedShard, CacheError> {
     let mut columns = Vec::with_capacity(ncols);
     for dtype in dtypes {
         let col = match dtype {
-            Dtype::Int64 => Column::Int64(take_words(&mut r, nrows, i64::from_le_bytes)?),
-            Dtype::Float64 => Column::Float64(take_words(&mut r, nrows, f64::from_le_bytes)?),
+            Dtype::Int64 => Column::Int64(r.take_words(nrows, i64::from_le_bytes)?),
+            Dtype::Float64 => Column::Float64(r.take_words(nrows, f64::from_le_bytes)?),
             Dtype::Str => {
                 let mut v = Vec::with_capacity(nrows);
                 for _ in 0..nrows {
@@ -201,6 +153,7 @@ pub fn shard_ranges(nrows: usize, nshards: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{fnv1a64_extend, xxh64, FNV_OFFSET};
     use xrng::RandomSource;
 
     fn mixed_frame(rows: usize, seed: u64) -> Frame {
@@ -251,8 +204,10 @@ mod tests {
     }
 
     /// CDS1 is a stored format: the bytes of one fixed mixed-dtype shard
-    /// (and so its FNV-1a checksum, the last eight) as the per-value
-    /// encoder wrote them before columns moved as whole slices.
+    /// (and so its checksum, the last eight). Re-pinned once for version
+    /// 2: against the version-1 golden only the version field (bytes 4..6,
+    /// `0100` -> `0200`) and the trailer (FNV-1a -> XXH64) moved; every
+    /// header and column byte is the one the per-value encoder wrote.
     #[test]
     fn encoder_output_is_byte_identical_to_the_stored_format() {
         let frame = Frame::new(vec![
@@ -271,10 +226,10 @@ mod tests {
             ]),
         ])
         .unwrap();
-        let golden = "434453310100030000000100000000000000030000000000000003000000000102\
+        let golden = "434453310200030000000100000000000000030000000000000003000000000102\
                       0200000000000000000000000000008007000000000000000000000000\
                       00f87f355800662deb417e010000000000f07f000000000600000068c3a96c6c6f\
-                      03000000782c7933f4b31f177ce873";
+                      03000000782c797596c102d6975721";
         let hex: String = encode_shard(&frame, 3, 1, 4)
             .iter()
             .map(|b| format!("{b:02x}"))
@@ -308,7 +263,7 @@ mod tests {
         // (4 + 2 + 4 + 8 = offset 18).
         bytes[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
         let body_len = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..body_len]);
+        let checksum = xxh64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
         match decode_shard(&bytes) {
             Err(CacheError::Corrupt(msg)) => {
@@ -325,6 +280,23 @@ mod tests {
         assert!(decode_shard(&bytes[..bytes.len() - 1]).is_err());
         assert!(decode_shard(&bytes[..10]).is_err());
         assert!(decode_shard(&[]).is_err());
+    }
+
+    /// A shard the previous build wrote — version 1 under its FNV-1a
+    /// trailer — is refused by version, not as a checksum mismatch.
+    #[test]
+    fn version_1_shard_is_rejected_by_name() {
+        let mut bytes = encode_shard(&mixed_frame(8, 37), 0, 0, 8);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let fnv = fnv1a64_extend(FNV_OFFSET, &bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&fnv.to_le_bytes());
+        match decode_shard(&bytes) {
+            Err(CacheError::Corrupt(msg)) => {
+                assert_eq!(msg, "unsupported shard version 1 (this build reads 2)")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The cache store: cold builds (parse once, write shards) and warm opens
 //! (verified shard loads), plus per-rank shard assignment.
 
-use crate::format::write_file;
+use crate::format::{sealed_checksum, write_file};
 use crate::manifest::{source_key_for_file, Manifest, ShardEntry, MANIFEST_VERSION};
 use crate::shard::{decode_shard, encode_shard, shard_ranges};
 use crate::CacheError;
@@ -308,7 +308,7 @@ fn write_cache(
     let write_shard = |i: usize| -> Result<ShardEntry, CacheError> {
         let (start, end) = ranges[i];
         let bytes = encode_shard(frame, i as u32, start, end);
-        let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        let checksum = sealed_checksum(&bytes).expect("an encoded shard is sealed");
         let file = format!("shard-{i:04}.bin");
         write_file(&dir.join(&file), &bytes)?;
         Ok(ShardEntry {
@@ -386,7 +386,8 @@ impl CachedDataset {
         &self.dir
     }
 
-    /// Reads, checksums, and decodes shard `index`.
+    /// Reads, cross-checks against the manifest, checksums, and decodes
+    /// shard `index`.
     pub fn load_shard(&self, index: usize) -> Result<Frame, CacheError> {
         let entry = self.manifest.shards.get(index).ok_or_else(|| {
             CacheError::Corrupt(format!(
@@ -400,6 +401,16 @@ impl CachedDataset {
                 "shard {index}: file is {} bytes, manifest says {}",
                 bytes.len(),
                 entry.bytes
+            )));
+        }
+        // Identity before integrity: a shard from another build can be
+        // the right size and checksum clean, and only the manifest knows
+        // it is not the one written here. (A file too short to carry a
+        // checksum fails in `decode_shard`.)
+        if let Some(stored) = sealed_checksum(&bytes).filter(|&c| c != entry.checksum) {
+            return Err(CacheError::Corrupt(format!(
+                "shard {index}: trailing checksum {stored:#018x} disagrees with manifest {:#018x}",
+                entry.checksum
             )));
         }
         let decoded = decode_shard(&bytes)?;
@@ -673,38 +684,121 @@ mod tests {
         assert_eq!(builds, 1, "second open must be a warm hit");
     }
 
-    /// Builds dataset `key` (a distinct synthetic frame per key) in
-    /// `store` and returns whether the open was warm.
-    fn churn_open(store: &CacheStore, key: u64) -> bool {
-        let (_, outcome) = store
-            .open_or_build(key, &format!("synthetic:{key}"), "", 3, || {
-                let spec = SyntheticSpec {
-                    rows: 64,
-                    cols: 9,
-                    kind: ClassSpec::Classification {
-                        classes: 2,
-                        separation: 1.0,
-                    },
-                    noise: 0.2,
-                    seed: key,
-                };
-                let ds = generate(&spec);
-                let mut columns: Vec<dataio::Column> = (0..ds.cols)
-                    .map(|c| {
-                        dataio::Column::Float64(
-                            (0..ds.rows)
-                                .map(|r| ds.features[r * ds.cols + c] as f64)
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                columns.push(dataio::Column::Float64(
-                    ds.labels.iter().map(|&v| v as f64).collect(),
-                ));
-                Frame::new(columns).map_err(CacheError::from)
+    /// A distinct all-Float64 synthetic frame per key: every key's shards
+    /// have the same byte sizes.
+    fn churn_frame(key: u64) -> Result<Frame, CacheError> {
+        let spec = SyntheticSpec {
+            rows: 64,
+            cols: 9,
+            kind: ClassSpec::Classification {
+                classes: 2,
+                separation: 1.0,
+            },
+            noise: 0.2,
+            seed: key,
+        };
+        let ds = generate(&spec);
+        let mut columns: Vec<dataio::Column> = (0..ds.cols)
+            .map(|c| {
+                dataio::Column::Float64(
+                    (0..ds.rows)
+                        .map(|r| ds.features[r * ds.cols + c] as f64)
+                        .collect(),
+                )
             })
-            .unwrap();
-        !outcome.is_warm()
+            .collect();
+        columns.push(dataio::Column::Float64(
+            ds.labels.iter().map(|&v| v as f64).collect(),
+        ));
+        Frame::new(columns).map_err(CacheError::from)
+    }
+
+    /// Opens dataset `key` ([`churn_frame`]) in `store`, building it if
+    /// needed.
+    fn churn_dataset(store: &CacheStore, key: u64) -> (CachedDataset, CacheOutcome) {
+        store
+            .open_or_build(key, &format!("synthetic:{key}"), "", 3, || churn_frame(key))
+            .unwrap()
+    }
+
+    /// Builds dataset `key` in `store` and returns whether the open was
+    /// cold.
+    fn churn_open(store: &CacheStore, key: u64) -> bool {
+        !churn_dataset(store, key).1.is_warm()
+    }
+
+    /// A shard file from another dataset of the same geometry is the
+    /// right size and checksums clean; only the manifest's copy of the
+    /// checksum tells it apart, and the load must say so.
+    #[test]
+    fn shard_swapped_in_from_another_build_fails_the_manifest_cross_check() {
+        let root = tmp_root("swapped");
+        let store = CacheStore::new(&root).unwrap();
+        let (ours, _) = churn_dataset(&store, 1);
+        let (theirs, _) = churn_dataset(&store, 2);
+        let file = &ours.manifest().shards[1].file;
+        let foreign = std::fs::read(theirs.dir().join(file)).unwrap();
+        assert_eq!(foreign.len() as u64, ours.manifest().shards[1].bytes);
+        decode_shard(&foreign).expect("the foreign shard is self-consistent");
+        std::fs::write(ours.dir().join(file), &foreign).unwrap();
+
+        assert!(ours.load_shard(0).is_ok());
+        match ours.load_shard(1) {
+            Err(CacheError::Corrupt(msg)) => {
+                assert!(msg.starts_with("shard 1: trailing checksum"), "{msg}");
+                assert!(msg.contains("disagrees with manifest"), "{msg}");
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|f| f.nrows())),
+        }
+    }
+
+    /// A cache the previous build wrote — a version-1 manifest over
+    /// version-1 shards sealed with FNV-1a — is not a warm hit whose every
+    /// shard then fails: the manifest is refused, the dataset rebuilt cold
+    /// into the same frame, and the old shards are named by version.
+    #[test]
+    fn version_1_cache_is_rebuilt_cold_into_the_same_frame() {
+        use crate::format::{fnv1a64_extend, FNV_OFFSET};
+        let root = tmp_root("v1_cache");
+        let store = CacheStore::new(&root).unwrap();
+        let (ds, _) = churn_dataset(&store, 5);
+        let expected = ds.load_all().unwrap();
+
+        // Rewrite the dataset as the previous build left it.
+        let mut manifest = ds.manifest().clone();
+        for entry in &mut manifest.shards {
+            let path = ds.dir().join(&entry.file);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+            let body_len = bytes.len() - 8;
+            let fnv = fnv1a64_extend(FNV_OFFSET, &bytes[..body_len]);
+            bytes[body_len..].copy_from_slice(&fnv.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            entry.checksum = fnv;
+        }
+        manifest.version = 1;
+        manifest.write_to(ds.dir()).unwrap();
+        let old = CachedDataset {
+            dir: ds.dir().to_path_buf(),
+            manifest: manifest.clone(),
+        };
+        match old.load_shard(0) {
+            Err(CacheError::Corrupt(msg)) => assert!(
+                msg.contains("unsupported shard version 1 (this build reads 2)"),
+                "{msg}"
+            ),
+            other => panic!("expected Corrupt, got {:?}", other.map(|f| f.nrows())),
+        }
+        assert!(Manifest::load_from(ds.dir()).is_err());
+
+        let (rebuilt, outcome) = churn_dataset(&store, 5);
+        assert!(
+            matches!(outcome, CacheOutcome::ColdBuilt { .. }),
+            "a version-1 cache must rebuild cold"
+        );
+        assert_eq!(rebuilt.manifest().version, MANIFEST_VERSION);
+        assert_eq!(rebuilt.load_all().unwrap(), expected);
+        assert!(churn_dataset(&store, 5).1.is_warm());
     }
 
     #[test]

@@ -12,29 +12,37 @@
 //! `datacache`'s `CDS1` shard format):
 //!
 //! ```text
-//! magic "RCP1" | version u16 | epoch u64 | lr f32-bits u32
+//! magic "RCP1" | version u16 = 2 | epoch u64 | lr f32-bits u32
 //! | params  u64 count, f32-bits ×count
 //! | slots   u64 count, per slot: t u64, m (u64 count + f32-bits), v (…)
 //! | ranks   u64 count, per rank: u64 stream count, 32 bytes ×stream
-//! | fnv1a64 checksum over everything above, u64
+//! | XXH64 (seed 0) checksum over everything above, u64
 //! ```
 //!
+//! Version 1 was this layout sealed with FNV-1a-64; it is refused as
+//! [`ResilError::Version`], never read.
+//!
 //! Writes are atomic (temp file + rename) so a crash mid-write can never
-//! shadow a good checkpoint with a torn one; loads verify the checksum
-//! and every length field before trusting a byte; [`CheckpointManager`]
-//! rotates old files and [`CheckpointManager::latest`] silently skips a
-//! corrupt newest checkpoint in favour of an older intact one.
+//! shadow a good checkpoint with a torn one; loads check magic and version,
+//! then the checksum, then every length field before trusting a byte;
+//! [`CheckpointManager`] rotates old files and
+//! [`CheckpointManager::latest`] skips a corrupt newest checkpoint in
+//! favour of an older intact one, and fails on anything else.
 
 use crate::ResilError;
-use datacache::format::{fnv1a64, put_u16, put_u32, put_u64, write_file, ByteReader};
+use datacache::format::{
+    put_u16, put_u32, put_u64, put_words, seal, unseal, write_file, ByteReader, Unsealed,
+};
 use dlframe::{Sequential, SlotSnapshot};
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every checkpoint file ("Resilience CheckPoint v1").
+/// Magic bytes opening every checkpoint file ("Resilience CheckPoint";
+/// revisions of the format are told apart by [`VERSION`]).
 pub const MAGIC: [u8; 4] = *b"RCP1";
 
-/// Format version written into every checkpoint.
-pub const VERSION: u16 = 1;
+/// Format version written into every checkpoint. Version 1 sealed the
+/// same layout with FNV-1a-64; this build reads version 2 only.
+pub const VERSION: u16 = 2;
 
 /// The complete state of a data-parallel training run at an epoch
 /// boundary. Parameters and optimizer slots are identical across ranks
@@ -115,16 +123,24 @@ impl TrainState {
     }
 }
 
+/// A length-prefixed `f32` vector, its bit patterns laid down as one slice.
 fn put_f32_vec(buf: &mut Vec<u8>, v: &[f32]) {
     put_u64(buf, v.len() as u64);
-    for &x in v {
-        put_u32(buf, x.to_bits());
-    }
+    put_words(buf, v, f32::to_le_bytes);
 }
 
 /// Serializes a state to the `RCP1` byte layout (checksum included).
 pub fn encode(state: &TrainState) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let floats = state.params.len()
+        + state
+            .slots
+            .iter()
+            .map(|s| s.m.len() + s.v.len())
+            .sum::<usize>();
+    let streams: usize = state.rank_rngs.iter().map(|r| 8 + 32 * r.len()).sum();
+    // The exact size (50 bytes of fixed fields, counts and checksum), so
+    // the buffer is allocated once.
+    let mut buf = Vec::with_capacity(50 + 24 * state.slots.len() + 4 * floats + streams);
     buf.extend_from_slice(&MAGIC);
     put_u16(&mut buf, VERSION);
     put_u64(&mut buf, state.epoch);
@@ -143,48 +159,31 @@ pub fn encode(state: &TrainState) -> Vec<u8> {
             buf.extend_from_slice(s);
         }
     }
-    let checksum = fnv1a64(&buf);
-    put_u64(&mut buf, checksum);
+    seal(&mut buf);
     buf
 }
 
 /// Inverse of [`put_f32_vec`].
 fn take_f32_vec(r: &mut ByteReader) -> Result<Vec<f32>, ResilError> {
     let n = r.count(4)?;
-    let bytes = r.take_bytes(n * 4)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("len 4"))))
-        .collect())
+    Ok(r.take_words(n, f32::from_le_bytes)?)
 }
 
 /// Parses and validates an `RCP1` byte buffer.
+///
+/// A version some earlier build wrote (`1..VERSION`) is
+/// [`ResilError::Version`]: the file is intact but unreadable here, and
+/// skipping it would silently resume from older state. Any other version is
+/// [`ResilError::Corrupt`] — it is what a flipped version bit makes (no
+/// single-bit flip of 2 yields 1), and this build cannot tell a later
+/// build's file from a rotted one.
 pub fn decode(bytes: &[u8]) -> Result<TrainState, ResilError> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(ResilError::Corrupt(format!(
-            "checkpoint too short: {} bytes",
-            bytes.len()
-        )));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("len 8"));
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(ResilError::Corrupt(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-    let mut r = ByteReader::new(body);
-    let magic = r.take_bytes(4)?;
-    if magic != MAGIC {
-        return Err(ResilError::Corrupt(format!("bad magic {magic:?}")));
-    }
-    let version = r.take_u16()?;
-    if version != VERSION {
-        return Err(ResilError::Corrupt(format!(
-            "unsupported checkpoint version {version}"
-        )));
-    }
+    let mut r = unseal(bytes, MAGIC, VERSION).map_err(|e| match e {
+        Unsealed::Version { found, supported } if (1..supported).contains(&found) => {
+            ResilError::Version { found, supported }
+        }
+        other => ResilError::Corrupt(other.message("checkpoint")),
+    })?;
     let epoch = r.take_u64()?;
     let lr = f32::from_bits(r.take_u32()?);
     let params = take_f32_vec(&mut r)?;
@@ -286,10 +285,17 @@ impl CheckpointManager {
     /// first and corrupt ones are skipped, so a torn or bit-rotted latest
     /// file degrades to the previous interval instead of a dead run.
     /// Returns `None` when no checkpoint validates.
+    ///
+    /// Only [`ResilError::Corrupt`] is skipped. A file that cannot be read
+    /// ([`ResilError::Io`]) or that an earlier build wrote
+    /// ([`ResilError::Version`]) is an error: resuming from an older
+    /// checkpoint — or from scratch — behind it would hide lost work.
     pub fn latest(&self) -> Result<Option<TrainState>, ResilError> {
         for (_, path) in self.list()?.into_iter().rev() {
-            if let Ok(state) = Self::load(&path) {
-                return Ok(Some(state));
+            match Self::load(&path) {
+                Ok(state) => return Ok(Some(state)),
+                Err(ResilError::Corrupt(_)) => continue,
+                Err(e) => return Err(e),
             }
         }
         Ok(None)
@@ -332,6 +338,7 @@ impl CheckpointManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datacache::format::{fnv1a64_extend, xxh64, FNV_OFFSET};
 
     fn state(epoch: u64) -> TrainState {
         TrainState {
@@ -350,10 +357,7 @@ mod tests {
                     t: 0,
                 },
             ],
-            rank_rngs: vec![
-                vec![[7u8; 32], [9u8; 32]],
-                vec![[1u8; 32], [2u8; 32]],
-            ],
+            rank_rngs: vec![vec![[7u8; 32], [9u8; 32]], vec![[1u8; 32], [2u8; 32]]],
         }
     }
 
@@ -417,7 +421,7 @@ mod tests {
     /// checks instead of failing as a checksum mismatch.
     fn restamp(bytes: &mut [u8]) {
         let body_len = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..body_len]);
+        let checksum = xxh64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
     }
 
@@ -431,6 +435,82 @@ mod tests {
         bytes[4..6].copy_from_slice(&(VERSION + 1).to_le_bytes());
         restamp(&mut bytes);
         assert!(matches!(decode(&bytes), Err(ResilError::Corrupt(m)) if m.contains("version")));
+    }
+
+    /// RCP is a stored format: the bytes of one fixed small state. The
+    /// body is byte for byte what the per-value encoder of version 1
+    /// wrote; only the version field (bytes 4..6, `0100` -> `0200`) and
+    /// the trailer (FNV-1a -> XXH64) differ from a version-1 file.
+    #[test]
+    fn encoder_output_is_byte_identical_to_the_stored_format() {
+        let s = TrainState {
+            epoch: 7,
+            lr: 0.5,
+            params: vec![1.0, -0.0, f32::from_bits(0x7FC0_0001)],
+            slots: vec![SlotSnapshot {
+                m: vec![0.25],
+                v: vec![],
+                t: 3,
+            }],
+            rank_rngs: vec![vec![[0xA5; 32]]],
+        };
+        let golden = "52435031020007000000000000000000003f\
+                      0300000000000000\
+                      0000803f000000800100c07f\
+                      0100000000000000\
+                      030000000000000001000000000000000000803e0000000000000000\
+                      01000000000000000100000000000000\
+                      a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5\
+                      d1d3d885e7e8481f";
+        let bytes = encode(&s);
+        assert_eq!(
+            bytes.len(),
+            bytes.capacity(),
+            "encode sizes its buffer exactly"
+        );
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden);
+    }
+
+    /// Rewrites a checkpoint as the previous build wrote it: version 1,
+    /// sealed with FNV-1a.
+    fn as_version_1(bytes: &mut [u8]) {
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let fnv = fnv1a64_extend(FNV_OFFSET, &bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&fnv.to_le_bytes());
+    }
+
+    /// A checkpoint the previous build wrote — version 1 under its FNV-1a
+    /// trailer — is refused by version, typed, rather than skipped as
+    /// corrupt; no single-bit flip of the current version field can pass
+    /// for it.
+    #[test]
+    fn version_1_checkpoint_is_rejected_by_name() {
+        let mut bytes = encode(&state(3));
+        as_version_1(&mut bytes);
+        let err = decode(&bytes).unwrap_err();
+        assert_eq!(
+            err,
+            ResilError::Version {
+                found: 1,
+                supported: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "unsupported checkpoint version 1 (this build reads 2)"
+        );
+
+        let good = encode(&state(3));
+        for bit in 0..16 {
+            let mut bad = good.clone();
+            bad[4 + bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(decode(&bad), Err(ResilError::Corrupt(m)) if m.contains("version")),
+                "flip of version bit {bit}"
+            );
+        }
     }
 
     #[test]
@@ -447,7 +527,12 @@ mod tests {
         let mut m = Sequential::new(seed);
         m.add(Box::new(Dense::new(4, hidden, Activation::Relu, &mut rng)));
         m.add(Box::new(Dropout::new(0.2, xrng::seeded(seed + 1))));
-        m.add(Box::new(Dense::new(hidden, 2, Activation::Linear, &mut rng)));
+        m.add(Box::new(Dense::new(
+            hidden,
+            2,
+            Activation::Linear,
+            &mut rng,
+        )));
         m.compile(Loss::SoftmaxCrossEntropy, Optimizer::adam(0.01));
         m
     }
@@ -549,6 +634,35 @@ mod tests {
         b[0] ^= 0xFF;
         std::fs::write(&older, &b).unwrap();
         assert!(mgr.latest().unwrap().is_none());
+    }
+
+    /// `latest()` skips only corruption: a version-1 newest file and an
+    /// unreadable newest file are errors, not a silent fall-back to an
+    /// older checkpoint (or to none at all).
+    #[test]
+    fn latest_fails_on_an_old_version_or_an_unreadable_file() {
+        let dir = tmp_dir("latest_errors");
+        let mut mgr = CheckpointManager::new(&dir, 4).unwrap();
+        mgr.save(&state(2)).unwrap();
+        let newest = mgr.save(&state(4)).unwrap();
+        let mut bytes = std::fs::read(&newest).unwrap();
+        as_version_1(&mut bytes);
+        std::fs::write(&newest, &bytes).unwrap();
+        assert_eq!(
+            mgr.latest(),
+            Err(ResilError::Version {
+                found: 1,
+                supported: 2
+            })
+        );
+
+        // A newest "checkpoint" that cannot be read (here a directory:
+        // EISDIR, as an EIO or EACCES would be) is an I/O error.
+        std::fs::remove_file(&newest).unwrap();
+        std::fs::create_dir(dir.join("ckpt-00000009.rcp")).unwrap();
+        assert!(matches!(mgr.latest(), Err(ResilError::Io(_))));
+        std::fs::remove_dir(dir.join("ckpt-00000009.rcp")).unwrap();
+        assert_eq!(mgr.latest().unwrap().map(|s| s.epoch), Some(2));
     }
 
     #[test]

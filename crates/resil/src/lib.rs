@@ -65,9 +65,12 @@ pub use summit::{summit_recovery_sweep, SummitRecoveryRow};
 pub enum ResilError {
     /// Underlying I/O failure (checkpoint directory, shard files).
     Io(String),
-    /// A checkpoint or shard failed validation (bad magic, version,
-    /// checksum mismatch, truncation).
+    /// A checkpoint or shard failed validation (bad magic, a version no
+    /// build wrote, checksum mismatch, truncation).
     Corrupt(String),
+    /// An intact checkpoint in a format version an earlier build wrote,
+    /// which this build does not read.
+    Version { found: u16, supported: u16 },
     /// The training pipeline itself failed.
     Train(String),
 }
@@ -77,6 +80,10 @@ impl std::fmt::Display for ResilError {
         match self {
             ResilError::Io(msg) => write!(f, "resilience io error: {msg}"),
             ResilError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
+            ResilError::Version { found, supported } => write!(
+                f,
+                "unsupported checkpoint version {found} (this build reads {supported})"
+            ),
             ResilError::Train(msg) => write!(f, "resilient training failed: {msg}"),
         }
     }
