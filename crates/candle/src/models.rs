@@ -131,6 +131,35 @@ mod tests {
         assert_eq!(y.shape().dims(), &[3, 2]);
     }
 
+    /// Serving batches requests as they come, so a row's prediction must
+    /// not depend on how many rows share its batch. On NT3-2000 a batch of
+    /// up to eight rows runs the dense head with B read in place (one row
+    /// panel) while the convolutions, whose products have hundreds of
+    /// rows, pack it; larger batches pack everywhere.
+    #[test]
+    fn nt3_predict_rows_are_independent_of_batch_size() {
+        use xrng::RandomSource;
+        let features = 2000;
+        let (m, _) = build_model(Bench::Nt3, features, 0.001, 11);
+        let mut rng = xrng::seeded(12);
+        let x = Tensor::from_fn([40, features], |_| rng.next_f32() * 2.0 - 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let full = bits(&m.predict(&x).unwrap());
+        for rows in 1..=17 {
+            let i0 = (rows * 5) % (40 - rows + 1);
+            let part = Tensor::from_vec(
+                [rows, features],
+                x.data()[i0 * features..(i0 + rows) * features].to_vec(),
+            )
+            .unwrap();
+            assert_eq!(
+                bits(&m.predict(&part).unwrap()),
+                full[i0 * 2..(i0 + rows) * 2],
+                "batch of {rows} from row {i0}"
+            );
+        }
+    }
+
     #[test]
     fn p1b1_reconstructs_input_dim() {
         let (m, loss) = build_model(Bench::P1b1, 48, 0.001, 2);

@@ -411,10 +411,7 @@ mod tests {
         // The 2(N-1)/N factor approaches 2, so the bandwidth share per rank
         // stabilizes — the ring's scalability property.
         let m = CommModel::new(Machine::Summit);
-        let lat = |n: usize| {
-            let t = m.allreduce_seconds(n, 0.0);
-            t
-        };
+        let lat = |n: usize| m.allreduce_seconds(n, 0.0);
         let bw_part_256 = m.allreduce_seconds(256, 1e9) - lat(256);
         let bw_part_4096 = m.allreduce_seconds(4096, 1e9) - lat(4096);
         assert!((bw_part_4096 - bw_part_256) / bw_part_256 < 0.01);

@@ -234,7 +234,7 @@ mod tests {
         let (_root, ds) = cached_dataset("stats", 60, 6);
         let mut pf = Prefetcher::all(Arc::clone(&ds));
         let mut n = 0;
-        while let Some(item) = pf.next() {
+        for item in pf.by_ref() {
             item.unwrap();
             n += 1;
             // A slow consumer gives the double buffer time to fill.

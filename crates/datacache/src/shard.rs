@@ -27,6 +27,9 @@ use crate::format::{
 use crate::CacheError;
 use dataio::{Column, Dtype, Frame};
 
+/// Magic, version, shard index, start row, row count, column count.
+const HEADER_LEN: usize = 4 + 2 + 4 + 8 + 8 + 4;
+
 /// A decoded shard: its identity within the source frame plus the rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedShard {
@@ -45,7 +48,17 @@ pub struct DecodedShard {
 pub fn encode_shard(frame: &Frame, index: u32, start: usize, end: usize) -> Vec<u8> {
     assert!(start <= end && end <= frame.nrows(), "bad shard row range");
     let nrows = end - start;
-    let mut buf = Vec::with_capacity(64 + nrows * frame.ncols() * 8);
+    // The exact length, so the buffer is allocated once and never grown:
+    // header, one dtype code per column, the columns, the checksum.
+    let columns: usize = frame
+        .columns()
+        .iter()
+        .map(|col| match col {
+            Column::Int64(_) | Column::Float64(_) => nrows * 8,
+            Column::Str(v) => v[start..end].iter().map(|s| 4 + s.len()).sum(),
+        })
+        .sum();
+    let mut buf = Vec::with_capacity(HEADER_LEN + frame.ncols() + columns + 8);
     buf.extend_from_slice(&MAGIC);
     put_u16(&mut buf, VERSION);
     put_u32(&mut buf, index);
@@ -210,7 +223,22 @@ mod tests {
     /// header and column byte is the one the per-value encoder wrote.
     #[test]
     fn encoder_output_is_byte_identical_to_the_stored_format() {
-        let frame = Frame::new(vec![
+        let frame = golden_frame();
+        let golden = "434453310200030000000100000000000000030000000000000003000000000102\
+                      0200000000000000000000000000008007000000000000000000000000\
+                      00f87f355800662deb417e010000000000f07f000000000600000068c3a96c6c6f\
+                      03000000782c797596c102d6975721";
+        let hex: String = encode_shard(&frame, 3, 1, 4)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, golden);
+    }
+
+    /// The golden test's frame: every dtype, odd bit patterns, an empty
+    /// string and a multi-byte one.
+    fn golden_frame() -> Frame {
+        Frame::new(vec![
             Column::Int64(vec![-1, 2, i64::MIN, 7]),
             Column::Float64(vec![
                 -0.0,
@@ -225,16 +253,23 @@ mod tests {
                 "x,y".into(),
             ]),
         ])
+        .unwrap()
+    }
+
+    /// The encoder sizes its buffer exactly: a wide frame's last column
+    /// used to overflow the estimate and double the allocation.
+    #[test]
+    fn encoded_buffer_is_allocated_at_its_exact_length() {
+        let wide = Frame::new(
+            (0..3010)
+                .map(|c| Column::Float64((0..5).map(|r| (r * c) as f64).collect()))
+                .collect(),
+        )
         .unwrap();
-        let golden = "434453310200030000000100000000000000030000000000000003000000000102\
-                      0200000000000000000000000000008007000000000000000000000000\
-                      00f87f355800662deb417e010000000000f07f000000000600000068c3a96c6c6f\
-                      03000000782c797596c102d6975721";
-        let hex: String = encode_shard(&frame, 3, 1, 4)
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(hex, golden);
+        for (frame, start, end) in [(wide, 0, 5), (golden_frame(), 1, 4)] {
+            let bytes = encode_shard(&frame, 0, start, end);
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
     }
 
     #[test]

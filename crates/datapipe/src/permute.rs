@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn bijection_on_random_non_power_of_two_domains() {
-        let mut rng = xrng::seeded(0xB11E_C7);
+        let mut rng = xrng::seeded(0x00B1_1EC7);
         for _ in 0..40 {
             let n = 1 + rng.next_index(5000);
             assert_bijection(n, rng.next_u64());

@@ -224,7 +224,7 @@ mod tests {
             .and_then(|l| l.split_whitespace().nth(4).map(str::to_string))
             .and_then(|c| c.parse().ok())
             .unwrap_or(0);
-        assert!(fused_calls >= 1 && fused_calls < 10);
+        assert!((1..10).contains(&fused_calls));
     }
 
     #[test]

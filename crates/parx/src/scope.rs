@@ -221,8 +221,8 @@ mod tests {
         let n = 10_000;
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         parallel_for(n, 8, |chunk| {
-            for i in chunk.start..chunk.end {
-                counters[i].fetch_add(1, Ordering::Relaxed);
+            for c in &counters[chunk.start..chunk.end] {
+                c.fetch_add(1, Ordering::Relaxed);
             }
         });
         assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
@@ -238,8 +238,8 @@ mod tests {
         for (n, threads, grain) in [(10_000, 8, 1), (100, 8, 64), (7, 4, 1), (1, 16, 256)] {
             let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             parallel_for_grained(n, threads, grain, |chunk| {
-                for i in chunk.start..chunk.end {
-                    counters[i].fetch_add(1, Ordering::Relaxed);
+                for c in &counters[chunk.start..chunk.end] {
+                    c.fetch_add(1, Ordering::Relaxed);
                 }
             });
             assert!(

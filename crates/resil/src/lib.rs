@@ -136,7 +136,7 @@ mod tests {
         assert!(ResilError::Corrupt("bad magic".into())
             .to_string()
             .contains("bad magic"));
-        let io: ResilError = std::io::Error::new(std::io::ErrorKind::Other, "disk").into();
+        let io: ResilError = std::io::Error::other("disk").into();
         assert!(matches!(io, ResilError::Io(_)));
     }
 }

@@ -6,7 +6,7 @@
 //! * macro-loops tile the output into `KC`-deep, `NC`-wide blocks whose
 //!   packed B slab stays L2-resident;
 //! * each block is driven row-panel by row-panel through a register-blocked
-//!   `MR×NR` micro-kernel over one [`Panel`] of A and a packed B strip;
+//!   micro-kernel over one [`Panel`] of A and the block's [`Strips`] of B;
 //! * transposition is handled outside the micro-kernel — B by its pack
 //!   routine, A by the panel it is handed — so the only hot loop is
 //!   branch-free and the same arithmetic for all three modes.
@@ -19,6 +19,15 @@
 //! value from where it lies, because packing it was a scalar transpose
 //! that cost as much as the multiply-adds it fed when `n` is one or two
 //! strips wide.
+//!
+//! B is packed only when a packed strip is read more than once, i.e. when
+//! the worker owns more than one row panel. A worker with a single panel
+//! (a served batch of one to eight rows) reads a non-transposed B where it
+//! lies: packing it would copy every value to read it once, and for the
+//! NT3 dense head at batch 1 that copy cost more than the multiply-adds.
+//! A short panel has few rows to spread the reduction over, so the AVX2
+//! kernel covers several strips per tile there to keep enough
+//! independent accumulators in flight.
 //!
 //! # Determinism
 //!
@@ -380,7 +389,7 @@ impl Product<'_> {
 
     /// Computes output rows `i_start..i_start + c_rows.len() / n` on the
     /// calling thread, walking every `NC`/`KC` block of those rows: B
-    /// blocks are packed into this worker's own `scratch`
+    /// blocks that are packed go into this worker's own `scratch`
     /// ([`scratch_len`] values), so workers share nothing but the
     /// read-only operands.
     ///
@@ -457,7 +466,7 @@ impl Product<'_> {
 
     /// The macro loops over whole rows `i_start..` of the output:
     /// `NC`-wide column blocks, `KC`-deep reduction blocks (B packed once
-    /// per block), then this worker's row panels.
+    /// per block, or read in place), then this worker's row panels.
     ///
     /// `avx2` selects the intrinsics micro-kernel; the caller must have
     /// verified CPU support. Both kernels perform the identical multiply
@@ -475,11 +484,34 @@ impl Product<'_> {
     ) {
         let (k, n) = (self.k, self.n);
         let i_end = i_start + c_rows.len() / n;
+        // A packed strip pays for its copy only when more than one row
+        // panel reads it. With one panel, a B stored `(k×n)` is read where
+        // it lies; `ABt` needs its transposing pack either way.
+        let in_place = !self.mode.trans_b() && i_end - i_start <= MR;
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
+            let full = nc / NR;
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                pack_b(self.mode, self.b, k, n, pc, kc, jc, nc, bpack);
+                // Read in place, only a ragged last strip is packed: its
+                // last step's `NR` values would run past the end of B.
+                let packed = if in_place { full } else { 0 }..nc.div_ceil(NR);
+                pack_b(self.mode, self.b, k, n, pc, kc, jc, nc, packed, bpack);
+                let b = if in_place {
+                    Strips {
+                        b: &self.b[pc * n + jc..],
+                        ld: n,
+                        stride: NR,
+                        kc,
+                    }
+                } else {
+                    Strips {
+                        b: bpack,
+                        ld: NR,
+                        stride: KC * NR,
+                        kc,
+                    }
+                };
                 let block = Block {
                     kc,
                     jc,
@@ -496,7 +528,7 @@ impl Product<'_> {
                         Panel::Rows(RowPanel::new(self.a, self.lda, i0, mr, pc, kc))
                     };
                     let panel = &mut c_rows[(i0 - i_start) * n..];
-                    row_panel(self, block, mr, a, bpack, panel, avx2);
+                    row_panel(self, block, mr, a, b, bpack, panel, avx2);
                 }
             }
         }
@@ -534,6 +566,31 @@ impl<'a> RowPanel<'a> {
     fn new(a: &'a [f32], lda: usize, i0: usize, mr: usize, pc: usize, kc: usize) -> Self {
         let rows = std::array::from_fn(|r| &a[(i0 + r.min(mr - 1)) * lda + pc..][..kc]);
         Self { rows, kc }
+    }
+}
+
+/// Where the micro-kernels find the full `NR`-wide strips of `op(B)` for
+/// one reduction block: the B-side counterpart of [`Panel`]. Step `l` of
+/// strip `s` (output columns `jc + s * NR..`) is `b[s * stride + l * ld..]
+/// [..NR]`: strips copied by [`pack_b`] (`stride = KC * NR`, `ld = NR`), or
+/// a B stored `(k×n)` read where it lies (`stride = NR`, `ld = n`).
+#[derive(Clone, Copy)]
+struct Strips<'a> {
+    b: &'a [f32],
+    ld: usize,
+    stride: usize,
+    kc: usize,
+}
+
+impl<'a> Strips<'a> {
+    /// Strips `s..s + count`, bounds-checked here: exactly
+    /// `(count - 1) * stride + (kc - 1) * ld + NR` values from the first
+    /// one, so step `l < kc` of strip `t < count` lies inside at
+    /// `t * stride + l * ld` — the AVX2 kernel's unchecked loads rest on
+    /// this length.
+    #[inline(always)]
+    fn group(self, s: usize, count: usize) -> &'a [f32] {
+        &self.b[s * self.stride..][..(count - 1) * self.stride + (self.kc - 1) * self.ld + NR]
     }
 }
 
@@ -658,27 +715,43 @@ pub fn gemm_into_with_threads(
     Ok(())
 }
 
-/// Drives the micro-kernel across every `NR` strip of the current block
+/// Drives the micro-kernels across every `NR` strip of the current block
 /// for one row panel, applying the epilogue on the last reduction block.
-/// `panel` starts at the panel's first output row (column 0).
+/// Full strips are read through `b`; a ragged last strip is always the
+/// packed one in its slot of `bpack`. `panel` starts at the panel's first
+/// output row (column 0).
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn row_panel(
     product: &Product,
     block: Block,
     mr: usize,
     a: Panel,
+    b: Strips,
     bpack: &[f32],
     panel: &mut [f32],
     avx2: bool,
 ) {
     let n = product.n;
-    for s in 0..block.nc.div_ceil(NR) {
+    let full = block.nc / NR;
+    let mut s = 0;
+    while s < block.nc.div_ceil(NR) {
+        // The AVX2 kernel may cover several full strips in one tile.
+        let (width, nr) = if s == full {
+            (1, block.nc - s * NR)
+        } else if avx2 {
+            let width = strips_per_tile(mr, full - s);
+            (width, width * NR)
+        } else {
+            (1, NR)
+        };
         let j0 = block.jc + s * NR;
-        let nr = NR.min(block.nc - s * NR);
-        let bstrip = &bpack[s * KC * NR..][..block.kc * NR];
         // Tile `[0..mr) × [j0..j0+nr)` of the panel, row stride `n`.
         let tile = &mut panel[j0..];
-        debug_assert!(tile.len() >= (mr - 1) * n + nr, "tile reaches past m×n");
+        assert!(
+            tile.len() >= (mr - 1) * n + nr,
+            "gemm: tile reaches past m×n"
+        );
         // What is left of the epilogue for this tile: nothing until the
         // reduction ends.
         let (mut bias, mut act) = (None, FusedAct::Linear);
@@ -687,162 +760,227 @@ fn row_panel(
             act = product.epilogue.act;
         }
         #[cfg(target_arch = "x86_64")]
-        if avx2 && nr == NR {
+        if avx2 && s < full {
             // Bias and ReLU are applied to the accumulators before they
             // are stored; the transcendental activations run on the
             // stored tile below.
             let relu = act == FusedAct::Relu;
-            // SAFETY: `avx2` is only true after runtime detection; the
-            // strip holds `kc * NR` values (sliced above, `kc <= KC`), and
-            // the tile's `mr` rows of `NR` values at stride `n` lie inside
-            // `tile` (slice bounds above: `j0 + NR <= n`, and `panel`
-            // holds `mr` whole rows).
+            // SAFETY: `avx2` is only true after runtime detection, and the
+            // tile's `mr` rows of `nr = width * NR` values at stride `n`
+            // lie inside `tile` (asserted above).
             unsafe {
-                micro_tile_avx2(
-                    block.kc,
-                    a,
-                    bstrip,
-                    tile,
-                    n,
-                    mr,
-                    block.first,
-                    bias.take()
-                        .map(|bias| bias.try_into().expect("full-width strip")),
-                    relu,
-                );
+                micro_tile_avx2(a, b, s, width, tile, n, mr, block.first, bias.take(), relu);
             }
             if relu {
                 act = FusedAct::Linear;
             }
             apply_epilogue(tile, n, mr, nr, bias, act);
+            s += width;
             continue;
         }
-        let _ = avx2;
-        micro_tile(block.kc, a, bstrip, tile, n, mr, nr, block.first);
+        let (bstrip, ldb) = if s < full {
+            (b.group(s, 1), b.ld)
+        } else {
+            (&bpack[s * KC * NR..][..block.kc * NR], NR)
+        };
+        micro_tile(block.kc, a, bstrip, ldb, tile, n, mr, nr, block.first);
         apply_epilogue(tile, n, mr, nr, bias, act);
+        s += width;
     }
 }
 
-/// The AVX2 micro-kernel for full-width (`nr == NR`) strips: one `ymm`
-/// accumulator per live output row, one broadcast multiply and one add
-/// per reduction step, then `bias` added and (with `relu`) `max(·, 0)`
-/// taken before the store. Separate `vmulps`/`vaddps` (never FMA) and the
-/// `vmaxps` that `f32::max(v, 0.0)` compiles to keep every lane's
-/// arithmetic — and therefore every output bit — identical to
+/// How many of the `left` full strips one AVX2 tile of an `mr`-row panel
+/// covers. Each output element is one serial chain of adds, so a tile of
+/// one row on one strip runs a single chain at the latency of `vaddps`;
+/// one or two rows take four strips and three or four rows take two,
+/// which keeps at least four independent chains per reduction step (and
+/// at most eight accumulators, plus the strips' loads, in registers).
+/// Halved while fewer strips are left.
+fn strips_per_tile(mr: usize, left: usize) -> usize {
+    let mut width = match mr {
+        1 | 2 => 4,
+        3 | 4 => 2,
+        _ => 1,
+    };
+    while width > left {
+        width /= 2;
+    }
+    width
+}
+
+/// The AVX2 micro-kernel for full-width strips: `width` adjacent strips
+/// of `b` from strip `s`, one `ymm` accumulator per live output row and
+/// strip, one broadcast per row and one multiply and one add per
+/// accumulator per reduction step, then `bias` added and (with `relu`)
+/// `max(·, 0)` taken before the store. Separate `vmulps`/`vaddps` (never
+/// FMA) and the `vmaxps` that `f32::max(v, 0.0)` compiles to keep every
+/// lane's arithmetic — and therefore every output bit — identical to
 /// [`micro_tile`] followed by [`apply_epilogue`]. Dispatches on `mr` so
 /// edge row-panels (e.g. NT3's batch of 20 → panels of 8, 8, 4) stay
-/// vectorized too.
+/// vectorized too, and on `width` as [`strips_per_tile`] chose it.
 ///
 /// # Safety
-/// As [`micro_tile_avx2_rows`] with `M = mr`.
+/// As [`micro_tile_avx2_rows`] with `M = mr` and `S = width`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn micro_tile_avx2(
-    kc: usize,
     a: Panel,
-    bstrip: &[f32],
+    b: Strips,
+    s: usize,
+    width: usize,
     c: &mut [f32],
     ldc: usize,
     mr: usize,
     first: bool,
-    bias: Option<&[f32; NR]>,
+    bias: Option<&[f32]>,
     relu: bool,
 ) {
-    match mr {
-        8 => micro_tile_avx2_rows::<8>(kc, a, bstrip, c, ldc, first, bias, relu),
-        7 => micro_tile_avx2_rows::<7>(kc, a, bstrip, c, ldc, first, bias, relu),
-        6 => micro_tile_avx2_rows::<6>(kc, a, bstrip, c, ldc, first, bias, relu),
-        5 => micro_tile_avx2_rows::<5>(kc, a, bstrip, c, ldc, first, bias, relu),
-        4 => micro_tile_avx2_rows::<4>(kc, a, bstrip, c, ldc, first, bias, relu),
-        3 => micro_tile_avx2_rows::<3>(kc, a, bstrip, c, ldc, first, bias, relu),
-        2 => micro_tile_avx2_rows::<2>(kc, a, bstrip, c, ldc, first, bias, relu),
-        _ => micro_tile_avx2_rows::<1>(kc, a, bstrip, c, ldc, first, bias, relu),
+    macro_rules! tile {
+        ($m:literal, $s:literal) => {
+            micro_tile_avx2_rows::<$m, $s>(a, b, s, c, ldc, first, bias, relu)
+        };
+    }
+    match (mr, width) {
+        (1, 4) => tile!(1, 4),
+        (2, 4) => tile!(2, 4),
+        (1, 2) => tile!(1, 2),
+        (2, 2) => tile!(2, 2),
+        (3, 2) => tile!(3, 2),
+        (4, 2) => tile!(4, 2),
+        (8, 1) => tile!(8, 1),
+        (7, 1) => tile!(7, 1),
+        (6, 1) => tile!(6, 1),
+        (5, 1) => tile!(5, 1),
+        (4, 1) => tile!(4, 1),
+        (3, 1) => tile!(3, 1),
+        (2, 1) => tile!(2, 1),
+        (1, 1) => tile!(1, 1),
+        _ => unreachable!("no AVX2 tile of {mr} rows by {width} strips"),
     }
 }
 
 /// # Safety
-/// The CPU must support AVX2 and `c` must hold `M` rows of `NR` values at
-/// row stride `ldc` (`c.len() >= (M - 1) * ldc + NR`). A and B are read
-/// through slices: a panel or strip shorter than `kc` steps panics.
+/// The CPU must support AVX2 and `c` must hold `M` rows of `S * NR` values
+/// at row stride `ldc` (`c.len() >= (M - 1) * ldc + S * NR`). A, B and the
+/// bias are read through bounds-checked views: a panel of other than
+/// `b.kc` steps, a strip past the end of `b`, or a bias other than
+/// `S * NR` values panics.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn micro_tile_avx2_rows<const M: usize>(
-    kc: usize,
+unsafe fn micro_tile_avx2_rows<const M: usize, const S: usize>(
     a: Panel,
-    bstrip: &[f32],
+    b: Strips,
+    s: usize,
     c: &mut [f32],
     ldc: usize,
     first: bool,
-    bias: Option<&[f32; NR]>,
+    bias: Option<&[f32]>,
     relu: bool,
 ) {
     use std::arch::x86_64::*;
     debug_assert!(M <= MR);
-    debug_assert!(c.len() >= (M - 1) * ldc + NR);
+    debug_assert!(c.len() >= (M - 1) * ldc + S * NR);
+    let (kc, ldb, stride) = (b.kc, b.ld, b.stride);
+    let group = b.group(s, S).as_ptr();
     let c = c.as_mut_ptr();
-    let mut acc = [_mm256_setzero_ps(); M];
+    let mut acc = [[_mm256_setzero_ps(); S]; M];
     if !first {
-        for (r, v) in acc.iter_mut().enumerate() {
-            // SAFETY: row `r < M` of the tile, `NR` values from
-            // `r * ldc`, is inside `c` (precondition).
-            *v = unsafe { _mm256_loadu_ps(c.add(r * ldc)) };
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (t, v) in row.iter_mut().enumerate() {
+                // SAFETY: row `r < M` of the tile, `NR` values from
+                // `r * ldc + t * NR` with `t < S`, is inside `c`
+                // (precondition).
+                *v = unsafe { _mm256_loadu_ps(c.add(r * ldc + t * NR)) };
+            }
         }
     }
-    let brows = &bstrip.as_chunks::<NR>().0[..kc];
+    // Step `l` of every strip, reloaded per step.
+    let mut bv = [_mm256_setzero_ps(); S];
     match a {
         Panel::Rows(panel) => {
-            for (l, brow) in brows[..panel.kc].iter().enumerate() {
-                // SAFETY: `brow` is `NR` values.
-                let bv = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
-                for (v, row) in acc.iter_mut().zip(&panel.rows) {
-                    // SAFETY: `l < panel.kc`, and every row of a
+            assert_eq!(
+                panel.kc, kc,
+                "gemm: A panel and B strips of different blocks"
+            );
+            for l in 0..kc {
+                for (t, v) in bv.iter_mut().enumerate() {
+                    // SAFETY: `t < S` and `l < kc`, so `NR` values from
+                    // `t * stride + l * ldb` lie inside what
+                    // `Strips::group` sliced.
+                    *v = unsafe { _mm256_loadu_ps(group.add(t * stride + l * ldb)) };
+                }
+                for (accs, row) in acc.iter_mut().zip(&panel.rows) {
+                    // SAFETY: `l < kc == panel.kc`, and every row of a
                     // `RowPanel` holds exactly `kc` values (its
                     // invariant, bounds-checked where it is built).
                     // Checked, this load costs half the loop again — the
                     // compiler does not see that the rows are equally
                     // long — and an in-place read that slow loses to
                     // packing.
-                    let av = unsafe { *row.get_unchecked(l) };
-                    *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+                    let av = _mm256_set1_ps(unsafe { *row.get_unchecked(l) });
+                    for (v, &bv) in accs.iter_mut().zip(&bv) {
+                        *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
+                    }
                 }
             }
         }
         Panel::Packed(apack) => {
-            for (arow, brow) in apack.as_chunks::<MR>().0.iter().zip(brows) {
-                // SAFETY: `brow` is `NR` values.
-                let bv = unsafe { _mm256_loadu_ps(brow.as_ptr()) };
-                for (v, &av) in acc.iter_mut().zip(arow) {
-                    *v = _mm256_add_ps(*v, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+            for (l, arow) in apack.as_chunks::<MR>().0[..kc].iter().enumerate() {
+                for (t, v) in bv.iter_mut().enumerate() {
+                    // SAFETY: as in the other arm.
+                    *v = unsafe { _mm256_loadu_ps(group.add(t * stride + l * ldb)) };
+                }
+                for (accs, &av) in acc.iter_mut().zip(arow) {
+                    let av = _mm256_set1_ps(av);
+                    for (v, &bv) in accs.iter_mut().zip(&bv) {
+                        *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bv));
+                    }
                 }
             }
         }
     }
     if let Some(bias) = bias {
-        // SAFETY: `bias` is `NR` values.
-        let bv = unsafe { _mm256_loadu_ps(bias.as_ptr()) };
-        for v in acc.iter_mut() {
-            *v = _mm256_add_ps(*v, bv);
+        let (chunks, rest) = bias.as_chunks::<NR>();
+        assert!(
+            chunks.len() == S && rest.is_empty(),
+            "gemm: bias is not the tile's width"
+        );
+        for (v, chunk) in bv.iter_mut().zip(chunks) {
+            // SAFETY: `chunk` is `NR` values.
+            *v = unsafe { _mm256_loadu_ps(chunk.as_ptr()) };
+        }
+        for accs in acc.iter_mut() {
+            for (v, &bv) in accs.iter_mut().zip(&bv) {
+                *v = _mm256_add_ps(*v, bv);
+            }
         }
     }
     if relu {
         // `vmaxps v, 0`: the second operand wins on NaN, as in
         // `f32::max(v, 0.0)`.
         let zero = _mm256_setzero_ps();
-        for v in acc.iter_mut() {
-            *v = _mm256_max_ps(*v, zero);
+        // Nested loops, not `flatten()`: behind the flattening iterator
+        // the accumulators were kept in memory, stored on every step.
+        for accs in acc.iter_mut() {
+            for v in accs.iter_mut() {
+                *v = _mm256_max_ps(*v, zero);
+            }
         }
     }
-    for (r, v) in acc.iter().enumerate() {
-        // SAFETY: as for the loads above.
-        unsafe { _mm256_storeu_ps(c.add(r * ldc), *v) };
+    for (r, row) in acc.iter().enumerate() {
+        for (t, v) in row.iter().enumerate() {
+            // SAFETY: as for the loads above.
+            unsafe { _mm256_storeu_ps(c.add(r * ldc + t * NR), *v) };
+        }
     }
 }
 
 /// The register-blocked micro-kernel: an `MR×NR` accumulator tile over
-/// one A panel and one packed B strip. `c` starts at the tile's first
-/// element and has row stride `ldc`.
+/// one A panel and one B strip whose step `l` is `bstrip[l * ldb..]
+/// [..NR]` (`ldb` is `NR` for a packed strip, `n` for B read in place).
+/// `c` starts at the tile's first element and has row stride `ldc`.
 ///
 /// On the first reduction block the accumulators start from zero (so `C`
 /// may hold garbage from a recycled buffer); on later blocks the partial
@@ -855,6 +993,7 @@ fn micro_tile(
     kc: usize,
     a: Panel,
     bstrip: &[f32],
+    ldb: usize,
     c: &mut [f32],
     ldc: usize,
     mr: usize,
@@ -875,7 +1014,7 @@ fn micro_tile(
         Panel::Rows(panel) => {
             for l in 0..kc {
                 let arow: [f32; MR] = std::array::from_fn(|r| panel.rows[r][l]);
-                let brow = &bstrip[l * NR..l * NR + NR];
+                let brow = &bstrip[l * ldb..][..NR];
                 for (row, av) in acc.iter_mut().zip(arow) {
                     for (v, &bv) in row.iter_mut().zip(brow) {
                         *v += av * bv;
@@ -886,7 +1025,7 @@ fn micro_tile(
         Panel::Packed(apack) => {
             for l in 0..kc {
                 let arow = &apack[l * MR..l * MR + MR];
-                let brow = &bstrip[l * NR..l * NR + NR];
+                let brow = &bstrip[l * ldb..][..NR];
                 for (r, row) in acc.iter_mut().enumerate() {
                     let av = arow[r];
                     for (v, &bv) in row.iter_mut().zip(brow) {
@@ -983,8 +1122,9 @@ fn copy_padded<const W: usize>(src: &[f32], dst: &mut [f32; W]) {
     }
 }
 
-/// Packs the `op(B)` block `[pc..pc+kc) × [jc..jc+nc)` into `NR`-wide,
-/// `l`-major strips at a fixed `KC*NR` stride, zero-padding edge columns.
+/// Packs strips `strips` of the `op(B)` block `[pc..pc+kc) × [jc..jc+nc)`
+/// into `NR`-wide, `l`-major strips at a fixed `KC*NR` stride (strip `s`
+/// in slot `s`), zero-padding edge columns.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn pack_b(
@@ -996,10 +1136,10 @@ fn pack_b(
     kc: usize,
     jc: usize,
     nc: usize,
+    strips: Range<usize>,
     bpack: &mut [f32],
 ) {
-    let nstrips = nc.div_ceil(NR);
-    for s in 0..nstrips {
+    for s in strips {
         let j0 = jc + s * NR;
         let w = NR.min(nc - s * NR);
         let strip = &mut bpack[s * KC * NR..];
@@ -1074,6 +1214,7 @@ mod tests {
         c
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run(
         mode: GemmMode,
         a: &[f32],
@@ -1145,26 +1286,52 @@ mod tests {
     #[test]
     fn single_row_result_is_independent_of_batch_composition() {
         // Serving depends on this: a row computed in a batch of 40 must be
-        // bit-identical to the same row computed alone.
-        let (m, k, n) = (40, 96, 24);
-        let a = rand_vec(m * k, 41);
-        let b = rand_vec(k * n, 42);
-        let bias = rand_vec(n, 43);
-        let ep = Epilogue {
-            bias: Some(&bias),
-            act: FusedAct::Relu,
-        };
-        let full = run(GemmMode::Ab, &a, &b, m, k, n, &ep, 0);
-        for i in [0usize, 7, 39] {
-            let row = run(GemmMode::Ab, &a[i * k..(i + 1) * k], &b, 1, k, n, &ep, 0);
-            assert_eq!(
-                row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                full[i * n..(i + 1) * n]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "row {i} drifted"
-            );
+        // bit-identical to the same row computed in any smaller batch —
+        // one panel (B read in place, several strips per AVX2 tile) or
+        // several (B packed). `k` crosses `KC`, so later blocks extend
+        // partial sums in place; `n` has a ragged last strip or four or
+        // more full ones. `k = 2000` is large enough for two threads to
+        // fork, so a worker of a 16- or 17-row product owns one panel.
+        const M: usize = 40;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut ws = Workspace::new();
+        for (k, n) in [96, 257, 600]
+            .into_iter()
+            .flat_map(|k| [24, 37, 64].map(|n| (k, n)))
+            .chain([(2000, 64)])
+        {
+            let a = rand_vec(M * k, 41 + k as u64);
+            let b = rand_vec(k * n, 42 + n as u64);
+            let bias = rand_vec(n, 43);
+            let ep = Epilogue {
+                bias: Some(&bias),
+                act: FusedAct::Relu,
+            };
+            for mode in [GemmMode::Ab, GemmMode::AtB] {
+                // Rows `i0..i0 + rows` of the product: rows of the stored A
+                // for `Ab`, columns of it (row stride `M`) for `AtB`.
+                let mut product = |i0: usize, rows: usize, threads: usize| {
+                    let (a, lda) = match mode {
+                        GemmMode::AtB => (&a[i0..(k - 1) * M + i0 + rows], M),
+                        _ => (&a[i0 * k..(i0 + rows) * k], k),
+                    };
+                    let mut c = vec![f32::NAN; rows * n];
+                    gemm_slice(mode, a, lda, &b, rows, k, n, &mut c, &ep, threads, &mut ws);
+                    bits(&c)
+                };
+                let full = product(0, M, 1);
+                for rows in (1..=9).chain([16, 17]) {
+                    let i0 = (rows * 7) % (M - rows + 1);
+                    for threads in [1, 2] {
+                        assert_eq!(
+                            product(i0, rows, threads),
+                            full[i0 * n..(i0 + rows) * n],
+                            "{mode:?} k {k} n {n}: rows {i0}..{} at {threads} threads",
+                            i0 + rows
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1254,8 +1421,9 @@ mod tests {
     /// macro loops on the same operands, agree on every output bit: all
     /// three modes, shapes that cross the `MR` / `NR` / `KC` / `NC` edges,
     /// an A whose rows abut (`lda` = row length), are spaced, or overlap
-    /// (`lda` < row length: a convolution's receptive fields), a first
-    /// pass and an accumulating one, with and without the fused epilogue.
+    /// (`lda` < row length: a convolution's receptive fields), B packed
+    /// or (one panel) read in place, a first pass and an accumulating
+    /// one, with and without the fused epilogue.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_and_portable_micro_kernels_agree_bit_for_bit() {
@@ -1270,6 +1438,15 @@ mod tests {
             (9, 257, 17),
             (16, 300, 23),
             (3, 7, NC + 9),
+            // One panel, so `Ab` and `AtB` read B in place: every
+            // multi-strip tile, a strip count it does not divide, a ragged
+            // last strip, and `k` across `KC`.
+            (1, 300, 40),
+            (2, 257, 33),
+            (3, 513, 64),
+            (4, 256, 16),
+            (7, 300, 17),
+            (8, 600, 32),
         ];
         for (case, &(m, k, n)) in shapes.iter().enumerate() {
             for mode in MODES {

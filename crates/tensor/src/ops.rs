@@ -289,7 +289,7 @@ mod tests {
         let b = a.map(|x| x.abs());
         assert_eq!(b.data(), &[1.0, 2.0, 3.0]);
         let mut c = a.clone();
-        c.map_inplace(|x| x * -1.0);
+        c.map_inplace(|x| -x);
         assert_eq!(c.data(), &[-1.0, 2.0, -3.0]);
     }
 

@@ -28,7 +28,8 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace --no-fail-fast"
 cargo test -q --offline --workspace --no-fail-fast
 
-echo "==> cargo clippy --workspace --no-deps --offline -- -D warnings"
-cargo clippy --workspace --no-deps --offline -- -D warnings
+# --all-targets: test code is linted too.
+echo "==> cargo clippy --workspace --all-targets --no-deps --offline -- -D warnings"
+cargo clippy --workspace --all-targets --no-deps --offline -- -D warnings
 
 echo "==> verify OK"
