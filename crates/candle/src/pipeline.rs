@@ -242,21 +242,7 @@ pub fn run_parallel(spec: &ParallelRunSpec) -> Result<ParallelRunOutcome, Pipeli
                             profile.record("ingest_materialize", phases.materialize);
                         }
                     }
-                    DataPhase::Warm { load, prefetch } => {
-                        profile.record("cache_load", load);
-                        if let Some(stats) = prefetch {
-                            profile.record_n(
-                                "prefetch_wait",
-                                stats.wait_time(),
-                                stats.waits as u64,
-                            );
-                            profile.record_n(
-                                "prefetch_ready",
-                                std::time::Duration::ZERO,
-                                stats.ready_hits as u64,
-                            );
-                        }
-                    }
+                    DataPhase::Warm { load } => profile.record("cache_load", load),
                 }
                 (train, test)
             }
@@ -624,7 +610,7 @@ mod tests {
         s.cache = Some(CacheSpec {
             root: root.to_path_buf(),
             shards: 3,
-            prefetch: true,
+            prefetch: false,
             source: CacheSource::Generate,
         });
         let cold = run_parallel(&s).unwrap();
@@ -646,18 +632,6 @@ mod tests {
             !warm_phases.iter().any(|n| n == "data_loading"),
             "warm run must not regenerate: {warm_phases:?}"
         );
-        // Prefetch counters surface in the profile (wait + ready cover
-        // every shard).
-        let count = |name: &str| {
-            warm.profile
-                .records()
-                .iter()
-                .find(|r| r.name == name)
-                .map(|r| r.calls)
-                .unwrap_or(0)
-        };
-        assert_eq!(count("prefetch_wait") + count("prefetch_ready"), 3);
-
         // The cached data is bit-identical to fresh generation, so all
         // three runs train identically.
         let plain = run_parallel(&spec(Bench::Nt3, 2, 4)).unwrap();

@@ -62,7 +62,7 @@ impl PhaseProfiler {
     }
 
     /// Adds an externally measured span that stands for `calls` entries
-    /// (e.g. a prefetcher's total blocked time across its waits).
+    /// (e.g. a dataset-service job's total blocked time across its waits).
     pub fn record_n(&mut self, name: &str, elapsed: Duration, calls: u64) {
         if let Some(r) = self.records.iter_mut().find(|r| r.name == name) {
             r.elapsed += elapsed;
@@ -151,8 +151,8 @@ mod tests {
     #[test]
     fn record_n_accumulates_calls() {
         let mut p = PhaseProfiler::new();
-        p.record_n("prefetch_wait", Duration::from_millis(3), 4);
-        p.record_n("prefetch_wait", Duration::from_millis(1), 2);
+        p.record_n("service_wait", Duration::from_millis(3), 4);
+        p.record_n("service_wait", Duration::from_millis(1), 2);
         assert_eq!(p.records()[0].calls, 6);
         assert_eq!(p.records()[0].elapsed, Duration::from_millis(4));
     }

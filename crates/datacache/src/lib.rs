@@ -1,10 +1,9 @@
-//! `datacache` — a sharded binary dataset cache with background prefetching.
+//! `datacache` — a sharded binary dataset cache.
 //!
 //! The paper's headline finding is that `pandas.read_csv()` dominates total
 //! runtime at scale; `dataio` reproduces the parse-*strategy* comparison,
 //! but every run still re-parses the full CSV. This crate goes the next
-//! step the related work takes (binary caches keyed by content hash,
-//! loading overlapped with compute):
+//! step the related work takes (binary caches keyed by content hash):
 //!
 //! * [`shard`] + [`format`] — a compact little-endian columnar encoding of
 //!   a [`dataio::Frame`] split into N row-range shards, each carrying a
@@ -17,20 +16,16 @@
 //!   directly.
 //! * [`store`] — [`CacheStore`]: the cold/warm decision, shard writing and
 //!   verified reloading (each shard's trailer cross-checked against the
-//!   manifest before it is hashed), per-rank shard assignment.
-//! * [`prefetch`] — [`Prefetcher`]: a double-buffered background loader on
-//!   [`parx::WorkerPool`] that decodes shard *k+1* while the consumer works
-//!   on shard *k*, exposing ready [`tensor::Tensor`] batches plus
-//!   hit/wait counters.
+//!   manifest before it is hashed). A warm load reads, checksums and
+//!   decodes its shards side by side ([`CachedDataset::load_all`]); the
+//!   streaming read-ahead over decoded shards is `datapipe`'s.
 
 pub mod format;
 pub mod manifest;
-pub mod prefetch;
 pub mod shard;
 pub mod store;
 
 pub use manifest::{source_key_for_file, Manifest, ShardEntry};
-pub use prefetch::{PrefetchStats, Prefetched, Prefetcher};
 pub use shard::{decode_shard, encode_shard, DecodedShard};
 pub use store::{CacheOutcome, CacheStore, CachedDataset};
 

@@ -1,5 +1,5 @@
 //! The cache store: cold builds (parse once, write shards) and warm opens
-//! (verified shard loads), plus per-rank shard assignment.
+//! (verified shard loads).
 
 use crate::format::{sealed_checksum, write_file};
 use crate::manifest::{source_key_for_file, Manifest, ShardEntry, MANIFEST_VERSION};
@@ -438,17 +438,6 @@ impl CachedDataset {
         let frames = for_each_shard(self.nshards(), |i| self.load_shard(i))?;
         Frame::concat(frames).map_err(CacheError::from)
     }
-
-    /// Shard indices assigned to `rank` of `nranks` (round-robin), the
-    /// per-rank read pattern of a sharded warm start.
-    ///
-    /// # Panics
-    /// Panics if `nranks == 0` or `rank >= nranks`.
-    pub fn rank_shards(&self, rank: usize, nranks: usize) -> Vec<usize> {
-        assert!(nranks > 0, "nranks must be positive");
-        assert!(rank < nranks, "rank {rank} out of range for {nranks} ranks");
-        (rank..self.nshards()).step_by(nranks).collect()
-    }
 }
 
 #[cfg(test)]
@@ -632,23 +621,6 @@ mod tests {
                 other => panic!("expected Corrupt, got {:?}", other.map(|f| f.nrows())),
             }
         }
-    }
-
-    #[test]
-    fn rank_shards_partition_all_shards() {
-        let root = tmp_root("ranks");
-        let csv = small_csv(&root.join("src"));
-        let store = CacheStore::new(root.join("cache")).unwrap();
-        let (ds, _) = store
-            .open_csv(&csv, ReadStrategy::ChunkedLowMemory, 8)
-            .unwrap();
-        let nranks = 3;
-        let mut seen = Vec::new();
-        for rank in 0..nranks {
-            seen.extend(ds.rank_shards(rank, nranks));
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..ds.nshards()).collect::<Vec<_>>());
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   shuffle as a cycle-walking Feistel bijection over row indices — O(1)
 //!   space, no permutation vector ever materialized.
 //! * [`stream`] — [`EpochStream`]: ordered background batch assembly on
-//!   `parx` with bounded-queue backpressure, double-buffered like the
-//!   `datacache` prefetcher.
+//!   `parx` with bounded-queue backpressure.
 //!
 //! The load-bearing guarantee: a job's batch stream is **bit-identical**
 //! whether it runs alone or beside 31 neighbours, under any worker thread

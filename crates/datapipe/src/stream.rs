@@ -2,9 +2,8 @@
 //!
 //! An [`EpochStream`] yields a job's batches strictly in order while
 //! assembling up to `queue_depth` batches ahead on the service's shared
-//! [`parx::WorkerPool`] — the same [`parx::Window`] as
-//! `datacache::Prefetcher`, lifted from shards to shuffled batches. The
-//! bounded window is the backpressure: a slow consumer never accumulates
+//! [`parx::WorkerPool`] through a [`parx::Window`]. The bounded window is
+//! the backpressure: a slow consumer never accumulates
 //! more than `queue_depth` assembled batches of memory, and a fast
 //! consumer's blocked time is counted per job (`waits`, `wait_ns`).
 //!

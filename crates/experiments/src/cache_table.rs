@@ -6,8 +6,7 @@
 //!
 //! 1. **measured** — a wide NT3-like file is parsed with the real Rust CSV
 //!    engine (original and chunked strategies), cold-built into the shard
-//!    cache, and warm-loaded back (sequentially and through the
-//!    background prefetcher);
+//!    cache, and warm-loaded back;
 //! 2. **modelled** — the calibrated `cluster` simulator's per-rank
 //!    data-loading seconds on Summit with every [`LoadMethod`], including
 //!    the warm [`LoadMethod::BinaryCache`].
@@ -15,10 +14,9 @@
 use crate::report::{format_table, Experiment};
 use cluster::calib::Bench;
 use cluster::{io, LoadMethod, Machine};
-use datacache::{CacheStore, Prefetcher};
+use datacache::CacheStore;
 use dataio::{generate, write_csv_dataset, read_csv, ClassSpec, ReadStrategy, SyntheticSpec};
 use parx::scratch;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One measured cold/warm comparison on a generated file.
@@ -34,12 +32,9 @@ pub struct CacheComparison {
     pub chunked_mib_s: f64,
     /// Cold cache build seconds (parse + shard encode + write).
     pub cold_build_s: f64,
-    /// Warm sequential shard load seconds.
+    /// Warm load seconds: manifest hit plus every shard read, checksummed
+    /// and decoded.
     pub warm_load_s: f64,
-    /// Warm prefetched load seconds (background double-buffered decode).
-    pub warm_prefetch_s: f64,
-    /// Prefetcher counters from the warm prefetched load.
-    pub prefetch_stats: datacache::PrefetchStats,
 }
 
 impl CacheComparison {
@@ -50,14 +45,14 @@ impl CacheComparison {
 }
 
 /// Measures parse-vs-cache times on a generated `rows`×`cols` file split
-/// into `shards` shards. Returns `None` if the temp filesystem is
-/// unavailable.
+/// into `shards` shards. A failed step is an error naming the step, never
+/// a shorter table.
 pub fn measure_cache_comparison(
     rows: usize,
     cols: usize,
     shards: usize,
-) -> Option<CacheComparison> {
-    let dir = scratch("cache_table").ok()?;
+) -> Result<CacheComparison, String> {
+    let dir = scratch("cache_table").map_err(|e| format!("scratch dir: {e}"))?;
     let csv = dir.join("data.csv");
     let spec = SyntheticSpec {
         rows,
@@ -69,46 +64,41 @@ pub fn measure_cache_comparison(
         noise: 0.5,
         seed: 33,
     };
-    write_csv_dataset(&csv, &generate(&spec)).ok()?;
+    write_csv_dataset(&csv, &generate(&spec))
+        .map_err(|e| format!("cannot write {}: {e}", csv.display()))?;
 
-    let (_, pandas_stats) = read_csv(&csv, ReadStrategy::PandasDefault).ok()?;
-    let (_, chunked_stats) = read_csv(&csv, ReadStrategy::ChunkedLowMemory).ok()?;
+    let parse = |strategy: ReadStrategy| {
+        read_csv(&csv, strategy)
+            .map(|(_, stats)| stats)
+            .map_err(|e| format!("{} failed on {}: {e}", strategy.label(), csv.display()))
+    };
+    let pandas_stats = parse(ReadStrategy::PandasDefault)?;
+    let chunked_stats = parse(ReadStrategy::ChunkedLowMemory)?;
 
-    let store = CacheStore::new(dir.join("cache")).ok()?;
+    let store = CacheStore::new(dir.join("cache")).map_err(|e| format!("cache root: {e}"))?;
     let cold_start = Instant::now();
-    let _ = store
+    store
         .open_csv(&csv, ReadStrategy::ChunkedLowMemory, shards)
-        .ok()?;
+        .map_err(|e| format!("cold build: {e}"))?;
     let cold_build_s = cold_start.elapsed().as_secs_f64();
 
     let warm_start = Instant::now();
     let (ds, outcome) = store
         .open_csv(&csv, ReadStrategy::ChunkedLowMemory, shards)
-        .ok()?;
+        .map_err(|e| format!("warm open: {e}"))?;
     if !outcome.is_warm() {
-        return None;
+        return Err("warm open: the second open rebuilt instead of hitting the cache".into());
     }
-    ds.load_all().ok()?;
+    ds.load_all().map_err(|e| format!("warm load: {e}"))?;
     let warm_load_s = warm_start.elapsed().as_secs_f64();
 
-    let ds = Arc::new(ds);
-    let prefetch_start = Instant::now();
-    let mut pf = Prefetcher::all(Arc::clone(&ds));
-    for item in pf.by_ref() {
-        item.ok()?;
-    }
-    let warm_prefetch_s = prefetch_start.elapsed().as_secs_f64();
-    let prefetch_stats = pf.stats();
-
-    Some(CacheComparison {
+    Ok(CacheComparison {
         pandas_s: pandas_stats.elapsed.as_secs_f64(),
         pandas_mib_s: pandas_stats.throughput_mib_s(),
         chunked_s: chunked_stats.elapsed.as_secs_f64(),
         chunked_mib_s: chunked_stats.throughput_mib_s(),
         cold_build_s,
         warm_load_s,
-        warm_prefetch_s,
-        prefetch_stats,
     })
 }
 
@@ -117,58 +107,39 @@ pub fn measure_cache_comparison(
 pub fn table_cache(quick: bool) -> Experiment {
     // NT3's geometry is wide-few-rows; quick mode shrinks the width.
     let (rows, cols) = if quick { (160, 4_000) } else { (160, 12_000) };
-    let mut text = String::new();
-    match measure_cache_comparison(rows, cols, 4) {
-        Some(c) => {
-            let speedup = |s: f64| format!("{:.2}x", c.pandas_s / s.max(1e-9));
-            let measured = format_table(
-                &["method", "time", "MiB/s", "vs pandas"],
-                &[
-                    vec![
-                        "pandas-style parse".into(),
-                        format!("{:.3}s", c.pandas_s),
-                        format!("{:.1}", c.pandas_mib_s),
-                        "1.00x".into(),
-                    ],
-                    vec![
-                        "chunked parse".into(),
-                        format!("{:.3}s", c.chunked_s),
-                        format!("{:.1}", c.chunked_mib_s),
-                        speedup(c.chunked_s),
-                    ],
-                    vec![
-                        "cold build (parse+write)".into(),
-                        format!("{:.3}s", c.cold_build_s),
-                        "-".into(),
-                        speedup(c.cold_build_s),
-                    ],
-                    vec![
-                        "warm load (sequential)".into(),
-                        format!("{:.3}s", c.warm_load_s),
-                        "-".into(),
-                        speedup(c.warm_load_s),
-                    ],
-                    vec![
-                        "warm load (prefetched)".into(),
-                        format!("{:.3}s", c.warm_prefetch_s),
-                        "-".into(),
-                        speedup(c.warm_prefetch_s),
-                    ],
-                ],
-            );
-            text.push_str(&format!(
-                "Measured on a generated NT3-like file ({rows}x{cols}, 4 shards):\n{measured}"
-            ));
-            text.push_str(&format!(
-                "prefetch counters: {} ready hits, {} waits ({:.1}ms blocked), {} decoded\n",
-                c.prefetch_stats.ready_hits,
-                c.prefetch_stats.waits,
-                c.prefetch_stats.wait_time().as_secs_f64() * 1e3,
-                c.prefetch_stats.decoded,
-            ));
-        }
-        None => text.push_str("  (temp dir unavailable; measured section skipped)\n"),
-    }
+    let c = measure_cache_comparison(rows, cols, 4).unwrap_or_else(|e| panic!("table_cache: {e}"));
+    let speedup = |s: f64| format!("{:.2}x", c.pandas_s / s.max(1e-9));
+    let measured = format_table(
+        &["method", "time", "MiB/s", "vs pandas"],
+        &[
+            vec![
+                "pandas-style parse".into(),
+                format!("{:.3}s", c.pandas_s),
+                format!("{:.1}", c.pandas_mib_s),
+                "1.00x".into(),
+            ],
+            vec![
+                "chunked parse".into(),
+                format!("{:.3}s", c.chunked_s),
+                format!("{:.1}", c.chunked_mib_s),
+                speedup(c.chunked_s),
+            ],
+            vec![
+                "cold build (parse+write)".into(),
+                format!("{:.3}s", c.cold_build_s),
+                "-".into(),
+                speedup(c.cold_build_s),
+            ],
+            vec![
+                "warm load".into(),
+                format!("{:.3}s", c.warm_load_s),
+                "-".into(),
+                speedup(c.warm_load_s),
+            ],
+        ],
+    );
+    let mut text =
+        format!("Measured on a generated NT3-like file ({rows}x{cols}, 4 shards):\n{measured}");
 
     text.push_str("\nModelled per-rank NT3 loading on Summit (train+test, seconds):\n");
     let gpus = [1usize, 6, 48, 384];
@@ -208,7 +179,7 @@ mod tests {
 
     #[test]
     fn warm_load_is_at_least_3x_faster_than_pandas_parse() {
-        let c = measure_cache_comparison(160, 8_000, 4).expect("temp fs available");
+        let c = measure_cache_comparison(160, 8_000, 4).unwrap();
         assert!(
             c.warm_speedup_vs_pandas() >= 3.0,
             "warm load {:.4}s vs pandas parse {:.4}s ({:.2}x)",
@@ -216,11 +187,6 @@ mod tests {
             c.pandas_s,
             c.warm_speedup_vs_pandas()
         );
-        assert_eq!(
-            c.prefetch_stats.ready_hits + c.prefetch_stats.waits,
-            c.prefetch_stats.decoded
-        );
-        assert_eq!(c.prefetch_stats.decoded, 4);
     }
 
     #[test]
@@ -228,7 +194,6 @@ mod tests {
         let e = table_cache(true);
         assert_eq!(e.id, "table_cache");
         assert!(e.text.contains("binary shard cache (warm)"));
-        assert!(e.text.contains("warm load (sequential)"));
-        assert!(e.text.contains("prefetch counters"));
+        assert!(e.text.contains("warm load"));
     }
 }

@@ -80,7 +80,7 @@ pub fn all(quick: bool) -> Vec<Experiment> {
         fig8(quick),
         fig9(quick),
         fig10(quick),
-        table3(),
+        table3(quick),
         table4(),
         table_cache(quick),
         fig11(),

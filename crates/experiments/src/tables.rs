@@ -1,11 +1,13 @@
 //! Drivers for the paper's tables.
 
+use crate::ingest_table::measure_ingest_comparison;
 use crate::report::{format_table, pct, secs, Experiment};
 use crate::sweeps::{method_comparison_sweep, SUMMIT_GPU_SWEEP, WEAK_GPU_SWEEP};
 use candle::HyperParams;
 use cluster::calib::{self, Bench, Split};
 use cluster::run::simulate;
 use cluster::{LoadMethod, Machine, RunConfig, RunReport, ScalingMode};
+use dataio::ReadStrategy;
 use simcore::SimTime;
 
 /// Table 1: epochs, batch size, data samples, and file sizes per benchmark.
@@ -157,9 +159,12 @@ fn loading_table(machine: Machine, id: &'static str, title: &'static str) -> Exp
 }
 
 /// Table 3: data-loading seconds by method on Summit (model inputs from
-/// the paper, plus a live local validation of the Rust CSV engine's
-/// ratios — see the `csv_methods` bench for the full measurement).
-pub fn table3() -> Experiment {
+/// the paper), plus the real Rust CSV engine's strategies measured on the
+/// paper's two file geometries by [`measure_ingest_comparison`]. `quick`
+/// shrinks the files as it does there; a failed measurement panics with
+/// its cause instead of rendering a shorter table.
+pub fn table3(quick: bool) -> Experiment {
+    let measured = measure_ingest_comparison(quick).unwrap_or_else(|e| panic!("table3: {e}"));
     let mut e = loading_table(
         Machine::Summit,
         "table3",
@@ -167,81 +172,36 @@ pub fn table3() -> Experiment {
     );
     e.text
         .push_str("\nLocal Rust CSV engine validation (generated files):\n");
-    e.text.push_str(&local_csv_validation());
-    e
-}
-
-/// Table 4: data-loading seconds by method on Theta.
-pub fn table4() -> Experiment {
-    loading_table(
-        Machine::Theta,
-        "table4",
-        "Data-loading time by method, Theta",
-    )
-}
-
-/// Measures the three real reader strategies on two generated files with
-/// the paper's two geometries (wide-few-rows vs narrow-many-rows).
-fn local_csv_validation() -> String {
-    use dataio::{read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
-    let Ok(dir) = parx::scratch("table3") else {
-        return "  (temp dir unavailable; skipped)\n".into();
-    };
-    let mut rows = Vec::new();
-    for (label, spec) in [
-        (
-            "wide (NT3-like, 160x12000)",
-            SyntheticSpec {
-                rows: 160,
-                cols: 12_000,
-                kind: ClassSpec::Classification {
-                    classes: 2,
-                    separation: 1.0,
-                },
-                noise: 0.5,
-                seed: 11,
-            },
-        ),
-        (
-            "narrow (P1B3-like, 64000x30)",
-            SyntheticSpec {
-                rows: 64_000,
-                cols: 30,
-                kind: ClassSpec::Regression { signal_features: 8 },
-                noise: 0.02,
-                seed: 12,
-            },
-        ),
-    ] {
-        let ds = dataio::generate(&spec);
-        let path = dir.join(format!("{}.csv", spec.rows));
-        if write_csv_dataset(&path, &ds).is_err() {
-            continue;
-        }
-        let mut cells = vec![label.to_string()];
-        let mut pandas_time = 0.0;
-        for strategy in [
-            ReadStrategy::PandasDefault,
-            ReadStrategy::ChunkedLowMemory,
-            ReadStrategy::DaskParallel,
-            ReadStrategy::TurboParallel,
-        ] {
-            match read_csv(&path, strategy) {
-                Ok((_, stats)) => {
-                    let s = stats.elapsed.as_secs_f64();
-                    if strategy == ReadStrategy::PandasDefault {
-                        pandas_time = s;
-                    }
-                    cells.push(format!("{:.3}s", s));
-                }
-                Err(_) => cells.push("err".into()),
+    // One row per geometry: `measure_ingest_comparison` times a
+    // geometry's strategies back to back.
+    let rows: Vec<Vec<String>> = measured
+        .chunk_by(|a, b| a.geometry == b.geometry)
+        .map(|group| {
+            let seconds = |s: ReadStrategy| {
+                group
+                    .iter()
+                    .find(|r| r.strategy == s)
+                    .map(|r| r.seconds)
+                    .expect("every strategy is measured at every geometry")
+            };
+            let mut cells = vec![group[0].geometry.clone()];
+            for s in [
+                ReadStrategy::PandasDefault,
+                ReadStrategy::ChunkedLowMemory,
+                ReadStrategy::DaskParallel,
+                ReadStrategy::TurboParallel,
+            ] {
+                cells.push(format!("{:.3}s", seconds(s)));
             }
-        }
-        let chunked: f64 = cells[2].trim_end_matches('s').parse().unwrap_or(1.0);
-        cells.push(format!("{:.2}x", pandas_time / chunked.max(1e-9)));
-        rows.push(cells);
-    }
-    format_table(
+            cells.push(format!(
+                "{:.2}x",
+                seconds(ReadStrategy::PandasDefault)
+                    / seconds(ReadStrategy::ChunkedLowMemory).max(1e-9)
+            ));
+            cells
+        })
+        .collect();
+    e.text.push_str(&format_table(
         &[
             "file geometry",
             "pandas-style",
@@ -251,6 +211,16 @@ fn local_csv_validation() -> String {
             "speedup",
         ],
         &rows,
+    ));
+    e
+}
+
+/// Table 4: data-loading seconds by method on Theta.
+pub fn table4() -> Experiment {
+    loading_table(
+        Machine::Theta,
+        "table4",
+        "Data-loading time by method, Theta",
     )
 }
 
@@ -390,10 +360,11 @@ mod tests {
 
     #[test]
     fn table3_contains_paper_values_and_local_validation() {
-        let t = table3();
+        let t = table3(true);
         assert!(t.text.contains("81.72"));
         assert!(t.text.contains("14.30"));
-        assert!(t.text.contains("wide (NT3-like"));
+        assert!(t.text.contains("wide NT3-like"));
+        assert!(t.text.contains("narrow P1B3-like"));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! the replica's uptime.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -127,6 +128,28 @@ fn engine_busy_seconds(engine: &ServeEngine) -> f64 {
     r.batch_forward.mean_s * r.batch_forward.count as f64
 }
 
+/// Records the outcome of every admitted request, in submission order,
+/// until the sending side hangs up. The latency recorded is the engine's
+/// own submit → reply measurement, not the time until this loop got to
+/// the ticket: a fast reply queued behind a slow replica's ticket must
+/// not count as slow in the p99 the autoscaler reads.
+fn collect_replies(replies: Receiver<serve::Ticket>, stats: &Mutex<SharedStats>, start: Instant) {
+    for ticket in replies {
+        let outcome = ticket.wait();
+        let t = start.elapsed().as_secs_f64();
+        let mut s = stats.lock();
+        match outcome {
+            Ok(p) => {
+                let lat = p.latency.as_secs_f64();
+                s.windowed.record(t, lat);
+                s.cumulative.record(lat);
+                s.completed += 1;
+            }
+            Err(_) => s.failed += 1,
+        }
+    }
+}
+
 /// Replay `trace` against a live fleet, compressing virtual trace time by
 /// `speedup` (arrival at virtual `t` fires at real `t / speedup`). All
 /// replicas serve the same `model` (a replicated-weights fleet).
@@ -167,12 +190,12 @@ pub fn run_serve_fleet(
     let mut spans: Vec<ReplicaSpan> = Vec::new();
     let mut peak_replicas = initial;
 
-    let stats = Arc::new(Mutex::new(SharedStats {
+    let stats = Mutex::new(SharedStats {
         windowed: WindowedHistogram::for_latency_seconds(config.stats_window_s),
         cumulative: LogHistogram::for_latency_seconds(),
         completed: 0,
         failed: 0,
-    }));
+    });
 
     let mut offered = 0u64;
     let mut shed = 0u64;
@@ -186,27 +209,8 @@ pub fn run_serve_fleet(
     let in_flight_drains = Arc::new(AtomicU64::new(0));
 
     std::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::unbounded::<(Instant, serve::Ticket)>();
-        for _ in 0..2 {
-            let rx = rx.clone();
-            let stats = Arc::clone(&stats);
-            scope.spawn(move || {
-                while let Ok((submitted, ticket)) = rx.recv() {
-                    let outcome = ticket.wait();
-                    let lat = submitted.elapsed().as_secs_f64();
-                    let t = start.elapsed().as_secs_f64();
-                    let mut s = stats.lock();
-                    match outcome {
-                        Ok(_) => {
-                            s.windowed.record(t, lat);
-                            s.cumulative.record(lat);
-                            s.completed += 1;
-                        }
-                        Err(_) => s.failed += 1,
-                    }
-                }
-            });
-        }
+        let (tx, rx) = channel();
+        scope.spawn(|| collect_replies(rx, &stats, start));
 
         let mut depths: Vec<usize> = Vec::new();
         let mut routable: Vec<usize> = Vec::new();
@@ -268,25 +272,15 @@ pub fn run_serve_fleet(
             let row = request_row(config.seed, arrival.index, config.features);
             match slots[routable[pick]].handle.submit(row) {
                 Ok(ticket) => {
-                    let _ = tx.send((Instant::now(), ticket));
+                    let _ = tx.send(ticket);
                 }
                 Err(ServeError::Overloaded { .. }) => overloaded += 1,
                 Err(_) => overloaded += 1,
             }
         }
+        // Hanging up lets the collector finish once every admitted request
+        // has been answered; the scope waits for it.
         drop(tx);
-        // Wait until every admitted request has been answered.
-        loop {
-            let done = {
-                let s = stats.lock();
-                s.completed + s.failed
-            };
-            let answered_elsewhere = shed + overloaded;
-            if done + answered_elsewhere >= offered {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
     });
 
     // Shut the remaining fleet down and close the energy ledger.
@@ -356,7 +350,7 @@ pub fn run_serve_fleet(
 fn control_step<'scope, 'env, F>(
     slots: &mut Vec<Slot>,
     autoscaler: &mut Option<Autoscaler>,
-    stats: &Arc<Mutex<SharedStats>>,
+    stats: &Mutex<SharedStats>,
     busy_prev: &mut f64,
     decisions: &mut Vec<ScaleDecision>,
     worst_window_p99_s: &mut f64,
@@ -459,11 +453,48 @@ mod tests {
     use crate::autoscale::AutoscaleConfig;
     use crate::router::RouterPolicy;
     use crate::trace::Burst;
-    use dlframe::{Activation, Dense, Loss, Optimizer};
+    use dlframe::{Activation, Dense, DlError, Layer, Loss, Optimizer};
+    use parking_lot::RwLock;
+    use tensor::{Tensor, Workspace};
 
-    fn model(seed: u64, features: usize) -> Arc<Sequential> {
+    /// An identity layer whose inference forward blocks while the test
+    /// holds the write lock: the replica serving through it is slow for
+    /// exactly as long as the test says.
+    #[derive(Clone, Default)]
+    struct Gate(Arc<RwLock<()>>);
+
+    impl Layer for Gate {
+        fn name(&self) -> &'static str {
+            "gate"
+        }
+
+        fn forward(&mut self, x: &Tensor, _: bool, ws: &mut Workspace) -> Result<Tensor, DlError> {
+            Ok(ws.alloc_copy(x))
+        }
+
+        fn forward_infer(&self, x: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
+            drop(self.0.read());
+            Ok(ws.alloc_copy(x))
+        }
+
+        fn backward(
+            &mut self,
+            _input: &Tensor,
+            _output: &Tensor,
+            grad_out: &Tensor,
+            input_grad: bool,
+            ws: &mut Workspace,
+        ) -> Result<Option<Tensor>, DlError> {
+            Ok(input_grad.then(|| ws.alloc_copy(grad_out)))
+        }
+    }
+
+    fn model(seed: u64, features: usize, gate: Option<&Gate>) -> Arc<Sequential> {
         let mut rng = xrng::seeded(seed);
         let mut m = Sequential::new(seed);
+        if let Some(gate) = gate {
+            m.add(Box::new(gate.clone()));
+        }
         m.add(Box::new(Dense::new(features, 16, Activation::Relu, &mut rng)));
         m.add(Box::new(Dense::new(16, 3, Activation::Linear, &mut rng)));
         m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
@@ -510,7 +541,7 @@ mod tests {
     #[test]
     fn fixed_live_fleet_serves_a_trace() {
         let report = run_serve_fleet(
-            model(1, 6),
+            model(1, 6, None),
             &config(ScalePolicy::Fixed(2)),
             &trace(),
             10.0, // 10 s of trace in ~1 s real
@@ -527,10 +558,68 @@ mod tests {
         assert!(report.decisions.is_empty());
     }
 
+    /// Two replicas, one stuck in its first forward: the fast replica's
+    /// replies are collected only after the slow replica's two tickets at
+    /// the head of the queue, yet each is recorded at its own latency.
+    #[test]
+    fn replies_collected_behind_a_blocked_replica_keep_their_own_latency() {
+        const FAST: u64 = 20;
+        // How long the gate stays shut after the last fast reply is in: a
+        // lower bound on the blocked forward.
+        let hold = Duration::from_millis(250);
+        let gate = Gate::default();
+        let shut = gate.0.write();
+        let engine_config = ServeConfig {
+            max_batch: 1,
+            workers: 1,
+            ..config(ScalePolicy::Fixed(2)).engine
+        };
+        let slow = ServeEngine::start(model(1, 6, Some(&gate)), engine_config.clone());
+        let fast = ServeEngine::start(model(1, 6, None), engine_config);
+        let stats = Mutex::new(SharedStats {
+            windowed: WindowedHistogram::for_latency_seconds(60.0),
+            cumulative: LogHistogram::for_latency_seconds(),
+            completed: 0,
+            failed: 0,
+        });
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            let (tx, rx) = channel();
+            scope.spawn(|| collect_replies(rx, &stats, start));
+            for i in 0..2 {
+                tx.send(slow.handle().submit(request_row(5, i, 6)).unwrap())
+                    .unwrap();
+            }
+            for i in 0..FAST {
+                tx.send(fast.handle().submit(request_row(6, i, 6)).unwrap())
+                    .unwrap();
+            }
+            drop(tx);
+            while fast.report().completed < FAST {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(hold);
+            drop(shut);
+        });
+        let s = stats.lock();
+        assert_eq!(s.completed, FAST + 2);
+        assert_eq!(s.failed, 0);
+        // The two largest samples are the gated replica's; the next one
+        // down (rank FAST) is the slowest fast reply.
+        assert!(s.cumulative.max() >= hold.as_secs_f64());
+        let slowest_fast = s
+            .cumulative
+            .quantile((FAST as f64 - 0.5) / (FAST + 2) as f64);
+        assert!(
+            slowest_fast < hold.as_secs_f64(),
+            "a fast reply was recorded at {slowest_fast:.3}s, behind a {hold:?} blocked forward"
+        );
+    }
+
     #[test]
     fn autoscaled_live_fleet_reacts_and_accounts_every_replica() {
         let report = run_serve_fleet(
-            model(1, 6),
+            model(1, 6, None),
             &config(ScalePolicy::Auto(AutoscaleConfig {
                 min_replicas: 1,
                 max_replicas: 4,

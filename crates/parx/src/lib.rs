@@ -11,12 +11,12 @@
 //!   over a few coarse tasks that each own their input;
 //! * [`kernel_threads`] / [`among_peers`] — how many ways a kernel call
 //!   forks: all hardware threads, or the calling rank's share of them;
-//! * [`WorkerPool`] — a persistent pool with crossbeam channels for
-//!   fire-and-forget tasks plus a `join` barrier, used where thread spawn
-//!   cost would otherwise dominate (per-batch-step parallelism);
+//! * [`WorkerPool`] — a persistent pool, one task queue under one lock,
+//!   for fire-and-forget tasks plus a `join` barrier, used where thread
+//!   spawn cost would otherwise dominate (per-batch-step parallelism);
 //! * [`Window`] — bounded, in-order background read-ahead on a
-//!   `WorkerPool`: the data-loading/compute overlap `datacache` and
-//!   `datapipe` both stream through;
+//!   `WorkerPool`: the data-loading/compute overlap `datapipe`'s epoch
+//!   streams run on;
 //! * [`CountingAlloc`] — a per-thread counting allocator, so the
 //!   zero-allocation tests of the kernels above cannot count each other;
 //! * [`scratch`] — a temp directory unique per call and removed on drop,
@@ -24,9 +24,9 @@
 //!   files.
 //!
 //! The design follows the "chunked parallel iterator" shape of rayon (see
-//! the workspace coding guides) but is implemented in-tree: the reproduction
-//! needs deterministic chunk boundaries so that numeric reductions are
-//! bitwise reproducible for a fixed thread count.
+//! the workspace coding guides) but is implemented in-tree on `std` alone:
+//! the reproduction needs deterministic chunk boundaries so that numeric
+//! reductions are bitwise reproducible for a fixed thread count.
 
 mod alloc_count;
 mod chunk;

@@ -2,31 +2,77 @@
 //!
 //! The fork–join helpers in [`crate::scope`] spawn threads per call, which
 //! is fine for coarse work but too costly inside a per-batch-step loop. The
-//! `WorkerPool` keeps `k` threads alive and feeds them boxed closures over a
-//! crossbeam MPMC channel; `join` is a barrier that waits until every task
-//! submitted so far has finished.
+//! `WorkerPool` keeps `k` threads alive and feeds them boxed closures from
+//! one queue under one lock; `join` is a barrier that waits until every
+//! task submitted so far has finished.
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Tracks outstanding tasks for the `join` barrier.
-struct Outstanding {
-    count: Mutex<usize>,
-    all_done: Condvar,
+/// What the lock guards.
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Tasks submitted but not yet finished (queued plus running).
+    pending: usize,
+    /// Set on drop: workers leave once `tasks` is empty.
+    closed: bool,
+}
+
+/// What submitters, workers and joiners share.
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Signalled once per submitted task, and to every worker on close.
+    work: Condvar,
+    /// Signalled to every joiner when `pending` reaches zero.
+    idle: Condvar,
+    restarts: AtomicU64,
+}
+
+impl Shared {
+    /// Every critical section here is a few field updates, and tasks run
+    /// outside the lock (a panicking one is caught before the relock), so
+    /// a poisoned lock still guards consistent state.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs tasks until the pool is closed and the queue drained.
+    fn worker_loop(&self) {
+        let mut queue = self.lock();
+        loop {
+            queue = self
+                .work
+                .wait_while(queue, |q| q.tasks.is_empty() && !q.closed)
+                .unwrap_or_else(PoisonError::into_inner);
+            let Some(task) = queue.tasks.pop_front() else {
+                return;
+            };
+            drop(queue);
+            // A panicking task must not take the worker down with it: that
+            // would silently shrink the pool and leak the pending count,
+            // hanging `join` forever. Catch the panic, count the restart,
+            // and keep serving.
+            if catch_unwind(AssertUnwindSafe(task)).is_err() {
+                self.restarts.fetch_add(1, Ordering::Relaxed);
+            }
+            queue = self.lock();
+            queue.pending -= 1;
+            if queue.pending == 0 {
+                self.idle.notify_all();
+            }
+        }
+    }
 }
 
 /// A fixed-size pool of persistent worker threads.
 pub struct WorkerPool {
-    sender: Option<Sender<Task>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    outstanding: Arc<Outstanding>,
-    restarts: Arc<AtomicU64>,
-    size: usize,
 }
 
 impl WorkerPool {
@@ -36,94 +82,72 @@ impl WorkerPool {
     /// Panics if `size == 0`.
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "WorkerPool: size must be positive");
-        let (sender, receiver) = unbounded::<Task>();
-        let outstanding = Arc::new(Outstanding {
-            count: Mutex::new(0),
-            all_done: Condvar::new(),
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                pending: 0,
+                closed: false,
+            }),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+            restarts: AtomicU64::new(0),
         });
-        let restarts = Arc::new(AtomicU64::new(0));
         let workers = (0..size)
             .map(|i| {
-                let rx = receiver.clone();
-                let outstanding = Arc::clone(&outstanding);
-                let restarts = Arc::clone(&restarts);
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("parx-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(task) = rx.recv() {
-                            // A panicking task must not take the worker
-                            // down with it: that would silently shrink the
-                            // pool and leak the outstanding count, hanging
-                            // `join` forever. Catch the panic, count the
-                            // restart, and keep serving.
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                            if outcome.is_err() {
-                                restarts.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let mut count = outstanding.count.lock();
-                            *count -= 1;
-                            if *count == 0 {
-                                outstanding.all_done.notify_all();
-                            }
-                        }
-                    })
+                    .spawn(move || shared.worker_loop())
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        Self {
-            sender: Some(sender),
-            workers,
-            outstanding,
-            restarts,
-            size,
-        }
+        Self { shared, workers }
     }
 
     /// Number of worker threads.
     pub fn size(&self) -> usize {
-        self.size
+        self.workers.len()
     }
 
     /// Number of times a worker recovered from a panicking task. Each
     /// recovery is logically a worker death + immediate restart; a healthy
     /// run reports zero.
     pub fn restarts(&self) -> u64 {
-        self.restarts.load(Ordering::Relaxed)
+        self.shared.restarts.load(Ordering::Relaxed)
     }
 
     /// Tasks submitted but not yet finished (queued plus running) — the
     /// live queue-depth signal shared-service schedulers report.
     pub fn pending(&self) -> usize {
-        *self.outstanding.count.lock()
+        self.shared.lock().pending
     }
 
     /// Submits a task for execution on some worker.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, task: F) {
-        {
-            let mut count = self.outstanding.count.lock();
-            *count += 1;
-        }
-        self.sender
-            .as_ref()
-            .expect("pool already shut down")
-            .send(Box::new(task))
-            .expect("worker channel closed");
+        let mut queue = self.shared.lock();
+        queue.tasks.push_back(Box::new(task));
+        queue.pending += 1;
+        drop(queue);
+        self.shared.work.notify_one();
     }
 
     /// Blocks until every submitted task has completed.
     pub fn join(&self) {
-        let mut count = self.outstanding.count.lock();
-        while *count > 0 {
-            self.outstanding.all_done.wait(&mut count);
-        }
+        let queue = self.shared.lock();
+        drop(
+            self.shared
+                .idle
+                .wait_while(queue, |q| q.pending > 0)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Closing the channel lets workers drain remaining tasks and exit.
-        self.sender.take();
+        // Closing the queue lets workers drain the remaining tasks and exit.
+        self.shared.lock().closed = true;
+        self.shared.work.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -148,6 +172,59 @@ mod tests {
         pool.join();
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
         assert_eq!(pool.pending(), 0, "join must drain the pending count");
+    }
+
+    #[test]
+    fn concurrent_submitters_run_every_task_exactly_once() {
+        const SUBMITTERS: usize = 4;
+        const PER_SUBMITTER: usize = 250;
+        let pool = WorkerPool::new(3);
+        let runs: Arc<Vec<AtomicUsize>> = Arc::new(
+            (0..SUBMITTERS * PER_SUBMITTER)
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+        );
+        std::thread::scope(|s| {
+            for submitter in 0..SUBMITTERS {
+                let (pool, runs) = (&pool, &runs);
+                s.spawn(move || {
+                    for k in 0..PER_SUBMITTER {
+                        let id = submitter * PER_SUBMITTER + k;
+                        let runs = Arc::clone(runs);
+                        pool.submit(move || {
+                            runs[id].fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        pool.join();
+        for (id, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "task {id}");
+        }
+        assert_eq!(pool.pending(), 0);
+    }
+
+    #[test]
+    fn concurrent_joins_both_return() {
+        let pool = WorkerPool::new(2);
+        // One task held until both joiners are on their way into `join`.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        pool.submit(move || {
+            let _ = held.recv();
+        });
+        let ready = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    ready.wait();
+                    pool.join();
+                });
+            }
+            ready.wait();
+            release.send(()).unwrap();
+        });
+        assert_eq!(pool.pending(), 0);
     }
 
     #[test]
@@ -229,11 +306,11 @@ mod tests {
             let names = Arc::clone(&names);
             pool.submit(move || {
                 let name = std::thread::current().name().unwrap_or("").to_string();
-                names.lock().push(name);
+                names.lock().unwrap().push(name);
             });
         }
         pool.join();
-        let names = names.lock();
+        let names = names.lock().unwrap();
         assert_eq!(names.len(), 8);
         assert!(names.iter().all(|n| n.starts_with("parx-worker-")));
     }

@@ -6,9 +6,8 @@
 //! order however the workers finish them. The bound is the backpressure: a
 //! slow consumer never holds more than `depth` finished items, and a fast
 //! one learns from every `next` whether, and for how long, it had to
-//! block. `datacache::Prefetcher` (decoded shards) and
-//! `datapipe::EpochStream` (assembled batches) are both this loop with a
-//! different task.
+//! block. `datapipe::EpochStream` is this loop with "assemble batch `i`"
+//! as the task.
 
 use crate::WorkerPool;
 use std::collections::HashMap;

@@ -1,5 +1,5 @@
-//! Properties of [`parx::Window`], the one bounded read-ahead loop that
-//! `datacache::Prefetcher` and `datapipe::EpochStream` stream through.
+//! Properties of [`parx::Window`], the bounded read-ahead loop that
+//! `datapipe::EpochStream` streams through.
 
 use parx::{Window, WorkerPool};
 use proptest::prelude::*;

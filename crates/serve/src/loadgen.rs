@@ -160,10 +160,10 @@ pub fn run_open_loop(handle: &ServeHandle, cfg: &OpenLoopConfig) -> LoadReport {
     let start = Instant::now();
     let mut gap_rng = xrng::seeded(xrng::derive_seed(cfg.seed, u64::MAX));
     std::thread::scope(|scope| {
-        let (tx, rx) = crossbeam::channel::unbounded::<(u64, crate::Ticket)>();
+        let (tx, rx) = std::sync::mpsc::channel::<(u64, crate::Ticket)>();
         let (completed, errors, hash) = (&completed, &errors, &hash);
         scope.spawn(move || {
-            while let Ok((index, ticket)) = rx.recv() {
+            for (index, ticket) in rx {
                 match ticket.wait() {
                     Ok(p) => {
                         completed.fetch_add(1, Ordering::Relaxed);

@@ -1,5 +1,5 @@
-//! Smoke demo of the binary dataset cache: cold build, warm reload,
-//! prefetched reload, and a warm cached training run.
+//! Smoke demo of the binary dataset cache: cold build, warm reload, and a
+//! warm cached training run.
 //!
 //! ```text
 //! cargo run --release --example cache_demo
@@ -7,9 +7,8 @@
 
 use candle::{run_parallel, BenchDataKind, CacheSource, CacheSpec, FuncScaling, ParallelRunSpec};
 use cluster::calib::Bench;
-use datacache::{CacheStore, Prefetcher};
+use datacache::CacheStore;
 use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -56,7 +55,7 @@ fn main() {
         cold_start.elapsed().as_secs_f64()
     );
 
-    // Warm: manifest hit, shards decoded straight from disk.
+    // Warm: manifest hit, shards read, checksummed and decoded side by side.
     let warm_start = Instant::now();
     let (ds, outcome) = store
         .open_csv(&csv, ReadStrategy::ChunkedLowMemory, 4)
@@ -70,22 +69,6 @@ fn main() {
         frame.nrows(),
         frame.ncols(),
         parse_s / warm_s.max(1e-9)
-    );
-
-    // Warm + prefetch: decode shard k+1 in the background.
-    let ds = Arc::new(ds);
-    let pf_start = Instant::now();
-    let mut pf = Prefetcher::all(Arc::clone(&ds));
-    for item in pf.by_ref() {
-        item.expect("prefetched shard");
-    }
-    let s = pf.stats();
-    println!(
-        "warm prefetched reload  {:>8.3}s  ({} ready hits, {} waits, {:.1}ms blocked)",
-        pf_start.elapsed().as_secs_f64(),
-        s.ready_hits,
-        s.waits,
-        s.wait_time().as_secs_f64() * 1e3
     );
 
     // The same machinery inside the training pipeline: the second run is
@@ -104,7 +87,7 @@ fn main() {
         cache: Some(CacheSpec {
             root: dir.join("pipeline_cache"),
             shards: 3,
-            prefetch: true,
+            prefetch: false,
             source: CacheSource::Generate,
         }),
         data_service: None,

@@ -13,6 +13,14 @@ if grep -rn --include='*.rs' 'temp_dir()' crates src tests examples |
     exit 1
 fi
 
+# Task queues and reply channels are std's (parx::WorkerPool, std::sync::mpsc);
+# vendor/crossbeam is left only for benchmark/'s patch table.
+echo "==> no crossbeam in crates src tests examples"
+if grep -rn --include='*.rs' --include='Cargo.toml' 'crossbeam' crates src tests examples; then
+    echo "error: the workspace does not depend on crossbeam; use std::sync::mpsc or parx" >&2
+    exit 1
+fi
+
 # Activations belong to the model's chain (DESIGN §5f): a layer that grows a
 # cache field again is copying its input or output every step.
 echo "==> no _cache: Option<Tensor> field under crates/dlframe/src/layers"
