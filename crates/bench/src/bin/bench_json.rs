@@ -72,7 +72,6 @@ const SUITES: [Suite; 6] = [
 
 const INDEX: &str = "index";
 const INDEX_FILE: &str = "BENCH_INDEX.json";
-const NO_TEMP_FS: &str = "temp filesystem unavailable; cannot measure";
 
 /// Seed vs blocked GEMM engine: one series per engine over `flops`.
 fn kernels(quick: bool) -> Result<Doc, String> {
@@ -128,7 +127,7 @@ fn ingest(quick: bool) -> Result<Doc, String> {
 /// caches: one series per data plane over `jobs`.
 fn datapipe(quick: bool) -> Result<Doc, String> {
     let (rows, cols, shards) = if quick { (1024, 16, 8) } else { (4096, 24, 8) };
-    let c = experiments::measure_datapipe_comparison(32, rows, cols, shards).ok_or(NO_TEMP_FS)?;
+    let c = experiments::measure_datapipe_comparison(32, rows, cols, shards)?;
     let base = |wall_s: f64, rows_per_s: f64| {
         Point::at("jobs", c.jobs as f64)
             .seconds(wall_s)
@@ -159,7 +158,7 @@ fn datapipe(quick: bool) -> Result<Doc, String> {
 /// The deterministic ASHA search's scorecard: one point over `trials`,
 /// per-worker determinism fingerprints riding along as a label.
 fn hpo(quick: bool) -> Result<Doc, String> {
-    let m = experiments::measure_hpo(quick).ok_or(NO_TEMP_FS)?;
+    let m = experiments::measure_hpo(quick)?;
     let fingerprints_identical = m
         .worker_fingerprints
         .iter()

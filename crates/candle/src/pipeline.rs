@@ -24,7 +24,7 @@ use crate::models::build_model;
 use crate::params::BenchId;
 use crate::profiler::PhaseProfiler;
 use crate::scaling::{comp_epochs_balanced, scaled_lr};
-use collectives::{broadcast_parameters, run_workers, DistributedOptimizer, Timeline};
+use collectives::{broadcast_parameters, run_workers_owned, DistributedOptimizer, Timeline};
 use dlframe::{FitConfig, History};
 use std::sync::Arc;
 use std::time::Instant;
@@ -267,95 +267,91 @@ pub fn run_parallel(spec: &ParallelRunSpec) -> Result<ParallelRunOutcome, Pipeli
         Option<(f64, Option<f64>)>,
         PhaseProfiler,
     );
-    let per_rank: Vec<Result<RankResult, String>> = run_workers(spec.workers, move |comm| {
-        let rank = comm.rank();
-        let mut rank_profile = PhaseProfiler::new();
-        let mut model = build_rank_model(&spec2, rank);
-        // BroadcastGlobalVariablesHook(0).
-        let bc_start = Instant::now();
-        let mut params = model.flat_params();
-        broadcast_parameters(comm, &mut params, tl2.as_ref().map(|t| (t, origin)));
-        model.set_flat_params(&params);
-        rank_profile.record("broadcast", bc_start.elapsed());
-        // DistributedOptimizer wrapping.
-        let endpoint = std::mem::replace(
-            comm,
-            collectives::Communicator::world(1).pop().expect("nonempty"),
-        );
-        let config = FitConfig {
-            epochs: epochs_per_worker,
-            batch_size: spec2.batch,
-            shuffle: true,
-            compute_accuracy: true,
-            ..Default::default()
-        };
-        // Sharded mode materializes this rank's block; replicated mode
-        // trains on the full dataset (the paper's NT3/P1B1/P1B2 setup).
-        let local_train = match spec2.data_mode {
-            DataMode::FullReplicated => None,
-            DataMode::Sharded => Some(train.shard(rank, spec2.workers)),
-        };
-        let train_ref: &dlframe::Dataset = local_train.as_ref().unwrap_or(&train);
-        let fit_start = Instant::now();
-        let (history, stats) = if let Some(threshold) = spec2.comm_overlap {
-            // Overlapped path: each bucket is posted as backward completes
-            // it and folded while earlier layers' gradients are still being
-            // produced.
-            let plan = collectives::FusionPlan::for_model(&model, threshold);
-            let mut dist = collectives::AsyncBucketedOptimizer::new(endpoint, &plan);
-            if let Some(tl) = &tl2 {
-                dist = dist.with_timeline(tl.clone(), origin);
-            }
-            let history = match model.fit(train_ref, &config, &mut dist) {
-                Ok(h) => h,
-                Err(e) => return Err(e.to_string()),
+    let per_rank: Vec<Result<RankResult, String>> =
+        run_workers_owned(spec.workers, move |mut comm| {
+            let rank = comm.rank();
+            let mut rank_profile = PhaseProfiler::new();
+            let mut model = build_rank_model(&spec2, rank);
+            // BroadcastGlobalVariablesHook(0).
+            let bc_start = Instant::now();
+            let mut params = model.flat_params();
+            broadcast_parameters(&mut comm, &mut params, tl2.as_ref().map(|t| (t, origin)));
+            model.set_flat_params(&params);
+            rank_profile.record("broadcast", bc_start.elapsed());
+            let config = FitConfig {
+                epochs: epochs_per_worker,
+                batch_size: spec2.batch,
+                shuffle: true,
+                compute_accuracy: true,
+                ..Default::default()
             };
-            rank_profile.record("training", fit_start.elapsed());
-            let (endpoint, ostats) = dist.shutdown();
-            rank_profile.record_n(
-                "comm_overlap",
-                ostats.comm_busy.saturating_sub(ostats.exposed),
-                ostats.buckets,
-            );
-            rank_profile.record_n("comm_exposed", ostats.exposed, ostats.steps);
-            (history, endpoint.stats().clone())
-        } else {
-            let mut dist = DistributedOptimizer::new(endpoint);
-            if let Some(tl) = &tl2 {
-                dist = dist.with_timeline(tl.clone(), origin);
-            }
-            let history = match model.fit(train_ref, &config, &mut dist) {
-                Ok(h) => h,
-                Err(e) => return Err(e.to_string()),
+            // Sharded mode materializes this rank's block; replicated mode
+            // trains on the full dataset (the paper's NT3/P1B1/P1B2 setup).
+            let local_train = match spec2.data_mode {
+                DataMode::FullReplicated => None,
+                DataMode::Sharded => Some(train.shard(rank, spec2.workers)),
             };
-            rank_profile.record("training", fit_start.elapsed());
-            (history, dist.comm().stats().clone())
-        };
-        // Split the training wall time into the hot-path phases the model
-        // accumulated (forward+loss, backward, sync+optimizer).
-        let hot = model.hot_stats();
-        rank_profile.record_n("train_forward", hot.forward, hot.batches);
-        rank_profile.record_n("train_backward", hot.backward, hot.batches);
-        rank_profile.record_n("train_optimizer", hot.optimizer, hot.batches);
-        // Rank 0 evaluates the trained model.
-        let eval = if rank == 0 {
-            let eval_start = Instant::now();
-            let result = match model.evaluate(&test, spec2.batch.max(32)) {
-                Ok(le) => Some(le),
-                Err(e) => return Err(e.to_string()),
+            let train_ref: &dlframe::Dataset = local_train.as_ref().unwrap_or(&train);
+            let fit_start = Instant::now();
+            let (history, stats) = if let Some(threshold) = spec2.comm_overlap {
+                // Overlapped path: each bucket is posted as backward completes
+                // it and folded while earlier layers' gradients are still being
+                // produced.
+                let plan = collectives::FusionPlan::for_model(&model, threshold);
+                let mut dist = collectives::AsyncBucketedOptimizer::new(comm, &plan);
+                if let Some(tl) = &tl2 {
+                    dist = dist.with_timeline(tl.clone(), origin);
+                }
+                let history = match model.fit(train_ref, &config, &mut dist) {
+                    Ok(h) => h,
+                    Err(e) => return Err(e.to_string()),
+                };
+                rank_profile.record("training", fit_start.elapsed());
+                let (endpoint, ostats) = dist.shutdown();
+                rank_profile.record_n(
+                    "comm_overlap",
+                    ostats.comm_busy.saturating_sub(ostats.exposed),
+                    ostats.buckets,
+                );
+                rank_profile.record_n("comm_exposed", ostats.exposed, ostats.steps);
+                (history, endpoint.stats().clone())
+            } else {
+                let mut dist = DistributedOptimizer::new(comm);
+                if let Some(tl) = &tl2 {
+                    dist = dist.with_timeline(tl.clone(), origin);
+                }
+                let history = match model.fit(train_ref, &config, &mut dist) {
+                    Ok(h) => h,
+                    Err(e) => return Err(e.to_string()),
+                };
+                rank_profile.record("training", fit_start.elapsed());
+                (history, dist.comm().stats().clone())
             };
-            rank_profile.record("evaluate", eval_start.elapsed());
-            result
-        } else {
-            None
-        };
-        let train_final = if rank == 0 {
-            history.last().map(|e| (e.loss, e.accuracy))
-        } else {
-            None
-        };
-        Ok((history, stats, eval, train_final, rank_profile))
-    });
+            // Split the training wall time into the hot-path phases the model
+            // accumulated (forward+loss, backward, sync+optimizer).
+            let hot = model.hot_stats();
+            rank_profile.record_n("train_forward", hot.forward, hot.batches);
+            rank_profile.record_n("train_backward", hot.backward, hot.batches);
+            rank_profile.record_n("train_optimizer", hot.optimizer, hot.batches);
+            // Rank 0 evaluates the trained model.
+            let eval = if rank == 0 {
+                let eval_start = Instant::now();
+                let result = match model.evaluate(&test, spec2.batch.max(32)) {
+                    Ok(le) => Some(le),
+                    Err(e) => return Err(e.to_string()),
+                };
+                rank_profile.record("evaluate", eval_start.elapsed());
+                result
+            } else {
+                None
+            };
+            let train_final = if rank == 0 {
+                history.last().map(|e| (e.loss, e.accuracy))
+            } else {
+                None
+            };
+            Ok((history, stats, eval, train_final, rank_profile))
+        });
 
     let mut histories = Vec::with_capacity(per_rank.len());
     let mut comm_stats = collectives::CommStats::default();

@@ -26,9 +26,8 @@
 //! peer, so waiting on a dead rank fails at once instead of after the
 //! timeout — but a message it posted before leaving is still delivered.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -112,7 +111,7 @@ impl Lane {
             return;
         }
         for slot in &self.slots {
-            let buf = &mut slot.lock().buf;
+            let buf = &mut slot.lock().unwrap().buf;
             buf.reserve_exact(len.saturating_sub(buf.len()));
         }
         self.high_water.store(len, Ordering::Relaxed);
@@ -151,7 +150,7 @@ impl Fabric {
     fn wake(&self, seat: usize) {
         let seat = &self.seats[seat];
         if seat.parked.load(Ordering::SeqCst) {
-            if let Some(thread) = seat.thread.lock().as_ref() {
+            if let Some(thread) = seat.thread.lock().unwrap().as_ref() {
                 thread.unpark();
             }
         }
@@ -340,7 +339,7 @@ impl Communicator {
                 // Publish the handle, then look once more before parking:
                 // a waker that missed the flag has already made `ready`
                 // true.
-                *me.thread.lock() = Some(std::thread::current());
+                *me.thread.lock().unwrap() = Some(std::thread::current());
                 me.parked.store(true, Ordering::SeqCst);
                 registered = true;
             }
@@ -361,7 +360,7 @@ impl Communicator {
         })?;
         lane.grow_to(payload.len());
         {
-            let mut slot = lane.slot(seq).lock();
+            let mut slot = lane.slot(seq).lock().unwrap();
             slot.tag = tag;
             slot.buf.clear();
             slot.buf.extend_from_slice(payload);
@@ -391,7 +390,7 @@ impl Communicator {
         loop {
             let seq = lane.taken.load(Ordering::Relaxed);
             self.wait(src, || lane.posted.load(Ordering::SeqCst) > seq)?;
-            let slot = lane.slot(seq).lock();
+            let slot = lane.slot(seq).lock().unwrap();
             match slot.tag.cmp(&tag) {
                 std::cmp::Ordering::Equal => return Ok(read(&slot.buf)),
                 // Left behind by a collective that failed half way.

@@ -96,14 +96,14 @@ impl dlframe::GradientSync for DistributedOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::run_workers;
+    use crate::world::run_workers_owned;
     use dlframe::GradientSync;
 
     #[test]
     fn sync_averages_across_ranks() {
-        let results = run_workers(4, |comm| {
+        let results = run_workers_owned(4, |comm| {
             let rank = comm.rank();
-            let mut opt = DistributedOptimizer::new(comm_take(comm));
+            let mut opt = DistributedOptimizer::new(comm);
             let mut grad = vec![rank as f32; 6];
             opt.sync_gradients(&mut grad);
             grad
@@ -115,17 +115,11 @@ mod tests {
         }
     }
 
-    // run_workers hands us &mut Communicator; DistributedOptimizer wants
-    // ownership. Swap in a 1-rank placeholder world.
-    fn comm_take(comm: &mut Communicator) -> Communicator {
-        std::mem::replace(comm, Communicator::world(1).pop().unwrap())
-    }
-
     #[test]
     fn fusion_plan_produces_multiple_allreduce_calls() {
-        let results = run_workers(2, |comm| {
+        let results = run_workers_owned(2, |comm| {
             let plan = FusionPlan::unfused(&[4, 4, 4]);
-            let mut opt = DistributedOptimizer::new(comm_take(comm)).with_fusion_plan(plan);
+            let mut opt = DistributedOptimizer::new(comm).with_fusion_plan(plan);
             let mut grad = vec![
                 comm_rank_f32(&opt),
                 1.0,
@@ -161,9 +155,8 @@ mod tests {
         let tl = Timeline::new();
         let origin = Instant::now();
         let tl2 = tl.clone();
-        run_workers(2, move |comm| {
-            let mut opt =
-                DistributedOptimizer::new(comm_take(comm)).with_timeline(tl2.clone(), origin);
+        run_workers_owned(2, move |comm| {
+            let mut opt = DistributedOptimizer::new(comm).with_timeline(tl2.clone(), origin);
             let mut grad = vec![1.0f32; 128];
             opt.sync_gradients(&mut grad);
         });

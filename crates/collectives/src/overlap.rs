@@ -477,24 +477,20 @@ impl dlframe::GradientSync for AsyncBucketedOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::run_workers;
+    use crate::world::run_workers_owned;
     use crate::DistributedOptimizer;
     use dlframe::GradientSync;
-
-    fn comm_take(comm: &mut Communicator) -> Communicator {
-        std::mem::replace(comm, Communicator::world(1).pop().unwrap())
-    }
 
     /// Regions that span bucket boundaries reduce to exactly the same
     /// values as the blocking optimizer over the reversed plan.
     #[test]
     fn async_buckets_match_blocking_with_same_boundaries() {
-        let results = run_workers(3, |comm| {
+        let results = run_workers_owned(3, |comm| {
             let rank = comm.rank() as f32;
             // 16-byte threshold = 4 floats: buckets [4], [2], [6] over a
             // 12-element layout (readiness order, top-down tiling).
             let plan = FusionPlan::plan(&[4, 2, 6], 16);
-            let mut opt = AsyncBucketedOptimizer::new(comm_take(comm), &plan);
+            let mut opt = AsyncBucketedOptimizer::new(comm, &plan);
             assert_eq!(opt.bucket_ranges(), vec![(8, 12), (6, 8), (0, 6)]);
             let mut flat: Vec<f32> = (0..12).map(|i| i as f32 * 0.25 + rank).collect();
             // "Layers" of sizes 5 and 7: regions misaligned with buckets.
@@ -511,9 +507,9 @@ mod tests {
             assert_eq!(comm.stats().allreduce_calls, 3);
             flat
         });
-        let blocking = run_workers(3, |comm| {
+        let blocking = run_workers_owned(3, |comm| {
             let plan = FusionPlan::plan(&[4, 2, 6], 16).reversed();
-            let mut opt = DistributedOptimizer::new(comm_take(comm)).with_fusion_plan(plan);
+            let mut opt = DistributedOptimizer::new(comm).with_fusion_plan(plan);
             let rank = opt.comm().rank() as f32;
             let mut flat: Vec<f32> = (0..12).map(|i| i as f32 * 0.25 + rank).collect();
             opt.sync_gradients(&mut flat);
@@ -529,9 +525,9 @@ mod tests {
     /// Multiple steps recycle staging buffers and keep averaging.
     #[test]
     fn repeated_steps_recycle_and_average() {
-        let results = run_workers(2, |comm| {
+        let results = run_workers_owned(2, |comm| {
             let plan = FusionPlan::plan(&[3, 3], 12);
-            let mut opt = AsyncBucketedOptimizer::new(comm_take(comm), &plan);
+            let mut opt = AsyncBucketedOptimizer::new(comm, &plan);
             let rank = opt.rank() as f32;
             let mut last = Vec::new();
             for step in 0..4 {
@@ -564,10 +560,10 @@ mod tests {
         let tl = Timeline::new();
         let origin = Instant::now();
         let tl2 = tl.clone();
-        run_workers(2, move |comm| {
+        run_workers_owned(2, move |comm| {
             let plan = FusionPlan::plan(&[2, 2], 8);
-            let mut opt = AsyncBucketedOptimizer::new(comm_take(comm), &plan)
-                .with_timeline(tl2.clone(), origin);
+            let mut opt =
+                AsyncBucketedOptimizer::new(comm, &plan).with_timeline(tl2.clone(), origin);
             let mut flat = vec![1.0f32; 4];
             opt.begin_step(4);
             let hi = flat[2..4].to_vec();
@@ -601,9 +597,9 @@ mod tests {
                 .map(|i| ((i * 7 + rank * 13) % 101) as f32 * 0.37 - 9.0)
                 .collect()
         };
-        let streamed = run_workers(3, |comm| {
+        let streamed = run_workers_owned(3, |comm| {
             let plan = FusionPlan::plan(&sizes, 160);
-            let mut opt = AsyncBucketedOptimizer::new(comm_take(comm), &plan);
+            let mut opt = AsyncBucketedOptimizer::new(comm, &plan);
             assert_eq!(opt.bucket_count(), sizes.len());
             let grad = input(opt.rank());
             let mut out = vec![0.0; total];
@@ -616,9 +612,9 @@ mod tests {
             assert_eq!(comm.stats().allreduce_calls, sizes.len() as u64);
             out
         });
-        let blocking = run_workers(3, |comm| {
+        let blocking = run_workers_owned(3, |comm| {
             let plan = FusionPlan::plan(&sizes, 160).reversed();
-            let mut opt = DistributedOptimizer::new(comm_take(comm)).with_fusion_plan(plan);
+            let mut opt = DistributedOptimizer::new(comm).with_fusion_plan(plan);
             let mut flat = input(opt.comm().rank());
             opt.sync_gradients(&mut flat);
             flat
@@ -631,9 +627,9 @@ mod tests {
     /// `sync_gradients` (the blocking fallback) still averages.
     #[test]
     fn blocking_fallback_averages() {
-        let results = run_workers(4, |comm| {
+        let results = run_workers_owned(4, |comm| {
             let plan = FusionPlan::plan(&[6], 1024);
-            let mut opt = AsyncBucketedOptimizer::new(comm_take(comm), &plan);
+            let mut opt = AsyncBucketedOptimizer::new(comm, &plan);
             let mut grad = vec![opt.rank() as f32; 6];
             opt.sync_gradients(&mut grad);
             grad

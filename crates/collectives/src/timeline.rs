@@ -10,8 +10,7 @@
 //! The JSON emitter is hand-rolled — the format is flat and fixed, so a
 //! serde dependency would be pure weight (see DESIGN.md §7).
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One completed timeline span.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +64,7 @@ impl Timeline {
     /// Records one span. A `&str` or `String` name is copied; an
     /// `Arc<str>` is shared.
     pub fn record(&self, name: impl Into<Arc<str>>, rank: usize, start_us: u64, dur_us: u64) {
-        self.inner.lock().push(Span {
+        self.inner.lock().unwrap().push(Span {
             name: name.into(),
             rank,
             start_us,
@@ -75,7 +74,8 @@ impl Timeline {
 
     /// Returns a snapshot of all events, sorted by start time.
     pub fn events(&self) -> Vec<TimelineEvent> {
-        let mut v: Vec<TimelineEvent> = self.inner.lock().iter().map(Span::event).collect();
+        let mut v: Vec<TimelineEvent> =
+            self.inner.lock().unwrap().iter().map(Span::event).collect();
         v.sort_by_key(|e| (e.start_us, e.rank));
         v
     }
@@ -89,6 +89,7 @@ impl Timeline {
         let mut v: Vec<TimelineEvent> = self
             .inner
             .lock()
+            .unwrap()
             .iter()
             .filter(|e| e.rank == rank && e.name.starts_with(prefix))
             .map(Span::event)
@@ -101,6 +102,7 @@ impl Timeline {
     pub fn total_duration_us(&self, needle: &str) -> u64 {
         self.inner
             .lock()
+            .unwrap()
             .iter()
             .filter(|e| e.name.contains(needle))
             .map(|e| e.dur_us)
@@ -113,6 +115,7 @@ impl Timeline {
     pub fn max_duration_us(&self, needle: &str) -> u64 {
         self.inner
             .lock()
+            .unwrap()
             .iter()
             .filter(|e| e.name.contains(needle))
             .map(|e| e.dur_us)

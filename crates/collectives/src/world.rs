@@ -23,8 +23,9 @@ where
 }
 
 /// Like [`run_workers`], but hands each worker *ownership* of its
-/// communicator. Elastic-recovery workers need this: surviving an injected
-/// crash means consuming the endpoint through
+/// communicator: what a rank that trains needs, since the gradient-sync
+/// optimizers take the endpoint by value, and what elastic recovery needs,
+/// since surviving an injected crash means consuming the endpoint through
 /// [`Communicator::shrink`](crate::Communicator::shrink) and continuing on
 /// the smaller world.
 ///

@@ -10,7 +10,7 @@
 //! worlds of two, three and four ranks, with and without a [`Timeline`].
 
 use collectives::{
-    run_workers, AsyncBucketedOptimizer, Communicator, DistributedOptimizer, FusionPlan, Timeline,
+    run_workers_owned, AsyncBucketedOptimizer, DistributedOptimizer, FusionPlan, Timeline,
 };
 use dlframe::GradientSync;
 use parx::{thread_allocs, CountingAlloc};
@@ -25,10 +25,6 @@ const STEPS: usize = 50;
 const SMALL: usize = 12_417;
 /// 1.5 MiB, `cold_wide`'s gradient: the ring at every world size here.
 const LARGE: usize = 393_216;
-
-fn comm_take(comm: &mut Communicator) -> Communicator {
-    std::mem::replace(comm, Communicator::world(1).pop().unwrap())
-}
 
 /// A timeline whose event list already has room for everything one
 /// configuration records: growing that list is the recorder's amortized
@@ -63,8 +59,8 @@ fn blocking_sync_steady_state_allocates_nothing() {
             for traced in [false, true] {
                 let timeline = traced.then(roomy_timeline);
                 let origin = Instant::now();
-                let allocs = run_workers(world, |comm| {
-                    let mut opt = DistributedOptimizer::new(comm_take(comm));
+                let allocs = run_workers_owned(world, |comm| {
+                    let mut opt = DistributedOptimizer::new(comm);
                     if let Some(tl) = &timeline {
                         opt = opt.with_timeline(tl.clone(), origin);
                     }
@@ -99,9 +95,9 @@ fn streamed_sync_steady_state_allocates_nothing() {
                 let origin = Instant::now();
                 let total: usize = layers.iter().sum();
                 let cut = total / 2;
-                let allocs = run_workers(world, |comm| {
+                let allocs = run_workers_owned(world, |comm| {
                     let plan = FusionPlan::plan(layers, 16 * 1024);
-                    let mut opt = AsyncBucketedOptimizer::new(comm_take(comm), &plan);
+                    let mut opt = AsyncBucketedOptimizer::new(comm, &plan);
                     assert_eq!(opt.bucket_count(), layers.len());
                     if let Some(tl) = &timeline {
                         opt = opt.with_timeline(tl.clone(), origin);

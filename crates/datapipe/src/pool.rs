@@ -19,10 +19,9 @@
 
 use crate::service::JobCounters;
 use datacache::{CacheError, CachedDataset};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use tensor::Tensor;
 
 /// One decoded, training-ready shard resident in the pool.
@@ -110,7 +109,7 @@ impl ShardPool {
 
     /// Current pool counters.
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats
+        self.inner.lock().unwrap().stats
     }
 
     /// Leases shard `shard_index` of `dataset` (keyed by `dataset_key`),
@@ -124,7 +123,7 @@ impl ShardPool {
         job: Option<&JobCounters>,
     ) -> Result<ShardLease, CacheError> {
         let key = (dataset_key, shard_index);
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         loop {
             inner.clock += 1;
             let now = inner.clock;
@@ -152,7 +151,7 @@ impl ShardPool {
                 }
                 Some(Slot::Loading) => {
                     // Single-flight: someone else is decoding this shard.
-                    self.changed.wait(&mut inner);
+                    inner = self.changed.wait(inner).unwrap();
                 }
                 None => {
                     inner.slots.insert(key, Slot::Loading);
@@ -162,7 +161,7 @@ impl ShardPool {
                     }
                     drop(inner);
                     let decoded = decode_shard(dataset, shard_index);
-                    let mut inner = self.inner.lock();
+                    let mut inner = self.inner.lock().unwrap();
                     match decoded {
                         Ok(shard) => {
                             let shard = Arc::new(shard);
@@ -234,7 +233,7 @@ impl ShardPool {
     }
 
     fn release(&self, key: (u64, u32)) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if let Some(Slot::Ready { leases, .. }) = inner.slots.get_mut(&key) {
             *leases -= 1;
             if *leases == 0 {

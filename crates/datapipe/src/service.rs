@@ -23,12 +23,11 @@ use crate::pool::{PoolStats, ShardPool};
 use crate::stream::{EpochStream, StreamOrder};
 use datacache::{CacheError, CacheOutcome, CacheStore, CachedDataset};
 use dataio::Frame;
-use parking_lot::Mutex;
 use parx::WorkerPool;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Configuration of one shared data plane.
@@ -253,7 +252,7 @@ impl DatasetService {
 
     /// Service-level job accounting.
     pub fn stats(&self) -> ServiceStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         ServiceStats {
             active_jobs: inner.active_jobs,
             admitted: inner.admitted,
@@ -271,7 +270,9 @@ impl DatasetService {
     /// Opens (warm) or builds (cold, single-flight) the dataset cached
     /// under `key` and registers it for admission. Concurrent opens of the
     /// same key serialize: exactly one runs `build`, the rest warm-hit.
-    /// The dataset stays disk-leased until the service is dropped.
+    /// The dataset stays disk-leased until the service is dropped. A `build`
+    /// that panics registers nothing, and the next open of `key` builds
+    /// afresh.
     pub fn open_dataset(
         &self,
         key: u64,
@@ -280,8 +281,13 @@ impl DatasetService {
         nshards: usize,
         build: impl FnOnce() -> Result<Frame, CacheError>,
     ) -> Result<CacheOutcome, CacheError> {
-        let _flight = self.open_lock.lock();
-        if self.inner.lock().datasets.contains_key(&key) {
+        // The caller's `build` runs under this guard, so a panicking build
+        // poisons it; a `Mutex<()>` guards no state, so later opens go on.
+        let _flight = self
+            .open_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if self.inner.lock().unwrap().datasets.contains_key(&key) {
             return Ok(CacheOutcome::WarmHit {
                 manifest_load: Duration::ZERO,
             });
@@ -301,7 +307,7 @@ impl DatasetService {
             .map(|s| (s.rows * dataset.ncols() * std::mem::size_of::<f32>()) as u64)
             .max()
             .unwrap_or(0);
-        self.inner.lock().datasets.insert(
+        self.inner.lock().unwrap().datasets.insert(
             key,
             RegisteredDataset {
                 dataset: Arc::new(dataset),
@@ -315,6 +321,7 @@ impl DatasetService {
     pub fn dataset_rows(&self, key: u64) -> Option<usize> {
         self.inner
             .lock()
+            .unwrap()
             .datasets
             .get(&key)
             .map(|d| d.dataset.nrows())
@@ -324,6 +331,7 @@ impl DatasetService {
     pub fn dataset_cols(&self, key: u64) -> Option<usize> {
         self.inner
             .lock()
+            .unwrap()
             .datasets
             .get(&key)
             .map(|d| d.dataset.ncols())
@@ -331,7 +339,7 @@ impl DatasetService {
 
     /// Admits a job, or explains why it cannot run right now.
     pub fn admit(self: &Arc<Self>, spec: JobSpec) -> Result<JobHandle, AdmitError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let (dataset, max_shard_bytes) = match inner.datasets.get(&spec.dataset) {
             Some(r) => (Arc::clone(&r.dataset), r.max_shard_bytes),
             None => {
@@ -393,7 +401,7 @@ impl std::fmt::Debug for DatasetService {
 
 impl Drop for DatasetService {
     fn drop(&mut self) {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         for key in inner.datasets.keys() {
             self.store.release(*key);
         }
@@ -482,6 +490,6 @@ impl JobHandle {
 
 impl Drop for JobHandle {
     fn drop(&mut self) {
-        self.service.inner.lock().active_jobs -= 1;
+        self.service.inner.lock().unwrap().active_jobs -= 1;
     }
 }

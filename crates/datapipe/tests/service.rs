@@ -327,6 +327,44 @@ fn second_service_over_same_root_warm_hits() {
     );
 }
 
+/// A cold build that panics under the service's open lock leaves the shared
+/// plane usable: the next open of the same key cold-builds, its job streams
+/// exactly what a fresh service streams, and the stats still answer.
+#[test]
+fn panicking_cold_build_leaves_the_service_usable() {
+    let key = 0x4A;
+    let (rows, cols) = (120, 6);
+    let root = tmp_root("panicked_build");
+    let service = DatasetService::new(ServiceConfig::new(&root)).unwrap();
+    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        service.open_dataset(key, "synthetic:test", "", 5, || panic!("build died"))
+    }));
+    assert!(crashed.is_err());
+
+    let reopened = service
+        .open_dataset(key, "synthetic:test", "", 5, || {
+            Ok(generate(&spec_for(rows, cols, 7)).to_frame())
+        })
+        .unwrap();
+    assert!(
+        !reopened.is_warm(),
+        "the panicked build must leave nothing to hit"
+    );
+    let job = service.admit(job_spec(key, 5)).unwrap();
+    let after_panic = stream_fingerprint(job.epoch(1)).unwrap();
+
+    let fresh_root = tmp_root("panicked_build_fresh");
+    let fresh = service_with_dataset(&fresh_root, 2, key, rows, cols);
+    let fresh_job = fresh.admit(job_spec(key, 5)).unwrap();
+    assert_eq!(after_panic, stream_fingerprint(fresh_job.epoch(1)).unwrap());
+
+    let stats = service.stats();
+    assert_eq!(
+        (stats.datasets, stats.admitted, stats.active_jobs),
+        (1, 1, 1)
+    );
+}
+
 /// StreamOrder is part of the public API surface; make sure the re-export
 /// compiles and the enum is usable downstream.
 #[test]

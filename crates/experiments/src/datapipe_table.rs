@@ -67,14 +67,15 @@ fn dataset_spec(rows: usize, cols: usize) -> SyntheticSpec {
 
 /// Runs `jobs` concurrent epoch streams over a shared service and over
 /// independent per-job caches, returning walls, throughputs, and the
-/// bit-identity verdict. `None` if the temp filesystem is unavailable.
+/// bit-identity verdict. A failed step is an error naming the step, never
+/// a shorter table.
 pub fn measure_datapipe_comparison(
     jobs: usize,
     rows: usize,
     cols: usize,
     shards: usize,
-) -> Option<DatapipeComparison> {
-    let dir = scratch("datapipe").ok()?;
+) -> Result<DatapipeComparison, String> {
+    let dir = scratch("datapipe").map_err(|e| format!("scratch dir: {e}"))?;
     let key = 0xDA7A;
     let batch = 64;
     let spec = dataset_spec(rows, cols);
@@ -91,30 +92,35 @@ pub fn measure_datapipe_comparison(
     config.pool_budget_bytes = TOTAL_POOL_BUDGET;
     config.threads = 4;
     config.max_jobs = jobs;
-    let service = DatasetService::new(config).ok()?;
+    let service = DatasetService::new(config).map_err(|e| format!("shared service: {e}"))?;
     service
         .open_dataset(key, "synthetic:datapipe", "", shards, || {
             Ok(generate(&spec).to_frame())
         })
-        .ok()?;
+        .map_err(|e| format!("shared cold build: {e}"))?;
 
     // Solo baselines: each job alone on a fresh service over the warm
     // disk cache — the fingerprints the concurrent streams must match.
-    let mut solo = Vec::with_capacity(jobs);
-    for j in 0..jobs {
-        let svc = DatasetService::new(ServiceConfig::new(&shared_root)).ok()?;
+    let solo_run = |j: usize| -> Result<u64, Box<dyn std::error::Error>> {
+        let svc = DatasetService::new(ServiceConfig::new(&shared_root))?;
         svc.open_dataset(key, "synthetic:datapipe", "", shards, || {
             Ok(generate(&spec).to_frame())
-        })
-        .ok()?;
-        let job = svc.admit(job_spec(j as u64)).ok()?;
-        solo.push(stream_fingerprint(job.epoch(0)).ok()?);
-    }
+        })?;
+        let job = svc.admit(job_spec(j as u64))?;
+        Ok(stream_fingerprint(job.epoch(0))?)
+    };
+    let solo = (0..jobs)
+        .map(|j| solo_run(j).map_err(|e| format!("solo job {j}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // The concurrent shared fleet.
     let handles: Vec<_> = (0..jobs)
-        .map(|j| service.admit(job_spec(j as u64)).ok())
-        .collect::<Option<_>>()?;
+        .map(|j| {
+            service
+                .admit(job_spec(j as u64))
+                .map_err(|e| format!("shared admission of job {j}: {e}"))
+        })
+        .collect::<Result<_, _>>()?;
     let shared_start = Instant::now();
     let threads: Vec<_> = handles
         .into_iter()
@@ -128,7 +134,10 @@ pub fn measure_datapipe_comparison(
     let mut shared_rows = 0u64;
     let mut bit_identical = true;
     for (j, t) in threads.into_iter().enumerate() {
-        let (fp, delivered) = t.join().ok()?.ok()?;
+        let (fp, delivered) = t
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .map_err(|e| format!("shared job {j}: {e}"))?;
         shared_rows += delivered;
         bit_identical &= fp == solo[j];
     }
@@ -160,13 +169,16 @@ pub fn measure_datapipe_comparison(
         .collect();
     let mut independent_rows = 0u64;
     for (j, t) in threads.into_iter().enumerate() {
-        let (fp, delivered) = t.join().ok()?.ok()?;
+        let (fp, delivered) = t
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            .map_err(|e| format!("independent job {j}: {e}"))?;
         independent_rows += delivered;
         bit_identical &= fp == solo[j];
     }
     let independent_wall_s = independent_start.elapsed().as_secs_f64();
 
-    Some(DatapipeComparison {
+    Ok(DatapipeComparison {
         jobs,
         rows,
         cols,
@@ -184,57 +196,53 @@ pub fn measure_datapipe_comparison(
 pub fn table_datapipe(quick: bool) -> Experiment {
     let jobs = 32;
     let (rows, cols, shards) = if quick { (1024, 16, 8) } else { (4096, 24, 8) };
-    let mut text = String::new();
-    match measure_datapipe_comparison(jobs, rows, cols, shards) {
-        Some(c) => {
-            assert!(
-                c.bit_identical,
-                "a concurrent job's stream diverged from its solo run"
-            );
-            let measured = format_table(
-                &["data plane", "wall", "rows/s (aggregate)", "speedup"],
-                &[
-                    vec![
-                        format!("{jobs} independent caches"),
-                        format!("{:.3}s", c.independent_wall_s),
-                        format!("{:.0}", c.independent_rows_per_s),
-                        "1.00x".into(),
-                    ],
-                    vec![
-                        "one shared service".into(),
-                        format!("{:.3}s", c.shared_wall_s),
-                        format!("{:.0}", c.shared_rows_per_s),
-                        format!("{:.2}x", c.independent_wall_s / c.shared_wall_s.max(1e-9)),
-                    ],
-                ],
-            );
-            text.push_str(&format!(
-                "Measured: {jobs} concurrent jobs, one shuffled epoch each over a \
-                 {rows}x{} dataset ({shards} shards, {} MiB total pool budget):\n{measured}",
-                cols + 1,
-                TOTAL_POOL_BUDGET >> 20,
-            ));
-            text.push_str(&format!(
-                "pool: {} decodes for {} acquires ({} hits), peak resident {} KiB; \
-                 every stream bit-identical to its solo run: {}\n",
-                c.pool.misses,
-                c.pool.hits + c.pool.misses,
-                c.pool.hits,
-                c.pool.peak_resident_bytes >> 10,
-                c.bit_identical,
-            ));
-            // Timer-based comparisons only mean something in release
-            // builds; debug walls are dominated by unoptimized decode.
-            if crate::gate::timed_asserts_enabled(quick) {
-                assert!(
-                    c.shared_rows_per_s >= c.independent_rows_per_s,
-                    "shared plane slower than {jobs} independent caches: {:.0} vs {:.0} rows/s",
-                    c.shared_rows_per_s,
-                    c.independent_rows_per_s,
-                );
-            }
-        }
-        None => text.push_str("  (temp dir unavailable; measured section skipped)\n"),
+    let c = measure_datapipe_comparison(jobs, rows, cols, shards)
+        .unwrap_or_else(|e| panic!("table_datapipe: {e}"));
+    assert!(
+        c.bit_identical,
+        "a concurrent job's stream diverged from its solo run"
+    );
+    let measured = format_table(
+        &["data plane", "wall", "rows/s (aggregate)", "speedup"],
+        &[
+            vec![
+                format!("{jobs} independent caches"),
+                format!("{:.3}s", c.independent_wall_s),
+                format!("{:.0}", c.independent_rows_per_s),
+                "1.00x".into(),
+            ],
+            vec![
+                "one shared service".into(),
+                format!("{:.3}s", c.shared_wall_s),
+                format!("{:.0}", c.shared_rows_per_s),
+                format!("{:.2}x", c.independent_wall_s / c.shared_wall_s.max(1e-9)),
+            ],
+        ],
+    );
+    let mut text = format!(
+        "Measured: {jobs} concurrent jobs, one shuffled epoch each over a \
+         {rows}x{} dataset ({shards} shards, {} MiB total pool budget):\n{measured}",
+        cols + 1,
+        TOTAL_POOL_BUDGET >> 20,
+    );
+    text.push_str(&format!(
+        "pool: {} decodes for {} acquires ({} hits), peak resident {} KiB; \
+         every stream bit-identical to its solo run: {}\n",
+        c.pool.misses,
+        c.pool.hits + c.pool.misses,
+        c.pool.hits,
+        c.pool.peak_resident_bytes >> 10,
+        c.bit_identical,
+    ));
+    // Timer-based comparisons only mean something in release builds;
+    // debug walls are dominated by unoptimized decode.
+    if crate::gate::timed_asserts_enabled(quick) {
+        assert!(
+            c.shared_rows_per_s >= c.independent_rows_per_s,
+            "shared plane slower than {jobs} independent caches: {:.0} vs {:.0} rows/s",
+            c.shared_rows_per_s,
+            c.independent_rows_per_s,
+        );
     }
 
     text.push_str(
@@ -280,7 +288,7 @@ mod tests {
     /// one shared service, bit-identical to solo, throughput reported.
     #[test]
     fn measured_fleet_is_bit_identical_and_complete() {
-        let c = measure_datapipe_comparison(32, 512, 8, 4).expect("temp fs");
+        let c = measure_datapipe_comparison(32, 512, 8, 4).unwrap();
         assert!(c.bit_identical);
         assert_eq!(c.pool.misses, 4, "one decode per shard on the shared plane");
         assert!(c.shared_rows_per_s > 0.0 && c.independent_rows_per_s > 0.0);

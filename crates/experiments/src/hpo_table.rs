@@ -65,20 +65,22 @@ fn search_space() -> SearchSpace {
     }
 }
 
-fn eval_dataset(spec: &SyntheticSpec, rows: usize, classes: usize) -> Option<Dataset> {
+fn eval_dataset(spec: &SyntheticSpec, rows: usize, classes: usize) -> Result<Dataset, String> {
     let mut held_out = *spec;
     held_out.rows = rows;
     held_out.seed = spec.seed ^ 0x5EED;
     let data = generate(&held_out);
-    let x = Tensor::from_vec([data.rows, data.cols], data.features.clone()).ok()?;
-    let y = Tensor::from_vec([data.rows, classes], data.one_hot_labels()).ok()?;
-    Some(Dataset::new(x, y))
+    let x = Tensor::from_vec([data.rows, data.cols], data.features.clone())
+        .map_err(|e| format!("eval features: {e}"))?;
+    let y = Tensor::from_vec([data.rows, classes], data.one_hot_labels())
+        .map_err(|e| format!("eval labels: {e}"))?;
+    Ok(Dataset::new(x, y))
 }
 
 /// Runs the seeded search at each worker count in `workers`, then the
-/// brute-force full-budget sweep, returning all verification evidence.
-/// `None` if the temp filesystem is unavailable.
-pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
+/// brute-force full-budget sweep, returning all verification evidence. A
+/// failed step is an error naming the step, never a shorter table.
+pub fn measure_hpo(quick: bool) -> Result<HpoMeasurement, String> {
     let (trials, rows, cols, classes, workers): (usize, usize, usize, usize, &[usize]) = if quick
     {
         (8, 512, 12, 3, &[1, 2])
@@ -90,7 +92,7 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
         reduction: 2,
         rungs: 4,
     };
-    let dir = scratch("hpo").ok()?;
+    let dir = scratch("hpo").map_err(|e| format!("scratch dir: {e}"))?;
 
     let spec = SyntheticSpec {
         rows,
@@ -105,21 +107,23 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
     let key = 0x4150;
     let mut config = ServiceConfig::new(dir.join("cache"));
     config.threads = 2;
-    let service = DatasetService::new(config).ok()?;
+    let service = DatasetService::new(config).map_err(|e| format!("dataset service: {e}"))?;
     service
         .open_dataset(key, "synthetic:hpo", "", 4, || Ok(generate(&spec).to_frame()))
-        .ok()?;
+        .map_err(|e| format!("cold build: {e}"))?;
     let eval = eval_dataset(&spec, rows / 4, classes)?;
 
     let space = search_space();
-    let executor = |tag: &str| -> Option<Arc<LocalExecutor>> {
-        Some(Arc::new(LocalExecutor::new(
+    let executor = |tag: &str| -> Result<Arc<LocalExecutor>, String> {
+        let store = TrialStore::new(dir.join(format!("store-{tag}")), 2)
+            .map_err(|e| format!("trial store {tag}: {e}"))?;
+        Ok(Arc::new(LocalExecutor::new(
             Arc::clone(&service),
             key,
             classes,
             eval.clone(),
             64,
-            TrialStore::new(dir.join(format!("store-{tag}")), 2).ok()?,
+            store,
             SeedNode::root(SEARCH_SEED),
         )))
     };
@@ -134,11 +138,12 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
             asha,
             workers: w,
         };
-        let r = run_search(&space, exec, &search_config).ok()?;
+        let r = run_search(&space, exec, &search_config)
+            .map_err(|e| format!("search at {w} workers: {e}"))?;
         worker_fingerprints.push((w, r.fingerprint()));
         report = Some(r);
     }
-    let report = report?;
+    let report = report.ok_or("no worker count to search at")?;
 
     // Brute force: every trial trained uninterrupted to the full budget.
     // This is both the baseline ASHA's epoch bill is judged against and
@@ -151,7 +156,9 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
     let mut winner_acc = 0.0;
     for id in 0..trials as TrialId {
         let params = space.sample(root, id);
-        let full = exec.full_run(id, &params, asha.max_epochs()).ok()?;
+        let full = exec
+            .full_run(id, &params, asha.max_epochs())
+            .map_err(|e| format!("full-budget run of trial {id}: {e}"))?;
         if id == report.winner {
             winner_full_hash = full.params_hash;
             winner_acc = full.accuracy;
@@ -164,9 +171,9 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
             brute_best = Some((id, full.accuracy, full.objective));
         }
     }
-    let (brute_best_id, brute_best_acc, _) = brute_best?;
+    let (brute_best_id, brute_best_acc, _) = brute_best.ok_or("no trial to sweep")?;
 
-    Some(HpoMeasurement {
+    Ok(HpoMeasurement {
         resume_bit_exact: report.winner_outcome().params_hash == winner_full_hash,
         worker_fingerprints,
         report,
@@ -180,67 +187,62 @@ pub fn measure_hpo(quick: bool) -> Option<HpoMeasurement> {
 /// The HPO experiment: deterministic ASHA over real trials, plus the
 /// modelled full-size fleet bill.
 pub fn table_hpo(quick: bool) -> Experiment {
-    let mut text = String::new();
-    match measure_hpo(quick) {
-        Some(m) => {
-            let first = m.worker_fingerprints[0].1;
-            assert!(
-                m.worker_fingerprints.iter().all(|&(_, fp)| fp == first),
-                "search fingerprint varies with worker threads: {:?}",
-                m.worker_fingerprints
-            );
-            assert!(
-                m.resume_bit_exact,
-                "winner's rung-checkpointed chain diverged from its uninterrupted run"
-            );
-            assert!(
-                m.report.budget_fraction() < 0.5,
-                "ASHA spent {:.0}% of the brute-force budget",
-                m.report.budget_fraction() * 100.0
-            );
-            // The headline claim — ASHA finds the best full-budget
-            // configuration — needs the full-size search; the quick
-            // search's rung-0 epoch is too noisy a predictor to assert on.
-            if !quick {
-                assert!(
-                    m.winner_acc >= m.brute_best_acc,
-                    "ASHA winner reached {:.4} at full budget; trial {} reached {:.4}",
-                    m.winner_acc,
-                    m.brute_best_id,
-                    m.brute_best_acc,
-                );
-            }
-            text.push_str(&format!(
-                "Measured: {} trials, rungs at 1/2/4/8 epochs (eta 2), shared datapipe \
-                 service, seed {SEARCH_SEED}:\n{}",
-                m.report.config.trials,
-                m.report.render(),
-            ));
-            let worker_list = m
-                .worker_fingerprints
-                .iter()
-                .map(|(w, _)| w.to_string())
-                .collect::<Vec<_>>()
-                .join("/");
-            text.push_str(&format!(
-                "fingerprint {:016x} identical at {worker_list} worker threads; \
-                 winner chain bit-exact vs uninterrupted run: {}\n",
-                first, m.resume_bit_exact,
-            ));
-            text.push_str(&format!(
-                "full-budget oracle: best trial {} at accuracy {:.4}; ASHA winner {} \
-                 reaches {:.4} having scheduled {} of {} epochs\n",
-                m.brute_best_id,
-                m.brute_best_acc,
-                m.report.winner,
-                m.winner_acc,
-                m.report.epochs_spent,
-                m.report.full_budget,
-            ));
-            text.push_str(&m.report.phase_profile().report());
-        }
-        None => text.push_str("  (temp dir unavailable; measured section skipped)\n"),
+    let m = measure_hpo(quick).unwrap_or_else(|e| panic!("table_hpo: {e}"));
+    let first = m.worker_fingerprints[0].1;
+    assert!(
+        m.worker_fingerprints.iter().all(|&(_, fp)| fp == first),
+        "search fingerprint varies with worker threads: {:?}",
+        m.worker_fingerprints
+    );
+    assert!(
+        m.resume_bit_exact,
+        "winner's rung-checkpointed chain diverged from its uninterrupted run"
+    );
+    assert!(
+        m.report.budget_fraction() < 0.5,
+        "ASHA spent {:.0}% of the brute-force budget",
+        m.report.budget_fraction() * 100.0
+    );
+    // The headline claim — ASHA finds the best full-budget configuration —
+    // needs the full-size search; the quick search's rung-0 epoch is too
+    // noisy a predictor to assert on.
+    if !quick {
+        assert!(
+            m.winner_acc >= m.brute_best_acc,
+            "ASHA winner reached {:.4} at full budget; trial {} reached {:.4}",
+            m.winner_acc,
+            m.brute_best_id,
+            m.brute_best_acc,
+        );
     }
+    let mut text = format!(
+        "Measured: {} trials, rungs at 1/2/4/8 epochs (eta 2), shared datapipe \
+         service, seed {SEARCH_SEED}:\n{}",
+        m.report.config.trials,
+        m.report.render(),
+    );
+    let worker_list = m
+        .worker_fingerprints
+        .iter()
+        .map(|(w, _)| w.to_string())
+        .collect::<Vec<_>>()
+        .join("/");
+    text.push_str(&format!(
+        "fingerprint {:016x} identical at {worker_list} worker threads; \
+         winner chain bit-exact vs uninterrupted run: {}\n",
+        first, m.resume_bit_exact,
+    ));
+    text.push_str(&format!(
+        "full-budget oracle: best trial {} at accuracy {:.4}; ASHA winner {} \
+         reaches {:.4} having scheduled {} of {} epochs\n",
+        m.brute_best_id,
+        m.brute_best_acc,
+        m.report.winner,
+        m.winner_acc,
+        m.report.epochs_spent,
+        m.report.full_budget,
+    ));
+    text.push_str(&m.report.phase_profile().report());
 
     // Modelled: the same rung geometry for a full-size P1B2 fleet on
     // Summit — what the early stopping is worth in machine time and
@@ -327,7 +329,7 @@ mod tests {
     /// winner chain bit-exact, budget structurally under half.
     #[test]
     fn quick_search_is_deterministic_and_cheap() {
-        let m = measure_hpo(true).expect("temp fs");
+        let m = measure_hpo(true).unwrap();
         let first = m.worker_fingerprints[0].1;
         assert!(m.worker_fingerprints.iter().all(|&(_, fp)| fp == first));
         assert!(m.resume_bit_exact);

@@ -17,12 +17,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cluster::Machine;
 use dlframe::Sequential;
-use parking_lot::Mutex;
 use serve::{request_row, LatencySummary, ServeConfig, ServeEngine, ServeError, ServeHandle};
 use simcore::{LogHistogram, WindowedHistogram};
 use xrng::derive_seed;
@@ -137,7 +136,7 @@ fn collect_replies(replies: Receiver<serve::Ticket>, stats: &Mutex<SharedStats>,
     for ticket in replies {
         let outcome = ticket.wait();
         let t = start.elapsed().as_secs_f64();
-        let mut s = stats.lock();
+        let mut s = stats.lock().unwrap();
         match outcome {
             Ok(p) => {
                 let lat = p.latency.as_secs_f64();
@@ -298,7 +297,7 @@ pub fn run_serve_fleet(
     // Background drains hold engine ownership; they finished before the
     // scope exited, so their ledger entries are complete.
     assert_eq!(in_flight_drains.load(Ordering::SeqCst), 0);
-    spans.extend(drained_busy.lock().drain(..));
+    spans.extend(drained_busy.lock().unwrap().drain(..));
 
     let power = config.machine.spec().power;
     let mut energy_j = 0.0;
@@ -315,7 +314,7 @@ pub fn run_serve_fleet(
     }
 
     let (completed, failed, latency) = {
-        let s = stats.lock();
+        let s = stats.lock().unwrap();
         (
             s.completed,
             s.failed,
@@ -365,7 +364,7 @@ fn control_step<'scope, 'env, F>(
     F: Fn(usize) -> Slot,
 {
     let (p99_s, samples) = {
-        let s = stats.lock();
+        let s = stats.lock().unwrap();
         let snap = s.windowed.snapshot(now_s);
         let n = snap.count();
         (if n > 0 { snap.quantile(0.99) } else { 0.0 }, n)
@@ -434,7 +433,7 @@ fn control_step<'scope, 'env, F>(
                     engine.shutdown();
                     let uptime = (now_s - online_s).max(0.0)
                         + drain_start.elapsed().as_secs_f64();
-                    ledger.lock().push(ReplicaSpan {
+                    ledger.lock().unwrap().push(ReplicaSpan {
                         uptime_s: uptime,
                         busy_s: busy,
                     });
@@ -454,7 +453,7 @@ mod tests {
     use crate::router::RouterPolicy;
     use crate::trace::Burst;
     use dlframe::{Activation, Dense, DlError, Layer, Loss, Optimizer};
-    use parking_lot::RwLock;
+    use std::sync::RwLock;
     use tensor::{Tensor, Workspace};
 
     /// An identity layer whose inference forward blocks while the test
@@ -473,7 +472,7 @@ mod tests {
         }
 
         fn forward_infer(&self, x: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
-            drop(self.0.read());
+            drop(self.0.read().unwrap());
             Ok(ws.alloc_copy(x))
         }
 
@@ -568,7 +567,7 @@ mod tests {
         // lower bound on the blocked forward.
         let hold = Duration::from_millis(250);
         let gate = Gate::default();
-        let shut = gate.0.write();
+        let shut = gate.0.write().unwrap();
         let engine_config = ServeConfig {
             max_batch: 1,
             workers: 1,
@@ -601,7 +600,7 @@ mod tests {
             std::thread::sleep(hold);
             drop(shut);
         });
-        let s = stats.lock();
+        let s = stats.lock().unwrap();
         assert_eq!(s.completed, FAST + 2);
         assert_eq!(s.failed, 0);
         // The two largest samples are the gated replica's; the next one

@@ -289,23 +289,6 @@ fn advance_replica(r: &mut SimReplica, tick_end: f64, service: &ServiceModel) ->
     out
 }
 
-/// Base pointer smuggled as `usize` for disjoint per-replica writes from
-/// the parallel advance (same idiom as `parx`'s internal `SendSlice`).
-struct SendPtr<T>(usize, std::marker::PhantomData<T>);
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    fn new(p: *mut T) -> Self {
-        SendPtr(p as usize, std::marker::PhantomData)
-    }
-
-    /// Pointer to element `i`. Dereferencing is sound only while the
-    /// backing allocation lives and indices stay disjoint across threads.
-    fn at(&self, i: usize) -> *mut T {
-        unsafe { (self.0 as *mut T).add(i) }
-    }
-}
-
 struct SimState {
     config: SimFleetConfig,
     spec: MachineSpec,
@@ -470,24 +453,18 @@ impl SimState {
         self.done_scratch.clear();
         self.done_scratch.resize_with(n, Vec::new);
         let service = self.config.service;
-        if threads == 1 || n == 1 {
-            for (r, out) in self.replicas.iter_mut().zip(self.done_scratch.iter_mut()) {
+        // Each replica advances alone, so how they are grouped into at most
+        // `threads` chunks cannot change a bit; one chunk runs inline.
+        let per_chunk = n.div_ceil(threads).max(1);
+        let chunks = self
+            .replicas
+            .chunks_mut(per_chunk)
+            .zip(self.done_scratch.chunks_mut(per_chunk));
+        parx::parallel_each(chunks, |_, (reps, outs)| {
+            for (r, out) in reps.iter_mut().zip(outs) {
                 *out = advance_replica(r, tick_end, &service);
             }
-        } else {
-            let reps = SendPtr::new(self.replicas.as_mut_ptr());
-            let outs = SendPtr::new(self.done_scratch.as_mut_ptr());
-            parx::parallel_for_grained(n, threads, 1, |chunk| {
-                for i in chunk.start..chunk.end {
-                    // SAFETY: chunks are disjoint, so each replica and its
-                    // output slot are touched by exactly one thread; both
-                    // vectors outlive the scoped join inside parx.
-                    unsafe {
-                        *outs.at(i) = advance_replica(&mut *reps.at(i), tick_end, &service);
-                    }
-                }
-            });
-        }
+        });
         // Merge in replica order. Histogram contents are additive, so the
         // record order cannot change them; iterating in a fixed order
         // keeps the loop itself deterministic too.

@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -34,21 +34,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// Every critical section here is a few field updates, and tasks run
-    /// outside the lock (a panicking one is caught before the relock), so
-    /// a poisoned lock still guards consistent state.
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Runs tasks until the pool is closed and the queue drained.
+    /// Runs tasks until the pool is closed and the queue drained. Tasks run
+    /// outside the lock, so nothing under it can panic.
     fn worker_loop(&self) {
-        let mut queue = self.lock();
+        let mut queue = self.queue.lock().unwrap();
         loop {
             queue = self
                 .work
                 .wait_while(queue, |q| q.tasks.is_empty() && !q.closed)
-                .unwrap_or_else(PoisonError::into_inner);
+                .unwrap();
             let Some(task) = queue.tasks.pop_front() else {
                 return;
             };
@@ -60,7 +54,7 @@ impl Shared {
             if catch_unwind(AssertUnwindSafe(task)).is_err() {
                 self.restarts.fetch_add(1, Ordering::Relaxed);
             }
-            queue = self.lock();
+            queue = self.queue.lock().unwrap();
             queue.pending -= 1;
             if queue.pending == 0 {
                 self.idle.notify_all();
@@ -119,12 +113,12 @@ impl WorkerPool {
     /// Tasks submitted but not yet finished (queued plus running) — the
     /// live queue-depth signal shared-service schedulers report.
     pub fn pending(&self) -> usize {
-        self.shared.lock().pending
+        self.shared.queue.lock().unwrap().pending
     }
 
     /// Submits a task for execution on some worker.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, task: F) {
-        let mut queue = self.shared.lock();
+        let mut queue = self.shared.queue.lock().unwrap();
         queue.tasks.push_back(Box::new(task));
         queue.pending += 1;
         drop(queue);
@@ -133,12 +127,12 @@ impl WorkerPool {
 
     /// Blocks until every submitted task has completed.
     pub fn join(&self) {
-        let queue = self.shared.lock();
+        let queue = self.shared.queue.lock().unwrap();
         drop(
             self.shared
                 .idle
                 .wait_while(queue, |q| q.pending > 0)
-                .unwrap_or_else(PoisonError::into_inner),
+                .unwrap(),
         );
     }
 }
@@ -146,7 +140,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the queue lets workers drain the remaining tasks and exit.
-        self.shared.lock().closed = true;
+        self.shared.queue.lock().unwrap().closed = true;
         self.shared.work.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();

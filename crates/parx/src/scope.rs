@@ -143,28 +143,14 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    {
-        let slots = SendSlice(out.as_mut_ptr() as usize, std::marker::PhantomData::<T>);
-        parallel_for(n, threads, |chunk| {
-            for i in chunk.start..chunk.end {
-                // SAFETY: chunks are disjoint, so each index is written by
-                // exactly one thread; the Vec outlives the scope.
-                unsafe {
-                    let base = slots.0 as *mut Option<T>;
-                    *base.add(i) = Some(f(i));
-                }
-            }
-        });
+    assert!(threads > 0, "parallel_map: threads must be positive");
+    let chunks = chunk_ranges(n, threads);
+    if chunks.len() <= 1 || n < threads * MIN_ITEMS_PER_THREAD {
+        return (0..n).map(f).collect();
     }
-    out.into_iter()
-        .map(|x| x.expect("parallel_map: every index filled"))
-        .collect()
+    let parts = parallel_each(chunks, |_, c| (c.start..c.end).map(&f).collect::<Vec<T>>());
+    parts.into_iter().flatten().collect()
 }
-
-/// Wrapper making a raw base pointer `Sync` for disjoint-index writes.
-struct SendSlice<T>(usize, std::marker::PhantomData<T>);
-unsafe impl<T> Sync for SendSlice<T> {}
 
 /// Reduces `0..n` in parallel: each chunk folds locally with `fold`, then
 /// the per-chunk partials are combined **in chunk order** with `combine`.
@@ -284,11 +270,16 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
+        // 5000 = 7 * 714 + 2 and 2003 = 4 * 500 + 3: the leading chunks
+        // are one item longer than the rest.
         let v = parallel_map(5000, 7, |i| i * 3);
-        assert_eq!(v.len(), 5000);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i * 3);
-        }
+        assert_eq!(v, (0..5000).map(|i| i * 3).collect::<Vec<_>>());
+        // Owned, non-`Copy` items leave their chunk intact and in order.
+        let s = parallel_map(2003, 4, |i| format!("item-{i}"));
+        assert_eq!(
+            s,
+            (0..2003).map(|i| format!("item-{i}")).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -33,12 +33,11 @@ use candle::{
     benchmark_dataset, build_rank_model, BenchDataKind, BenchId, DataMode, FuncScaling,
     ParallelRunSpec,
 };
-use collectives::{run_workers, Communicator, DistributedOptimizer, Timeline};
+use collectives::{run_workers_owned, DistributedOptimizer, Timeline};
 use dlframe::{FitConfig, Sequential};
-use parking_lot::Mutex;
 use simcore::LogHistogram;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Specification of one resilient training run.
@@ -190,23 +189,20 @@ fn restore(models: &mut [Sequential], state: &TrainState) -> Result<(), ResilErr
 /// Returns rank 0's epoch loss.
 fn train_one_epoch(
     models: Vec<Sequential>,
-    train: &Arc<dlframe::Dataset>,
+    train: &dlframe::Dataset,
     batch: usize,
 ) -> Result<(Vec<Sequential>, f64), ResilError> {
-    let workers = models.len();
-    let shared: Arc<Vec<Mutex<Option<Sequential>>>> = Arc::new(
-        models
-            .into_iter()
-            .map(|m| Mutex::new(Some(m)))
-            .collect(),
-    );
-    let shared2 = Arc::clone(&shared);
-    let train2 = Arc::clone(train);
-    let losses: Vec<Result<f64, String>> = run_workers(workers, move |comm| {
-        let rank = comm.rank();
-        let mut model = shared2[rank].lock().take().expect("replica present");
-        let endpoint = std::mem::replace(comm, Communicator::world(1).pop().expect("nonempty"));
-        let mut dist = DistributedOptimizer::new(endpoint);
+    // Each rank thread takes its own replica out of its slot and hands it
+    // back with its loss.
+    let replicas: Vec<Mutex<Option<Sequential>>> =
+        models.into_iter().map(|m| Mutex::new(Some(m))).collect();
+    let trained = run_workers_owned(replicas.len(), |comm| {
+        let mut model = replicas[comm.rank()]
+            .lock()
+            .unwrap()
+            .take()
+            .expect("replica present");
+        let mut dist = DistributedOptimizer::new(comm);
         // Must match candle::run_parallel's FitConfig field for field —
         // anything else breaks the bit-exact equivalence with the
         // uninterrupted pipeline.
@@ -217,25 +213,20 @@ fn train_one_epoch(
             compute_accuracy: true,
             ..Default::default()
         };
-        let result = model
-            .fit(&train2, &config, &mut dist)
+        let loss = model
+            .fit(train, &config, &mut dist)
             .map(|h| h.epochs()[0].loss)
             .map_err(|e| e.to_string());
-        *shared2[rank].lock() = Some(model);
-        result
+        (model, loss)
     });
-    let models: Vec<Sequential> = Arc::try_unwrap(shared)
-        .ok()
-        .expect("all workers returned")
-        .into_iter()
-        .map(|m| m.lock().take().expect("replica returned"))
-        .collect();
+    let mut models = Vec::with_capacity(trained.len());
     let mut rank0_loss = 0.0;
-    for (rank, l) in losses.into_iter().enumerate() {
-        let loss = l.map_err(ResilError::Train)?;
+    for (rank, (model, loss)) in trained.into_iter().enumerate() {
+        let loss = loss.map_err(ResilError::Train)?;
         if rank == 0 {
             rank0_loss = loss;
         }
+        models.push(model);
     }
     Ok((models, rank0_loss))
 }
@@ -251,7 +242,6 @@ pub fn run_resilient(spec: &ResilSpec) -> Result<ResilOutcome, ResilError> {
     assert!(spec.checkpoint_every > 0, "checkpoint interval must be positive");
     let pspec = spec.pipeline_spec();
     let (train, test) = benchmark_dataset(&spec.data, spec.seed);
-    let train = Arc::new(train);
 
     let mut models = build_replicas(&pspec);
     let mut mgr = CheckpointManager::new(&spec.dir, spec.keep)?;

@@ -17,11 +17,10 @@ use crate::stats::StatsInner;
 use crate::{ServeError, ServeReport};
 use collectives::Timeline;
 use dlframe::Sequential;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tensor::Tensor;
 
@@ -99,7 +98,7 @@ impl Slot {
     /// Writes the answer if none was written before, and wakes the
     /// ticket's holder.
     fn fill(&self, answer: Answer) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap();
         if matches!(*state, SlotState::Empty) {
             *state = SlotState::Filled(answer);
             drop(state);
@@ -124,13 +123,13 @@ impl Ticket {
     /// [`ServeError::ShuttingDown`] if the engine dropped the request
     /// without answering.
     pub fn wait(self) -> Result<Prediction, ServeError> {
-        let mut state = self.slot.state.lock();
+        let mut state = self.slot.state.lock().unwrap();
         loop {
             match std::mem::replace(&mut *state, SlotState::Taken) {
                 SlotState::Filled(answer) => return answer,
                 waiting => *state = waiting,
             }
-            self.slot.ready.wait(&mut state);
+            state = self.slot.ready.wait(state).unwrap();
         }
     }
 }
@@ -172,7 +171,7 @@ impl Shared {
     /// `batch`. Returns `false` once the engine is stopping and every
     /// admitted request has been answered.
     fn pull(&self, batch: &mut Vec<Request>, max: usize) -> bool {
-        let mut queue = self.queue.lock();
+        let mut queue = self.queue.lock().unwrap();
         loop {
             if !queue.is_empty() {
                 let rows = queue.len().min(max);
@@ -188,7 +187,7 @@ impl Shared {
             if self.stopping.load(Ordering::SeqCst) && self.depth.load(Ordering::SeqCst) == 0 {
                 return false;
             }
-            self.ready.wait(&mut queue);
+            queue = self.ready.wait(queue).unwrap();
         }
     }
 
@@ -205,7 +204,7 @@ impl Shared {
     /// under that lock: the worker either sees the new state or is already
     /// waiting.
     fn wake_all(&self) {
-        drop(self.queue.lock());
+        drop(self.queue.lock().unwrap());
         self.ready.notify_all();
     }
 }
@@ -295,7 +294,7 @@ impl ServeHandle {
             deadline,
             reply: Arc::clone(&slot),
         };
-        shared.queue.lock().push_back(request);
+        shared.queue.lock().unwrap().push_back(request);
         shared.ready.notify_one();
         Ok(Ticket { slot })
     }

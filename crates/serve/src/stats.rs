@@ -1,9 +1,9 @@
 //! Serving statistics: lock-free counters plus histogram-backed latency
 //! summaries, recorded by the workers one batch at a time.
 
-use parking_lot::{Mutex, MutexGuard};
 use simcore::LogHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Shared mutable recording state. Counters are atomics; the three
@@ -68,7 +68,7 @@ impl StatsInner {
     /// for its requests.
     pub fn batch(&self, forward: Duration) -> BatchStats<'_> {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        let mut histograms = self.histograms.lock();
+        let mut histograms = self.histograms.lock().unwrap();
         histograms.forward.record(forward.as_secs_f64());
         BatchStats {
             stats: self,
@@ -80,7 +80,7 @@ impl StatsInner {
     pub fn report(&self, elapsed_s: f64) -> ServeReport {
         let completed = self.completed.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
-        let histograms = self.histograms.lock();
+        let histograms = self.histograms.lock().unwrap();
         ServeReport {
             completed,
             shed: self.shed.load(Ordering::Relaxed),

@@ -2,8 +2,7 @@
 
 use crate::{ServeHandle, Ticket};
 use dlframe::{DlError, Layer};
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use tensor::{Tensor, Workspace};
 
 /// An identity layer whose inference forward blocks while the gate is
@@ -32,15 +31,13 @@ impl Gate {
     /// gate with it: from here on that worker pulls nothing.
     pub fn plug(&self, handle: &ServeHandle, features: Vec<f32>) -> Ticket {
         let ticket = handle.submit(features).unwrap();
-        let mut state = self.0.state.lock();
-        while state.1 == 0 {
-            self.0.changed.wait(&mut state);
-        }
+        let state = self.0.state.lock().unwrap();
+        drop(self.0.changed.wait_while(state, |s| s.1 == 0).unwrap());
         ticket
     }
 
     pub fn open(&self) {
-        self.0.state.lock().0 = true;
+        self.0.state.lock().unwrap().0 = true;
         self.0.changed.notify_all();
     }
 }
@@ -55,12 +52,10 @@ impl Layer for Gate {
     }
 
     fn forward_infer(&self, x: &Tensor, ws: &mut Workspace) -> Result<Tensor, DlError> {
-        let mut state = self.0.state.lock();
+        let mut state = self.0.state.lock().unwrap();
         state.1 += 1;
         self.0.changed.notify_all();
-        while !state.0 {
-            self.0.changed.wait(&mut state);
-        }
+        state = self.0.changed.wait_while(state, |s| !s.0).unwrap();
         state.1 -= 1;
         drop(state);
         Ok(ws.alloc_copy(x))

@@ -23,6 +23,30 @@ fi
 
 # Activations belong to the model's chain (DESIGN §5f): a layer that grows a
 # cache field again is copying its input or output every step.
+# Locks and condvars are std's, with one stated poison policy (DESIGN §7);
+# vendor/parking_lot is left only for benchmark/'s patch table.
+echo "==> no parking_lot in crates src tests examples or the root manifest"
+if grep -rn --include='*.rs' --include='Cargo.toml' 'parking_lot' crates src tests examples ||
+    grep -n 'parking_lot' Cargo.toml; then
+    echo "error: the workspace does not depend on parking_lot; use std::sync" >&2
+    exit 1
+fi
+
+# unsafe lives only where safe code has no operation for it. Disjoint writes
+# from several threads go through slice splits (chunks_mut, split_at_mut)
+# and parx::parallel_each, never a hand-rolled Sync pointer.
+#   crates/tensor/src/gemm.rs       AVX2 intrinsics and unchecked loads in the
+#                                   GEMM micro-kernels, a measured gain
+#   crates/tensor/src/reference.rs  the seed baseline that table_kernels times
+#                                   and the property tests compare against
+#   crates/parx/src/alloc_count.rs  GlobalAlloc is an unsafe trait
+echo "==> no unsafe outside the allow-list"
+if grep -rnE --include='*.rs' 'unsafe *(\{|impl|fn)' crates src tests examples |
+    grep -vE '^crates/(tensor/src/gemm|tensor/src/reference|parx/src/alloc_count)\.rs:'; then
+    echo "error: unsafe outside the allow-list in scripts/verify.sh" >&2
+    exit 1
+fi
+
 echo "==> no _cache: Option<Tensor> field under crates/dlframe/src/layers"
 if grep -rnE '_cache: *Option<Tensor>' crates/dlframe/src/layers; then
     echo "error: layers keep no activations; Layer::backward is handed input and output" >&2

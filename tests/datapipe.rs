@@ -45,7 +45,7 @@ fn open_synthetic(
 /// exactly one decode per shard on the shared plane.
 #[test]
 fn thirty_two_concurrent_jobs_stream_bit_identically() {
-    let c = measure_datapipe_comparison(32, 768, 12, 6).expect("temp fs");
+    let c = measure_datapipe_comparison(32, 768, 12, 6).unwrap();
     assert!(
         c.bit_identical,
         "a concurrent job's stream diverged from its solo run"
@@ -60,7 +60,7 @@ fn thirty_two_concurrent_jobs_stream_bit_identically() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn shared_service_throughput_beats_independent_caches() {
-    let c = measure_datapipe_comparison(32, 2048, 16, 8).expect("temp fs");
+    let c = measure_datapipe_comparison(32, 2048, 16, 8).unwrap();
     assert!(c.bit_identical);
     assert!(
         c.shared_rows_per_s >= c.independent_rows_per_s,

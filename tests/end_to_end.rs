@@ -53,26 +53,22 @@ fn csv_to_trained_model_via_every_reader() {
         );
 
         // Phase 2: training (2 simulated Horovod workers).
-        use collectives::{broadcast_parameters, run_workers, DistributedOptimizer};
+        use collectives::{broadcast_parameters, run_workers_owned, DistributedOptimizer};
         use dlframe::{Activation, Dense, FitConfig, Loss, Optimizer, Sequential};
         use std::sync::Arc;
         let data = Arc::new(data);
-        let results = run_workers(2, {
+        let results = run_workers_owned(2, {
             let data = Arc::clone(&data);
-            move |comm| {
+            move |mut comm| {
                 let mut rng = xrng::seeded(1000 + comm.rank() as u64);
                 let mut model = Sequential::new(comm.rank() as u64);
                 model.add(Box::new(Dense::new(32, 16, Activation::Relu, &mut rng)));
                 model.add(Box::new(Dense::new(16, 2, Activation::Linear, &mut rng)));
                 model.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.05 * 2.0));
                 let mut params = model.flat_params();
-                broadcast_parameters(comm, &mut params, None);
+                broadcast_parameters(&mut comm, &mut params, None);
                 model.set_flat_params(&params);
-                let endpoint = std::mem::replace(
-                    comm,
-                    collectives::Communicator::world(1).pop().expect("nonempty"),
-                );
-                let mut dist = DistributedOptimizer::new(endpoint);
+                let mut dist = DistributedOptimizer::new(comm);
                 let config = FitConfig {
                     epochs: 10,
                     batch_size: 20,

@@ -76,7 +76,8 @@ fn simulated_fleet_is_bit_identical_across_thread_counts() {
         baseline.offered,
         baseline.completed + baseline.shed + baseline.overloaded
     );
-    for threads in [2, 4] {
+    // 7 threads is above the autoscaler's 6-replica ceiling.
+    for threads in [2, 4, 7] {
         let run = run_fleet_sim(&sim_config(ScalePolicy::Auto(autoscale()), 0.9, threads));
         assert_eq!(
             baseline.outcome_fingerprint, run.outcome_fingerprint,

@@ -203,7 +203,7 @@ fn rung_boundary_pause_resume_is_bit_exact() {
 /// experiment driver's acceptance evidence, exercised at test scale.
 #[test]
 fn winner_rung_chain_matches_uninterrupted_full_run() {
-    let m = experiments::measure_hpo(true).expect("temp fs");
+    let m = experiments::measure_hpo(true).unwrap();
     assert!(m.resume_bit_exact, "winner chain diverged from full run");
     let first = m.worker_fingerprints[0].1;
     assert!(m.worker_fingerprints.iter().all(|&(_, fp)| fp == first));

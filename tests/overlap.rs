@@ -3,7 +3,7 @@
 //! failure on peer loss, and epoch-boundary shrink-and-continue.
 
 use collectives::{
-    broadcast_parameters, run_workers, run_workers_owned, AsyncBucketedOptimizer, Communicator,
+    broadcast_parameters, run_workers_owned, AsyncBucketedOptimizer, Communicator,
     DistributedOptimizer, FusionPlan, Timeline,
 };
 use cluster::calib::Bench;
@@ -36,19 +36,14 @@ fn synced_model(comm: &mut Communicator, seed: u64) -> dlframe::Sequential {
     model
 }
 
-fn comm_take(comm: &mut Communicator) -> Communicator {
-    std::mem::replace(comm, Communicator::world(1).pop().unwrap())
-}
-
 fn train_param_bits(workers: usize, seed: u64, overlapped: bool) -> Vec<Vec<u32>> {
-    run_workers(workers, move |comm| {
+    run_workers_owned(workers, move |mut comm| {
         let (train, _) = candle::benchmark_dataset(&candle::BenchDataKind::tiny(Bench::Nt3), seed);
-        let mut model = synced_model(comm, seed);
-        let endpoint = comm_take(comm);
+        let mut model = synced_model(&mut comm, seed);
         let plan = FusionPlan::for_model(&model, THRESHOLD_BYTES);
         let config = fit_config(2, 20);
         if overlapped {
-            let mut opt = AsyncBucketedOptimizer::new(endpoint, &plan);
+            let mut opt = AsyncBucketedOptimizer::new(comm, &plan);
             model.fit(&train, &config, &mut opt).expect("overlapped fit");
             let (_, stats) = opt.shutdown();
             assert!(
@@ -58,8 +53,7 @@ fn train_param_bits(workers: usize, seed: u64, overlapped: bool) -> Vec<Vec<u32>
         } else {
             // Bit-identity precondition: the blocking comparator reduces
             // over the SAME bucket boundaries, traversed bottom-up.
-            let mut opt =
-                DistributedOptimizer::new(endpoint).with_fusion_plan(plan.reversed());
+            let mut opt = DistributedOptimizer::new(comm).with_fusion_plan(plan.reversed());
             model.fit(&train, &config, &mut opt).expect("blocking fit");
         }
         model.flat_params().iter().map(|p| p.to_bits()).collect()
@@ -93,14 +87,12 @@ fn timeline_bucket_spans_nest_after_their_producing_layer() {
     let tl = Timeline::new();
     let origin = Instant::now();
     let tl2 = tl.clone();
-    let producers_per_rank = run_workers(2, move |comm| {
+    let producers_per_rank = run_workers_owned(2, move |mut comm| {
         let seed = 7u64;
         let (train, _) = candle::benchmark_dataset(&candle::BenchDataKind::tiny(Bench::Nt3), seed);
-        let mut model = synced_model(comm, seed);
-        let endpoint = comm_take(comm);
+        let mut model = synced_model(&mut comm, seed);
         let plan = FusionPlan::for_model(&model, THRESHOLD_BYTES);
-        let mut opt =
-            AsyncBucketedOptimizer::new(endpoint, &plan).with_timeline(tl2.clone(), origin);
+        let mut opt = AsyncBucketedOptimizer::new(comm, &plan).with_timeline(tl2.clone(), origin);
         // One batch = one step: every backward_layer_{seq} and
         // bucket_allreduce_{idx} name appears exactly once per rank, so
         // the producer association is unambiguous.
