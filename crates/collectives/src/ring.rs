@@ -32,8 +32,8 @@ use crate::CommError;
 /// ≈ 5 GB/s per rank. Measured at worlds 2–8 the exchange wins below
 /// ≈ 256–400 KiB of `(n−1) × |data|` and loses beyond — at `n = 2`, where
 /// the two move the same bytes, because one large slot falls out of L2
-/// where two half-sized ones did not (`bench_json overlap`, series
-/// `sync_call_us`; DESIGN §5k has the table).
+/// where two half-sized ones did not (`experiments::table_overlap` renders
+/// the per-call sweep; DESIGN §5k has the table).
 const EXCHANGE_MAX_BYTES: usize = 256 * 1024;
 
 /// Whether a sum-allreduce of `len` elements over `n` ranks takes one

@@ -98,8 +98,7 @@ pub fn ablation_collectives_measured() -> Experiment {
     let mut text = format_table(&["algorithm", "16 KiB / call", "1 MB / call"], &rows);
     text.push_str(
         "\n(6 workers on local threads; allreduce_sum takes one exchange up to 256 KiB of\n\
-         (n-1) x payload and the ring above; `bench_json overlap`, series sync_call_us, has\n\
-         the full sweep)\n",
+         (n-1) x payload and the ring above; table_overlap renders the per-call sweep)\n",
     );
     Experiment {
         id: "ablation_collectives",

@@ -78,17 +78,21 @@ pub fn fig10(quick: bool) -> Experiment {
                 data_service: None,
                 comm_overlap: None,
             };
-            if let Ok(out) = candle::run_parallel(&spec) {
-                // R²-style accuracy: 1 − MSE / Var(target).
-                let accuracy = (1.0 - out.test_loss / out.test_target_variance.max(1e-9)).max(0.0);
-                rows.push(vec![
-                    strategy.label().to_string(),
-                    w.to_string(),
-                    batch.to_string(),
-                    format!("{:.4}", out.test_loss),
-                    format!("{accuracy:.3}"),
-                ]);
-            }
+            let out = candle::run_parallel(&spec).unwrap_or_else(|e| {
+                panic!(
+                    "P1B3 {} run at {w} workers, batch {batch}: {e}",
+                    strategy.label()
+                )
+            });
+            // R²-style accuracy: 1 − MSE / Var(target).
+            let accuracy = (1.0 - out.test_loss / out.test_target_variance.max(1e-9)).max(0.0);
+            rows.push(vec![
+                strategy.label().to_string(),
+                w.to_string(),
+                batch.to_string(),
+                format!("{:.4}", out.test_loss),
+                format!("{accuracy:.3}"),
+            ]);
         }
     }
     text.push_str(&format_table(

@@ -2,26 +2,8 @@
 
 use crate::functional::accuracy_sweep;
 use crate::report::{format_table, secs, Experiment};
-use crate::sweeps::SUMMIT_GPU_SWEEP;
-use candle::HyperParams;
+use crate::sweeps::{summit_strong_run, SUMMIT_GPU_SWEEP};
 use cluster::calib::Bench;
-use cluster::run::simulate;
-use cluster::{LoadMethod, Machine, RunConfig, RunReport, ScalingMode};
-
-fn strong_run(bench: Bench, workers: usize, batch: usize, method: LoadMethod) -> Option<RunReport> {
-    let hp = HyperParams::of(bench);
-    simulate(
-        &hp.workload(),
-        &RunConfig {
-            machine: Machine::Summit,
-            workers,
-            batch_size: batch,
-            scaling: ScalingMode::Strong,
-            load_method: method,
-        },
-    )
-    .ok()
-}
 
 /// Renders the (a) performance panel shared by Figures 6/8/9: time in
 /// training ("TensorFlow"), data loading, and total runtime for two batch
@@ -29,8 +11,8 @@ fn strong_run(bench: Bench, workers: usize, batch: usize, method: LoadMethod) ->
 fn strong_perf_panel(bench: Bench, batch_a: usize, batch_b: usize) -> String {
     let mut rows = Vec::new();
     for &gpus in &SUMMIT_GPU_SWEEP {
-        let a = strong_run(bench, gpus, batch_a, LoadMethod::PandasDefault);
-        let b = strong_run(bench, gpus, batch_b, LoadMethod::PandasDefault);
+        let a = summit_strong_run(bench, gpus, batch_a);
+        let b = summit_strong_run(bench, gpus, batch_b);
         if let Some(a) = a {
             rows.push(vec![
                 gpus.to_string(),
@@ -98,7 +80,7 @@ pub fn fig6(quick: bool) -> Experiment {
 /// Figure 7: (a) GPU power over time on 384 GPUs; (b) the Horovod timeline
 /// with broadcast and allreduce activity.
 pub fn fig7() -> Experiment {
-    let report = strong_run(Bench::Nt3, 384, 20, LoadMethod::PandasDefault)
+    let report = summit_strong_run(Bench::Nt3, 384, 20)
         .expect("384-GPU NT3 run is feasible");
     let mut text = String::from("(a) GPU power over time (nvidia-smi-style 1 Hz samples):\n");
     // Downsample the trace for the report: every 20th second.

@@ -184,6 +184,51 @@ pub fn measure_hpo(quick: bool) -> Result<HpoMeasurement, String> {
     })
 }
 
+/// The modelled section: a 16-trial ASHA search over a full-size P1B2
+/// fleet priced on the Summit model, plus the modelled machine seconds
+/// and joules of the brute-force sweep it replaces.
+fn modelled_fleet() -> Result<(SearchReport, f64, f64), String> {
+    let modelled_dir = scratch("hpo_modelled").map_err(|e| format!("scratch dir: {e}"))?;
+    let asha = AshaConfig {
+        min_epochs: 1,
+        reduction: 2,
+        rungs: 4,
+    };
+    let profile = HyperParams::of(BenchId::P1b2).workload();
+    let store = TrialStore::new(modelled_dir.join("store"), 2)
+        .map_err(|e| format!("TrialStore::new: {e}"))?;
+    let exec = Arc::new(ModelledExecutor::new(
+        profile,
+        Machine::Summit,
+        6,
+        LoadMethod::ChunkedLowMemoryFalse,
+        store,
+        SeedNode::root(SEARCH_SEED),
+    ));
+    let space = search_space();
+    let config = SearchConfig {
+        seed: SEARCH_SEED,
+        trials: 16,
+        asha,
+        workers: 4,
+    };
+    let report = run_search(&space, Arc::clone(&exec) as Arc<dyn TrialExecutor>, &config)
+        .map_err(|e| format!("run_search: {e}"))?;
+    // Price the brute-force sweep the search replaces.
+    let root = SeedNode::root(SEARCH_SEED);
+    let mut full_time = 0.0;
+    let mut full_joules = 0.0;
+    for id in 0..config.trials as TrialId {
+        let params = space.sample(root, id);
+        let out = exec
+            .full_run(id, &params, asha.max_epochs())
+            .map_err(|e| format!("full_run for trial {id}: {e}"))?;
+        full_time += out.modelled_time_s;
+        full_joules += out.modelled_joules;
+    }
+    Ok((report, full_time, full_joules))
+}
+
 /// The HPO experiment: deterministic ASHA over real trials, plus the
 /// modelled full-size fleet bill.
 pub fn table_hpo(quick: bool) -> Experiment {
@@ -251,68 +296,27 @@ pub fn table_hpo(quick: bool) -> Experiment {
         "\nModelled P1B2 fleet on Summit (6 GPUs per trial, 16 trials, epochs \
          scaled to the rung schedule):\n",
     );
-    let modelled = scratch("hpo_modelled")
-        .ok()
-        .and_then(|modelled_dir| {
-            let asha = AshaConfig {
-                min_epochs: 1,
-                reduction: 2,
-                rungs: 4,
-            };
-            let profile = HyperParams::of(BenchId::P1b2).workload();
-            let exec = Arc::new(ModelledExecutor::new(
-                profile,
-                Machine::Summit,
-                6,
-                LoadMethod::ChunkedLowMemoryFalse,
-                TrialStore::new(modelled_dir.join("store"), 2).ok()?,
-                SeedNode::root(SEARCH_SEED),
-            ));
-            let space = search_space();
-            let config = SearchConfig {
-                seed: SEARCH_SEED,
-                trials: 16,
-                asha,
-                workers: 4,
-            };
-            let report = run_search(&space, Arc::clone(&exec) as Arc<dyn TrialExecutor>, &config)
-                .ok()?;
-            // Price the brute-force sweep the search replaces.
-            let root = SeedNode::root(SEARCH_SEED);
-            let mut full_time = 0.0;
-            let mut full_joules = 0.0;
-            for id in 0..config.trials as TrialId {
-                let params = space.sample(root, id);
-                let out = exec.full_run(id, &params, asha.max_epochs()).ok()?;
-                full_time += out.modelled_time_s;
-                full_joules += out.modelled_joules;
-            }
-            Some((report, full_time, full_joules))
-        });
-    match modelled {
-        Some((report, full_time, full_joules)) => {
-            text.push_str(&format_table(
-                &["schedule", "epochs", "machine time", "energy", "of full"],
-                &[
-                    vec![
-                        "brute-force sweep".into(),
-                        report.full_budget.to_string(),
-                        format!("{:.0}s", full_time),
-                        format!("{:.1} MJ", full_joules / 1e6),
-                        "100%".into(),
-                    ],
-                    vec![
-                        "ASHA rungs".into(),
-                        report.epochs_spent.to_string(),
-                        format!("{:.0}s", report.modelled_time_s()),
-                        format!("{:.1} MJ", report.modelled_joules() / 1e6),
-                        format!("{:.0}%", 100.0 * report.modelled_joules() / full_joules),
-                    ],
-                ],
-            ));
-        }
-        None => text.push_str("  (modelled section skipped)\n"),
-    }
+    let (report, full_time, full_joules) =
+        modelled_fleet().unwrap_or_else(|e| panic!("table_hpo modelled section: {e}"));
+    text.push_str(&format_table(
+        &["schedule", "epochs", "machine time", "energy", "of full"],
+        &[
+            vec![
+                "brute-force sweep".into(),
+                report.full_budget.to_string(),
+                format!("{:.0}s", full_time),
+                format!("{:.1} MJ", full_joules / 1e6),
+                "100%".into(),
+            ],
+            vec![
+                "ASHA rungs".into(),
+                report.epochs_spent.to_string(),
+                format!("{:.0}s", report.modelled_time_s()),
+                format!("{:.1} MJ", report.modelled_joules() / 1e6),
+                format!("{:.0}%", 100.0 * report.modelled_joules() / full_joules),
+            ],
+        ],
+    ));
 
     Experiment {
         id: "table_hpo",

@@ -216,8 +216,11 @@ pub struct SyncCallLatency {
 /// Measures back-to-back allreduce calls (no compute between them, so no
 /// rank skew: wire latency and copy rate only) at payloads 4 KiB … 4 MiB
 /// and worlds {2, 4}. Rank 0's mean over the timed calls, best of three
-/// rounds. These are the numbers the crossover between the two algorithms
-/// and the spin budget of the wire are set from (DESIGN §5k).
+/// rounds of a 64 MiB budget. These are the numbers the crossover between
+/// the two algorithms and the spin budget of the wire are set from
+/// (DESIGN §5k); [`table_overlap`] renders them. `quick` times three
+/// payloads in one round of a 1 MiB budget (at least 20 calls each), so
+/// the unit tests that render it stay short.
 pub fn measure_sync_call_latency(quick: bool) -> Vec<SyncCallLatency> {
     use collectives::{exchange_allreduce, ring_allreduce};
     let kib: &[usize] = if quick {
@@ -226,8 +229,9 @@ pub fn measure_sync_call_latency(quick: bool) -> Vec<SyncCallLatency> {
         &[4, 16, 48, 64, 128, 256, 512, 1024, 4096]
     };
     let per_call_us = |workers: usize, bytes: usize, algo: Allreduce| -> f64 {
-        let calls = ((if quick { 8 << 20 } else { 64 << 20 }) / bytes).clamp(20, 2000);
-        (0..3)
+        let (budget, rounds) = if quick { (1 << 20, 1) } else { (64 << 20, 3) };
+        let calls = (budget / bytes).clamp(20, 2000);
+        (0..rounds)
             .map(|_| allreduce_call_seconds(workers, bytes / 4, calls, algo) * 1e6)
             .fold(f64::INFINITY, f64::min)
     };
@@ -248,7 +252,9 @@ pub fn measure_sync_call_latency(quick: bool) -> Vec<SyncCallLatency> {
 }
 
 /// The comm/compute-overlap experiment: blocking post-backward allreduce
-/// vs the async bucketed engine on real NT3 training.
+/// vs the async bucketed engine on real NT3 training, followed by the
+/// per-call allreduce latency sweep ([`measure_sync_call_latency`]) that
+/// sets `collectives`' exchange crossover and spin budget.
 ///
 /// In full mode on a release build it asserts (a) the calibrated α–β
 /// overlap model predicts the measured exposed time within
@@ -330,6 +336,26 @@ pub fn table_overlap(quick: bool) -> Experiment {
             r.speedup()
         ));
     }
+    text.push_str(
+        "\nPer-call sum-allreduce latency, back-to-back calls with no compute\n\
+         between them (rank 0's mean), in us per call:\n",
+    );
+    let sweep: Vec<Vec<String>> = measure_sync_call_latency(quick)
+        .iter()
+        .map(|r| {
+            vec![
+                r.workers.to_string(),
+                format!("{} KiB", r.bytes / 1024),
+                format!("{:.1}", r.auto_us),
+                format!("{:.1}", r.ring_us),
+                format!("{:.1}", r.exchange_us),
+            ]
+        })
+        .collect();
+    text.push_str(&format_table(
+        &["workers", "payload", "allreduce_sum", "ring", "one exchange"],
+        &sweep,
+    ));
     Experiment {
         id: "table_overlap",
         title: "Comm/compute overlap: blocking vs async bucketed allreduce",
@@ -348,6 +374,26 @@ mod tests {
         for needle in ["workers", "exposed frac", "model frac"] {
             assert!(e.text.contains(needle), "missing column {needle}");
         }
+        let (_, sweep) = e
+            .text
+            .split_once("Per-call sum-allreduce latency")
+            .expect("sync-call sweep rendered under the epoch table");
+        for needle in ["payload", "allreduce_sum", "ring", "one exchange"] {
+            assert!(sweep.contains(needle), "missing sweep column {needle}");
+        }
+        let rows: Vec<(String, String)> = sweep
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.split_whitespace();
+                let (workers, kib, unit) = (cells.next()?, cells.next()?, cells.next()?);
+                (unit == "KiB").then(|| (workers.to_string(), kib.to_string()))
+            })
+            .collect();
+        let expected: Vec<(String, String)> = [2, 4]
+            .iter()
+            .flat_map(|w| [4, 64, 1024].map(|k| (w.to_string(), k.to_string())))
+            .collect();
+        assert_eq!(rows, expected, "one sweep row per (world, quick payload):\n{sweep}");
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //!    Each tuned knob is asserted no worse than the hardcoded default.
 //! 4. **Regression gate demo** — inject a +60% slowdown into one point
 //!    of the clean sim series and assert `perfmodel::check_points` flags
-//!    exactly that point and nothing on the clean series. This is the
-//!    same code path `perfmodel_check` runs over `BENCH_INDEX.json` in
-//!    CI.
+//!    exactly that point and nothing on the clean series. The unit tests
+//!    in `perfmodel::regress` pin the same detector on a synthetic series.
 
 use crate::overlap_table::{phase, spec};
 use crate::report::{format_table, Experiment};
@@ -520,8 +519,8 @@ pub fn table_perfmodel(quick: bool) -> Experiment {
     ));
     text.push_str(&format!(
         "regression gate: clean sim series {} flags; +60% injected at \
-         N={:.0} -> {} flag at N={:.0} (same detector as perfmodel_check \
-         over BENCH_INDEX.json)\n",
+         N={:.0} -> {} flag at N={:.0} (leave-one-out detector, \
+         perfmodel::check_points)\n",
         clean_flags, flagged_scale, injected_flags, flagged_scale,
     ));
     Experiment {

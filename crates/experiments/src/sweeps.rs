@@ -1,6 +1,7 @@
 //! Shared model-plane sweep helpers.
 
 use candle::{BenchId, HyperParams};
+use cluster::run::{simulate, RunError};
 use cluster::{sweep_reports, LoadMethod, Machine, RunConfig, RunReport, ScalingMode};
 
 /// The paper's Summit GPU counts for strong scaling (Figs 6/8/9/11/14/16).
@@ -11,6 +12,32 @@ pub const THETA_NODE_SWEEP: [usize; 6] = [12, 24, 48, 96, 192, 384];
 
 /// The paper's weak-scaling GPU counts (Figs 18/20/21; up to 3,072).
 pub const WEAK_GPU_SWEEP: [usize; 7] = [48, 96, 192, 384, 768, 1536, 3072];
+
+/// Simulates `bench` strong-scaled on `workers` Summit GPUs at `batch`,
+/// loading with `pandas.read_csv` defaults. `None` is a point the paper's
+/// configuration cannot run: the batch does not fit device memory, or the
+/// epoch budget does not divide over that many workers.
+///
+/// # Panics
+/// Panics on any other simulator error (a zero batch or worker count),
+/// naming the run.
+pub(crate) fn summit_strong_run(bench: BenchId, workers: usize, batch: usize) -> Option<RunReport> {
+    let config = RunConfig {
+        machine: Machine::Summit,
+        workers,
+        batch_size: batch,
+        scaling: ScalingMode::Strong,
+        load_method: LoadMethod::PandasDefault,
+    };
+    match simulate(&HyperParams::of(bench).workload(), &config) {
+        Ok(report) => Some(report),
+        Err(RunError::OutOfMemory { .. } | RunError::TooManyWorkers { .. }) => None,
+        Err(e) => panic!(
+            "Summit strong run of {} at {workers} workers, batch {batch}: {e:?}",
+            bench.name()
+        ),
+    }
+}
 
 /// Original vs optimized at one scale point.
 #[derive(Debug, Clone)]
@@ -79,6 +106,21 @@ pub fn method_comparison_sweep(
 mod tests {
     use super::*;
     use cluster::calib::Bench;
+
+    #[test]
+    fn strong_run_is_none_only_where_the_paper_cannot_run() {
+        assert!(summit_strong_run(Bench::Nt3, 6, 20).is_some());
+        // NT3 at batch >= 50 does not fit a 16 GB V100.
+        assert!(summit_strong_run(Bench::Nt3, 6, 50).is_none());
+        // P1B1 needs at least 4 epochs per worker.
+        assert!(summit_strong_run(Bench::P1b1, 384, 100).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "InvalidConfig")]
+    fn strong_run_panics_on_a_zero_batch() {
+        summit_strong_run(Bench::Nt3, 6, 0);
+    }
 
     #[test]
     fn sweep_produces_rows_and_positive_improvement() {

@@ -2,11 +2,10 @@
 
 use crate::ingest_table::measure_ingest_comparison;
 use crate::report::{format_table, pct, secs, Experiment};
-use crate::sweeps::{method_comparison_sweep, SUMMIT_GPU_SWEEP, WEAK_GPU_SWEEP};
+use crate::sweeps::{method_comparison_sweep, summit_strong_run, SUMMIT_GPU_SWEEP, WEAK_GPU_SWEEP};
 use candle::HyperParams;
 use cluster::calib::{self, Bench, Split};
-use cluster::run::simulate;
-use cluster::{LoadMethod, Machine, RunConfig, RunReport, ScalingMode};
+use cluster::{LoadMethod, Machine, RunReport, ScalingMode};
 use dataio::ReadStrategy;
 use simcore::SimTime;
 
@@ -73,28 +72,13 @@ fn training_power_w(report: &RunReport) -> f64 {
         .unwrap_or(0.0)
 }
 
-fn nt3_run(workers: usize, batch: usize, method: LoadMethod) -> Option<RunReport> {
-    let hp = HyperParams::of(Bench::Nt3);
-    simulate(
-        &hp.workload(),
-        &RunConfig {
-            machine: Machine::Summit,
-            workers,
-            batch_size: batch,
-            scaling: ScalingMode::Strong,
-            load_method: method,
-        },
-    )
-    .ok()
-}
-
 /// Table 2: time per epoch (s) and average GPU power (W) for Horovod NT3
 /// at batch sizes 20 and 40.
 pub fn table2() -> Experiment {
     let mut rows = Vec::new();
     for &gpus in &SUMMIT_GPU_SWEEP {
-        let b20 = nt3_run(gpus, 20, LoadMethod::PandasDefault);
-        let b40 = nt3_run(gpus, 40, LoadMethod::PandasDefault);
+        let b20 = summit_strong_run(Bench::Nt3, gpus, 20);
+        let b40 = summit_strong_run(Bench::Nt3, gpus, 40);
         if let (Some(b20), Some(b40)) = (b20, b40) {
             rows.push(vec![
                 gpus.to_string(),

@@ -2,12 +2,12 @@
 //! CANDLE reproduction: scaling-law fitting, model-driven autotuning,
 //! and perf-regression detection.
 //!
-//! Nine PRs of this repository produced raw scaling measurements —
-//! `BENCH_*.json` series, `HotStats`, `IngestPhases`, cluster α–β sweeps
-//! — but nothing that *predicts* performance at unmeasured scales or
-//! notices when a fresh measurement falls off the established curve.
-//! This crate closes that gap, following the Extra-P methodology the
-//! DeepScale/Extra-Deep work applies to deep-learning benchmarks:
+//! The rest of the workspace produces raw scaling measurements —
+//! `HotStats`, `IngestPhases`, cluster α–β sweeps, the `benchmark/`
+//! harness's runs — but nothing that *predicts* performance at unmeasured
+//! scales or notices when a fresh measurement falls off the established
+//! curve. This crate closes that gap, following the Extra-P methodology
+//! the DeepScale/Extra-Deep work applies to deep-learning benchmarks:
 //!
 //! * [`fit`] — deterministic grid search over the performance-model
 //!   normal form `c0 + c1·N^a·log2^b(N)` (rational exponent grid,
@@ -17,28 +17,22 @@
 //! * [`tune`] — the fitted models driving real configuration choices:
 //!   comm-overlap fusion threshold, training worker count, and serving
 //!   fleet initial size;
-//! * [`regress`] — a regression gate: points a law fitted to the rest of
-//!   the series cannot predict are flagged, machine-readably
-//!   (`BENCH_PERFMODEL.json`) and with a CI-friendly exit code
-//!   (`perfmodel_check`);
-//! * [`ingest`]/[`json`] — the shared `bench::emit` schema reader the
-//!   gate consumes (`BENCH_INDEX.json`), serde-free.
+//! * [`regress`] — the regression detector: points a law fitted to the
+//!   rest of the series cannot predict are flagged.
 //!
 //! The `table_perfmodel` experiment (32nd) pins the accuracy contract:
 //! fitted models must predict held-out measurements and `cluster`
 //! simulations at **2× beyond the largest fitted scale** within their
-//! stated error bands, and the autotuned configuration must be no
-//! slower than the hardcoded defaults.
+//! stated error bands, the autotuned configuration must be no slower
+//! than the hardcoded defaults, and an injected slowdown must be flagged
+//! at exactly its scale.
 
 pub mod fit;
-pub mod ingest;
-pub mod json;
 pub mod regress;
 pub mod tune;
 
 pub use fit::{fit as fit_series, fit_with_threads, FitError, FittedModel, SamplePoint, ScalingModel};
-pub use ingest::{flatten, parse_doc, parse_index, BenchDoc, BenchPoint, BenchSeries, MetricSeries};
-pub use regress::{check_index, check_points, report_json, total_flags, CheckOutcome, SeriesCheck};
+pub use regress::{check_points, Flag};
 pub use tune::{
     pick_fleet_initial_size, pick_overlap_threshold, pick_worker_count, FleetSizing,
     OverlapCostModel, ThresholdChoice,

@@ -32,6 +32,17 @@ if grep -rn --include='*.rs' --include='Cargo.toml' 'parking_lot' crates src tes
     exit 1
 fi
 
+# benchmark/ (BENCHMARK.json) is the one benchmark harness: no suite-level
+# results emitter, results index or second regression gate beside it.
+echo "==> no second benchmark harness in crates src tests examples scripts .github or the root manifest"
+if grep -rnE --include='*.rs' --include='Cargo.toml' --include='*.sh' --include='*.yml' \
+    'candle-bench|bench_json|BENCH_INDEX|perfmodel_check|bench::emit' \
+    crates src tests examples scripts .github | grep -v '^scripts/verify\.sh:' ||
+    grep -nE 'candle-bench|bench_json|BENCH_INDEX|perfmodel_check|bench::emit' Cargo.toml; then
+    echo "error: benchmark/ (BENCHMARK.json) is the one harness; add a workload or a per-layer metric there" >&2
+    exit 1
+fi
+
 # unsafe lives only where safe code has no operation for it. Disjoint writes
 # from several threads go through slice splits (chunks_mut, split_at_mut)
 # and parx::parallel_each, never a hand-rolled Sync pointer.
