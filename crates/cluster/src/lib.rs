@@ -2,7 +2,7 @@
 //! Summit and Theta platforms.
 //!
 //! The paper's timing/power/energy numbers are *measurements* on machines
-//! we do not have. This crate replaces the machines with a discrete-event
+//! we do not have. This crate replaces the machines with an analytic
 //! model whose constants are calibrated against the paper's published
 //! values (see [`calib`]), so that every table and figure can be
 //! regenerated and compared:

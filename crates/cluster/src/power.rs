@@ -1,14 +1,14 @@
 //! Power-trace construction and energy accounting.
 //!
 //! A simulated run is a schedule of phases, each with a device power level.
-//! The schedule is replayed through the `simcore` event engine into a
+//! Its power-level changes, in time order, are the breakpoints of a
 //! [`simcore::TimeSeries`] step function; energy is its exact integral and
 //! the "measured" trace is the series sampled at the platform's meter rate
 //! (nvidia-smi 1 Hz on Summit, CapMC ~2 Hz on Theta) — reproducing what
 //! the paper's Figure 7a plots.
 
 use crate::machine::MachineSpec;
-use simcore::{Engine, SimTime, TimeSeries};
+use simcore::{SimTime, TimeSeries};
 
 /// One scheduled run phase with its device power level.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,15 +54,16 @@ impl PowerSummary {
 
 /// Builds the power trace and energy summary for a phase schedule.
 ///
-/// The phases are replayed as discrete events (one per power-level change)
-/// so the trace construction exercises the same engine as any other
-/// simulation in the workspace.
+/// Each phase start, each gap before one and the end of the schedule is a
+/// breakpoint. Breakpoints are taken in time order, ties in schedule order,
+/// so a phase that starts within the 1e-9 s tolerance before the previous
+/// end sorts ahead of it.
 ///
 /// # Panics
 /// Panics if phases overlap or run backwards in time.
 pub fn build_power_trace(spec: &MachineSpec, phases: &[PowerPhase]) -> PowerSummary {
-    let mut engine: Engine<TimeSeries> = Engine::new();
     let idle = spec.power.idle_w;
+    let mut breaks = Vec::with_capacity(2 * phases.len() + 1);
     let mut cursor = 0.0f64;
     for phase in phases {
         assert!(
@@ -75,21 +76,20 @@ pub fn build_power_trace(spec: &MachineSpec, phases: &[PowerPhase]) -> PowerSumm
         assert!(phase.duration_s >= 0.0, "negative phase duration");
         // Gap between phases idles the device.
         if phase.start_s > cursor {
-            let t = SimTime::new(cursor);
-            engine.schedule(t, move |ts: &mut TimeSeries, _, now| ts.push(now, idle));
+            breaks.push((SimTime::new(cursor), idle));
         }
-        let start = SimTime::new(phase.start_s);
-        let watts = phase.power_w;
-        engine.schedule(start, move |ts: &mut TimeSeries, _, now| {
-            ts.push(now, watts)
-        });
+        breaks.push((SimTime::new(phase.start_s), phase.power_w));
         cursor = phase.start_s + phase.duration_s;
     }
     let end = SimTime::new(cursor.max(0.0));
     // Close the trace at idle power.
-    engine.schedule(end, move |ts: &mut TimeSeries, _, now| ts.push(now, idle));
+    breaks.push((end, idle));
+    // Stable: equal times keep their schedule order.
+    breaks.sort_by_key(|&(t, _)| t);
     let mut trace = TimeSeries::new();
-    engine.run(&mut trace);
+    for (t, watts) in breaks {
+        trace.push(t, watts);
+    }
 
     let energy_j = trace.integral(SimTime::ZERO, end);
     let duration_s = end.seconds();
@@ -212,6 +212,75 @@ mod tests {
         );
         assert!((s.duration_s - 200.0).abs() < 1e-9);
         assert!((s.avg_power_w - expect / 200.0).abs() < 1e-9);
+    }
+
+    fn phase(start_s: f64, duration_s: f64, power_w: f64) -> PowerPhase {
+        PowerPhase {
+            name: "p".into(),
+            start_s,
+            duration_s,
+            power_w,
+        }
+    }
+
+    /// The trace's breakpoints as `(seconds, watts)`, and the energy and
+    /// duration, of `(start_s, duration_s, power_w)` phases on Summit.
+    fn breakpoints(phases: &[(f64, f64, f64)]) -> (Vec<(f64, f64)>, f64, f64) {
+        let phases: Vec<_> = phases.iter().map(|&(s, d, w)| phase(s, d, w)).collect();
+        let s = build_power_trace(&Machine::Summit.spec(), &phases);
+        let points = s.trace.points().iter();
+        let points = points.map(|&(t, w)| (t.seconds(), w)).collect();
+        (points, s.energy_j, s.duration_s)
+    }
+
+    #[test]
+    fn zero_length_phases_pin_their_breakpoints() {
+        // Back to back: the later breakpoint at 10 s replaces the blip.
+        let (points, energy_j, duration_s) =
+            breakpoints(&[(0.0, 10.0, 45.0), (10.0, 0.0, 300.0), (10.0, 5.0, 170.0)]);
+        assert_eq!(points, [(0.0, 45.0), (10.0, 170.0), (15.0, 40.0)]);
+        assert_eq!((energy_j, duration_s), (1300.0, 15.0));
+        // Between gaps: the idle breakpoint of the second gap, scheduled
+        // after the blip at the same time, wins.
+        let (points, energy_j, duration_s) =
+            breakpoints(&[(0.0, 10.0, 45.0), (12.0, 0.0, 300.0), (14.0, 1.0, 170.0)]);
+        let expect = [
+            (0.0, 45.0),
+            (10.0, 40.0),
+            (12.0, 40.0),
+            (14.0, 170.0),
+            (15.0, 40.0),
+        ];
+        assert_eq!(points, expect);
+        assert_eq!((energy_j, duration_s), (780.0, 15.0));
+    }
+
+    #[test]
+    fn a_phase_inside_the_tolerance_sorts_before_the_previous_end() {
+        let (points, energy_j, duration_s) =
+            breakpoints(&[(0.0, 10.0, 45.0), (10.0 - 5e-10, 5.0, 170.0)]);
+        let expect = [(0.0, 45.0), (9.9999999995, 170.0), (14.9999999995, 40.0)];
+        assert_eq!(points, expect);
+        assert_eq!((energy_j, duration_s), (1299.9999999775, 14.9999999995));
+        // After a zero-length phase the next start precedes that phase's
+        // own breakpoint, and so can the end of the schedule.
+        let (points, energy_j, duration_s) =
+            breakpoints(&[(5.0, 0.0, 300.0), (5.0 - 5e-10, 2.0, 170.0)]);
+        let expect = [
+            (0.0, 40.0),
+            (4.9999999995, 170.0),
+            (5.0, 300.0),
+            (6.9999999995, 40.0),
+        ];
+        assert_eq!(points, expect);
+        assert_eq!((energy_j, duration_s), (799.999999915, 6.9999999995));
+        let (points, energy_j, duration_s) = breakpoints(&[
+            (0.0, 3.0, 45.0),
+            (3.0, 0.0, 300.0),
+            (3.0 - 5e-10, 0.0, 250.0),
+        ]);
+        assert_eq!(points, [(0.0, 45.0), (2.9999999995, 40.0), (3.0, 300.0)]);
+        assert_eq!((energy_j, duration_s), (134.9999999775, 2.9999999995));
     }
 
     #[test]

@@ -256,7 +256,8 @@ fn read_chunked(path: &Path) -> Result<(Frame, usize), DataError> {
 }
 
 /// Dask-style parallel read: split the file into byte partitions aligned to
-/// line boundaries, parse partitions concurrently, concat in order.
+/// line boundaries, parse each partition on a thread of its own, concat in
+/// order.
 ///
 /// Dtype note: each partition is typed independently, so a column that is
 /// all-int in one partition and float in another produces disagreeing
@@ -273,12 +274,9 @@ fn read_dask(path: &Path) -> Result<(Frame, usize), DataError> {
         std::str::from_utf8(&bytes).map_err(|_| DataError::Malformed("non-UTF8 content".into()))?;
     let nparts = parx::default_threads().clamp(1, 8);
     let bounds = turbo::partition_bounds(&bytes, nparts);
-    let spans: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-    let results: Vec<Result<Frame, DataError>> =
-        parx::parallel_map(spans.len(), spans.len(), |i| {
-            let (s, e) = spans[i];
-            parse_chunk_typed(&text[s..e], None)
-        });
+    let results = parx::parallel_each(bounds.windows(2), |_, span| {
+        parse_chunk_typed(&text[span[0]..span[1]], None)
+    });
     let mut fragments = Vec::with_capacity(results.len());
     for r in results {
         let frame = r?;

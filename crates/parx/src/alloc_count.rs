@@ -4,8 +4,8 @@
 //! process-wide allocation counter also counts whatever the sibling tests
 //! and the harness allocate meanwhile. [`CountingAlloc`] counts per thread
 //! instead: a test installs it as the binary's global allocator and reads
-//! [`thread_allocs`] around its hot loop. The fork–join helpers run their
-//! first chunk on the calling thread, so a per-item allocation in a
+//! [`thread_allocs`] around its hot loop. [`crate::parallel_each`] runs its
+//! first item on the calling thread, so a per-item allocation in a
 //! parallel kernel still shows up in the caller's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};

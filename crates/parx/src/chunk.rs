@@ -1,9 +1,9 @@
 //! Deterministic contiguous chunking of index ranges.
 //!
-//! All fork–join helpers in this crate split `0..n` into at most `k`
-//! contiguous chunks whose sizes differ by at most one. Determinism matters:
-//! floating-point reductions are only reproducible if the partition is a
-//! pure function of `(n, k)`.
+//! [`chunk_ranges`] splits `0..n` into at most `k` contiguous chunks whose
+//! sizes differ by at most one, ready to hand to [`crate::parallel_each`].
+//! Determinism matters: floating-point reductions are only reproducible if
+//! the partition is a pure function of `(n, k)`.
 
 /// A contiguous index range assigned to one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,16 +4,15 @@
 //! need fork–join data parallelism, and the simulated Horovod workers in
 //! `collectives` need long-lived threads. This crate provides:
 //!
-//! * [`parallel_for`] / [`parallel_map`] — scoped fork–join over index
-//!   ranges, built directly on `std::thread::scope`, with work split into
-//!   contiguous chunks (one per thread) so cache behaviour matches what an
-//!   HPC programmer would hand-write; [`parallel_each`] is the same join
-//!   over a few coarse tasks that each own their input;
+//! * [`parallel_each`] — the one fork–join: each item (a `chunks_mut`
+//!   share of an output, a file span, a [`chunk_ranges`] block of an index
+//!   range) on a scoped thread of its own, built directly on
+//!   `std::thread::scope`, results in item order;
 //! * [`kernel_threads`] / [`among_peers`] — how many ways a kernel call
 //!   forks: all hardware threads, or the calling rank's share of them;
 //! * [`WorkerPool`] — a persistent pool, one task queue under one lock,
-//!   for fire-and-forget tasks plus a `join` barrier, used where thread
-//!   spawn cost would otherwise dominate (per-batch-step parallelism);
+//!   for fire-and-forget tasks plus a `join` barrier, used by the dataset
+//!   service's batch assembly and the HPO trial runner;
 //! * [`Window`] — bounded, in-order background read-ahead on a
 //!   `WorkerPool`: the data-loading/compute overlap `datapipe`'s epoch
 //!   streams run on;
@@ -23,10 +22,10 @@
 //!   so tests on parallel threads cannot share (or delete) each other's
 //!   files.
 //!
-//! The design follows the "chunked parallel iterator" shape of rayon (see
-//! the workspace coding guides) but is implemented in-tree on `std` alone:
-//! the reproduction needs deterministic chunk boundaries so that numeric
-//! reductions are bitwise reproducible for a fixed thread count.
+//! Everything is in-tree on `std` alone. The caller, not a hidden grain
+//! threshold, decides how work is split, so chunk boundaries are a pure
+//! function of its inputs and numeric results are bitwise reproducible for
+//! a fixed thread count.
 
 mod alloc_count;
 mod chunk;
@@ -38,7 +37,7 @@ mod window;
 pub use alloc_count::{thread_allocs, CountingAlloc};
 pub use chunk::{chunk_ranges, Chunk};
 pub use pool::WorkerPool;
-pub use scope::{parallel_each, parallel_for, parallel_for_grained, parallel_map, parallel_reduce};
+pub use scope::parallel_each;
 pub use scratch::{scratch, Scratch};
 pub use window::Window;
 

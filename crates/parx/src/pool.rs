@@ -1,7 +1,7 @@
 //! Persistent worker pool.
 //!
-//! The fork–join helpers in [`crate::scope`] spawn threads per call, which
-//! is fine for coarse work but too costly inside a per-batch-step loop. The
+//! [`crate::parallel_each`] spawns threads per call, which is fine for
+//! coarse work but too costly for a stream of small tasks. The
 //! `WorkerPool` keeps `k` threads alive and feeds them boxed closures from
 //! one queue under one lock; `join` is a barrier that waits until every
 //! task submitted so far has finished.

@@ -365,19 +365,25 @@ pub fn fit(points: &[SamplePoint]) -> Result<FittedModel, FitError> {
 }
 
 /// Like [`fit`], with the candidate grid search parallelised across
-/// `threads`. Each candidate's score is computed independently and
-/// written by candidate index, and the winner is chosen by a sequential
-/// scan in enumeration order — results are **bit-identical** at any
-/// thread count.
+/// `threads` contiguous blocks of candidates. Each candidate's score is
+/// computed independently, the blocks come back in candidate order, and
+/// the winner is chosen by a sequential scan in enumeration order —
+/// results are **bit-identical** at any thread count.
 pub fn fit_with_threads(points: &[SamplePoint], threads: usize) -> Result<FittedModel, FitError> {
     assert!(threads >= 1, "threads must be >= 1");
     validate(points)?;
     let cands = candidates(points.len());
-    let scored: Vec<Option<f64>> = parx::parallel_map(cands.len(), threads, |i| {
-        loo_errors(&cands[i], points)
-            .map(|errs| errs.iter().sum::<f64>() / errs.len() as f64)
-            .filter(|s| s.is_finite())
+    let blocks = parx::parallel_each(parx::chunk_ranges(cands.len(), threads), |_, block| {
+        cands[block.start..block.end]
+            .iter()
+            .map(|cand| {
+                loo_errors(cand, points)
+                    .map(|errs| errs.iter().sum::<f64>() / errs.len() as f64)
+                    .filter(|s| s.is_finite())
+            })
+            .collect::<Vec<_>>()
     });
+    let scored: Vec<Option<f64>> = blocks.into_iter().flatten().collect();
     // A later candidate must beat the incumbent by more than float hair:
     // on exact-fit data a two-coefficient form can edge out the true
     // one-coefficient law by ~1e-17, and the simpler form should win

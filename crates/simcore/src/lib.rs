@@ -1,13 +1,11 @@
-//! `simcore` — a small discrete-event simulation engine.
+//! `simcore` — simulated time, step-function series and histograms.
 //!
-//! The `cluster` crate simulates full-scale Summit/Theta runs as sequences
-//! of timed events (phase starts, per-device power-state changes, sampled
-//! power readings). This crate provides the machinery:
+//! The `cluster` crate models full-scale Summit/Theta runs analytically
+//! and turns each run's phase schedule into a power trace; the serving
+//! and fleet crates keep latency distributions. This crate provides the
+//! value types they share:
 //!
 //! * [`SimTime`] — simulated seconds with total ordering;
-//! * [`Engine`] / [`EventQueue`] — a deterministic event loop (ties broken
-//!   by insertion order, so runs are reproducible);
-//! * [`FifoResource`] — a capacity-`c` FIFO server for queueing models;
 //! * [`TimeSeries`] — a step-function series with trapezoid-free exact
 //!   integration, used for power traces and energy accounting;
 //! * [`LogHistogram`] — a log-bucketed histogram with bounded relative
@@ -17,16 +15,12 @@
 //!   slices (recent p99 over the last N seconds, mergeable), the input
 //!   signal of the `fleet` autoscaler.
 
-mod engine;
 mod hist;
-mod resource;
 mod series;
 mod time;
 mod windowed;
 
-pub use engine::{Engine, EventQueue};
 pub use hist::LogHistogram;
-pub use resource::FifoResource;
 pub use series::TimeSeries;
 pub use time::SimTime;
 pub use windowed::WindowedHistogram;

@@ -2,7 +2,7 @@
 
 /// A point in simulated time, in seconds.
 ///
-/// Wraps `f64` with a total order so it can key the event heap. Only finite
+/// Wraps `f64` with a total order, so breakpoints sort by it. Only finite
 /// values are constructible.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTime(f64);
@@ -24,14 +24,6 @@ impl SimTime {
     /// The value in seconds.
     pub fn seconds(self) -> f64 {
         self.0
-    }
-
-    /// This time plus a duration in seconds.
-    ///
-    /// # Panics
-    /// Panics if the result would be negative or non-finite.
-    pub fn after(self, seconds: f64) -> Self {
-        Self::new(self.0 + seconds)
     }
 }
 
@@ -69,12 +61,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(SimTime::ZERO.min(a), SimTime::ZERO);
-    }
-
-    #[test]
-    fn after_advances() {
-        let t = SimTime::new(10.0).after(2.5);
-        assert_eq!(t.seconds(), 12.5);
     }
 
     #[test]

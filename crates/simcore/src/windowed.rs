@@ -136,11 +136,6 @@ impl WindowedHistogram {
         out
     }
 
-    /// Convenience: snapshot at the latest recorded timestamp.
-    pub fn snapshot_latest(&self) -> LogHistogram {
-        self.snapshot(self.latest_s)
-    }
-
     /// Latest timestamp recorded so far (0 when nothing recorded).
     pub fn latest_s(&self) -> f64 {
         self.latest_s

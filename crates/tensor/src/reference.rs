@@ -5,7 +5,9 @@
 //! direct 4-deep Conv1D loop nest. They are retained so benchmarks and
 //! the `table_kernels` experiment can measure the blocked engine against
 //! the exact code it replaced, and so property tests have an independent
-//! oracle.
+//! oracle. Each kernel forks over its output rows (batch elements, for the
+//! convolutions) by the seed's rule: in one part below 256 rows per kernel
+//! thread, otherwise one part per kernel thread.
 
 use crate::conv1d_output_len;
 use crate::{Tensor, TensorError};
@@ -23,23 +25,15 @@ pub fn matmul_seed(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     }
     let mut c = Tensor::zeros([m, n]);
     let (ad, bd) = (a.data(), b.data());
-    let cd = RawRows {
-        base: c.data_mut().as_mut_ptr() as usize,
-    };
-    parx::parallel_for(m, kernel_threads(), |chunk| {
-        for i in chunk.start..chunk.end {
-            // SAFETY: each output row i is written by exactly one chunk.
-            let crow =
-                unsafe { std::slice::from_raw_parts_mut((cd.base as *mut f32).add(i * n), n) };
-            let arow = &ad[i * ka..(i + 1) * ka];
-            for (l, &aval) in arow.iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
-                }
-                let brow = &bd[l * n..(l + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += aval * bv;
-                }
+    for_each_row(c.data_mut(), n, |i, crow| {
+        let arow = &ad[i * ka..(i + 1) * ka];
+        for (l, &aval) in arow.iter().enumerate() {
+            if aval == 0.0 {
+                continue;
+            }
+            let brow = &bd[l * n..(l + 1) * n];
+            for (cv, &bv) in crow.iter_mut().zip(brow) {
+                *cv += aval * bv;
             }
         }
     });
@@ -58,23 +52,15 @@ pub fn matmul_at_b_seed(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     }
     let mut c = Tensor::zeros([k, n]);
     let (ad, bd) = (a.data(), b.data());
-    let cd = RawRows {
-        base: c.data_mut().as_mut_ptr() as usize,
-    };
-    parx::parallel_for(k, kernel_threads(), |chunk| {
-        for j in chunk.start..chunk.end {
-            // SAFETY: disjoint output rows per chunk.
-            let crow =
-                unsafe { std::slice::from_raw_parts_mut((cd.base as *mut f32).add(j * n), n) };
-            for i in 0..ma {
-                let aval = ad[i * k + j];
-                if aval == 0.0 {
-                    continue;
-                }
-                let brow = &bd[i * n..(i + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += aval * bv;
-                }
+    for_each_row(c.data_mut(), n, |j, crow| {
+        for i in 0..ma {
+            let aval = ad[i * k + j];
+            if aval == 0.0 {
+                continue;
+            }
+            let brow = &bd[i * n..(i + 1) * n];
+            for (cv, &bv) in crow.iter_mut().zip(brow) {
+                *cv += aval * bv;
             }
         }
     });
@@ -93,23 +79,15 @@ pub fn matmul_a_bt_seed(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     }
     let mut c = Tensor::zeros([m, n]);
     let (ad, bd) = (a.data(), b.data());
-    let cd = RawRows {
-        base: c.data_mut().as_mut_ptr() as usize,
-    };
-    parx::parallel_for(m, kernel_threads(), |chunk| {
-        for i in chunk.start..chunk.end {
-            let arow = &ad[i * ka..(i + 1) * ka];
-            // SAFETY: disjoint output rows per chunk.
-            let crow =
-                unsafe { std::slice::from_raw_parts_mut((cd.base as *mut f32).add(i * n), n) };
-            for (j, cv) in crow.iter_mut().enumerate() {
-                let brow = &bd[j * ka..(j + 1) * ka];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    acc += av * bv;
-                }
-                *cv = acc;
+    for_each_row(c.data_mut(), n, |i, crow| {
+        let arow = &ad[i * ka..(i + 1) * ka];
+        for (j, cv) in crow.iter_mut().enumerate() {
+            let brow = &bd[j * ka..(j + 1) * ka];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in arow.iter().zip(brow) {
+                acc += av * bv;
             }
+            *cv = acc;
         }
     });
     Ok(c)
@@ -137,32 +115,20 @@ pub fn conv1d_forward_seed(
     }
     let mut out = Tensor::zeros([batch, out_steps, out_ch]);
     let (id, wd) = (input.data(), weights.data());
-    let od = RawRows {
-        base: out.data_mut().as_mut_ptr() as usize,
-    };
-    parx::parallel_for(batch, kernel_threads(), |chunk| {
-        for b in chunk.start..chunk.end {
-            // SAFETY: batches are disjoint across chunks.
-            let obatch = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (od.base as *mut f32).add(b * out_steps * out_ch),
-                    out_steps * out_ch,
-                )
-            };
-            let ibatch = &id[b * steps * in_ch..(b + 1) * steps * in_ch];
-            for t in 0..out_steps {
-                let orow = &mut obatch[t * out_ch..(t + 1) * out_ch];
-                for k in 0..kernel {
-                    let irow = &ibatch[(t * stride + k) * in_ch..(t * stride + k + 1) * in_ch];
-                    let wslab = &wd[k * in_ch * out_ch..(k + 1) * in_ch * out_ch];
-                    for (c, &iv) in irow.iter().enumerate() {
-                        if iv == 0.0 {
-                            continue;
-                        }
-                        let wrow = &wslab[c * out_ch..(c + 1) * out_ch];
-                        for (ov, &wv) in orow.iter_mut().zip(wrow) {
-                            *ov += iv * wv;
-                        }
+    for_each_row(out.data_mut(), out_steps * out_ch, |b, obatch| {
+        let ibatch = &id[b * steps * in_ch..(b + 1) * steps * in_ch];
+        for t in 0..out_steps {
+            let orow = &mut obatch[t * out_ch..(t + 1) * out_ch];
+            for k in 0..kernel {
+                let irow = &ibatch[(t * stride + k) * in_ch..(t * stride + k + 1) * in_ch];
+                let wslab = &wd[k * in_ch * out_ch..(k + 1) * in_ch * out_ch];
+                for (c, &iv) in irow.iter().enumerate() {
+                    if iv == 0.0 {
+                        continue;
+                    }
+                    let wrow = &wslab[c * out_ch..(c + 1) * out_ch];
+                    for (ov, &wv) in orow.iter_mut().zip(wrow) {
+                        *ov += iv * wv;
                     }
                 }
             }
@@ -195,33 +161,20 @@ pub fn conv1d_backward_seed(
     let mut grad_weights = Tensor::zeros([kernel, in_ch, out_ch]);
     let (id, wd, gd) = (input.data(), weights.data(), grad_out.data());
 
-    let gi = RawRows {
-        base: grad_input.data_mut().as_mut_ptr() as usize,
-    };
-    parx::parallel_for(batch, kernel_threads(), |chunk| {
-        for b in chunk.start..chunk.end {
-            // SAFETY: batches disjoint across chunks.
-            let gibatch = unsafe {
-                std::slice::from_raw_parts_mut(
-                    (gi.base as *mut f32).add(b * steps * in_ch),
-                    steps * in_ch,
-                )
-            };
-            let gbatch = &gd[b * out_steps * out_ch..(b + 1) * out_steps * out_ch];
-            for t in 0..out_steps {
-                let grow = &gbatch[t * out_ch..(t + 1) * out_ch];
-                for k in 0..kernel {
-                    let girow =
-                        &mut gibatch[(t * stride + k) * in_ch..(t * stride + k + 1) * in_ch];
-                    let wslab = &wd[k * in_ch * out_ch..(k + 1) * in_ch * out_ch];
-                    for (c, gv) in girow.iter_mut().enumerate() {
-                        let wrow = &wslab[c * out_ch..(c + 1) * out_ch];
-                        let mut acc = 0.0f32;
-                        for (&g, &w) in grow.iter().zip(wrow) {
-                            acc += g * w;
-                        }
-                        *gv += acc;
+    for_each_row(grad_input.data_mut(), steps * in_ch, |b, gibatch| {
+        let gbatch = &gd[b * out_steps * out_ch..(b + 1) * out_steps * out_ch];
+        for t in 0..out_steps {
+            let grow = &gbatch[t * out_ch..(t + 1) * out_ch];
+            for k in 0..kernel {
+                let girow = &mut gibatch[(t * stride + k) * in_ch..(t * stride + k + 1) * in_ch];
+                let wslab = &wd[k * in_ch * out_ch..(k + 1) * in_ch * out_ch];
+                for (c, gv) in girow.iter_mut().enumerate() {
+                    let wrow = &wslab[c * out_ch..(c + 1) * out_ch];
+                    let mut acc = 0.0f32;
+                    for (&g, &w) in grow.iter().zip(wrow) {
+                        acc += g * w;
                     }
+                    *gv += acc;
                 }
             }
         }
@@ -251,9 +204,90 @@ pub fn conv1d_backward_seed(
     Ok((grad_input, grad_weights))
 }
 
-/// Shares a mutable base pointer across scoped threads for disjoint-row
-/// writes.
-struct RawRows {
-    base: usize,
+/// Rows per kernel thread below which a seed kernel runs in one part.
+const SEED_ROWS_PER_THREAD: usize = 256;
+
+/// Runs `row(i, &mut out[i * row_len..(i + 1) * row_len])` for every row of
+/// `out`: in one part below [`SEED_ROWS_PER_THREAD`] rows per kernel thread,
+/// otherwise in one contiguous block of rows per kernel thread.
+fn for_each_row(out: &mut [f32], row_len: usize, row: impl Fn(usize, &mut [f32]) + Sync) {
+    // No rows, or rows of nothing: there is nothing to write, and
+    // `chunks_mut(0)` panics.
+    if out.is_empty() {
+        return;
+    }
+    let rows = out.len() / row_len;
+    let threads = kernel_threads();
+    let parts = if rows >= SEED_ROWS_PER_THREAD * threads {
+        threads
+    } else {
+        1
+    };
+    let per_part = rows.div_ceil(parts);
+    parx::parallel_each(out.chunks_mut(per_part * row_len), |p, block| {
+        for (r, out_row) in block.chunks_mut(row_len).enumerate() {
+            row(p * per_part + r, out_row);
+        }
+    });
 }
-unsafe impl Sync for RawRows {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Shape;
+    use xrng::RandomSource;
+
+    /// Uniform in [-1, 1) with every fourth value zero, so the seed
+    /// kernels' zero-skip branches run too.
+    fn random(shape: impl Into<Shape>, seed: u64) -> Tensor {
+        let mut rng = xrng::seeded(seed);
+        Tensor::from_fn(shape, |i| match i % 4 {
+            0 => 0.0,
+            _ => rng.next_f32() * 2.0 - 1.0,
+        })
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn many_rows_give_the_bits_of_one_part() {
+        // Enough rows for one part per kernel thread, and a short last part.
+        let rows = SEED_ROWS_PER_THREAD * kernel_threads() + 3;
+        let (a, b) = (random([rows, 5], 1), random([5, 7], 2));
+        let (x, d) = (random([6, rows], 3), random([6, 7], 4));
+        let w = random([7, 5], 5);
+        let input = random([rows, 9, 3], 6);
+        let weights = random([3, 3, 4], 7);
+        let grad_out = random([rows, 4, 4], 8);
+        let run = || {
+            let (gi, gw) = conv1d_backward_seed(&input, &weights, &grad_out, 2).unwrap();
+            [
+                bits(&matmul_seed(&a, &b).unwrap()),
+                bits(&matmul_at_b_seed(&x, &d).unwrap()),
+                bits(&matmul_a_bt_seed(&a, &w).unwrap()),
+                bits(&conv1d_forward_seed(&input, &weights, 2).unwrap()),
+                bits(&gi),
+                bits(&gw),
+            ]
+        };
+        let forked = run();
+        let one_part = parx::among_peers(usize::MAX, run);
+        for (kernel, (f, o)) in forked.iter().zip(&one_part).enumerate() {
+            assert_eq!(f, o, "kernel {kernel}");
+        }
+    }
+
+    #[test]
+    fn empty_outputs_are_empty() {
+        let c = matmul_seed(&Tensor::zeros([0, 4]), &random([4, 3], 1)).unwrap();
+        assert_eq!(c.shape().as_2d(), (0, 3));
+        let c = matmul_seed(&random([5, 4], 2), &Tensor::zeros([4, 0])).unwrap();
+        assert_eq!(c.shape().as_2d(), (5, 0));
+        let c = matmul_at_b_seed(&Tensor::zeros([3, 0]), &random([3, 2], 3)).unwrap();
+        assert_eq!(c.shape().as_2d(), (0, 2));
+        let out = conv1d_forward_seed(&Tensor::zeros([0, 9, 3]), &random([3, 3, 4], 4), 2);
+        assert_eq!(out.unwrap().shape().as_3d(), (0, 4, 4));
+    }
+}

@@ -21,8 +21,6 @@ if grep -rn --include='*.rs' --include='Cargo.toml' 'crossbeam' crates src tests
     exit 1
 fi
 
-# Activations belong to the model's chain (DESIGN §5f): a layer that grows a
-# cache field again is copying its input or output every step.
 # Locks and condvars are std's, with one stated poison policy (DESIGN §7);
 # vendor/parking_lot is left only for benchmark/'s patch table.
 echo "==> no parking_lot in crates src tests examples or the root manifest"
@@ -48,16 +46,25 @@ fi
 # and parx::parallel_each, never a hand-rolled Sync pointer.
 #   crates/tensor/src/gemm.rs       AVX2 intrinsics and unchecked loads in the
 #                                   GEMM micro-kernels, a measured gain
-#   crates/tensor/src/reference.rs  the seed baseline that table_kernels times
-#                                   and the property tests compare against
 #   crates/parx/src/alloc_count.rs  GlobalAlloc is an unsafe trait
 echo "==> no unsafe outside the allow-list"
 if grep -rnE --include='*.rs' 'unsafe *(\{|impl|fn)' crates src tests examples |
-    grep -vE '^crates/(tensor/src/gemm|tensor/src/reference|parx/src/alloc_count)\.rs:'; then
+    grep -vE '^crates/(tensor/src/gemm|parx/src/alloc_count)\.rs:'; then
     echo "error: unsafe outside the allow-list in scripts/verify.sh" >&2
     exit 1
 fi
 
+# parx::parallel_each is the one fork–join; simcore has no event engine (the
+# cluster model is analytic and power traces are sorted breakpoints).
+echo "==> no second fork–join or event engine in crates src tests examples"
+if grep -rnE --include='*.rs' 'parallel_for|parallel_map|parallel_reduce|FifoResource|EventQueue|RawRows' \
+    crates src tests examples; then
+    echo "error: fork with parx::parallel_each (over chunks_mut or chunk_ranges); simcore has no event engine" >&2
+    exit 1
+fi
+
+# Activations belong to the model's chain (DESIGN §5f): a layer that grows a
+# cache field again is copying its input or output every step.
 echo "==> no _cache: Option<Tensor> field under crates/dlframe/src/layers"
 if grep -rnE '_cache: *Option<Tensor>' crates/dlframe/src/layers; then
     echo "error: layers keep no activations; Layer::backward is handed input and output" >&2
