@@ -27,7 +27,6 @@ pub mod dataset;
 pub mod models;
 pub mod params;
 pub mod pipeline;
-pub mod profiler;
 pub mod scaling;
 
 pub use cache::{

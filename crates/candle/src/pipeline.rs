@@ -22,10 +22,10 @@ use crate::cache::{
 use crate::dataset::{benchmark_dataset, BenchDataKind};
 use crate::models::build_model;
 use crate::params::BenchId;
-use crate::profiler::PhaseProfiler;
 use crate::scaling::{comp_epochs_balanced, scaled_lr};
-use collectives::{broadcast_parameters, run_workers_owned, DistributedOptimizer, Timeline};
+use collectives::{broadcast_parameters, run_workers_owned, DistributedOptimizer};
 use dlframe::{FitConfig, History};
+use obs::{PhaseProfiler, Timeline};
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -2,13 +2,95 @@
 //!
 //! A simulated run is a schedule of phases, each with a device power level.
 //! Its power-level changes, in time order, are the breakpoints of a
-//! [`simcore::TimeSeries`] step function; energy is its exact integral and
-//! the "measured" trace is the series sampled at the platform's meter rate
-//! (nvidia-smi 1 Hz on Summit, CapMC ~2 Hz on Theta) — reproducing what
-//! the paper's Figure 7a plots.
+//! [`TimeSeries`] step function of simulated seconds; energy is its exact
+//! integral and the "measured" trace is the series sampled at the
+//! platform's meter rate (nvidia-smi 1 Hz on Summit, CapMC ~2 Hz on Theta)
+//! — reproducing what the paper's Figure 7a plots.
 
 use crate::machine::MachineSpec;
-use simcore::{SimTime, TimeSeries};
+
+/// A right-continuous step function of simulated time: the device holds a
+/// power level until the next state change, so energy is its exact
+/// integral — no trapezoid approximation needed.
+#[derive(Debug, Clone, Default)]
+pub struct TimeSeries {
+    /// Breakpoints `(t_s, value)`: the series equals `value` on
+    /// `[t_s, next_t_s)`. Times are finite, non-negative seconds in
+    /// strictly increasing order.
+    points: Vec<(f64, f64)>,
+}
+
+impl TimeSeries {
+    /// Appends a breakpoint at `t_s` seconds; times must be non-decreasing.
+    /// A breakpoint at the same time as the previous one replaces it.
+    ///
+    /// # Panics
+    /// Panics if `t_s` is not finite, is negative or precedes the last
+    /// breakpoint.
+    fn push(&mut self, t_s: f64, value: f64) {
+        assert!(t_s.is_finite(), "TimeSeries time must be finite");
+        assert!(t_s >= 0.0, "TimeSeries time must be non-negative");
+        if let Some(&(last_s, _)) = self.points.last() {
+            assert!(t_s >= last_s, "TimeSeries breakpoints must be non-decreasing");
+            if t_s == last_s {
+                self.points.pop();
+            }
+        }
+        self.points.push((t_s, value));
+    }
+
+    /// Value at `t_s` seconds (the most recent breakpoint at or before
+    /// it). Returns 0 before the first breakpoint or for an empty series.
+    pub fn value_at(&self, t_s: f64) -> f64 {
+        match self.points.partition_point(|&(t, _)| t <= t_s) {
+            0 => 0.0,
+            i => self.points[i - 1].1,
+        }
+    }
+
+    /// Exact integral over `[from_s, to_s]` (for power in watts this is
+    /// energy in joules).
+    ///
+    /// # Panics
+    /// Panics if `from_s > to_s`.
+    pub(crate) fn integral(&self, from_s: f64, to_s: f64) -> f64 {
+        assert!(from_s <= to_s, "integral bounds reversed");
+        if self.points.is_empty() || from_s == to_s {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        let mut cursor = from_s;
+        // Walk breakpoints inside (from_s, to_s].
+        for &(t, _) in &self.points {
+            if t <= cursor {
+                continue;
+            }
+            if t >= to_s {
+                break;
+            }
+            total += self.value_at(cursor) * (t - cursor);
+            cursor = t;
+        }
+        total += self.value_at(cursor) * (to_s - cursor);
+        total
+    }
+
+    /// Samples the series every `interval` seconds over `[0, end_s]`,
+    /// mimicking a polling power meter. Returns `(t, value)` pairs.
+    ///
+    /// # Panics
+    /// Panics if `interval <= 0`.
+    fn sample(&self, interval: f64, end_s: f64) -> Vec<(f64, f64)> {
+        assert!(interval > 0.0, "sample interval must be positive");
+        let mut out = Vec::new();
+        let mut t = 0.0;
+        while t <= end_s + 1e-12 {
+            out.push((t, self.value_at(t)));
+            t += interval;
+        }
+        out
+    }
+}
 
 /// One scheduled run phase with its device power level.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,29 +158,29 @@ pub fn build_power_trace(spec: &MachineSpec, phases: &[PowerPhase]) -> PowerSumm
         assert!(phase.duration_s >= 0.0, "negative phase duration");
         // Gap between phases idles the device.
         if phase.start_s > cursor {
-            breaks.push((SimTime::new(cursor), idle));
+            breaks.push((cursor, idle));
         }
-        breaks.push((SimTime::new(phase.start_s), phase.power_w));
+        breaks.push((phase.start_s, phase.power_w));
         cursor = phase.start_s + phase.duration_s;
     }
-    let end = SimTime::new(cursor.max(0.0));
+    let duration_s = cursor.max(0.0);
     // Close the trace at idle power.
-    breaks.push((end, idle));
-    // Stable: equal times keep their schedule order.
-    breaks.sort_by_key(|&(t, _)| t);
-    let mut trace = TimeSeries::new();
+    breaks.push((duration_s, idle));
+    // Stable: equal times (-0.0 and 0.0 among them) keep their schedule
+    // order. The asserts above rule out NaN; `push` rejects infinities.
+    breaks.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("breakpoint times are not NaN"));
+    let mut trace = TimeSeries::default();
     for (t, watts) in breaks {
         trace.push(t, watts);
     }
 
-    let energy_j = trace.integral(SimTime::ZERO, end);
-    let duration_s = end.seconds();
+    let energy_j = trace.integral(0.0, duration_s);
     let avg_power_w = if duration_s > 0.0 {
         energy_j / duration_s
     } else {
         0.0
     };
-    let samples = trace.sample(spec.power_sample_interval_s, end);
+    let samples = trace.sample(spec.power_sample_interval_s, duration_s);
     PowerSummary {
         energy_j,
         avg_power_w,
@@ -176,6 +258,99 @@ pub fn fleet_power(spec: &MachineSpec, replicas: &[Vec<PowerPhase>]) -> FleetPow
 mod tests {
     use super::*;
     use crate::machine::Machine;
+    use proptest::prelude::*;
+
+    fn series(points: &[(f64, f64)]) -> TimeSeries {
+        let mut ts = TimeSeries::default();
+        for &(t, v) in points {
+            ts.push(t, v);
+        }
+        ts
+    }
+
+    #[test]
+    fn value_at_steps() {
+        let ts = series(&[(1.0, 10.0), (3.0, 20.0)]);
+        assert_eq!(ts.value_at(0.5), 0.0);
+        assert_eq!(ts.value_at(1.0), 10.0);
+        assert_eq!(ts.value_at(2.9), 10.0);
+        assert_eq!(ts.value_at(3.0), 20.0);
+        assert_eq!(ts.value_at(100.0), 20.0);
+    }
+
+    #[test]
+    fn integral_exact() {
+        let ts = series(&[(0.0, 100.0), (10.0, 300.0), (20.0, 50.0)]);
+        // [0,10): 100*10 = 1000; [10,20): 300*10 = 3000; [20,30]: 50*10 = 500.
+        assert!((ts.integral(0.0, 30.0) - 4500.0).abs() < 1e-9);
+        // Partial spans.
+        assert!((ts.integral(5.0, 15.0) - (100.0 * 5.0 + 300.0 * 5.0)).abs() < 1e-9);
+        assert_eq!(ts.integral(7.0, 7.0), 0.0);
+    }
+
+    #[test]
+    fn duplicate_time_replaces() {
+        let ts = series(&[(1.0, 5.0), (1.0, 9.0)]);
+        assert_eq!(ts.points, [(1.0, 9.0)]);
+        // -0.0 and 0.0 are the same instant.
+        assert_eq!(series(&[(-0.0, 5.0), (0.0, 9.0)]).points, [(0.0, 9.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn decreasing_time_panics() {
+        series(&[(2.0, 1.0), (1.0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn nan_rejected() {
+        series(&[(f64::NAN, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn infinite_rejected() {
+        series(&[(0.0, 1.0), (f64::INFINITY, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_rejected() {
+        series(&[(-1.0, 1.0)]);
+    }
+
+    #[test]
+    fn sampling_mimics_polling_meter() {
+        let ts = series(&[(0.0, 60.0), (2.5, 120.0)]);
+        let samples = ts.sample(1.0, 4.0);
+        assert_eq!(samples.len(), 5);
+        assert_eq!(samples[0], (0.0, 60.0));
+        assert_eq!(samples[2], (2.0, 60.0));
+        assert_eq!(samples[3], (3.0, 120.0));
+    }
+
+    #[test]
+    fn empty_series_is_zero_everywhere() {
+        let ts = TimeSeries::default();
+        assert_eq!(ts.value_at(5.0), 0.0);
+        assert_eq!(ts.integral(0.0, 10.0), 0.0);
+    }
+
+    proptest! {
+        #[test]
+        fn integral_is_additive(
+            values in proptest::collection::vec(0.0f64..500.0, 1..10),
+            split in 0.0f64..100.0
+        ) {
+            let points: Vec<_> =
+                values.iter().enumerate().map(|(i, &v)| (i as f64 * 7.0, v)).collect();
+            let ts = series(&points);
+            let whole = ts.integral(0.0, 100.0);
+            let parts = ts.integral(0.0, split) + ts.integral(split, 100.0);
+            prop_assert!((whole - parts).abs() < 1e-6);
+        }
+    }
 
     fn phases() -> Vec<PowerPhase> {
         vec![
@@ -228,9 +403,7 @@ mod tests {
     fn breakpoints(phases: &[(f64, f64, f64)]) -> (Vec<(f64, f64)>, f64, f64) {
         let phases: Vec<_> = phases.iter().map(|&(s, d, w)| phase(s, d, w)).collect();
         let s = build_power_trace(&Machine::Summit.spec(), &phases);
-        let points = s.trace.points().iter();
-        let points = points.map(|&(t, w)| (t.seconds(), w)).collect();
-        (points, s.energy_j, s.duration_s)
+        (s.trace.points, s.energy_j, s.duration_s)
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::comm::CommModel;
 use crate::io::{self, LoadMethod};
 use crate::machine::Machine;
 use crate::power::{build_power_trace, PowerPhase, PowerSummary};
-use collectives::Timeline;
+use obs::Timeline;
 
 /// Scaling regime (paper Figure 4a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,19 +143,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Node-level power samples: the sum over the node's devices (the
-    /// quantity Figure 7a plots as "GPU power per node"). Devices are
-    /// symmetric in the model, so this is `devices_per_node ×` the
-    /// per-device trace.
-    pub fn node_power_samples(&self) -> Vec<(f64, f64)> {
-        let per_node = self.config.machine.spec().devices_per_node as f64;
-        self.power
-            .samples
-            .iter()
-            .map(|&(t, w)| (t, w * per_node))
-            .collect()
-    }
-
     /// Percentage improvement of `self` over a baseline's total runtime.
     pub fn runtime_improvement_pct(&self, baseline: &RunReport) -> f64 {
         (baseline.total_s - self.total_s) / baseline.total_s * 100.0
@@ -169,8 +156,7 @@ impl RunReport {
     /// Per-device energy spent between two times of the run (joules),
     /// from the exact step-function power trace.
     pub fn energy_between_s(&self, t0: f64, t1: f64) -> f64 {
-        use simcore::SimTime;
-        self.power.trace.integral(SimTime::new(t0), SimTime::new(t1))
+        self.power.trace.integral(t0, t1)
     }
 
     /// Models the cost of a worker crash at epoch `fail_epoch`, comparing
@@ -687,10 +673,7 @@ mod tests {
             &summit_strong(12, LoadMethod::ChunkedLowMemoryFalse),
         )
         .unwrap();
-        let e = r.power.trace.integral(
-            simcore::SimTime::ZERO,
-            simcore::SimTime::new(r.power.duration_s),
-        );
+        let e = r.power.trace.integral(0.0, r.power.duration_s);
         assert!((e - r.power.energy_j).abs() < 1e-6);
     }
 

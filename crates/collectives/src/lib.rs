@@ -26,9 +26,9 @@
 //!   completes it and folded on the rank's own thread once they have
 //!   posted theirs, Horovod's layer-by-layer fused allreduce (see
 //!   `overlap` module docs for the bit-identity contract);
-//! * [`Timeline`] — an event recorder that writes Chrome-trace JSON, the
-//!   same format as the Horovod timeline shown in the paper's Figures 7,
-//!   12, and 19.
+//! * optional per-collective spans on an [`obs::Timeline`], the Chrome-trace
+//!   format of the Horovod timeline shown in the paper's Figures 7, 12
+//!   and 19.
 //!
 //! The transport is in-process rather than MPI — one bounded FIFO of
 //! recycled slot buffers per ordered pair of ranks, read in place by the
@@ -46,7 +46,6 @@ mod hierarchical;
 mod optimizer;
 mod overlap;
 mod ring;
-mod timeline;
 mod world;
 
 pub use comm::{CommStats, Communicator, DEFAULT_PEER_TIMEOUT};
@@ -55,7 +54,6 @@ pub use hierarchical::hierarchical_allreduce;
 pub use optimizer::DistributedOptimizer;
 pub use overlap::{AsyncBucketedOptimizer, OverlapStats};
 pub use ring::{exchange_allreduce, naive_allreduce, ring_allreduce};
-pub use timeline::{Timeline, TimelineEvent};
 pub use world::{broadcast_parameters, run_workers, run_workers_owned};
 
 /// Errors from collective operations.

@@ -12,7 +12,7 @@
 use crate::comm::Communicator;
 use crate::fusion::FusionPlan;
 use crate::overlap::Engine;
-use crate::timeline::Timeline;
+use obs::Timeline;
 use crate::CommError;
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,11 +58,6 @@ impl DistributedOptimizer {
         &self.engine.comm
     }
 
-    /// Mutable access to the wrapped communicator (for broadcast of initial
-    /// weights).
-    pub fn comm_mut(&mut self) -> &mut Communicator {
-        &mut self.engine.comm
-    }
 }
 
 impl DistributedOptimizer {

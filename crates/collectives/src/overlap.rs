@@ -41,7 +41,7 @@
 use crate::comm::{Communicator, LANE_SLOTS};
 use crate::fusion::FusionPlan;
 use crate::ring::{exchange_fits, exchange_fold, exchange_post, exchange_ready, ring_allreduce};
-use crate::timeline::Timeline;
+use obs::Timeline;
 use crate::CommError;
 use std::collections::VecDeque;
 use std::sync::Arc;

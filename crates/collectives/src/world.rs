@@ -1,7 +1,7 @@
 //! Worker-world execution: spawn one thread per simulated rank.
 
 use crate::comm::Communicator;
-use crate::timeline::Timeline;
+use obs::Timeline;
 use std::time::Instant;
 
 /// Runs `f(rank_communicator)` on `n` threads (one per rank) and returns

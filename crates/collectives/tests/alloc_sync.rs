@@ -9,10 +9,9 @@
 //! size where `allreduce_sum` switches from one exchange to the ring), at
 //! worlds of two, three and four ranks, with and without a [`Timeline`].
 
-use collectives::{
-    run_workers_owned, AsyncBucketedOptimizer, DistributedOptimizer, FusionPlan, Timeline,
-};
+use collectives::{run_workers_owned, AsyncBucketedOptimizer, DistributedOptimizer, FusionPlan};
 use dlframe::GradientSync;
+use obs::Timeline;
 use parx::{thread_allocs, CountingAlloc};
 use std::time::Instant;
 

@@ -317,16 +317,6 @@ impl DatasetService {
         Ok(outcome)
     }
 
-    /// Row count of a registered dataset.
-    pub fn dataset_rows(&self, key: u64) -> Option<usize> {
-        self.inner
-            .lock()
-            .unwrap()
-            .datasets
-            .get(&key)
-            .map(|d| d.dataset.nrows())
-    }
-
     /// Column count of a registered dataset.
     pub fn dataset_cols(&self, key: u64) -> Option<usize> {
         self.inner

@@ -65,7 +65,6 @@ struct AssembleCtx {
 pub struct EpochStream {
     window: Window<Result<Batch, CacheError>>,
     counters: Arc<crate::service::JobCounters>,
-    total: usize,
 }
 
 impl EpochStream {
@@ -104,13 +103,7 @@ impl EpochStream {
             window: Window::new(Arc::clone(job.workers()), total, depth, move |pos| {
                 assemble(&ctx, pos)
             }),
-            total,
         }
-    }
-
-    /// Batches this stream will yield.
-    pub fn len_total(&self) -> usize {
-        self.total
     }
 }
 

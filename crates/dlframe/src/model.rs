@@ -144,11 +144,6 @@ impl Sequential {
         self.hot
     }
 
-    /// Clears the hot-path timing accumulators.
-    pub fn reset_hot_stats(&mut self) {
-        self.hot = HotStats::default();
-    }
-
     /// Appends a layer.
     pub fn add(&mut self, layer: Box<dyn Layer>) -> &mut Self {
         self.layers.push(layer);

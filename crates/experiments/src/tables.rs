@@ -7,7 +7,6 @@ use candle::HyperParams;
 use cluster::calib::{self, Bench, Split};
 use cluster::{LoadMethod, Machine, RunReport, ScalingMode};
 use dataio::ReadStrategy;
-use simcore::SimTime;
 
 /// Table 1: epochs, batch size, data samples, and file sizes per benchmark.
 pub fn table1() -> Experiment {
@@ -63,12 +62,7 @@ fn training_power_w(report: &RunReport) -> f64 {
         .phases
         .iter()
         .find(|p| p.name == "training")
-        .map(|p| {
-            report
-                .power
-                .trace
-                .value_at(SimTime::new(p.start_s + p.duration_s * 0.5))
-        })
+        .map(|p| report.power.trace.value_at(p.start_s + p.duration_s * 0.5))
         .unwrap_or(0.0)
 }
 

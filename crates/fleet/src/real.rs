@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 
 use cluster::Machine;
 use dlframe::Sequential;
-use serve::{request_row, LatencySummary, ServeConfig, ServeEngine, ServeError, ServeHandle};
-use simcore::{LogHistogram, WindowedHistogram};
+use obs::{LatencySummary, LogHistogram, WindowedHistogram};
+use serve::{request_row, ServeConfig, ServeEngine, ServeError, ServeHandle};
 use xrng::derive_seed;
 
 use crate::autoscale::{Autoscaler, ControlSignal, ScaleDecision};

@@ -21,10 +21,8 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use candle::profiler::PhaseProfiler;
 use cluster::{fleet_power, Machine, MachineSpec, PowerPhase};
-use serve::LatencySummary;
-use simcore::{LogHistogram, WindowedHistogram};
+use obs::{LatencySummary, LogHistogram, PhaseProfiler, WindowedHistogram};
 use xrng::derive_seed;
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler, ControlSignal, ScaleDecision};

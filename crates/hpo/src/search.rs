@@ -15,7 +15,7 @@ use crate::asha::{promote, AshaConfig};
 use crate::exec::{RungOutcome, TrialExecutor};
 use crate::space::{SearchSpace, TrialParams};
 use crate::{HpoError, TrialId};
-use candle::profiler::PhaseProfiler;
+use obs::PhaseProfiler;
 use datacache::format::{fnv1a64_extend, FNV_OFFSET};
 use parx::WorkerPool;
 use std::sync::Arc;
@@ -91,11 +91,6 @@ impl SearchReport {
     /// Fraction of the brute-force budget the search spent.
     pub fn budget_fraction(&self) -> f64 {
         self.epochs_spent as f64 / self.full_budget as f64
-    }
-
-    /// The winner's configuration.
-    pub fn winner_params(&self) -> TrialParams {
-        self.trials[self.winner as usize].params
     }
 
     /// The winner's final-rung outcome.

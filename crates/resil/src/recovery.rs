@@ -33,9 +33,9 @@ use candle::{
     benchmark_dataset, build_rank_model, BenchDataKind, BenchId, DataMode, FuncScaling,
     ParallelRunSpec,
 };
-use collectives::{run_workers_owned, DistributedOptimizer, Timeline};
+use collectives::{run_workers_owned, DistributedOptimizer};
 use dlframe::{FitConfig, Sequential};
-use simcore::LogHistogram;
+use obs::{LogHistogram, Timeline};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;

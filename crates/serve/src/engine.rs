@@ -15,7 +15,7 @@
 
 use crate::stats::StatsInner;
 use crate::{ServeError, ServeReport};
-use collectives::Timeline;
+use obs::Timeline;
 use dlframe::Sequential;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

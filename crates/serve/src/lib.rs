@@ -25,10 +25,10 @@
 //!   and a warm worker allocates nothing per batch but its reply rows;
 //! * **latency SLO instrumentation** — per-request end-to-end latency,
 //!   per-request queue wait and per-batch forward time are recorded into
-//!   [`simcore::LogHistogram`]s (p50/p95/p99/max) together with an
-//!   optional SLO violation counter;
+//!   [`obs::LogHistogram`]s and reported as [`obs::LatencySummary`]s
+//!   (p50/p95/p99/max) together with an optional SLO violation counter;
 //! * **timeline integration** — each batch emits `enqueue_wait` and
-//!   `batch_forward` spans to a [`collectives::Timeline`], viewable in
+//!   `batch_forward` spans to an [`obs::Timeline`], viewable in
 //!   `chrome://tracing` exactly like the training-side traces;
 //! * a **deterministic load generator** — closed-loop and open-loop
 //!   drivers seeded from `xrng`, with an order-independent output hash so
@@ -50,7 +50,7 @@ pub use engine::{Prediction, ServeConfig, ServeEngine, ServeHandle, Ticket};
 pub use loadgen::{
     request_row, run_closed_loop, run_open_loop, ClosedLoopConfig, LoadReport, OpenLoopConfig,
 };
-pub use stats::{LatencySummary, ServeReport};
+pub use stats::ServeReport;
 
 use dlframe::DlError;
 

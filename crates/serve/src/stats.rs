@@ -1,7 +1,7 @@
 //! Serving statistics: lock-free counters plus histogram-backed latency
 //! summaries, recorded by the workers one batch at a time.
 
-use simcore::LogHistogram;
+use obs::{LatencySummary, LogHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -103,48 +103,6 @@ impl StatsInner {
             enqueue_wait: LatencySummary::from_histogram(&histograms.wait),
             batch_forward: LatencySummary::from_histogram(&histograms.forward),
         }
-    }
-}
-
-/// Quantile summary of one latency histogram, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Exact mean.
-    pub mean_s: f64,
-    /// Median (within histogram bucket error).
-    pub p50_s: f64,
-    /// 95th percentile.
-    pub p95_s: f64,
-    /// 99th percentile.
-    pub p99_s: f64,
-    /// Exact maximum.
-    pub max_s: f64,
-}
-
-impl LatencySummary {
-    /// Summarizes a histogram.
-    pub fn from_histogram(h: &LogHistogram) -> Self {
-        Self {
-            count: h.count(),
-            mean_s: h.mean(),
-            p50_s: h.quantile(0.50),
-            p95_s: h.quantile(0.95),
-            p99_s: h.quantile(0.99),
-            max_s: h.max(),
-        }
-    }
-
-    /// Renders as `p50/p95/p99/max` milliseconds.
-    pub fn to_millis_string(&self) -> String {
-        format!(
-            "{:.2}/{:.2}/{:.2}/{:.2} ms",
-            self.p50_s * 1e3,
-            self.p95_s * 1e3,
-            self.p99_s * 1e3,
-            self.max_s * 1e3
-        )
     }
 }
 

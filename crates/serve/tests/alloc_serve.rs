@@ -13,8 +13,8 @@
 //! the pull and the assembly of batch `k + 1`. The probe is also a gate,
 //! so the test decides how many rows each batch has.
 
-use collectives::Timeline;
 use dlframe::{Activation, Dense, DlError, Layer, Loss, Optimizer, Sequential};
+use obs::Timeline;
 use parx::{thread_allocs, CountingAlloc};
 use serve::{ServeConfig, ServeEngine, ServeHandle, Ticket};
 use std::sync::{Arc, Condvar, Mutex};

@@ -26,11 +26,6 @@ impl Tensor {
         self.zip_assign(other, |a, b| *a += b)
     }
 
-    /// In-place `self -= other`.
-    pub fn sub_assign(&mut self, other: &Tensor) -> Result<(), TensorError> {
-        self.zip_assign(other, |a, b| *a -= b)
-    }
-
     /// In-place `self += scale * other` (axpy).
     pub fn axpy(&mut self, scale: f32, other: &Tensor) -> Result<(), TensorError> {
         self.zip_assign(other, |a, b| *a += scale * b)

@@ -57,7 +57,7 @@ fn trained_model(seed: u64) -> Arc<Sequential> {
 
 fn main() {
     let model = trained_model(99);
-    let timeline = collectives::Timeline::new();
+    let timeline = obs::Timeline::new();
     let engine = ServeEngine::with_timeline(
         Arc::clone(&model),
         ServeConfig {

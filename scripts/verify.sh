@@ -54,12 +54,56 @@ if grep -rnE --include='*.rs' 'unsafe *(\{|impl|fn)' crates src tests examples |
     exit 1
 fi
 
-# parx::parallel_each is the one fork–join; simcore has no event engine (the
+# parx::parallel_each is the one fork–join; there is no event engine (the
 # cluster model is analytic and power traces are sorted breakpoints).
 echo "==> no second fork–join or event engine in crates src tests examples"
 if grep -rnE --include='*.rs' 'parallel_for|parallel_map|parallel_reduce|FifoResource|EventQueue|RawRows' \
     crates src tests examples; then
-    echo "error: fork with parx::parallel_each (over chunks_mut or chunk_ranges); simcore has no event engine" >&2
+    echo "error: fork with parx::parallel_each (over chunks_mut or chunk_ranges); the cluster model needs no event engine" >&2
+    exit 1
+fi
+
+# Measurement types live in obs; simulated time is plain f64 seconds inside
+# cluster::power.
+echo "==> no simcore or SimTime in crates src tests examples scripts .github or the root manifest"
+if grep -rnE --include='*.rs' --include='*.toml' --include='*.sh' --include='*.yml' \
+    'simcore|SimTime' crates src tests examples scripts .github | grep -v '^scripts/verify\.sh:' ||
+    grep -nE 'simcore|SimTime' Cargo.toml; then
+    echo "error: histograms, Timeline and PhaseProfiler are in obs; power traces take f64 seconds" >&2
+    exit 1
+fi
+
+# The names a manifest's [dependencies] section declares (one per line).
+dependencies() {
+    sed -n '/^\[dependencies\]/,/^\[/{/^\[/d;s/^\([A-Za-z0-9_-]*\) *[.=].*/\1/p}' "$1"
+    sed -n 's/^\[dependencies\.\([A-Za-z0-9_-]*\)\]/\1/p' "$1"
+}
+
+# obs is the leaf every layer records through: it links nothing.
+echo "==> crates/obs declares no [dependencies]"
+if dependencies crates/obs/Cargo.toml | grep .; then
+    echo "error: obs is std-only; record through it instead of giving it dependencies" >&2
+    exit 1
+fi
+
+# A dependency edge nothing uses links a crate's whole tree for nothing. Doc
+# comments do not count as a use.
+echo "==> every crates/*/Cargo.toml [dependencies] entry is named in that crate's src/"
+unused=0
+for manifest in crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    for dep in $(dependencies "$manifest"); do
+        name=${dep//-/_}
+        uses=$(grep -rhE --include='*.rs' "(^|[^A-Za-z0-9_])$name::|use $name\b" "$dir/src" |
+            grep -vE '^[[:space:]]*//' || true)
+        if [ -z "$uses" ]; then
+            echo "$manifest: '$dep' is never named in $dir/src" >&2
+            unused=1
+        fi
+    done
+done
+if [ "$unused" -ne 0 ]; then
+    echo "error: drop the unused [dependencies] entries above (or move them to [dev-dependencies])" >&2
     exit 1
 fi
 

@@ -9,9 +9,9 @@ pub use datapipe;
 pub use experiments;
 pub use fleet;
 pub use hpo;
+pub use obs;
 pub use perfmodel;
 pub use resil;
 pub use serve;
-pub use simcore;
 pub use tensor;
 pub use xrng;

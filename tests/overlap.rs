@@ -4,10 +4,11 @@
 
 use collectives::{
     broadcast_parameters, run_workers_owned, AsyncBucketedOptimizer, Communicator,
-    DistributedOptimizer, FusionPlan, Timeline,
+    DistributedOptimizer, FusionPlan,
 };
 use cluster::calib::Bench;
 use dlframe::FitConfig;
+use obs::Timeline;
 use resil::{FaultKind, FaultPlan, FaultSpec};
 use std::time::{Duration, Instant};
 
