@@ -110,10 +110,9 @@ impl CommModel {
         }
         // Inter-node: the same fabric model as the flat ring but over the
         // leader set only.
-        let inter = self.spec.allreduce_latency_coeff_s
-            * self.nccl.latency_factor()
-            * nodes.powf(0.6)
-            + 2.0 * (nodes - 1.0) / nodes * bytes / self.spec.allreduce_bandwidth_bps;
+        let inter =
+            self.spec.allreduce_latency_coeff_s * self.nccl.latency_factor() * nodes.powf(0.6)
+                + 2.0 * (nodes - 1.0) / nodes * bytes / self.spec.allreduce_bandwidth_bps;
         intra + inter
     }
 
@@ -129,7 +128,10 @@ impl CommModel {
         }
         let n = workers as f64;
         let coord_factor = (bytes / 128.0e6).powf(0.8).clamp(0.05, 2.0);
-        self.spec.allreduce_latency_coeff_s * self.nccl.latency_factor() * n.powf(0.6) * coord_factor
+        self.spec.allreduce_latency_coeff_s
+            * self.nccl.latency_factor()
+            * n.powf(0.6)
+            * coord_factor
             + 2.0 * (n - 1.0) / n * bytes / self.spec.allreduce_bandwidth_bps
     }
 
@@ -395,7 +397,10 @@ mod tests {
         // start before backward ends).
         assert!(exposed_long >= m.allreduce_seconds(4, bytes / 4.0) - 1e-12);
         // Single worker is free.
-        assert_eq!(m.overlapped_allreduce_exposed_seconds(1, &buckets, 1.0), 0.0);
+        assert_eq!(
+            m.overlapped_allreduce_exposed_seconds(1, &buckets, 1.0),
+            0.0
+        );
         // The trade-off the fusion threshold exists for: at large scale the
         // per-bucket λ·N^0.6 coordination term dominates, and many small
         // buckets cost more than one blocking fused call.

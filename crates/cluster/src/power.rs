@@ -31,7 +31,10 @@ impl TimeSeries {
         assert!(t_s.is_finite(), "TimeSeries time must be finite");
         assert!(t_s >= 0.0, "TimeSeries time must be non-negative");
         if let Some(&(last_s, _)) = self.points.last() {
-            assert!(t_s >= last_s, "TimeSeries breakpoints must be non-decreasing");
+            assert!(
+                t_s >= last_s,
+                "TimeSeries breakpoints must be non-decreasing"
+            );
             if t_s == last_s {
                 self.points.pop();
             }

@@ -311,8 +311,7 @@ pub fn simulate(profile: &WorkloadProfile, config: &RunConfig) -> Result<RunRepo
             // "P1B1 requires at least 4 epochs" (at most 96 GPUs of its
             // 384-epoch budget).
             let min = calib::min_epochs_per_worker(profile.bench);
-            if config.workers > profile.total_epochs
-                || profile.total_epochs / config.workers < min
+            if config.workers > profile.total_epochs || profile.total_epochs / config.workers < min
             {
                 return Err(RunError::TooManyWorkers {
                     workers: config.workers,

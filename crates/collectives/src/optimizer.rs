@@ -12,8 +12,8 @@
 use crate::comm::Communicator;
 use crate::fusion::FusionPlan;
 use crate::overlap::Engine;
-use obs::Timeline;
 use crate::CommError;
+use obs::Timeline;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,7 +57,6 @@ impl DistributedOptimizer {
     pub fn comm(&self) -> &Communicator {
         &self.engine.comm
     }
-
 }
 
 impl DistributedOptimizer {

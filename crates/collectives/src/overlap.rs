@@ -41,8 +41,8 @@
 use crate::comm::{Communicator, LANE_SLOTS};
 use crate::fusion::FusionPlan;
 use crate::ring::{exchange_fits, exchange_fold, exchange_post, exchange_ready, ring_allreduce};
-use obs::Timeline;
 use crate::CommError;
+use obs::Timeline;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -574,7 +574,10 @@ mod tests {
             ReadStrategy::ChunkedLowMemory,
         );
         assert!(matches!(r, Err(DataError::Io(_))));
-        let r = read_csv(Path::new("/nonexistent/file.csv"), ReadStrategy::TurboParallel);
+        let r = read_csv(
+            Path::new("/nonexistent/file.csv"),
+            ReadStrategy::TurboParallel,
+        );
         assert!(matches!(r, Err(DataError::Io(_))));
     }
 

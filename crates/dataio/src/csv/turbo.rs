@@ -1090,7 +1090,12 @@ mod tests {
             let token = if frac == 0 {
                 format!("{mant}e{exp}")
             } else {
-                format!("{}.{:0>width$}e{exp}", mant / 10u64.pow(frac as u32), mant % 10u64.pow(frac as u32), width = frac)
+                format!(
+                    "{}.{:0>width$}e{exp}",
+                    mant / 10u64.pow(frac as u32),
+                    mant % 10u64.pow(frac as u32),
+                    width = frac
+                )
             };
             if let Some(fast) = parse_f64_fast(token.as_bytes()) {
                 let std = token.parse::<f64>().unwrap();

@@ -49,7 +49,10 @@ impl Scaler {
     /// # Panics
     /// Panics if the matrix is empty or its length is not `rows × cols`.
     pub fn fit(kind: ScalerKind, data: &[f32], rows: usize, cols: usize) -> Scaler {
-        assert!(rows > 0 && cols > 0, "cannot fit a scaler on an empty matrix");
+        assert!(
+            rows > 0 && cols > 0,
+            "cannot fit a scaler on an empty matrix"
+        );
         assert_eq!(data.len(), rows * cols, "matrix dims mismatch");
         match kind {
             ScalerKind::MaxAbs => {

@@ -46,7 +46,10 @@ fn steady_state_turbo_parse_allocates_nothing() {
     assert_eq!(columns.len(), 24);
 
     let before = thread_allocs();
-    assert!(before > 0, "building the buffer allocated: the counter must have seen it");
+    assert!(
+        before > 0,
+        "building the buffer allocated: the counter must have seen it"
+    );
     for _ in 0..5 {
         scan(&bytes, &mut idx).unwrap();
         assert!(parse_into(&bytes, &idx, &mut columns, 1));

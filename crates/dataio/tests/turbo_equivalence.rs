@@ -28,8 +28,17 @@ fn random_token(rng: &mut impl RandomSource, force_fractional: bool) -> String {
     let sign = if rng.next_index(4) == 0 { "-" } else { "" };
     match shape {
         0 => format!("{sign}{}", rng.next_index(100_000)),
-        1 => format!("{sign}{}.{:02}25", rng.next_index(1000), rng.next_index(100)),
-        2 => format!("{sign}{}.{}e-{}", rng.next_index(10), 1 + rng.next_index(9), 1 + rng.next_index(12)),
+        1 => format!(
+            "{sign}{}.{:02}25",
+            rng.next_index(1000),
+            rng.next_index(100)
+        ),
+        2 => format!(
+            "{sign}{}.{}e-{}",
+            rng.next_index(10),
+            1 + rng.next_index(9),
+            1 + rng.next_index(12)
+        ),
         _ => format!("{sign}{}e{}", 1 + rng.next_index(999), rng.next_index(15)),
     }
 }
@@ -94,8 +103,16 @@ fn turbo_bit_identical_to_seed_strategies_across_geometries_and_threads() {
 
         let (chunked, _) = read_csv(&path, ReadStrategy::ChunkedLowMemory).unwrap();
         let (pandas, _) = read_csv(&path, ReadStrategy::PandasDefault).unwrap();
-        assert_eq!((chunked.nrows(), chunked.ncols()), (rows, cols), "case {case}");
-        assert_bit_identical(&chunked, &pandas, &format!("case {case}: pandas vs chunked"));
+        assert_eq!(
+            (chunked.nrows(), chunked.ncols()),
+            (rows, cols),
+            "case {case}"
+        );
+        assert_bit_identical(
+            &chunked,
+            &pandas,
+            &format!("case {case}: pandas vs chunked"),
+        );
 
         for threads in [1, 2, 4] {
             let (turbo, stats) = read_turbo_with_threads(&path, threads).unwrap();
@@ -120,7 +137,10 @@ fn turbo_corner_geometries_match_chunked() {
         ("blank_lines", "\n1.5,2\n\n\n3,4.25\n\n"),
         ("blank_crlf_lines", "\r\n1.5,2\r\n\r\n3,4.25\r\n"),
         ("single_cell", "7.5"),
-        ("single_wide_row", "1.5,2.5,3.5,4.5,5.5,6.5,7.5,8.5,9.5,10.5,11.5,12.5\n"),
+        (
+            "single_wide_row",
+            "1.5,2.5,3.5,4.5,5.5,6.5,7.5,8.5,9.5,10.5,11.5,12.5\n",
+        ),
     ];
     let dir = scratch();
     for (name, text) in cases {

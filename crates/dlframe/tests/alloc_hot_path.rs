@@ -25,9 +25,23 @@ fn nt3ish_model() -> Sequential {
     let mut rng = xrng::seeded(11);
     let mut model = Sequential::new(7);
     model.add(Box::new(Reshape3::new(60, 1)));
-    model.add(Box::new(Conv1D::new(1, 8, 5, 2, Activation::Relu, &mut rng)));
+    model.add(Box::new(Conv1D::new(
+        1,
+        8,
+        5,
+        2,
+        Activation::Relu,
+        &mut rng,
+    )));
     model.add(Box::new(MaxPooling1D::new(2)));
-    model.add(Box::new(Conv1D::new(8, 8, 3, 1, Activation::Relu, &mut rng)));
+    model.add(Box::new(Conv1D::new(
+        8,
+        8,
+        3,
+        1,
+        Activation::Relu,
+        &mut rng,
+    )));
     model.add(Box::new(Flatten::new()));
     model.add(Box::new(Dense::new(96, 16, Activation::Relu, &mut rng)));
     model.add(Box::new(Dropout::new(0.1, xrng::seeded(12))));
@@ -63,7 +77,10 @@ fn train_batch_steady_state_allocates_nothing() {
         }
     }
     let before = thread_allocs();
-    assert!(before > 0, "building the model allocated: the counter must have seen it");
+    assert!(
+        before > 0,
+        "building the model allocated: the counter must have seen it"
+    );
     for _ in 0..3 {
         for idx in &batches {
             data.batch_into(idx, &mut bx, &mut by);
@@ -91,7 +108,9 @@ fn alternating_batch_sizes_stay_allocation_free_and_train_the_same() {
     let sizes: [&[usize]; 3] = [
         &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
         &[16, 17, 18, 19, 20],
-        &[21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36],
+        &[
+            21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36,
+        ],
     ];
     let mut bx = Tensor::zeros([1, 1]);
     let mut by = Tensor::zeros([1, 1]);
@@ -118,7 +137,8 @@ fn alternating_batch_sizes_stay_allocation_free_and_train_the_same() {
     );
     let mut fresh = nt3ish_model();
     train(&mut fresh);
-    let bits = |m: &Sequential| -> Vec<u32> { m.flat_params().iter().map(|v| v.to_bits()).collect() };
+    let bits =
+        |m: &Sequential| -> Vec<u32> { m.flat_params().iter().map(|v| v.to_bits()).collect() };
     assert_eq!(
         bits(&warm),
         bits(&fresh),

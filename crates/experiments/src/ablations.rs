@@ -29,7 +29,10 @@ pub fn ablation_nccl_upgrade() -> Experiment {
     Experiment {
         id: "ablation_nccl",
         title: "Projected NT3 time/epoch (s) with the NCCL 2.4 upgrade (paper §7 future work)",
-        text: format_table(&["GPUs", "NCCL 2.3.7", "NCCL 2.4.2", "epoch speedup"], &rows),
+        text: format_table(
+            &["GPUs", "NCCL 2.3.7", "NCCL 2.4.2", "epoch speedup"],
+            &rows,
+        ),
     }
 }
 
@@ -148,7 +151,10 @@ pub fn ablation_fusion() -> Experiment {
             format!("{:.3} s", t_unfused),
         ],
     ];
-    let mut text = format_table(&["mode", "allreduce calls/step", "comm time/step (384 GPUs)"], &rows);
+    let mut text = format_table(
+        &["mode", "allreduce calls/step", "comm time/step (384 GPUs)"],
+        &rows,
+    );
     text.push_str(&format!(
         "\nfusion saves {:.1}% of per-step communication at 384 GPUs\n",
         (t_unfused - t_fused) / t_unfused * 100.0

@@ -15,7 +15,7 @@ use crate::report::{format_table, Experiment};
 use cluster::calib::Bench;
 use cluster::{io, LoadMethod, Machine};
 use datacache::CacheStore;
-use dataio::{generate, write_csv_dataset, read_csv, ClassSpec, ReadStrategy, SyntheticSpec};
+use dataio::{generate, read_csv, write_csv_dataset, ClassSpec, ReadStrategy, SyntheticSpec};
 use parx::scratch;
 use std::time::Instant;
 

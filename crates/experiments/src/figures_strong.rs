@@ -80,8 +80,7 @@ pub fn fig6(quick: bool) -> Experiment {
 /// Figure 7: (a) GPU power over time on 384 GPUs; (b) the Horovod timeline
 /// with broadcast and allreduce activity.
 pub fn fig7() -> Experiment {
-    let report = summit_strong_run(Bench::Nt3, 384, 20)
-        .expect("384-GPU NT3 run is feasible");
+    let report = summit_strong_run(Bench::Nt3, 384, 20).expect("384-GPU NT3 run is feasible");
     let mut text = String::from("(a) GPU power over time (nvidia-smi-style 1 Hz samples):\n");
     // Downsample the trace for the report: every 20th second.
     let rows: Vec<Vec<String>> = report

@@ -100,7 +100,11 @@ pub(crate) fn actual_peak_rps(t: &TraceConfig) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-pub(crate) fn base_config(quick: bool, scaling: ScalePolicy, shed_wait_frac: f64) -> SimFleetConfig {
+pub(crate) fn base_config(
+    quick: bool,
+    scaling: ScalePolicy,
+    shed_wait_frac: f64,
+) -> SimFleetConfig {
     SimFleetConfig {
         trace: trace(quick),
         service: service(),

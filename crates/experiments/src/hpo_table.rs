@@ -23,8 +23,8 @@ use dataio::{generate, ClassSpec, SyntheticSpec};
 use datapipe::{DatasetService, ServiceConfig};
 use dlframe::Dataset;
 use hpo::{
-    run_search, AshaConfig, LocalExecutor, ModelledExecutor, ParamSpec, SearchConfig,
-    SearchReport, SearchSpace, TrialExecutor, TrialId,
+    run_search, AshaConfig, LocalExecutor, ModelledExecutor, ParamSpec, SearchConfig, SearchReport,
+    SearchSpace, TrialExecutor, TrialId,
 };
 use parx::scratch;
 use resil::TrialStore;
@@ -81,8 +81,7 @@ fn eval_dataset(spec: &SyntheticSpec, rows: usize, classes: usize) -> Result<Dat
 /// brute-force full-budget sweep, returning all verification evidence. A
 /// failed step is an error naming the step, never a shorter table.
 pub fn measure_hpo(quick: bool) -> Result<HpoMeasurement, String> {
-    let (trials, rows, cols, classes, workers): (usize, usize, usize, usize, &[usize]) = if quick
-    {
+    let (trials, rows, cols, classes, workers): (usize, usize, usize, usize, &[usize]) = if quick {
         (8, 512, 12, 3, &[1, 2])
     } else {
         (16, 1024, 16, 4, &[1, 2, 4])
@@ -109,7 +108,9 @@ pub fn measure_hpo(quick: bool) -> Result<HpoMeasurement, String> {
     config.threads = 2;
     let service = DatasetService::new(config).map_err(|e| format!("dataset service: {e}"))?;
     service
-        .open_dataset(key, "synthetic:hpo", "", 4, || Ok(generate(&spec).to_frame()))
+        .open_dataset(key, "synthetic:hpo", "", 4, || {
+            Ok(generate(&spec).to_frame())
+        })
         .map_err(|e| format!("cold build: {e}"))?;
     let eval = eval_dataset(&spec, rows / 4, classes)?;
 

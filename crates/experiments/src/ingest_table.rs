@@ -171,7 +171,13 @@ pub fn table_ingest(quick: bool) -> Experiment {
          time on generated files (wide: packed-CSV 17-digit tokens):\n",
     );
     text.push_str(&format_table(
-        &["strategy @ geometry", "time", "MiB/s", "vs pandas", "turbo phases"],
+        &[
+            "strategy @ geometry",
+            "time",
+            "MiB/s",
+            "vs pandas",
+            "turbo phases",
+        ],
         &cells,
     ));
     Experiment {

@@ -72,7 +72,11 @@ pub fn measure_kernel_comparison(quick: bool) -> Vec<KernelComparison> {
 
     // Dense-layer GEMMs. P1B1's widest layer is the 960→1024 encoder at
     // batch 512; quick mode keeps the inner dimension and shrinks the rest.
-    let (m, k, n) = if quick { (64, 960, 64) } else { (512, 960, 1024) };
+    let (m, k, n) = if quick {
+        (64, 960, 64)
+    } else {
+        (512, 960, 1024)
+    };
     let a = filled([m, k], 1);
     let b = filled([k, n], 2);
     let gemm_flops = 2.0 * (m * k * n) as f64;
@@ -122,7 +126,11 @@ pub fn measure_kernel_comparison(quick: bool) -> Vec<KernelComparison> {
     });
 
     // NT3's dense head: the flattened conv stack feeding a narrow layer.
-    let (hm, hk, hn) = if quick { (20, 960, 32) } else { (20, 9600, 200) };
+    let (hm, hk, hn) = if quick {
+        (20, 960, 32)
+    } else {
+        (20, 9600, 200)
+    };
     let ha = filled([hm, hk], 5);
     let hb = filled([hk, hn], 6);
     rows.push(KernelComparison {

@@ -137,16 +137,17 @@ fn predict_exposed(comm_busy_s: f64, backward_s: f64, buckets: u64, steps: u64) 
 /// `quick` uses one epoch per worker at counts {1, 2, 4}; the full mode
 /// runs four epochs per worker at counts {1, 2, 4, 8}.
 pub fn measure_overlap_comparison(quick: bool) -> Vec<OverlapComparison> {
-    let (worker_counts, epochs): (&[usize], usize) =
-        if quick { (&[1, 2, 4], 1) } else { (&[1, 2, 4, 8], 4) };
+    let (worker_counts, epochs): (&[usize], usize) = if quick {
+        (&[1, 2, 4], 1)
+    } else {
+        (&[1, 2, 4, 8], 4)
+    };
     worker_counts
         .iter()
         .map(|&w| {
-            let blocking = candle::run_parallel(&spec(w, epochs, None))
-                .expect("blocking NT3 run");
-            let overlapped =
-                candle::run_parallel(&spec(w, epochs, Some(OVERLAP_THRESHOLD_BYTES)))
-                    .expect("overlapped NT3 run");
+            let blocking = candle::run_parallel(&spec(w, epochs, None)).expect("blocking NT3 run");
+            let overlapped = candle::run_parallel(&spec(w, epochs, Some(OVERLAP_THRESHOLD_BYTES)))
+                .expect("overlapped NT3 run");
             let (blocking_train, _) = phase(&blocking, "training");
             let (overlapped_train, _) = phase(&overlapped, "training");
             let (hidden, buckets) = phase(&overlapped, "comm_overlap");
@@ -353,7 +354,13 @@ pub fn table_overlap(quick: bool) -> Experiment {
         })
         .collect();
     text.push_str(&format_table(
-        &["workers", "payload", "allreduce_sum", "ring", "one exchange"],
+        &[
+            "workers",
+            "payload",
+            "allreduce_sum",
+            "ring",
+            "one exchange",
+        ],
         &sweep,
     ));
     Experiment {
@@ -393,7 +400,10 @@ mod tests {
             .iter()
             .flat_map(|w| [4, 64, 1024].map(|k| (w.to_string(), k.to_string())))
             .collect();
-        assert_eq!(rows, expected, "one sweep row per (world, quick payload):\n{sweep}");
+        assert_eq!(
+            rows, expected,
+            "one sweep row per (world, quick payload):\n{sweep}"
+        );
     }
 
     #[test]

@@ -116,16 +116,26 @@ fn sim_fit_validations() -> (Vec<FitValidation>, Vec<SamplePoint>) {
     let config = nt3_strong_config(profile.default_batch);
     let train = cluster::sweep(&profile, SIM_FIT_WORKERS, &config);
     let held = cluster::sweep(&profile, &[SIM_HOLDOUT_2X, SIM_HOLDOUT_4X], &config);
-    assert_eq!(train.len(), SIM_FIT_WORKERS.len(), "sim fit sweep lost points");
+    assert_eq!(
+        train.len(),
+        SIM_FIT_WORKERS.len(),
+        "sim fit sweep lost points"
+    );
     assert_eq!(held.len(), 2, "sim holdout sweep lost points");
 
     let sec_pts: Vec<SamplePoint> = train
         .iter()
-        .map(|p| SamplePoint { scale: p.scale, value: p.seconds })
+        .map(|p| SamplePoint {
+            scale: p.scale,
+            value: p.seconds,
+        })
         .collect();
     let joule_pts: Vec<SamplePoint> = train
         .iter()
-        .map(|p| SamplePoint { scale: p.scale, value: p.joules })
+        .map(|p| SamplePoint {
+            scale: p.scale,
+            value: p.joules,
+        })
         .collect();
     let sec_fit = fit_series(&sec_pts).expect("sim seconds series must fit");
     let joule_fit = fit_series(&joule_pts).expect("sim joules series must fit");
@@ -170,8 +180,11 @@ fn sim_fit_validations() -> (Vec<FitValidation>, Vec<SamplePoint>) {
 /// points to hold one out, so its row validates the largest in-sample
 /// point and is never asserted).
 fn measured_fit_validation(quick: bool) -> (Vec<(usize, f64)>, FitValidation) {
-    let (workers, epochs): (&[usize], usize) =
-        if quick { (&[1, 2, 4], 1) } else { (&[1, 2, 4, 8], 4) };
+    let (workers, epochs): (&[usize], usize) = if quick {
+        (&[1, 2, 4], 1)
+    } else {
+        (&[1, 2, 4, 8], 4)
+    };
     let epoch_s: Vec<(usize, f64)> = workers
         .iter()
         .map(|&w| {
@@ -181,14 +194,20 @@ fn measured_fit_validation(quick: bool) -> (Vec<(usize, f64)>, FitValidation) {
         })
         .collect();
     let (fit_on, holdout) = if quick {
-        (&epoch_s[..], *epoch_s.last().expect("measured at least one point"))
+        (
+            &epoch_s[..],
+            *epoch_s.last().expect("measured at least one point"),
+        )
     } else {
         let (last, rest) = epoch_s.split_last().expect("measured at least one point");
         (rest, *last)
     };
     let pts: Vec<SamplePoint> = fit_on
         .iter()
-        .map(|&(w, s)| SamplePoint { scale: w as f64, value: s })
+        .map(|&(w, s)| SamplePoint {
+            scale: w as f64,
+            value: s,
+        })
         .collect();
     let fitted = fit_series(&pts).expect("measured epoch series must fit");
     // Thread-simulated ranks on a shared host jitter far beyond the
@@ -277,7 +296,10 @@ fn tune_worker_count(epoch_s: &[(usize, f64)]) -> (TunedKnob, usize, f64, f64) {
     let wall = |w: usize, s: f64| (TUNE_EPOCH_BUDGET as f64 / w as f64) * s;
     let pts: Vec<SamplePoint> = epoch_s
         .iter()
-        .map(|&(w, s)| SamplePoint { scale: w as f64, value: wall(w, s) })
+        .map(|&(w, s)| SamplePoint {
+            scale: w as f64,
+            value: wall(w, s),
+        })
         .collect();
     let fitted = fit_series(&pts).expect("wall-clock series must fit");
     let candidates: Vec<usize> = epoch_s.iter().map(|&(w, _)| w).collect();
@@ -312,8 +334,8 @@ fn tune_fleet_size(quick: bool) -> (TunedKnob, usize, FleetSimReport, usize, Fle
     let t = crate::fleet_table::trace(quick);
     let per_replica_rps = crate::fleet_table::service().peak_rps();
     let mean_n = ((t.mean_rps() / per_replica_rps).ceil() as usize).max(1);
-    let peak_n =
-        ((crate::fleet_table::actual_peak_rps(&t) / per_replica_rps).ceil() as usize).max(mean_n + 1);
+    let peak_n = ((crate::fleet_table::actual_peak_rps(&t) / per_replica_rps).ceil() as usize)
+        .max(mean_n + 1);
 
     let sim_fixed = |n: usize| {
         run_fleet_sim(&crate::fleet_table::base_config(
@@ -345,7 +367,11 @@ fn tune_fleet_size(quick: bool) -> (TunedKnob, usize, FleetSimReport, usize, Fle
         verified += 1;
         report = sim_fixed(verified);
     }
-    let peak_report = if verified == peak_n { report.clone() } else { sim_fixed(peak_n) };
+    let peak_report = if verified == peak_n {
+        report.clone()
+    } else {
+        sim_fixed(peak_n)
+    };
     let knob = TunedKnob {
         knob: "fleet replicas",
         default: format!("{peak_n} (peak-sized)"),
@@ -378,7 +404,10 @@ fn regression_demo() -> (f64, usize, usize) {
     let clean: Vec<SamplePoint> =
         cluster::sweep(&profile, workers, nt3_strong_config(profile.default_batch))
             .iter()
-            .map(|p| SamplePoint { scale: p.scale, value: p.seconds })
+            .map(|p| SamplePoint {
+                scale: p.scale,
+                value: p.seconds,
+            })
             .collect();
     let (_, clean_flags) = check_points(&clean).expect("clean series must fit");
     let mut corrupted = clean.clone();
@@ -454,7 +483,10 @@ pub fn table_perfmodel(quick: bool) -> Experiment {
         "verified fleet size {verified_n} still violates the SLO: p99 {:.3}s",
         fleet_report.worst_window_p99_s
     );
-    assert!(verified_n <= peak_n, "fleet tuner exceeded the peak-sized default");
+    assert!(
+        verified_n <= peak_n,
+        "fleet tuner exceeded the peak-sized default"
+    );
     assert!(
         fleet_report.energy_j <= peak_report.energy_j * 1.0001,
         "tuned fleet burned more energy than the peak-sized default: {:.0} vs {:.0} J",
@@ -508,7 +540,15 @@ pub fn table_perfmodel(quick: bool) -> Experiment {
     );
     text.push_str(&format_table(
         &[
-            "series", "fitted law", "cv", "band", "N*", "predicted", "measured", "err", "assert",
+            "series",
+            "fitted law",
+            "cv",
+            "band",
+            "N*",
+            "predicted",
+            "measured",
+            "err",
+            "assert",
         ],
         &fit_cells,
     ));

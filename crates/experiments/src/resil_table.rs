@@ -68,7 +68,14 @@ pub fn table_resil(quick: bool) -> Experiment {
     assert_eq!(recovered.recoveries.len(), 1);
 
     let measured = format_table(
-        &["run", "epochs run", "redone", "ckpt writes", "ckpt KiB", "final weight hash"],
+        &[
+            "run",
+            "epochs run",
+            "redone",
+            "ckpt writes",
+            "ckpt KiB",
+            "final weight hash",
+        ],
         &[
             vec![
                 "healthy".into(),
@@ -91,7 +98,11 @@ pub fn table_resil(quick: bool) -> Experiment {
 
     // Modelled at the paper's scale: NT3 weak scaling on Summit, crash at
     // 3/4 of the 8-epoch budget, checkpoints every 2 epochs.
-    let gpus: &[usize] = if quick { &[1, 96, 1536] } else { &[1, 6, 24, 96, 384, 1536] };
+    let gpus: &[usize] = if quick {
+        &[1, 96, 1536]
+    } else {
+        &[1, 6, 24, 96, 384, 1536]
+    };
     let rows = summit_recovery_sweep(Bench::Nt3, gpus, 0.75, 2, 5.0).expect("summit sweep");
     for row in &rows {
         assert!(
@@ -102,7 +113,13 @@ pub fn table_resil(quick: bool) -> Experiment {
     }
     let modelled = format_table(
         &[
-            "GPUs", "fail@", "redone", "restart s", "resume s", "saved s", "saved kJ/device",
+            "GPUs",
+            "fail@",
+            "redone",
+            "restart s",
+            "resume s",
+            "saved s",
+            "saved kJ/device",
         ],
         &rows
             .iter()

@@ -66,9 +66,19 @@ fn trained_model(seed: u64) -> Arc<Sequential> {
     );
     let mut model = Sequential::new(seed);
     model
-        .add(Box::new(Dense::new(FEATURES, 64, Activation::Relu, &mut rng)))
+        .add(Box::new(Dense::new(
+            FEATURES,
+            64,
+            Activation::Relu,
+            &mut rng,
+        )))
         .add(Box::new(Dense::new(64, 64, Activation::Relu, &mut rng)))
-        .add(Box::new(Dense::new(64, CLASSES, Activation::Linear, &mut rng)))
+        .add(Box::new(Dense::new(
+            64,
+            CLASSES,
+            Activation::Linear,
+            &mut rng,
+        )))
         .compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.05));
     model
         .fit(
@@ -214,7 +224,10 @@ mod tests {
         let rows = measure_serving_sweep(true, 7);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].max_batch, 1);
-        assert!((rows[0].mean_batch - 1.0).abs() < 1e-9, "batch-1 must not coalesce");
+        assert!(
+            (rows[0].mean_batch - 1.0).abs() < 1e-9,
+            "batch-1 must not coalesce"
+        );
         assert!(
             rows.iter().any(|r| r.mean_batch > 1.0),
             "dynamic limits never coalesced: {rows:?}"

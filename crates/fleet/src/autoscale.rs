@@ -180,8 +180,7 @@ impl Autoscaler {
     pub fn decide(&mut self, sig: &ControlSignal) -> Option<ScaleDecision> {
         let c = &self.config;
         let hot_p99 = sig.samples > 0 && sig.p99_s > c.scale_out_frac * c.slo_p99_s;
-        let hot_queue =
-            sig.queued_peak > c.queue_high_per_replica * sig.active_replicas.max(1);
+        let hot_queue = sig.queued_peak > c.queue_high_per_replica * sig.active_replicas.max(1);
         let calm = sig.utilization <= c.scale_in_util
             && sig.queued <= sig.active_replicas
             && (sig.samples == 0 || sig.p99_s <= c.scale_in_p99_frac * c.slo_p99_s);
@@ -231,7 +230,11 @@ impl Autoscaler {
             from: sig.active_replicas,
             to,
             reason,
-            p99_ms: if sig.samples > 0 { sig.p99_s * 1e3 } else { 0.0 },
+            p99_ms: if sig.samples > 0 {
+                sig.p99_s * 1e3
+            } else {
+                0.0
+            },
             queued: sig.queued.max(sig.queued_peak),
             utilization: sig.utilization,
             marginal_watts: (to as f64 - sig.active_replicas as f64) * self.replica_watts,
@@ -304,7 +307,9 @@ mod tests {
         assert!(a.decide(&sig(25.0, 5.0, 0, 4, 0.1)).is_none());
         assert!(a.decide(&sig(30.0, 5.0, 0, 4, 0.1)).is_none());
         // Third consecutive calm interval: scale in by step_in.
-        let d = a.decide(&sig(35.0, 5.0, 0, 4, 0.1)).expect("sustained idle");
+        let d = a
+            .decide(&sig(35.0, 5.0, 0, 4, 0.1))
+            .expect("sustained idle");
         assert_eq!((d.from, d.to), (4, 3));
         assert_eq!(d.reason, ScaleReason::SustainedIdle);
         assert!((d.marginal_watts + 140.0).abs() < 1e-9);

@@ -308,8 +308,7 @@ pub fn run_serve_fleet(
         } else {
             0.0
         };
-        energy_j +=
-            s.uptime_s * (busy_frac * power.compute_w + (1.0 - busy_frac) * power.idle_w);
+        energy_j += s.uptime_s * (busy_frac * power.compute_w + (1.0 - busy_frac) * power.idle_w);
         replica_seconds += s.uptime_s;
     }
 
@@ -431,8 +430,7 @@ fn control_step<'scope, 'env, F>(
                 scope.spawn(move || {
                     let busy = engine_busy_seconds(&engine);
                     engine.shutdown();
-                    let uptime = (now_s - online_s).max(0.0)
-                        + drain_start.elapsed().as_secs_f64();
+                    let uptime = (now_s - online_s).max(0.0) + drain_start.elapsed().as_secs_f64();
                     ledger.lock().unwrap().push(ReplicaSpan {
                         uptime_s: uptime,
                         busy_s: busy,
@@ -494,7 +492,12 @@ mod tests {
         if let Some(gate) = gate {
             m.add(Box::new(gate.clone()));
         }
-        m.add(Box::new(Dense::new(features, 16, Activation::Relu, &mut rng)));
+        m.add(Box::new(Dense::new(
+            features,
+            16,
+            Activation::Relu,
+            &mut rng,
+        )));
         m.add(Box::new(Dense::new(16, 3, Activation::Linear, &mut rng)));
         m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
         Arc::new(m)

@@ -441,7 +441,9 @@ impl SimState {
             self.overloaded += 1;
             return;
         }
-        self.replicas[target].queue.push_back(Queued { index, arrival_s });
+        self.replicas[target]
+            .queue
+            .push_back(Queued { index, arrival_s });
     }
 
     /// Parallel per-replica advance; completions merged in replica order.
@@ -564,7 +566,11 @@ impl SimState {
         let utilization = (busy / (active.max(1) as f64 * interval_s)).clamp(0.0, 1.0);
         let snap = self.windowed.snapshot(now);
         let samples = snap.count();
-        let p99_s = if samples > 0 { snap.quantile(0.99) } else { 0.0 };
+        let p99_s = if samples > 0 {
+            snap.quantile(0.99)
+        } else {
+            0.0
+        };
         self.control_intervals += 1;
         if samples > 0 {
             if p99_s > self.worst_window_p99_s {
@@ -685,8 +691,7 @@ pub fn run_fleet_sim(config: &SimFleetConfig) -> FleetSimReport {
     let trace = config.trace.clone();
     let mut arrivals = trace.arrivals().peekable();
     let mut scratch = AdmitScratch::default();
-    let ticks_per_interval =
-        ((config.control_interval_s / config.tick_s).round() as usize).max(1);
+    let ticks_per_interval = ((config.control_interval_s / config.tick_s).round() as usize).max(1);
     let tick_s = config.control_interval_s / ticks_per_interval as f64;
     let mut interval: u64 = 0;
     loop {

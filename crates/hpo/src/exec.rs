@@ -271,11 +271,7 @@ impl LocalExecutor {
         }
     }
 
-    fn evaluate_into(
-        &self,
-        model: &Sequential,
-        out: &mut RungOutcome,
-    ) -> Result<(), HpoError> {
+    fn evaluate_into(&self, model: &Sequential, out: &mut RungOutcome) -> Result<(), HpoError> {
         let (loss, acc) = model
             .evaluate(&self.eval, self.eval_batch)
             .map_err(|e| HpoError::Train(e.to_string()))?;
@@ -294,20 +290,25 @@ impl TrialExecutor for LocalExecutor {
         to_epochs: usize,
         rung: usize,
     ) -> Result<RungOutcome, HpoError> {
-        assert!(from_epochs < to_epochs, "rung must train at least one epoch");
+        assert!(
+            from_epochs < to_epochs,
+            "rung must train at least one epoch"
+        );
         let mut out = self.blank_outcome(id, rung, to_epochs);
         let mut model = self.build_model(id, params);
         if from_epochs > 0 {
             // The trial was paused at the previous rung boundary; its
             // entire continuation state comes off disk.
             let ckpt_start = Instant::now();
-            let state = self.store.latest(id).map_err(HpoError::Ckpt)?.ok_or(
-                HpoError::Resume {
+            let state = self
+                .store
+                .latest(id)
+                .map_err(HpoError::Ckpt)?
+                .ok_or(HpoError::Resume {
                     trial: id,
                     expected: from_epochs as u64,
                     found: None,
-                },
-            )?;
+                })?;
             if state.epoch != from_epochs as u64 {
                 return Err(HpoError::Resume {
                     trial: id,
@@ -396,8 +397,10 @@ impl ModelledExecutor {
         let batch_miss = (params.batch as f64 / self.profile.default_batch as f64)
             .ln()
             .abs();
-        let floor =
-            0.10 + 0.45 * lr_miss + 0.8 * (params.dropout as f64 - 0.05).max(0.0) + 0.05 * batch_miss;
+        let floor = 0.10
+            + 0.45 * lr_miss
+            + 0.8 * (params.dropout as f64 - 0.05).max(0.0)
+            + 0.05 * batch_miss;
         let tau = 2.0 + 3.0 * lr_miss;
         let start = 2.3; // ~ln(10): untrained softmax over ten classes
         let jitter = {
@@ -414,7 +417,11 @@ impl ModelledExecutor {
 
     /// Prices a segment of `epochs` epochs, or `None` if the
     /// configuration does not fit the machine (OOM and friends).
-    fn price(&self, params: &TrialParams, epochs: usize) -> Result<Option<cluster::RunReport>, HpoError> {
+    fn price(
+        &self,
+        params: &TrialParams,
+        epochs: usize,
+    ) -> Result<Option<cluster::RunReport>, HpoError> {
         let config = RunConfig {
             machine: self.machine,
             workers: self.workers,
@@ -484,17 +491,22 @@ impl TrialExecutor for ModelledExecutor {
         to_epochs: usize,
         rung: usize,
     ) -> Result<RungOutcome, HpoError> {
-        assert!(from_epochs < to_epochs, "rung must train at least one epoch");
+        assert!(
+            from_epochs < to_epochs,
+            "rung must train at least one epoch"
+        );
         if from_epochs > 0 {
             // Same resume contract as the real backend: the previous
             // rung's checkpoint must exist and carry the right epoch.
-            let state = self.store.latest(id).map_err(HpoError::Ckpt)?.ok_or(
-                HpoError::Resume {
+            let state = self
+                .store
+                .latest(id)
+                .map_err(HpoError::Ckpt)?
+                .ok_or(HpoError::Resume {
                     trial: id,
                     expected: from_epochs as u64,
                     found: None,
-                },
-            )?;
+                })?;
             if state.epoch != from_epochs as u64 {
                 return Err(HpoError::Resume {
                     trial: id,

@@ -15,8 +15,8 @@ use crate::asha::{promote, AshaConfig};
 use crate::exec::{RungOutcome, TrialExecutor};
 use crate::space::{SearchSpace, TrialParams};
 use crate::{HpoError, TrialId};
-use obs::PhaseProfiler;
 use datacache::format::{fnv1a64_extend, FNV_OFFSET};
+use obs::PhaseProfiler;
 use parx::WorkerPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -120,10 +120,10 @@ impl SearchReport {
     /// Aggregate `(shard hits, shard misses)` across every trial — the
     /// shared-data-plane scorecard (one decode, many hits).
     pub fn datapipe_totals(&self) -> (u64, u64) {
-        self.trials.iter().flat_map(|t| &t.rungs).fold(
-            (0, 0),
-            |(h, m), o| (h + o.shard_hits, m + o.shard_misses),
-        )
+        self.trials
+            .iter()
+            .flat_map(|t| &t.rungs)
+            .fold((0, 0), |(h, m), o| (h + o.shard_hits, m + o.shard_misses))
     }
 
     /// Collapses every run-to-run-comparable fact of the search — trial
@@ -156,8 +156,7 @@ impl SearchReport {
     /// stalls vs modelled machine time, with per-phase call counts.
     pub fn phase_profile(&self) -> PhaseProfiler {
         let mut prof = PhaseProfiler::new();
-        let outcomes: Vec<&RungOutcome> =
-            self.trials.iter().flat_map(|t| &t.rungs).collect();
+        let outcomes: Vec<&RungOutcome> = self.trials.iter().flat_map(|t| &t.rungs).collect();
         let n = outcomes.len() as u64;
         let sum = |f: fn(&RungOutcome) -> f64| -> Duration {
             Duration::from_secs_f64(outcomes.iter().map(|o| f(o)).sum::<f64>().max(0.0))
@@ -178,7 +177,16 @@ impl SearchReport {
         let mut out = String::new();
         out.push_str(&format!(
             "{:>5} {:>9} {:>6} {:>7} {:>8} {:>7} {:>10} {:>9} {:>5}/{:<5}\n",
-            "trial", "lr", "batch", "hidden", "dropout", "epochs", "objective", "accuracy", "hit", "miss"
+            "trial",
+            "lr",
+            "batch",
+            "hidden",
+            "dropout",
+            "epochs",
+            "objective",
+            "accuracy",
+            "hit",
+            "miss"
         ));
         for t in &self.trials {
             let last = t.final_outcome();
@@ -198,7 +206,11 @@ impl SearchReport {
                 last.accuracy,
                 hits,
                 misses,
-                if t.id == self.winner { "  <- winner" } else { "" },
+                if t.id == self.winner {
+                    "  <- winner"
+                } else {
+                    ""
+                },
             ));
         }
         out.push_str(&format!(
@@ -348,8 +360,7 @@ mod tests {
         let mut fingerprints = Vec::new();
         for workers in [1, 2, 4] {
             let dir = tmp_dir(&format!("inv{workers}"));
-            let report =
-                run_search(&space, modelled_exec(&dir, 42), &config(workers)).unwrap();
+            let report = run_search(&space, modelled_exec(&dir, 42), &config(workers)).unwrap();
             fingerprints.push((report.fingerprint(), report.winner));
         }
         assert_eq!(fingerprints[0], fingerprints[1]);

@@ -94,7 +94,10 @@ impl SearchSpace {
     pub fn sample(&self, root: SeedNode, id: u64) -> TrialParams {
         let mut rng = root.derive("trial-params", id).rng();
         assert!(!self.batch.is_empty(), "batch choice set must be non-empty");
-        assert!(!self.hidden.is_empty(), "hidden choice set must be non-empty");
+        assert!(
+            !self.hidden.is_empty(),
+            "hidden choice set must be non-empty"
+        );
         let lr = self.lr.sample(&mut rng) as f32;
         let batch = self.batch[rng.next_index(self.batch.len())];
         let hidden = self.hidden[rng.next_index(self.hidden.len())];

@@ -163,7 +163,11 @@ impl LogHistogram {
                 let (lo, hi) = self.bucket_bounds(i);
                 // Geometric midpoint, clamped to the observed range so a
                 // sparse top bucket cannot report past the true extremes.
-                let mid = if lo == 0.0 { hi / 2.0 } else { (lo * hi).sqrt() };
+                let mid = if lo == 0.0 {
+                    hi / 2.0
+                } else {
+                    (lo * hi).sqrt()
+                };
                 return mid.clamp(self.min(), self.max());
             }
         }

@@ -87,7 +87,10 @@ impl PhaseProfiler {
         let total = self.total().as_secs_f64().max(1e-12);
         let mut sorted: Vec<&PhaseRecord> = self.records.iter().collect();
         sorted.sort_by_key(|r| std::cmp::Reverse(r.elapsed));
-        let mut out = format!("{:<20} {:>10} {:>8} {:>7}\n", "phase", "cumtime", "calls", "share");
+        let mut out = format!(
+            "{:<20} {:>10} {:>8} {:>7}\n",
+            "phase", "cumtime", "calls", "share"
+        );
         out.push_str(&"-".repeat(48));
         out.push('\n');
         for r in sorted {

@@ -211,7 +211,9 @@ impl FittedModel {
     /// 10% — scaling data below that is indistinguishable from timer
     /// noise.
     pub fn error_band_frac(&self) -> f64 {
-        (4.0 * self.cv_mean_rel_err).max(2.0 * self.cv_max_rel_err).max(0.10)
+        (4.0 * self.cv_mean_rel_err)
+            .max(2.0 * self.cv_max_rel_err)
+            .max(0.10)
     }
 
     /// The stated regression-flag threshold: five *median* leave-one-out
@@ -333,7 +335,13 @@ fn loo_errors(c: &Candidate, points: &[SamplePoint]) -> Option<Vec<f64>> {
     let mut rest = Vec::with_capacity(points.len() - 1);
     for (i, held) in points.iter().enumerate() {
         rest.clear();
-        rest.extend(points.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, p)| *p));
+        rest.extend(
+            points
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, p)| *p),
+        );
         let m = fit_candidate(c, &rest)?;
         let pred = m.predict(held.scale);
         if !pred.is_finite() {
@@ -457,7 +465,10 @@ mod tests {
     fn recovers_nlogn_law() {
         let pts = series(|n| 0.5 * n * n.log2(), &[2.0, 4.0, 8.0, 16.0, 32.0]);
         let fit = fit(&pts).expect("fit");
-        assert_eq!((fit.model.exp_num, fit.model.exp_den, fit.model.log_pow), (1, 1, 1));
+        assert_eq!(
+            (fit.model.exp_num, fit.model.exp_den, fit.model.log_pow),
+            (1, 1, 1)
+        );
         let pred = fit.predict(64.0);
         let truth = 0.5 * 64.0 * 6.0;
         assert!((pred - truth).abs() / truth < 1e-9);
@@ -468,7 +479,11 @@ mod tests {
         // Serial floor + perfectly-scaling part: t(N) = 10 + 100/N.
         let pts = series(|n| 10.0 + 100.0 / n, &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
         let fit = fit(&pts).expect("fit");
-        assert!(fit.model.c0 > 9.0 && fit.model.c0 < 11.0, "c0 {}", fit.model.c0);
+        assert!(
+            fit.model.c0 > 9.0 && fit.model.c0 < 11.0,
+            "c0 {}",
+            fit.model.c0
+        );
         assert_eq!((fit.model.exp_num, fit.model.exp_den), (-1, 1));
         let pred = fit.predict(64.0);
         let truth = 10.0 + 100.0 / 64.0;
@@ -483,7 +498,10 @@ mod tests {
         ));
         let mut bad = series(|n| n, &[1.0, 2.0, 4.0]);
         bad[1].value = -1.0;
-        assert!(matches!(fit(&bad), Err(FitError::InvalidPoint { index: 1 })));
+        assert!(matches!(
+            fit(&bad),
+            Err(FitError::InvalidPoint { index: 1 })
+        ));
     }
 
     #[test]

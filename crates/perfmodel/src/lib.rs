@@ -31,7 +31,9 @@ pub mod fit;
 pub mod regress;
 pub mod tune;
 
-pub use fit::{fit as fit_series, fit_with_threads, FitError, FittedModel, SamplePoint, ScalingModel};
+pub use fit::{
+    fit as fit_series, fit_with_threads, FitError, FittedModel, SamplePoint, ScalingModel,
+};
 pub use regress::{check_points, Flag};
 pub use tune::{
     pick_fleet_initial_size, pick_overlap_threshold, pick_worker_count, FleetSizing,

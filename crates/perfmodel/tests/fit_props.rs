@@ -9,7 +9,13 @@ use xrng::RandomSource;
 /// Scales start at 2 so `log2(N)` factors never zero a data value.
 const SCALES: [f64; 6] = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
-fn synthetic(c: f64, exp_idx: usize, log_idx: usize, noise_frac: f64, seed: u64) -> Vec<SamplePoint> {
+fn synthetic(
+    c: f64,
+    exp_idx: usize,
+    log_idx: usize,
+    noise_frac: f64,
+    seed: u64,
+) -> Vec<SamplePoint> {
     let (num, den) = EXPONENT_GRID[exp_idx];
     let a = num as f64 / den as f64;
     let b = LOG_POWER_GRID[log_idx] as i32;

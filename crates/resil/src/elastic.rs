@@ -104,7 +104,10 @@ impl GradientSync for CommSync<'_> {
 /// Panics if the spec is degenerate (victim out of range, fewer than two
 /// workers, crash step beyond the horizon).
 pub fn run_elastic(spec: &ElasticSpec) -> Result<ElasticOutcome, ResilError> {
-    assert!(spec.workers >= 2, "elastic shrink needs at least two workers");
+    assert!(
+        spec.workers >= 2,
+        "elastic shrink needs at least two workers"
+    );
     assert!(spec.victim < spec.workers, "victim rank out of range");
     assert!(
         spec.crash_step <= spec.total_steps,

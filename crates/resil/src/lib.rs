@@ -53,11 +53,11 @@ pub mod store;
 pub mod summit;
 
 pub use ckpt::{CheckpointManager, TrainState};
-pub use store::TrialStore;
 pub use elastic::{run_elastic, ElasticOutcome, ElasticSpec};
 pub use inject::{apply_shard_faults, corrupt_shard, evict_if_corrupt, scan_shards};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use recovery::{run_resilient, RecoveryEvent, ResilOutcome, ResilSpec};
+pub use store::TrialStore;
 pub use summit::{summit_recovery_sweep, SummitRecoveryRow};
 
 /// Errors from checkpointing, fault injection, and resilient training.
@@ -124,7 +124,10 @@ mod tests {
         let a = hash_params(&[1.0, 2.0, 3.0]);
         assert_eq!(a, hash_params(&[1.0, 2.0, 3.0]));
         // One ULP away must hash differently.
-        assert_ne!(a, hash_params(&[1.0, 2.0, f32::from_bits(3.0f32.to_bits() ^ 1)]));
+        assert_ne!(
+            a,
+            hash_params(&[1.0, 2.0, f32::from_bits(3.0f32.to_bits() ^ 1)])
+        );
         // Order matters.
         assert_ne!(a, hash_params(&[3.0, 2.0, 1.0]));
         // Signed zeros are distinct bit patterns.

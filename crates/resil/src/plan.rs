@@ -233,7 +233,10 @@ mod tests {
     #[test]
     fn empty_plan_is_empty() {
         assert!(FaultPlan::none().is_empty());
-        assert_eq!(FaultPlan::none().fingerprint(), FaultPlan::default().fingerprint());
+        assert_eq!(
+            FaultPlan::none().fingerprint(),
+            FaultPlan::default().fingerprint()
+        );
     }
 
     #[test]

@@ -31,7 +31,10 @@ impl TrialStore {
     /// Panics if `keep_last_n == 0` — GC must never delete a trial's only
     /// resume point.
     pub fn new(root: impl Into<PathBuf>, keep_last_n: usize) -> Result<Self, ResilError> {
-        assert!(keep_last_n > 0, "retention must keep at least one checkpoint");
+        assert!(
+            keep_last_n > 0,
+            "retention must keep at least one checkpoint"
+        );
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Ok(Self { root, keep_last_n })
@@ -78,11 +81,7 @@ impl TrialStore {
         std::fs::read_dir(self.trial_dir(trial))
             .map(|rd| {
                 rd.filter_map(Result::ok)
-                    .filter(|e| {
-                        e.path()
-                            .extension()
-                            .is_some_and(|x| x == "rcp")
-                    })
+                    .filter(|e| e.path().extension().is_some_and(|x| x == "rcp"))
                     .count()
             })
             .unwrap_or(0)

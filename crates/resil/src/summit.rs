@@ -11,9 +11,7 @@
 //! time and per-device joules, which `experiments::table_resil` tabulates.
 
 use candle::{BenchId, HyperParams};
-use cluster::{
-    run::simulate, LoadMethod, Machine, RecoveryCost, RunConfig, RunError, ScalingMode,
-};
+use cluster::{run::simulate, LoadMethod, Machine, RecoveryCost, RunConfig, RunError, ScalingMode};
 
 /// One GPU-count point of the sweep.
 #[derive(Debug, Clone)]

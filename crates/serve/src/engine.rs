@@ -15,8 +15,8 @@
 
 use crate::stats::StatsInner;
 use crate::{ServeError, ServeReport};
-use obs::Timeline;
 use dlframe::Sequential;
+use obs::Timeline;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -614,13 +614,20 @@ mod tests {
             m.add(Box::new(gate.clone()));
         }
         m.add(Box::new(Dense::new(in_dim, 32, Activation::Relu, &mut rng)));
-        m.add(Box::new(Dense::new(32, out_dim, Activation::Linear, &mut rng)));
+        m.add(Box::new(Dense::new(
+            32,
+            out_dim,
+            Activation::Linear,
+            &mut rng,
+        )));
         m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
         m
     }
 
     fn row(i: usize, width: usize) -> Vec<f32> {
-        (0..width).map(|j| ((i * width + j) % 13) as f32 * 0.1).collect()
+        (0..width)
+            .map(|j| ((i * width + j) % 13) as f32 * 0.1)
+            .collect()
     }
 
     #[test]
@@ -1000,7 +1007,10 @@ mod tests {
             assert_eq!(engine.shutdown().completed, 1);
         }
         let took = start.elapsed();
-        assert!(took < Duration::from_millis(500), "100 cycles took {took:?}");
+        assert!(
+            took < Duration::from_millis(500),
+            "100 cycles took {took:?}"
+        );
     }
 
     #[test]

@@ -87,7 +87,10 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Overloaded { depth, capacity } => {
-                write!(f, "overloaded: {depth} in-flight requests (capacity {capacity})")
+                write!(
+                    f,
+                    "overloaded: {depth} in-flight requests (capacity {capacity})"
+                )
             }
             ServeError::ShuttingDown => write!(f, "serving engine is shutting down"),
             ServeError::DeadlineExceeded => {

@@ -108,10 +108,7 @@ pub fn run_closed_loop(handle: &ServeHandle, cfg: &ClosedLoopConfig) -> LoadRepo
                         match handle.predict(row.clone()) {
                             Ok(p) => {
                                 completed.fetch_add(1, Ordering::Relaxed);
-                                hash.fetch_add(
-                                    request_hash(index, &p.output),
-                                    Ordering::Relaxed,
-                                );
+                                hash.fetch_add(request_hash(index, &p.output), Ordering::Relaxed);
                                 break;
                             }
                             Err(ServeError::Overloaded { .. }) => {
@@ -268,7 +265,10 @@ mod tests {
         let b = run();
         assert_eq!(a.completed, 100);
         assert_eq!(a.errors, 0);
-        assert_eq!(a.output_hash, b.output_hash, "served outputs must be bit-identical");
+        assert_eq!(
+            a.output_hash, b.output_hash,
+            "served outputs must be bit-identical"
+        );
         assert!(a.throughput_rps > 0.0);
     }
 

@@ -162,7 +162,11 @@ impl std::fmt::Display for ServeReport {
             self.throughput_rps,
             self.worker_restarts
         )?;
-        writeln!(f, "latency  p50/p95/p99/max: {}", self.latency.to_millis_string())?;
+        writeln!(
+            f,
+            "latency  p50/p95/p99/max: {}",
+            self.latency.to_millis_string()
+        )?;
         writeln!(
             f,
             "queue    p50/p95/p99/max: {}",

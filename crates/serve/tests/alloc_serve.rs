@@ -125,7 +125,12 @@ fn probed_model(probe: &Probe) -> Arc<Sequential> {
     let mut rng = xrng::seeded(31);
     let mut m = Sequential::new(31);
     m.add(Box::new(probe.clone()))
-        .add(Box::new(Dense::new(FEATURES, 32, Activation::Relu, &mut rng)))
+        .add(Box::new(Dense::new(
+            FEATURES,
+            32,
+            Activation::Relu,
+            &mut rng,
+        )))
         .add(Box::new(Dense::new(32, 3, Activation::Linear, &mut rng)))
         .compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
     Arc::new(m)
@@ -173,7 +178,10 @@ fn a_served_batch_allocates_its_reply_rows_and_nothing_else() {
         let readings = probe.readings();
         assert_eq!(readings.len() as u64, report.batches);
         assert_eq!(readings.len(), warm + 40 * 3);
-        assert!(readings[warm].0 > 0, "warm-up allocated: the counter must have seen it");
+        assert!(
+            readings[warm].0 > 0,
+            "warm-up allocated: the counter must have seen it"
+        );
         for (k, pair) in readings.windows(2).enumerate().skip(warm) {
             let ((before, rows), (after, _)) = (pair[0], pair[1]);
             assert_eq!(

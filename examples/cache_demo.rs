@@ -95,8 +95,14 @@ fn main() {
     };
     let cold_run = run_parallel(&run_spec).expect("cold pipeline run");
     let warm_run = run_parallel(&run_spec).expect("warm pipeline run");
-    println!("\ncold pipeline phase profile:\n{}", cold_run.profile.report());
-    println!("warm pipeline phase profile:\n{}", warm_run.profile.report());
+    println!(
+        "\ncold pipeline phase profile:\n{}",
+        cold_run.profile.report()
+    );
+    println!(
+        "warm pipeline phase profile:\n{}",
+        warm_run.profile.report()
+    );
     assert_eq!(cold_run.train_loss, warm_run.train_loss);
     println!("cold and warm runs trained to identical losses — cache is bit-exact");
 }

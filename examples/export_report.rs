@@ -8,7 +8,10 @@
 fn main() {
     let dir = std::path::Path::new("out/report");
     let mut count = 0;
-    for experiment in experiments::all(true).into_iter().chain(experiments::ablations()) {
+    for experiment in experiments::all(true)
+        .into_iter()
+        .chain(experiments::ablations())
+    {
         let path = experiment.write_to(dir).expect("write report");
         println!("wrote {}", path.display());
         count += 1;

@@ -19,7 +19,12 @@ const FEATURES: usize = 256;
 fn model(seed: u64) -> Arc<Sequential> {
     let mut rng = xrng::seeded(seed);
     let mut m = Sequential::new(seed);
-    m.add(Box::new(Dense::new(FEATURES, 512, Activation::Relu, &mut rng)));
+    m.add(Box::new(Dense::new(
+        FEATURES,
+        512,
+        Activation::Relu,
+        &mut rng,
+    )));
     m.add(Box::new(Dense::new(512, 256, Activation::Relu, &mut rng)));
     m.add(Box::new(Dense::new(256, 8, Activation::Linear, &mut rng)));
     m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.05));
@@ -76,10 +81,21 @@ fn main() {
         step_in: 1,
     };
 
-    println!("== live fleet replay: {:.0} rps base + {:.0} rps burst, {speedup}x compressed ==\n", trace.base_rps, trace.bursts[0].extra_rps);
+    println!(
+        "== live fleet replay: {:.0} rps base + {:.0} rps burst, {speedup}x compressed ==\n",
+        trace.base_rps, trace.bursts[0].extra_rps
+    );
     println!(
         "{:<12} {:>8} {:>9} {:>6} {:>9} {:>10} {:>10} {:>9} {:>8}",
-        "fleet", "offered", "completed", "shed", "p99 ms", "worst p99", "replica-s", "energy J", "J/req"
+        "fleet",
+        "offered",
+        "completed",
+        "shed",
+        "p99 ms",
+        "worst p99",
+        "replica-s",
+        "energy J",
+        "J/req"
     );
     for (label, scaling) in [
         ("fixed(2)", ScalePolicy::Fixed(2)),

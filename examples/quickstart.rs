@@ -49,7 +49,9 @@ fn main() {
         let broadcast_us = tl.max_duration_us("mpi_broadcast");
         println!("  broadcast span    : {broadcast_us} us (Horovod timeline recorded)");
     }
-    println!("
-phase profile (cProfile-style, rank 0):");
+    println!(
+        "
+phase profile (cProfile-style, rank 0):"
+    );
     print!("{}", out.profile.report());
 }

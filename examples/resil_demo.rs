@@ -26,7 +26,10 @@ fn main() {
         shards: 0,
         corruptions: 0,
     });
-    println!("fault plan (seed 7, fingerprint {:016x}):", plan.fingerprint());
+    println!(
+        "fault plan (seed 7, fingerprint {:016x}):",
+        plan.fingerprint()
+    );
     for e in plan.events() {
         println!("  epoch {:>2}: {:?}", e.epoch, e.kind);
     }
@@ -50,8 +53,10 @@ fn main() {
     };
     let reference = run_resilient(&spec("healthy", FaultPlan::none())).expect("healthy run");
     let recovered = run_resilient(&spec("faulted", plan)).expect("faulted run");
-    println!("\nhealthy run : {} epochs, final weight hash {:016x}",
-        reference.epochs_run, reference.final_hash);
+    println!(
+        "\nhealthy run : {} epochs, final weight hash {:016x}",
+        reference.epochs_run, reference.final_hash
+    );
     println!(
         "faulted run : {} epochs ({} re-done), {} recovery, hash {:016x}",
         recovered.epochs_run,

@@ -38,8 +38,18 @@ fn trained_model(seed: u64) -> Arc<Sequential> {
     );
     let mut model = Sequential::new(seed);
     model
-        .add(Box::new(Dense::new(FEATURES, 48, Activation::Relu, &mut rng)))
-        .add(Box::new(Dense::new(48, CLASSES, Activation::Linear, &mut rng)))
+        .add(Box::new(Dense::new(
+            FEATURES,
+            48,
+            Activation::Relu,
+            &mut rng,
+        )))
+        .add(Box::new(Dense::new(
+            48,
+            CLASSES,
+            Activation::Linear,
+            &mut rng,
+        )))
         .compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.05));
     model
         .fit(

@@ -2,10 +2,10 @@
 pub use candle;
 pub use cluster;
 pub use collectives;
-pub use dataio;
-pub use dlframe;
 pub use datacache;
+pub use dataio;
 pub use datapipe;
+pub use dlframe;
 pub use experiments;
 pub use fleet;
 pub use hpo;

@@ -95,7 +95,10 @@ fn survivors_of_a_dead_rank_get_peer_lost() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panic"))
+            .collect()
     });
     for rank in [0, 2] {
         assert!(

@@ -88,7 +88,10 @@ fn simulated_fleet_is_bit_identical_across_thread_counts() {
             "scaling-decision log diverged at {threads} threads"
         );
         assert_eq!(baseline.energy_j.to_bits(), run.energy_j.to_bits());
-        assert_eq!(baseline.latency.p99_s.to_bits(), run.latency.p99_s.to_bits());
+        assert_eq!(
+            baseline.latency.p99_s.to_bits(),
+            run.latency.p99_s.to_bits()
+        );
     }
 }
 
@@ -160,7 +163,12 @@ fn live_fleet_smoke_serves_and_accounts_energy() {
     let features = 6;
     let mut rng = xrng::seeded(5);
     let mut m = Sequential::new(5);
-    m.add(Box::new(Dense::new(features, 16, Activation::Relu, &mut rng)));
+    m.add(Box::new(Dense::new(
+        features,
+        16,
+        Activation::Relu,
+        &mut rng,
+    )));
     m.add(Box::new(Dense::new(16, 3, Activation::Linear, &mut rng)));
     m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
 

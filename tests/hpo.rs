@@ -121,7 +121,11 @@ fn sixty_four_trial_search_is_worker_invariant() {
         };
         let exec = modelled_executor(&dir, &format!("w{workers}"));
         let report = run_search(&space, exec, &config).expect("search");
-        runs.push((report.fingerprint(), report.winner, report.promotions.clone()));
+        runs.push((
+            report.fingerprint(),
+            report.winner,
+            report.promotions.clone(),
+        ));
     }
     assert_eq!(runs[0], runs[1], "1 vs 2 workers");
     assert_eq!(runs[0], runs[2], "1 vs 4 workers");
@@ -187,7 +191,8 @@ fn rung_boundary_pause_resume_is_bit_exact() {
         entrants = promote(&ranked, survivors);
         if rung + 1 < asha.rungs {
             assert_eq!(
-                entrants, uninterrupted.promotions[rung + 1],
+                entrants,
+                uninterrupted.promotions[rung + 1],
                 "rung {rung}: resumed promotion set diverged"
             );
         } else {

@@ -11,8 +11,7 @@
 
 use cluster::calib::Bench;
 use resil::{
-    run_elastic, run_resilient, ElasticSpec, FaultEvent, FaultKind, FaultPlan, FaultSpec,
-    ResilSpec,
+    run_elastic, run_resilient, ElasticSpec, FaultEvent, FaultKind, FaultPlan, FaultSpec, ResilSpec,
 };
 
 /// A run checkpointing into a scratch directory that lives as long as the
@@ -199,8 +198,8 @@ fn serve_recovers_from_mid_batch_worker_death() {
 /// typed error and evict-and-rebuild restores a clean cache.
 #[test]
 fn cache_corruption_is_detected_and_recovered() {
-    use dataio::ReadStrategy;
     use datacache::CacheStore;
+    use dataio::ReadStrategy;
 
     let root = parx::scratch("resilience_it_cache").expect("temp fs");
     let src = root.join("src");
@@ -213,7 +212,9 @@ fn cache_corruption_is_detected_and_recovered() {
     std::fs::write(&csv, text).unwrap();
 
     let store = CacheStore::new(root.join("cache")).unwrap();
-    let (ds, _) = store.open_csv(&csv, ReadStrategy::ChunkedLowMemory, 3).unwrap();
+    let (ds, _) = store
+        .open_csv(&csv, ReadStrategy::ChunkedLowMemory, 3)
+        .unwrap();
 
     let plan = FaultPlan::generate(&FaultSpec {
         seed: 3,
@@ -227,8 +228,12 @@ fn cache_corruption_is_detected_and_recovered() {
     assert!(!hit.is_empty());
     assert_eq!(resil::scan_shards(&ds), hit);
 
-    let key = resil::evict_if_corrupt(&store, &ds).unwrap().expect("corrupt");
+    let key = resil::evict_if_corrupt(&store, &ds)
+        .unwrap()
+        .expect("corrupt");
     assert!(!store.dataset_dir(key).exists());
-    let (rebuilt, _) = store.open_csv(&csv, ReadStrategy::ChunkedLowMemory, 3).unwrap();
+    let (rebuilt, _) = store
+        .open_csv(&csv, ReadStrategy::ChunkedLowMemory, 3)
+        .unwrap();
     assert!(resil::scan_shards(&rebuilt).is_empty());
 }

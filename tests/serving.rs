@@ -4,9 +4,7 @@
 use dlframe::{
     Activation, Dataset, Dense, DlError, FitConfig, Layer, Loss, NoSync, Optimizer, Sequential,
 };
-use serve::{
-    request_row, run_closed_loop, ClosedLoopConfig, ServeConfig, ServeEngine, ServeError,
-};
+use serve::{request_row, run_closed_loop, ClosedLoopConfig, ServeConfig, ServeEngine, ServeError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tensor::{Tensor, Workspace};
@@ -39,8 +37,18 @@ fn train(seed: u64) -> Sequential {
     );
     let mut model = Sequential::new(seed);
     model
-        .add(Box::new(Dense::new(FEATURES, 32, Activation::Relu, &mut rng)))
-        .add(Box::new(Dense::new(32, CLASSES, Activation::Linear, &mut rng)))
+        .add(Box::new(Dense::new(
+            FEATURES,
+            32,
+            Activation::Relu,
+            &mut rng,
+        )))
+        .add(Box::new(Dense::new(
+            32,
+            CLASSES,
+            Activation::Linear,
+            &mut rng,
+        )))
         .compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.05));
     model
         .fit(
@@ -183,8 +191,14 @@ fn served_predictions_are_bit_identical_across_batching_and_workers() {
         // Bit-level comparison: f32 equality here is exact, not approximate,
         // because matmul accumulates each output row independently in a
         // fixed order regardless of batch composition.
-        assert_eq!(batch1, direct, "batch-1 serving diverged ({workers} workers)");
-        assert_eq!(dynamic, direct, "dynamic batching diverged ({workers} workers)");
+        assert_eq!(
+            batch1, direct,
+            "batch-1 serving diverged ({workers} workers)"
+        );
+        assert_eq!(
+            dynamic, direct,
+            "dynamic batching diverged ({workers} workers)"
+        );
     }
 }
 
@@ -246,7 +260,11 @@ fn overload_sheds_fast_and_recovers() {
     let handle = engine.handle();
 
     let admitted: Vec<_> = (0..capacity)
-        .map(|i| handle.submit(request_row(3, i as u64, FEATURES)).expect("under capacity"))
+        .map(|i| {
+            handle
+                .submit(request_row(3, i as u64, FEATURES))
+                .expect("under capacity")
+        })
         .collect();
     gate.wait_until_occupied();
 
@@ -271,7 +289,8 @@ fn overload_sheds_fast_and_recovers() {
 
     gate.open();
     for t in admitted {
-        t.wait().expect("admitted requests complete once the worker moves on");
+        t.wait()
+            .expect("admitted requests complete once the worker moves on");
     }
     // Capacity freed: the engine accepts and serves again.
     handle
