@@ -41,7 +41,7 @@ impl HyperParams {
                 epochs: 384,
                 batch_size: 20,
                 learning_rate: Some(0.001),
-                optimizer: OptimizerKind::Sgd { momentum: 0.0 },
+                optimizer: OptimizerKind::Sgd,
                 train_samples: 1_120,
                 test_samples: 280,
                 elements_per_sample: 60_483,
@@ -81,7 +81,7 @@ impl HyperParams {
                 epochs: 1,
                 batch_size: 100,
                 learning_rate: Some(0.001),
-                optimizer: OptimizerKind::Sgd { momentum: 0.0 },
+                optimizer: OptimizerKind::Sgd,
                 train_samples: 900_100,
                 test_samples: 225_025,
                 elements_per_sample: 1_000,
@@ -144,7 +144,7 @@ mod tests {
     fn optimizers_match_table1() {
         assert!(matches!(
             HyperParams::of(Bench::Nt3).optimizer,
-            OptimizerKind::Sgd { .. }
+            OptimizerKind::Sgd
         ));
         assert!(matches!(
             HyperParams::of(Bench::P1b1).optimizer,
@@ -156,7 +156,7 @@ mod tests {
         ));
         assert!(matches!(
             HyperParams::of(Bench::P1b3).optimizer,
-            OptimizerKind::Sgd { .. }
+            OptimizerKind::Sgd
         ));
     }
 

@@ -283,7 +283,6 @@ pub fn run_parallel(spec: &ParallelRunSpec) -> Result<ParallelRunOutcome, Pipeli
                 batch_size: spec2.batch,
                 shuffle: true,
                 compute_accuracy: true,
-                ..Default::default()
             };
             // Sharded mode materializes this rank's block; replicated mode
             // trains on the full dataset (the paper's NT3/P1B1/P1B2 setup).

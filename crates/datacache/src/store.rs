@@ -6,9 +6,7 @@ use crate::manifest::{source_key_for_file, Manifest, ShardEntry, MANIFEST_VERSIO
 use crate::shard::{decode_shard, encode_shard, shard_ranges};
 use crate::CacheError;
 use dataio::{read_csv, Frame, ReadStrategy};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a dataset came out of the store, with phase timings for reporting.
@@ -36,172 +34,24 @@ impl CacheOutcome {
     }
 }
 
-/// On-disk footprint of one cached dataset (shard files; the manifest is
-/// noise next to them).
-fn dataset_bytes(manifest: &Manifest) -> u64 {
-    manifest.shards.iter().map(|s| s.bytes).sum()
-}
-
-/// Disk-usage bookkeeping for one cached dataset.
-struct DiskEntry {
-    bytes: u64,
-    /// LRU clock stamp of the last open/lease.
-    last_use: u64,
-    /// Active leases; a leased dataset is never a disk-eviction victim.
-    leases: usize,
-}
-
-#[derive(Default)]
-struct StoreState {
-    entries: HashMap<u64, DiskEntry>,
-    clock: u64,
-    evictions: u64,
-}
-
-impl StoreState {
-    fn usage(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
-    }
-
-    fn touch(&mut self, key: u64, bytes: u64) {
-        self.clock += 1;
-        let clock = self.clock;
-        let entry = self.entries.entry(key).or_insert(DiskEntry {
-            bytes,
-            last_use: clock,
-            leases: 0,
-        });
-        entry.bytes = bytes;
-        entry.last_use = clock;
-    }
-}
-
-/// A directory of cached datasets, one subdirectory per source key.
-///
-/// By default the store grows without bound (every build adds a dataset
-/// directory, nothing removes one). [`CacheStore::with_budget`] caps the
-/// on-disk footprint instead: opens register their dataset's shard bytes,
-/// and when the total exceeds the budget the least-recently-used
-/// *unleased* dataset directories are deleted. [`lease`](Self::lease) /
-/// [`release`](Self::release) are the explicit pin/unpin path for callers
-/// (like the `datapipe` service) that stream from a dataset over time and
-/// must never have its shards deleted out from under them.
+/// A directory of cached datasets, one subdirectory per source key. It
+/// grows without bound: every build adds a dataset directory, and only
+/// [`CacheStore::evict`] removes one.
 pub struct CacheStore {
     root: PathBuf,
-    budget: Option<u64>,
-    state: Mutex<StoreState>,
 }
 
 impl CacheStore {
-    /// Opens (creating if needed) an unbounded cache rooted at `root`.
+    /// Opens (creating if needed) a cache rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Result<Self, CacheError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(Self {
-            root,
-            budget: None,
-            state: Mutex::new(StoreState::default()),
-        })
-    }
-
-    /// Opens a cache that keeps at most `budget_bytes` of shard data on
-    /// disk, evicting least-recently-used unleased datasets beyond that.
-    /// Datasets already on disk are adopted into the accounting (and count
-    /// against the budget immediately).
-    pub fn with_budget(root: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self, CacheError> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)?;
-        let mut state = StoreState::default();
-        for entry in std::fs::read_dir(&root)?.flatten() {
-            let name = entry.file_name();
-            let Some(key) = name
-                .to_str()
-                .filter(|s| s.len() == 16)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-            else {
-                continue;
-            };
-            if let Ok(manifest) = Manifest::load_from(&entry.path()) {
-                state.touch(key, dataset_bytes(&manifest));
-            }
-        }
-        let store = Self {
-            root,
-            budget: Some(budget_bytes),
-            state: Mutex::new(state),
-        };
-        store.enforce_budget(None);
-        Ok(store)
+        Ok(Self { root })
     }
 
     /// The cache root directory.
     pub fn root(&self) -> &Path {
         &self.root
-    }
-
-    /// The disk budget, if this store is bounded.
-    pub fn budget_bytes(&self) -> Option<u64> {
-        self.budget
-    }
-
-    /// Shard bytes currently accounted on disk.
-    pub fn usage_bytes(&self) -> u64 {
-        self.state.lock().unwrap().usage()
-    }
-
-    /// Dataset directories deleted to stay inside the budget.
-    pub fn disk_evictions(&self) -> u64 {
-        self.state.lock().unwrap().evictions
-    }
-
-    /// Pins the dataset under `key`: while any lease is held, budget churn
-    /// never deletes its directory. Leases stack; pair each with a
-    /// [`release`](Self::release).
-    pub fn lease(&self, key: u64) {
-        let mut state = self.state.lock().unwrap();
-        state.clock += 1;
-        let clock = state.clock;
-        let entry = state.entries.entry(key).or_insert(DiskEntry {
-            bytes: 0,
-            last_use: clock,
-            leases: 0,
-        });
-        entry.leases += 1;
-        entry.last_use = clock;
-    }
-
-    /// Drops one lease on `key`; when the last lease goes the dataset
-    /// becomes an eviction candidate again (and deferred eviction runs if
-    /// the store is over budget).
-    pub fn release(&self, key: u64) {
-        {
-            let mut state = self.state.lock().unwrap();
-            if let Some(entry) = state.entries.get_mut(&key) {
-                entry.leases = entry.leases.saturating_sub(1);
-            }
-        }
-        self.enforce_budget(None);
-    }
-
-    /// Deletes least-recently-used unleased dataset directories until
-    /// usage fits the budget. `protect` (the dataset just opened) is never
-    /// a victim even when unleased — evicting it would tear the shards out
-    /// from under the `CachedDataset` being returned.
-    fn enforce_budget(&self, protect: Option<u64>) {
-        let Some(budget) = self.budget else { return };
-        let mut state = self.state.lock().unwrap();
-        while state.usage() > budget {
-            let victim = state
-                .entries
-                .iter()
-                .filter(|&(k, e)| e.leases == 0 && Some(*k) != protect)
-                .min_by_key(|&(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            let Some(key) = victim else { break };
-            state.entries.remove(&key);
-            state.evictions += 1;
-            std::fs::remove_dir_all(self.dataset_dir(key)).ok();
-        }
     }
 
     /// Directory holding the dataset cached under `key`.
@@ -241,11 +91,6 @@ impl CacheStore {
         let warm_start = Instant::now();
         match Manifest::load_from(&dir) {
             Ok(manifest) if manifest.source_key == key => {
-                self.state
-                    .lock()
-                    .unwrap()
-                    .touch(key, dataset_bytes(&manifest));
-                self.enforce_budget(Some(key));
                 return Ok((
                     CachedDataset { dir, manifest },
                     CacheOutcome::WarmHit {
@@ -265,11 +110,6 @@ impl CacheStore {
 
         let write_start = Instant::now();
         let dataset = write_cache(&dir, key, source_desc, tag, &frame, nshards)?;
-        self.state
-            .lock()
-            .unwrap()
-            .touch(key, dataset_bytes(dataset.manifest()));
-        self.enforce_budget(Some(key));
         Ok((
             dataset,
             CacheOutcome::ColdBuilt {
@@ -279,10 +119,8 @@ impl CacheStore {
         ))
     }
 
-    /// Drops the cached dataset for `key`, if present. Explicit eviction
-    /// ignores leases — it is the manual override, not the budget path.
+    /// Drops the cached dataset for `key`, if present.
     pub fn evict(&self, key: u64) -> Result<(), CacheError> {
-        self.state.lock().unwrap().entries.remove(&key);
         let dir = self.dataset_dir(key);
         if dir.exists() {
             std::fs::remove_dir_all(dir)?;
@@ -693,12 +531,6 @@ mod tests {
             .unwrap()
     }
 
-    /// Builds dataset `key` in `store` and returns whether the open was
-    /// cold.
-    fn churn_open(store: &CacheStore, key: u64) -> bool {
-        !churn_dataset(store, key).1.is_warm()
-    }
-
     /// A shard file from another dataset of the same geometry is the
     /// right size and checksums clean; only the manifest's copy of the
     /// checksum tells it apart, and the load must say so.
@@ -771,95 +603,6 @@ mod tests {
         assert_eq!(rebuilt.manifest().version, MANIFEST_VERSION);
         assert_eq!(rebuilt.load_all().unwrap(), expected);
         assert!(churn_dataset(&store, 5).1.is_warm());
-    }
-
-    #[test]
-    fn disk_budget_is_respected_under_churn() {
-        let root = tmp_root("churn");
-        // Size one dataset with an unbounded probe store, then rebuild the
-        // root with a budget that fits two and a half of them.
-        let probe = CacheStore::new(&root).unwrap();
-        churn_open(&probe, 1);
-        let one = probe.usage_bytes();
-        assert!(one > 0);
-        std::fs::remove_dir_all(&root).ok();
-
-        let budget = one * 5 / 2;
-        let store = CacheStore::with_budget(&root, budget).unwrap();
-        for key in 1..=6u64 {
-            churn_open(&store, key);
-            assert!(
-                store.usage_bytes() <= budget,
-                "key {key}: usage {} exceeds budget {budget}",
-                store.usage_bytes()
-            );
-        }
-        assert!(
-            store.disk_evictions() >= 4,
-            "6 builds into a 2.5-dataset budget must evict"
-        );
-        // LRU: the oldest keys are gone, the newest still on disk.
-        assert!(!store.dataset_dir(1).exists());
-        assert!(store.dataset_dir(6).exists());
-        // An evicted dataset rebuilds cold; a surviving one warm-hits.
-        assert!(churn_open(&store, 1), "evicted key must cold-build");
-        assert!(!churn_open(&store, 1), "just-rebuilt key must warm-hit");
-    }
-
-    #[test]
-    fn leased_dataset_survives_churn_until_released() {
-        let root = tmp_root("lease");
-        let probe = CacheStore::new(&root).unwrap();
-        churn_open(&probe, 1);
-        let one = probe.usage_bytes();
-        std::fs::remove_dir_all(&root).ok();
-
-        let store = CacheStore::with_budget(&root, one * 2).unwrap();
-        churn_open(&store, 1);
-        store.lease(1);
-        // Churn far past the budget: key 1 is the LRU victim every time,
-        // but the lease pins it.
-        for key in 2..=5u64 {
-            churn_open(&store, key);
-            assert!(
-                store.dataset_dir(1).exists(),
-                "leased dataset evicted at key {key}"
-            );
-        }
-        assert!(!churn_open(&store, 1), "pinned dataset must still warm-hit");
-        store.lease(1);
-        store.release(1);
-        // One lease remains; still pinned.
-        churn_open(&store, 6);
-        assert!(
-            store.dataset_dir(1).exists(),
-            "stacked lease must keep the pin"
-        );
-        store.release(1);
-        // Fully released and LRU-cold: the next pressure evicts it.
-        churn_open(&store, 7);
-        churn_open(&store, 8);
-        assert!(
-            !store.dataset_dir(1).exists(),
-            "released dataset must become evictable"
-        );
-    }
-
-    #[test]
-    fn with_budget_adopts_existing_datasets() {
-        let root = tmp_root("adopt");
-        let unbounded = CacheStore::new(&root).unwrap();
-        for key in 1..=3u64 {
-            churn_open(&unbounded, key);
-        }
-        let total = unbounded.usage_bytes();
-        drop(unbounded);
-
-        // Reopen with a budget below the on-disk total: adoption must
-        // count the old directories and evict down to the budget.
-        let store = CacheStore::with_budget(&root, total * 2 / 3).unwrap();
-        assert!(store.usage_bytes() <= total * 2 / 3);
-        assert!(store.disk_evictions() >= 1);
     }
 
     #[test]

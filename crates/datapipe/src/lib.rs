@@ -9,7 +9,7 @@
 //!
 //! * [`service`] — [`DatasetService`]: admission control against a
 //!   byte-budgeted shard pool, single-flight cold builds, per-job
-//!   isolation stats, disk-store leases for active datasets.
+//!   isolation stats.
 //! * [`pool`] — [`ShardPool`]: decoded shards shared across jobs with
 //!   refcounted leases (an in-use shard is never evicted) and LRU
 //!   eviction under the byte budget.

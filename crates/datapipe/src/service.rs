@@ -14,10 +14,6 @@
 //! * **isolation stats**: every job carries its own counter block
 //!   (hits, misses, bytes served, consumer wait), so a fleet report can
 //!   show exactly which job paid for what.
-//!
-//! Datasets the service serves stay leased in the disk store for the
-//! service's lifetime, so disk-budget churn never deletes shards under an
-//! active stream.
 
 use crate::pool::{PoolStats, ShardPool};
 use crate::stream::{EpochStream, StreamOrder};
@@ -37,16 +33,10 @@ pub struct ServiceConfig {
     pub cache_root: PathBuf,
     /// Byte budget for the in-memory decoded-shard pool.
     pub pool_budget_bytes: u64,
-    /// Optional byte budget for the on-disk store (LRU-evicted under
-    /// churn; `None` keeps the store unbounded like the seed behaviour).
-    pub disk_budget_bytes: Option<u64>,
     /// Worker threads assembling batches in the background.
     pub threads: usize,
     /// Maximum concurrently admitted jobs.
     pub max_jobs: usize,
-    /// Bounded look-ahead per job stream: at most this many batches are
-    /// in flight or parked ahead of the consumer (backpressure).
-    pub queue_depth: usize,
 }
 
 impl ServiceConfig {
@@ -56,10 +46,8 @@ impl ServiceConfig {
         Self {
             cache_root: cache_root.into(),
             pool_budget_bytes: 256 << 20,
-            disk_budget_bytes: None,
             threads: 2,
             max_jobs: 64,
-            queue_depth: 2,
         }
     }
 }
@@ -220,10 +208,7 @@ pub struct DatasetService {
 impl DatasetService {
     /// Opens (creating if needed) a service over the given configuration.
     pub fn new(config: ServiceConfig) -> Result<Arc<Self>, CacheError> {
-        let store = match config.disk_budget_bytes {
-            Some(budget) => CacheStore::with_budget(&config.cache_root, budget)?,
-            None => CacheStore::new(&config.cache_root)?,
-        };
+        let store = CacheStore::new(&config.cache_root)?;
         Ok(Arc::new(Self {
             pool: ShardPool::new(config.pool_budget_bytes),
             workers: Arc::new(WorkerPool::new(config.threads.max(1))),
@@ -238,11 +223,6 @@ impl DatasetService {
             }),
             config,
         }))
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
     }
 
     /// The shared decoded-shard pool's counters.
@@ -261,18 +241,11 @@ impl DatasetService {
         }
     }
 
-    /// The underlying disk store (for inspection; jobs never touch it
-    /// directly).
-    pub fn store(&self) -> &CacheStore {
-        &self.store
-    }
-
     /// Opens (warm) or builds (cold, single-flight) the dataset cached
     /// under `key` and registers it for admission. Concurrent opens of the
     /// same key serialize: exactly one runs `build`, the rest warm-hit.
-    /// The dataset stays disk-leased until the service is dropped. A `build`
-    /// that panics registers nothing, and the next open of `key` builds
-    /// afresh.
+    /// A `build` that panics registers nothing, and the next open of `key`
+    /// builds afresh.
     pub fn open_dataset(
         &self,
         key: u64,
@@ -295,9 +268,6 @@ impl DatasetService {
         let (dataset, outcome) = self
             .store
             .open_or_build(key, source_desc, tag, nshards, build)?;
-        // Pin the dataset in the disk store: budget churn from other
-        // datasets must never delete shards under an active stream.
-        self.store.lease(key);
         let max_shard_bytes = dataset
             .manifest()
             .shards
@@ -352,7 +322,7 @@ impl DatasetService {
             });
         }
         // Minimum working set: a batch can straddle two shards, and the
-        // stream keeps `queue_depth` batches in flight — so the job needs
+        // stream keeps its look-ahead batches in flight — so the job needs
         // at least two resident shards' worth of budget headroom.
         let needed = max_shard_bytes * 2;
         if needed > self.pool.budget_bytes() {
@@ -386,15 +356,6 @@ impl std::fmt::Debug for DatasetService {
             .field("active_jobs", &stats.active_jobs)
             .field("datasets", &stats.datasets)
             .finish()
-    }
-}
-
-impl Drop for DatasetService {
-    fn drop(&mut self) {
-        let inner = self.inner.lock().unwrap();
-        for key in inner.datasets.keys() {
-            self.store.release(*key);
-        }
     }
 }
 
@@ -455,10 +416,6 @@ impl JobHandle {
             batches: c.batches.load(Ordering::Relaxed),
             rows: c.rows.load(Ordering::Relaxed),
         }
-    }
-
-    pub(crate) fn service(&self) -> &Arc<DatasetService> {
-        &self.service
     }
 
     pub(crate) fn dataset(&self) -> &Arc<CachedDataset> {

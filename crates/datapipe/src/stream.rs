@@ -1,10 +1,10 @@
 //! Per-job streaming epoch iterators with bounded-queue backpressure.
 //!
 //! An [`EpochStream`] yields a job's batches strictly in order while
-//! assembling up to `queue_depth` batches ahead on the service's shared
+//! assembling up to `QUEUE_DEPTH` batches ahead on the service's shared
 //! [`parx::WorkerPool`] through a [`parx::Window`]. The bounded window is
 //! the backpressure: a slow consumer never accumulates
-//! more than `queue_depth` assembled batches of memory, and a fast
+//! more than `QUEUE_DEPTH` assembled batches of memory, and a fast
 //! consumer's blocked time is counted per job (`waits`, `wait_ns`).
 //!
 //! Batch contents are a pure function of `(dataset, seed, epoch, batch
@@ -21,6 +21,10 @@ use parx::Window;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tensor::Tensor;
+
+/// Bounded look-ahead per job stream: at most this many batches are in
+/// flight or parked ahead of the consumer (double buffering).
+const QUEUE_DEPTH: usize = 2;
 
 /// How an epoch walks the rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,10 +101,9 @@ impl EpochStream {
         };
         let total = nrows.div_ceil(ctx.batch);
         // The bounded window is the backpressure bound.
-        let depth = job.service().config().queue_depth.max(1);
         Self {
             counters: Arc::clone(job.counters()),
-            window: Window::new(Arc::clone(job.workers()), total, depth, move |pos| {
+            window: Window::new(Arc::clone(job.workers()), total, QUEUE_DEPTH, move |pos| {
                 assemble(&ctx, pos)
             }),
         }

@@ -43,7 +43,7 @@ impl Dataset {
         &self.y
     }
 
-    /// Splits off the last `fraction` of samples as a validation set.
+    /// Splits off the last `fraction` of samples as a held-out set.
     pub fn split(&self, fraction: f64) -> (Dataset, Dataset) {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
         let n = self.len();

@@ -11,10 +11,6 @@ pub struct EpochStats {
     pub accuracy: Option<f64>,
     /// Number of batch steps executed in the epoch.
     pub batch_steps: usize,
-    /// Held-out validation loss, when a validation split is configured.
-    pub val_loss: Option<f64>,
-    /// Held-out validation accuracy, when configured and applicable.
-    pub val_accuracy: Option<f64>,
 }
 
 /// Accumulated run history.
@@ -70,8 +66,6 @@ mod tests {
             loss,
             accuracy: Some(0.5 + epoch as f64 * 0.1),
             batch_steps: 4,
-            val_loss: Some(loss * 1.1),
-            val_accuracy: None,
         }
     }
 

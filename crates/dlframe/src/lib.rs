@@ -13,8 +13,8 @@
 //! * losses: softmax cross-entropy (classification) and mean squared error
 //!   (autoencoder / regression);
 //! * optimizers: SGD (the paper's NT3/P1B3 default), Adam (P1B1), RMSProp
-//!   (P1B2), each with a runtime-adjustable learning rate so Horovod-style
-//!   linear LR scaling can be applied;
+//!   (P1B2), each built with the learning rate the caller has already
+//!   scaled (Horovod's linear rule is `candle::scaled_lr`);
 //! * a [`Sequential`] model with `fit` / `evaluate` / `predict`, per-epoch
 //!   [`History`], and two integration points used by the `collectives`
 //!   crate: a [`GradientSync`] hook called between backward and the
@@ -37,7 +37,6 @@ mod layers;
 mod loss;
 mod model;
 mod optimizer;
-mod schedule;
 
 pub use activation::Activation;
 pub use data::Dataset;
@@ -46,7 +45,6 @@ pub use layers::{ActivationLayer, Conv1D, Dense, Dropout, Flatten, Layer, MaxPoo
 pub use loss::Loss;
 pub use model::{FitConfig, GradientSync, HotStats, NoSync, Sequential};
 pub use optimizer::{Optimizer, OptimizerKind, SlotSnapshot};
-pub use schedule::LrSchedule;
 
 /// Errors surfaced by the framework.
 #[derive(Debug, Clone, PartialEq)]

@@ -67,13 +67,6 @@ pub struct FitConfig {
     pub shuffle: bool,
     /// Record classification accuracy per epoch (argmax match).
     pub compute_accuracy: bool,
-    /// Fraction of the training data held out for per-epoch validation
-    /// (Keras `validation_split`; the "cross-validation" of the paper's
-    /// Figure-2 phase 2). 0 disables validation.
-    pub validation_split: f64,
-    /// Stop early when validation loss (or training loss without a
-    /// validation split) has not improved for this many epochs.
-    pub early_stop_patience: Option<usize>,
 }
 
 impl Default for FitConfig {
@@ -83,8 +76,6 @@ impl Default for FitConfig {
             batch_size: 32,
             shuffle: true,
             compute_accuracy: true,
-            validation_split: 0.0,
-            early_stop_patience: None,
         }
     }
 }
@@ -180,7 +171,8 @@ impl Sequential {
         self.optimizer.as_ref()
     }
 
-    /// Mutable access to the optimizer, if compiled (for LR scaling).
+    /// Mutable access to the optimizer, if compiled (a checkpoint restore
+    /// sets its rate and slots).
     pub fn optimizer_mut(&mut self) -> Option<&mut Optimizer> {
         self.optimizer.as_mut()
     }
@@ -428,15 +420,6 @@ impl Sequential {
 
     /// Trains for `config.epochs` passes over `data`, invoking `sync` on
     /// every batch gradient.
-    ///
-    /// With `validation_split > 0` the trailing fraction of `data` is held
-    /// out; its loss/accuracy are recorded per epoch and drive early
-    /// stopping when `early_stop_patience` is set.
-    ///
-    /// NOTE for distributed training: early stopping triggers on every
-    /// rank at the same epoch only if all ranks see identical loss
-    /// sequences (true in this workspace because gradients are averaged
-    /// and data is identical); heterogeneous setups should disable it.
     pub fn fit(
         &mut self,
         data: &Dataset,
@@ -446,27 +429,8 @@ impl Sequential {
         if data.is_empty() {
             return Err(DlError::BadInput("empty training dataset".into()));
         }
-        if !(0.0..1.0).contains(&config.validation_split) {
-            return Err(DlError::BadInput(format!(
-                "validation_split must be in [0,1), got {}",
-                config.validation_split
-            )));
-        }
-        let split;
-        let (train, val) = if config.validation_split > 0.0 {
-            split = data.split(config.validation_split);
-            if split.0.is_empty() || split.1.is_empty() {
-                return Err(DlError::BadInput(
-                    "validation split leaves an empty partition".into(),
-                ));
-            }
-            (&split.0, Some(&split.1))
-        } else {
-            (data, None)
-        };
+        check_batch_size(config.batch_size)?;
         let mut history = History::new();
-        let mut best_monitor = f64::INFINITY;
-        let mut stale_epochs = 0usize;
         // Batch tensors persist across the whole fit; `batch_into` reuses
         // their buffers, so batch materialization is allocation-free after
         // the first (full-size) batch.
@@ -474,88 +438,25 @@ impl Sequential {
         let mut by = Tensor::zeros([1, 1]);
         for epoch in 0..config.epochs {
             let batches =
-                train.batch_indices(config.batch_size, config.shuffle.then_some(&mut self.rng));
+                data.batch_indices(config.batch_size, config.shuffle.then_some(&mut self.rng));
             let mut loss_sum = 0.0;
             let mut correct = 0usize;
             let steps = batches.len();
             for idx in &batches {
-                train.batch_into(idx, &mut bx, &mut by);
+                data.batch_into(idx, &mut bx, &mut by);
                 let (loss, c) = self.train_batch(&bx, &by, sync)?;
                 loss_sum += loss;
                 correct += c;
             }
-            let train_loss = loss_sum / steps.max(1) as f64;
-            let (val_loss, val_accuracy) = match val {
-                Some(v) => {
-                    let (l, a) = self.evaluate(v, config.batch_size)?;
-                    (Some(l), config.compute_accuracy.then_some(a))
-                }
-                None => (None, None),
-            };
             history.push(EpochStats {
                 epoch,
-                loss: train_loss,
+                loss: loss_sum / steps.max(1) as f64,
                 accuracy: config
                     .compute_accuracy
-                    .then(|| correct as f64 / train.len() as f64),
+                    .then(|| correct as f64 / data.len() as f64),
                 batch_steps: steps,
-                val_loss,
-                val_accuracy,
             });
-            if let Some(patience) = config.early_stop_patience {
-                let monitor = val_loss.unwrap_or(train_loss);
-                if monitor < best_monitor - 1e-12 {
-                    best_monitor = monitor;
-                    stale_epochs = 0;
-                } else {
-                    stale_epochs += 1;
-                    if stale_epochs > patience {
-                        break;
-                    }
-                }
-            }
         }
-        Ok(history)
-    }
-
-    /// Like [`Sequential::fit`], but applies an [`crate::LrSchedule`]:
-    /// before each epoch the optimizer's rate is set to `base_lr ×
-    /// schedule.multiplier(epoch)`. The base rate is captured from the
-    /// optimizer at entry.
-    pub fn fit_scheduled(
-        &mut self,
-        data: &Dataset,
-        config: &FitConfig,
-        schedule: crate::LrSchedule,
-        sync: &mut dyn GradientSync,
-    ) -> Result<History, DlError> {
-        let base_lr = self
-            .optimizer
-            .as_ref()
-            .ok_or_else(|| DlError::NotReady("compile before fit".into()))?
-            .learning_rate();
-        let mut history = History::new();
-        // Reuse `fit` one epoch at a time so the schedule can retune the
-        // optimizer between epochs.
-        let mut per_epoch = config.clone();
-        per_epoch.epochs = 1;
-        per_epoch.early_stop_patience = None;
-        for epoch in 0..config.epochs {
-            let lr = base_lr * schedule.multiplier(epoch);
-            self.optimizer
-                .as_mut()
-                .expect("checked above")
-                .set_learning_rate(lr);
-            let h = self.fit(data, &per_epoch, sync)?;
-            let mut stats = h.epochs()[0].clone();
-            stats.epoch = epoch;
-            history.push(stats);
-        }
-        // Restore the base rate.
-        self.optimizer
-            .as_mut()
-            .expect("checked above")
-            .set_learning_rate(base_lr);
         Ok(history)
     }
 
@@ -569,6 +470,7 @@ impl Sequential {
         if data.is_empty() {
             return Err(DlError::BadInput("empty evaluation dataset".into()));
         }
+        check_batch_size(batch_size)?;
         let batches = data.batch_indices(batch_size, None);
         let mut bx = Tensor::zeros([1, 1]);
         let mut by = Tensor::zeros([1, 1]);
@@ -588,6 +490,14 @@ impl Sequential {
             ))
         })
     }
+}
+
+/// `Dataset::batch_indices` cannot cut batches of zero rows.
+fn check_batch_size(batch_size: usize) -> Result<(), DlError> {
+    if batch_size == 0 {
+        return Err(DlError::BadInput("batch_size must be positive".into()));
+    }
+    Ok(())
 }
 
 /// Layer `i`'s input: the batch itself for the first layer, otherwise the
@@ -742,7 +652,6 @@ mod tests {
             batch_size: 10,
             shuffle: false,
             compute_accuracy: false,
-            ..Default::default()
         };
         model.fit(&data, &config, &mut probe).unwrap();
         assert_eq!(probe.calls, 4);
@@ -810,7 +719,6 @@ mod tests {
             batch_size: 10,
             shuffle: false,
             compute_accuracy: false,
-            ..Default::default()
         };
         model.fit(&data, &config, &mut probe).unwrap();
         assert_eq!(probe.finishes, 4);
@@ -856,97 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_split_records_val_metrics() {
-        let data = toy_classification(100, 50);
-        let mut model = mlp(51);
-        let config = FitConfig {
-            epochs: 5,
-            batch_size: 20,
-            validation_split: 0.2,
-            ..Default::default()
-        };
-        let h = model.fit(&data, &config, &mut NoSync).unwrap();
-        for e in h.epochs() {
-            assert!(e.val_loss.is_some());
-            assert!(e.val_accuracy.is_some());
-            // 80 training samples / 20 batch = 4 steps.
-            assert_eq!(e.batch_steps, 4);
-        }
-        // Validation loss should end up low on this separable task.
-        assert!(h.epochs().last().unwrap().val_loss.unwrap() < 1.0);
-    }
-
-    #[test]
-    fn early_stopping_halts_on_plateau() {
-        let data = toy_classification(60, 52);
-        let mut model = mlp(53);
-        // Freeze learning by zeroing gradients through the sync hook, so
-        // the loss plateaus immediately and patience kicks in.
-        struct ZeroGrad;
-        impl GradientSync for ZeroGrad {
-            fn sync_gradients(&mut self, flat: &mut [f32]) {
-                for g in flat.iter_mut() {
-                    *g = 0.0;
-                }
-            }
-        }
-        let config = FitConfig {
-            epochs: 50,
-            batch_size: 20,
-            shuffle: false,
-            early_stop_patience: Some(2),
-            ..Default::default()
-        };
-        let h = model.fit(&data, &config, &mut ZeroGrad).unwrap();
-        assert!(
-            h.epochs().len() <= 4,
-            "plateau should stop after ~1+patience epochs, ran {}",
-            h.epochs().len()
-        );
-    }
-
-    #[test]
-    fn invalid_validation_split_rejected() {
-        let data = toy_classification(10, 54);
-        let mut model = mlp(55);
-        let config = FitConfig {
-            validation_split: 1.0,
-            ..Default::default()
-        };
-        assert!(model.fit(&data, &config, &mut NoSync).is_err());
-        let config = FitConfig {
-            validation_split: -0.5,
-            ..Default::default()
-        };
-        assert!(model.fit(&data, &config, &mut NoSync).is_err());
-    }
-
-    #[test]
-    fn fit_scheduled_warmup_restores_base_lr() {
-        let data = toy_classification(60, 60);
-        let mut model = mlp(61);
-        let base = model.optimizer().unwrap().learning_rate();
-        let config = FitConfig {
-            epochs: 6,
-            batch_size: 20,
-            ..Default::default()
-        };
-        let h = model
-            .fit_scheduled(
-                &data,
-                &config,
-                crate::LrSchedule::LinearWarmup { warmup_epochs: 3 },
-                &mut NoSync,
-            )
-            .unwrap();
-        assert_eq!(h.epochs().len(), 6);
-        assert_eq!(h.epochs().last().unwrap().epoch, 5);
-        assert!((model.optimizer().unwrap().learning_rate() - base).abs() < 1e-9);
-        // Warmup training still learns.
-        assert!(h.final_loss().unwrap() < h.epochs()[0].loss);
-    }
-
-    #[test]
     fn predict_is_immutable_and_shareable() {
         use crate::Dropout;
         let data = toy_classification(60, 70);
@@ -986,5 +803,29 @@ mod tests {
             .fit(&empty, &FitConfig::default(), &mut NoSync)
             .is_err());
         assert!(model.evaluate(&empty, 4).is_err());
+    }
+
+    #[test]
+    fn fit_rejects_zero_batch_size() {
+        let data = toy_classification(10, 41);
+        let mut model = mlp(42);
+        let config = FitConfig {
+            batch_size: 0,
+            ..Default::default()
+        };
+        assert!(matches!(
+            model.fit(&data, &config, &mut NoSync),
+            Err(DlError::BadInput(_))
+        ));
+    }
+
+    #[test]
+    fn evaluate_rejects_zero_batch_size() {
+        let data = toy_classification(10, 43);
+        let model = mlp(44);
+        assert!(matches!(
+            model.evaluate(&data, 0),
+            Err(DlError::BadInput(_))
+        ));
     }
 }

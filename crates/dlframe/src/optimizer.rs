@@ -2,17 +2,13 @@
 //! benchmarks (Table 1 of the paper: NT3/P1B3 use `sgd`, P1B1 uses `adam`,
 //! P1B2 uses `rmsprop`).
 //!
-//! The learning rate is mutable at runtime because the Horovod methodology
-//! scales it linearly with the worker count (`lr × nprocs`).
+//! The learning rate is mutable at runtime so a checkpoint can restore it.
 
 /// The optimizer algorithm and its hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
-    /// Stochastic gradient descent with optional momentum.
-    Sgd {
-        /// Momentum coefficient (0 disables momentum).
-        momentum: f32,
-    },
+    /// Plain stochastic gradient descent: `p ← p − lr × g`.
+    Sgd,
     /// Adam (Kingma & Ba 2015) with Keras-default betas.
     Adam {
         /// Exponential decay rate of the first-moment estimate.
@@ -34,7 +30,7 @@ pub enum OptimizerKind {
 /// Per-parameter-slot optimizer state.
 #[derive(Debug, Clone, Default)]
 struct SlotState {
-    /// SGD velocity or Adam first moment.
+    /// Adam first moment.
     m: Vec<f32>,
     /// Adam second moment or RMSProp mean square.
     v: Vec<f32>,
@@ -47,7 +43,7 @@ struct SlotState {
 /// [`Optimizer::export_slots`] / [`Optimizer::import_slots`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SlotSnapshot {
-    /// SGD velocity or Adam first moment.
+    /// Adam first moment.
     pub m: Vec<f32>,
     /// Adam second moment or RMSProp mean square.
     pub v: Vec<f32>,
@@ -58,26 +54,18 @@ pub struct SlotSnapshot {
 /// A stateful optimizer applying updates tensor-by-tensor.
 ///
 /// Each trainable tensor in the model is identified by a stable `slot`
-/// index; momentum/moment buffers are kept per slot.
+/// index; moment buffers are kept per slot.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     kind: OptimizerKind,
     lr: f32,
-    /// Decoupled L2 weight decay coefficient (0 disables). P1B2 is "an MLP
-    /// network with regularization" — this is that knob.
-    weight_decay: f32,
     slots: Vec<SlotState>,
 }
 
 impl Optimizer {
     /// Plain SGD, the paper's NT3/P1B3 default (`lr = 0.001`).
     pub fn sgd(lr: f32) -> Self {
-        Self::new(OptimizerKind::Sgd { momentum: 0.0 }, lr)
-    }
-
-    /// SGD with momentum.
-    pub fn sgd_momentum(lr: f32, momentum: f32) -> Self {
-        Self::new(OptimizerKind::Sgd { momentum }, lr)
+        Self::new(OptimizerKind::Sgd, lr)
     }
 
     /// Adam with Keras defaults, the P1B1 optimizer.
@@ -112,29 +100,8 @@ impl Optimizer {
         Self {
             kind,
             lr,
-            weight_decay: 0.0,
             slots: Vec::new(),
         }
-    }
-
-    /// Enables decoupled L2 weight decay: every update also shrinks the
-    /// parameters by `lr × decay × p` (the AdamW-style decoupling, which
-    /// composes with all three algorithms).
-    ///
-    /// # Panics
-    /// Panics if `decay` is negative or non-finite.
-    pub fn with_weight_decay(mut self, decay: f32) -> Self {
-        assert!(
-            decay.is_finite() && decay >= 0.0,
-            "weight decay must be >= 0"
-        );
-        self.weight_decay = decay;
-        self
-    }
-
-    /// The configured weight-decay coefficient.
-    pub fn weight_decay(&self) -> f32 {
-        self.weight_decay
     }
 
     /// Current learning rate.
@@ -142,16 +109,10 @@ impl Optimizer {
         self.lr
     }
 
-    /// Replaces the learning rate (used for warm restarts in tests).
+    /// Replaces the learning rate (a checkpoint restore sets the saved one).
     pub fn set_learning_rate(&mut self, lr: f32) {
         assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
         self.lr = lr;
-    }
-
-    /// Applies the Horovod linear scaling rule: `lr ← lr × workers`.
-    pub fn scale_learning_rate(&mut self, workers: usize) {
-        assert!(workers > 0, "worker count must be positive");
-        self.lr *= workers as f32;
     }
 
     /// The algorithm in use.
@@ -162,8 +123,8 @@ impl Optimizer {
     /// Copies out all per-slot moment buffers, in slot order.
     ///
     /// An optimizer restored via [`Optimizer::import_slots`] continues the
-    /// update sequence bit-exactly (the update math reads only `kind`, `lr`,
-    /// `weight_decay`, and these buffers).
+    /// update sequence bit-exactly (the update math reads only `kind`, `lr`
+    /// and these buffers).
     pub fn export_slots(&self) -> Vec<SlotSnapshot> {
         self.slots
             .iter()
@@ -203,28 +164,12 @@ impl Optimizer {
         if self.slots.len() <= slot {
             self.slots.resize_with(slot + 1, SlotState::default);
         }
-        if self.weight_decay > 0.0 {
-            let shrink = 1.0 - self.lr * self.weight_decay;
-            for p in param.iter_mut() {
-                *p *= shrink;
-            }
-        }
         let state = &mut self.slots[slot];
         let n = param.len();
         match self.kind {
-            OptimizerKind::Sgd { momentum } => {
-                if momentum == 0.0 {
-                    for (p, &g) in param.iter_mut().zip(grad) {
-                        *p -= self.lr * g;
-                    }
-                } else {
-                    if state.m.len() != n {
-                        state.m = vec![0.0; n];
-                    }
-                    for ((p, &g), v) in param.iter_mut().zip(grad).zip(&mut state.m) {
-                        *v = momentum * *v - self.lr * g;
-                        *p += *v;
-                    }
+            OptimizerKind::Sgd => {
+                for (p, &g) in param.iter_mut().zip(grad) {
+                    *p -= self.lr * g;
                 }
             }
             OptimizerKind::Adam {
@@ -286,11 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_converges_on_quadratic() {
-        assert!(quadratic_descent(Optimizer::sgd_momentum(0.05, 0.9), 200) < 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         assert!(quadratic_descent(Optimizer::adam(0.2), 300) < 1e-2);
     }
@@ -327,13 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_lr_scaling() {
-        let mut opt = Optimizer::sgd(0.001);
-        opt.scale_learning_rate(24);
-        assert!((opt.learning_rate() - 0.024).abs() < 1e-7);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let mut opt = Optimizer::sgd(0.1);
@@ -346,39 +279,6 @@ mod tests {
     #[should_panic(expected = "learning rate must be positive")]
     fn non_positive_lr_rejected() {
         Optimizer::sgd(0.0);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let mut opt = Optimizer::sgd(0.1).with_weight_decay(0.5);
-        let mut p = [2.0];
-        let g = [0.0f32; 1];
-        opt.update_slice(0, &mut p, &g);
-        // p <- p * (1 - lr*decay) = 2.0 * 0.95
-        assert!((p[0] - 1.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_regularizes_against_blowup() {
-        // On a diverging direction (gradient pushing away from 0), decay
-        // bounds the parameter magnitude.
-        let mut plain = Optimizer::sgd(0.1);
-        let mut decayed = Optimizer::sgd(0.1).with_weight_decay(1.0);
-        let mut a = [1.0];
-        let mut b = [1.0];
-        let g = [-0.5];
-        for _ in 0..100 {
-            plain.update_slice(0, &mut a, &g);
-            decayed.update_slice(0, &mut b, &g);
-        }
-        assert!(b[0].abs() < a[0].abs());
-        assert!(b[0].abs() < 1.0, "decayed param stays bounded");
-    }
-
-    #[test]
-    #[should_panic(expected = "weight decay must be >= 0")]
-    fn negative_decay_rejected() {
-        let _ = Optimizer::sgd(0.1).with_weight_decay(-0.1);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn table1() -> Experiment {
 fn optimizer_name(hp: &HyperParams) -> String {
     use dlframe::OptimizerKind::*;
     match hp.optimizer {
-        Sgd { .. } => "sgd".into(),
+        Sgd => "sgd".into(),
         Adam { .. } => "adam".into(),
         RmsProp { .. } => "rmsprop".into(),
     }

@@ -1,7 +1,7 @@
 //! Checkpoint format and manager.
 //!
 //! A checkpoint captures *everything* a bit-exact resume needs: the flat
-//! parameter vector, the optimizer's slot state (Adam/momentum moments and
+//! parameter vector, the optimizer's slot state (Adam/RMSProp moments and
 //! step counts), the learning rate, the epoch counter, and the serialized
 //! position of every `xrng` stream on every rank (epoch-shuffle plus each
 //! dropout layer). Weights alone are not enough — resuming with a rewound
@@ -554,7 +554,6 @@ mod tests {
             batch_size: 12,
             shuffle: true,
             compute_accuracy: false,
-            ..Default::default()
         };
         let mut model = adam_dropout_model(31, 6);
         model.fit(&data, &config, &mut NoSync).unwrap();

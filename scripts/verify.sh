@@ -73,37 +73,48 @@ if grep -rnE --include='*.rs' --include='*.toml' --include='*.sh' --include='*.y
     exit 1
 fi
 
-# The names a manifest's [dependencies] section declares (one per line).
-dependencies() {
-    sed -n '/^\[dependencies\]/,/^\[/{/^\[/d;s/^\([A-Za-z0-9_-]*\) *[.=].*/\1/p}' "$1"
-    sed -n 's/^\[dependencies\.\([A-Za-z0-9_-]*\)\]/\1/p' "$1"
+# The names a manifest's [<section>] declares (one per line).
+declared() {
+    sed -n "/^\[$2\]/,/^\[/{/^\[/d;s/^\([A-Za-z0-9_-]*\) *[.=].*/\1/p}" "$1"
+    sed -n "s/^\[$2\.\([A-Za-z0-9_-]*\)\]/\1/p" "$1"
 }
 
 # obs is the leaf every layer records through: it links nothing.
 echo "==> crates/obs declares no [dependencies]"
-if dependencies crates/obs/Cargo.toml | grep .; then
+if declared crates/obs/Cargo.toml dependencies | grep .; then
     echo "error: obs is std-only; record through it instead of giving it dependencies" >&2
     exit 1
 fi
 
 # A dependency edge nothing uses links a crate's whole tree for nothing. Doc
-# comments do not count as a use.
-echo "==> every crates/*/Cargo.toml [dependencies] entry is named in that crate's src/"
+# comments do not count as a use. `unused_entries <manifest> <section> <dir>..`
+# reports each entry of the section that no .rs under the dirs names.
 unused=0
-for manifest in crates/*/Cargo.toml; do
-    dir=$(dirname "$manifest")
-    for dep in $(dependencies "$manifest"); do
+unused_entries() {
+    local manifest=$1 section=$2
+    shift 2
+    for dep in $(declared "$manifest" "$section"); do
         name=${dep//-/_}
-        uses=$(grep -rhE --include='*.rs' "(^|[^A-Za-z0-9_])$name::|use $name\b" "$dir/src" |
+        uses=$(grep -rhE --include='*.rs' "(^|[^A-Za-z0-9_])$name::|use $name\b" "$@" |
             grep -vE '^[[:space:]]*//' || true)
         if [ -z "$uses" ]; then
-            echo "$manifest: '$dep' is never named in $dir/src" >&2
+            echo "$manifest: [$section] '$dep' is never named in $*" >&2
             unused=1
         fi
     done
+}
+echo "==> every crates/*/Cargo.toml [dependencies] entry is named in src/, every [dev-dependencies] entry in src tests benches examples"
+for manifest in crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    unused_entries "$manifest" dependencies "$dir/src"
+    dev_dirs=()
+    for sub in src tests benches examples; do
+        if [ -d "$dir/$sub" ]; then dev_dirs+=("$dir/$sub"); fi
+    done
+    unused_entries "$manifest" dev-dependencies "${dev_dirs[@]}"
 done
 if [ "$unused" -ne 0 ]; then
-    echo "error: drop the unused [dependencies] entries above (or move them to [dev-dependencies])" >&2
+    echo "error: drop the unused entries above (or move a [dependencies] one to [dev-dependencies])" >&2
     exit 1
 fi
 
@@ -114,6 +125,20 @@ if grep -rnE '_cache: *Option<Tensor>' crates/dlframe/src/layers; then
     echo "error: layers keep no activations; Layer::backward is handed input and output" >&2
     exit 1
 fi
+
+# Training takes epochs, batch size, shuffle and the accuracy flag; SGD has
+# no momentum, no optimizer decays weights, and the disk cache has no budget
+# (DESIGN §5h). One comes back only with a product path that sets it.
+echo "==> no deleted training, optimizer or disk-budget option in crates src tests examples"
+if grep -rnE --include='*.rs' \
+    'LrSchedule|fit_scheduled|validation_split|early_stop_patience|sgd_momentum|with_weight_decay|with_budget|disk_budget_bytes|disk_evictions' \
+    crates src tests examples; then
+    echo "error: an option needs a product path, paper table or benchmark workload that sets it" >&2
+    exit 1
+fi
+
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
