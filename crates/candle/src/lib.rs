@@ -37,7 +37,7 @@ pub use dataset::{benchmark_dataset, BenchDataKind};
 pub use models::build_model;
 pub use params::{BenchId, HyperParams};
 pub use pipeline::{
-    build_rank_model, run_parallel, DataMode, FuncScaling, ParallelRunOutcome, ParallelRunSpec,
-    PipelineError,
+    build_rank_model, rank_fit_config, run_parallel, DataMode, FuncScaling, ParallelRunOutcome,
+    ParallelRunSpec, PipelineError,
 };
 pub use scaling::{comp_epochs, comp_epochs_balanced, scaled_batch, scaled_lr, BatchScaling};

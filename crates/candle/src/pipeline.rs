@@ -178,6 +178,20 @@ pub fn build_rank_model(spec: &ParallelRunSpec, rank: usize) -> dlframe::Sequent
     build_model(spec.bench, spec.data.features, lr, init_seed).0
 }
 
+/// The `fit` settings every rank of [`run_parallel`] trains with:
+/// `epochs` of shuffled `batch_size` mini-batches, accuracy recorded.
+///
+/// Shared so that a driver resuming those ranks (the `resil` recovery
+/// driver) trains bit-identically to the uninterrupted pipeline.
+pub fn rank_fit_config(epochs: usize, batch_size: usize) -> FitConfig {
+    FitConfig {
+        epochs,
+        batch_size,
+        shuffle: true,
+        compute_accuracy: true,
+    }
+}
+
 /// Runs the benchmark with `spec.workers` simulated Horovod workers.
 pub fn run_parallel(spec: &ParallelRunSpec) -> Result<ParallelRunOutcome, PipelineError> {
     let epochs_per_worker = match spec.scaling {
@@ -278,12 +292,7 @@ pub fn run_parallel(spec: &ParallelRunSpec) -> Result<ParallelRunOutcome, Pipeli
             broadcast_parameters(&mut comm, &mut params, tl2.as_ref().map(|t| (t, origin)));
             model.set_flat_params(&params);
             rank_profile.record("broadcast", bc_start.elapsed());
-            let config = FitConfig {
-                epochs: epochs_per_worker,
-                batch_size: spec2.batch,
-                shuffle: true,
-                compute_accuracy: true,
-            };
+            let config = rank_fit_config(epochs_per_worker, spec2.batch);
             // Sharded mode materializes this rank's block; replicated mode
             // trains on the full dataset (the paper's NT3/P1B1/P1B2 setup).
             let local_train = match spec2.data_mode {

@@ -123,20 +123,6 @@ pub struct PowerSummary {
     pub duration_s: f64,
 }
 
-impl PowerSummary {
-    /// Writes the metered samples as a two-column CSV
-    /// (`time_s,power_w`) — the format the paper's Figure 7a plots.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write;
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(f, "time_s,power_w")?;
-        for (t, w) in &self.samples {
-            writeln!(f, "{t},{w}")?;
-        }
-        f.flush()
-    }
-}
-
 /// Builds the power trace and energy summary for a phase schedule.
 ///
 /// Each phase start, each gap before one and the end of the schedule is a
@@ -528,18 +514,6 @@ mod tests {
                 },
             ],
         );
-    }
-
-    #[test]
-    fn csv_export_roundtrip() {
-        let s = build_power_trace(&Machine::Summit.spec(), &phases());
-        let dir = parx::scratch("power_tests").expect("scratch dir");
-        let path = dir.join("trace.csv");
-        s.write_csv(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(lines[0], "time_s,power_w");
-        assert_eq!(lines.len(), s.samples.len() + 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::report::{format_table, Experiment};
 use dlframe::{Activation, Dataset, Dense, FitConfig, Loss, NoSync, Optimizer, Sequential};
-use serve::{run_closed_loop, ClosedLoopConfig, ServeConfig, ServeEngine};
+use serve::{run_closed_loop, ClosedLoopConfig, LoadReport, ServeConfig, ServeEngine};
 use std::sync::Arc;
 use tensor::Tensor;
 use xrng::RandomSource;
@@ -94,9 +94,28 @@ fn trained_model(seed: u64) -> Arc<Sequential> {
     Arc::new(model)
 }
 
+/// Checks that a closed-loop run answered every request it issued: a
+/// failed or missing request is an `Err` naming the run's `max_batch`,
+/// not a row with a smaller count.
+fn check_complete(
+    max_batch: usize,
+    load: &ClosedLoopConfig,
+    run: &LoadReport,
+) -> Result<(), String> {
+    let issued = (load.clients * load.requests_per_client) as u64;
+    if run.errors > 0 || run.completed < issued {
+        return Err(format!(
+            "max_batch={max_batch}: {} of {issued} requests completed, {} failed",
+            run.completed, run.errors
+        ));
+    }
+    Ok(())
+}
+
 /// Serves the same closed-loop workload once per `max_batch` limit and
-/// returns one row per configuration.
-pub fn measure_serving_sweep(quick: bool, seed: u64) -> Vec<ServingRow> {
+/// returns one row per configuration, or the first run that did not
+/// answer every request.
+pub fn measure_serving_sweep(quick: bool, seed: u64) -> Result<Vec<ServingRow>, String> {
     let model = trained_model(xrng::derive_seed(seed, 0));
     // Keep more clients outstanding than the largest batch limit: a
     // closed loop can only ever queue `clients` requests, so a larger
@@ -121,7 +140,8 @@ pub fn measure_serving_sweep(quick: bool, seed: u64) -> Vec<ServingRow> {
             );
             let run = run_closed_loop(&engine.handle(), &load);
             let report = engine.shutdown();
-            ServingRow {
+            check_complete(max_batch, &load, &run)?;
+            Ok(ServingRow {
                 max_batch,
                 throughput_rps: run.throughput_rps,
                 mean_batch: report.mean_batch,
@@ -129,7 +149,7 @@ pub fn measure_serving_sweep(quick: bool, seed: u64) -> Vec<ServingRow> {
                 p99_ms: report.latency.p99_s * 1e3,
                 enqueue_wait_p50_ms: report.enqueue_wait.p50_s * 1e3,
                 output_hash: run.output_hash,
-            }
+            })
         })
         .collect()
 }
@@ -138,11 +158,13 @@ pub fn measure_serving_sweep(quick: bool, seed: u64) -> Vec<ServingRow> {
 /// the dynamic-batching throughput gain asserted.
 ///
 /// # Panics
-/// Panics if (after retries, to ride out scheduler noise) dynamic
-/// batching fails to beat batch-1 throughput, or if any configuration
-/// serves different prediction bits.
+/// Panics if a run fails or drops a request, if (after retries, to ride
+/// out scheduler noise) dynamic batching fails to beat batch-1
+/// throughput, or if any configuration serves different prediction bits.
 pub fn table_serve(quick: bool) -> Experiment {
-    let mut rows = measure_serving_sweep(quick, 2024);
+    let sweep =
+        |seed| measure_serving_sweep(quick, seed).unwrap_or_else(|e| panic!("table_serve: {e}"));
+    let mut rows = sweep(2024);
     for attempt in 1.. {
         let batch1 = rows[0].throughput_rps;
         let dynamic = rows
@@ -158,7 +180,7 @@ pub fn table_serve(quick: bool) -> Experiment {
             "dynamic batching ({dynamic:.0} req/s) failed to beat batch-1 \
              ({batch1:.0} req/s) in {attempt} attempts"
         );
-        rows = measure_serving_sweep(quick, 2024 + attempt);
+        rows = sweep(2024 + attempt);
     }
     for r in &rows {
         assert_eq!(
@@ -221,7 +243,7 @@ mod tests {
 
     #[test]
     fn sweep_coalesces_only_when_allowed() {
-        let rows = measure_serving_sweep(true, 7);
+        let rows = measure_serving_sweep(true, 7).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].max_batch, 1);
         assert!(
@@ -231,6 +253,37 @@ mod tests {
         assert!(
             rows.iter().any(|r| r.mean_batch > 1.0),
             "dynamic limits never coalesced: {rows:?}"
+        );
+    }
+
+    #[test]
+    fn incomplete_or_failed_run_is_an_error_naming_max_batch() {
+        let load = ClosedLoopConfig {
+            clients: 4,
+            requests_per_client: 10,
+            features: FEATURES,
+            seed: 1,
+        };
+        let run = |completed: u64, errors: u64| LoadReport {
+            submitted: completed + errors,
+            completed,
+            shed: 0,
+            errors,
+            elapsed_s: 1.0,
+            throughput_rps: completed as f64,
+            output_hash: 0,
+        };
+        assert_eq!(check_complete(8, &load, &run(40, 0)), Ok(()));
+        let failed = check_complete(8, &load, &run(39, 1)).unwrap_err();
+        assert!(failed.contains("max_batch=8"), "{failed}");
+        assert!(
+            failed.contains("39 of 40") && failed.contains("1 failed"),
+            "{failed}"
+        );
+        let short = check_complete(16, &load, &run(30, 0)).unwrap_err();
+        assert!(
+            short.contains("max_batch=16") && short.contains("30 of 40"),
+            "{short}"
         );
     }
 }

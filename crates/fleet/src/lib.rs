@@ -19,103 +19,18 @@
 //!   modelled batch servers, windowed SLO statistics, admission control
 //!   that sheds before SLO collapse, and [`cluster::fleet_power`] energy
 //!   accounting. Identical configs yield bit-identical decision logs and
-//!   outcome fingerprints at any thread count;
-//! * [`real`] — the live data plane ([`run_serve_fleet`]): the same
-//!   control stack over actual [`serve::ServeEngine`]s, pricing measured
-//!   busy fractions with the platform power states.
+//!   outcome fingerprints at any thread count.
 //!
-//! Rejections are *typed*: [`FleetError::Shedding`] is the admission
-//! controller protecting the SLO (retry later, the fleet is scaling),
-//! [`FleetError::Overloaded`] is a hard per-replica queue overflow.
+//! The fleet is simulated only: its replicas are modelled batch servers,
+//! so every number it reports reproduces from the config. The measured
+//! single-engine side of serving is the `serve` crate.
 
 pub mod autoscale;
-pub mod real;
 pub mod router;
 pub mod sim;
 pub mod trace;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, ControlSignal, ScaleDecision, ScaleReason};
-pub use real::{run_serve_fleet, RealFleetConfig, RealFleetReport};
 pub use router::{Router, RouterPolicy};
 pub use sim::{run_fleet_sim, FleetSimReport, ScalePolicy, ServiceModel, SimFleetConfig};
 pub use trace::{Arrival, Burst, TraceConfig};
-
-/// Typed fleet-level rejections and failures.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetError {
-    /// A specific replica's bounded queue was full when the request was
-    /// routed to it — a hard rejection.
-    Overloaded {
-        /// Replica the router chose.
-        replica: usize,
-        /// Its in-flight depth at rejection time.
-        depth: usize,
-        /// Its configured capacity.
-        capacity: usize,
-    },
-    /// Admission control refused the request *before* routing because the
-    /// estimated backlog drain time would blow the SLO — the fleet is
-    /// protecting admitted requests while the autoscaler reacts.
-    Shedding {
-        /// Fleet-wide queued requests at rejection time.
-        queued: usize,
-        /// Fleet-wide queue capacity.
-        capacity: usize,
-    },
-    /// No routable replica exists (fleet shutting down or misconfigured).
-    NoReplicas,
-    /// An engine-level failure after admission.
-    Serve(serve::ServeError),
-}
-
-impl std::fmt::Display for FleetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetError::Overloaded {
-                replica,
-                depth,
-                capacity,
-            } => write!(
-                f,
-                "replica {replica} overloaded: {depth} in flight (capacity {capacity})"
-            ),
-            FleetError::Shedding { queued, capacity } => write!(
-                f,
-                "fleet shedding load: {queued} queued of {capacity} capacity"
-            ),
-            FleetError::NoReplicas => write!(f, "no routable replicas"),
-            FleetError::Serve(e) => write!(f, "engine error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FleetError {}
-
-impl From<serve::ServeError> for FleetError {
-    fn from(e: serve::ServeError) -> Self {
-        FleetError::Serve(e)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn errors_render_and_convert() {
-        let o = FleetError::Overloaded {
-            replica: 3,
-            depth: 128,
-            capacity: 128,
-        };
-        assert!(o.to_string().contains("replica 3"));
-        let s = FleetError::Shedding {
-            queued: 500,
-            capacity: 1024,
-        };
-        assert!(s.to_string().contains("shedding"));
-        let e: FleetError = serve::ServeError::ShuttingDown.into();
-        assert!(matches!(e, FleetError::Serve(_)));
-        assert_ne!(o, s);
-    }
-}

@@ -1,11 +1,9 @@
 //! Deterministic virtual-time fleet simulation.
 //!
-//! The real fleet ([`crate::real::run_serve_fleet`]) measures wall-clock
-//! latencies, which can never be bit-identical across runs. This module is
-//! its twin: the same
-//! router, autoscaler, and admission policy driven by *virtual* time — a
-//! modelled batch server per replica, discrete ticks, and windowed
-//! virtual-time SLO statistics. Everything downstream of the seeded trace
+//! Wall-clock latencies can never be bit-identical across runs, so the
+//! fleet runs its router, autoscaler, and admission policy on *virtual*
+//! time — a modelled batch server per replica, discrete ticks, and
+//! windowed virtual-time SLO statistics. Everything downstream of the seeded trace
 //! is pure arithmetic, so a run is a function of its config alone:
 //! identical configs produce bit-identical scaling-decision logs and
 //! request-outcome fingerprints at any thread count (per-replica advance

@@ -30,11 +30,11 @@ use crate::ckpt::{CheckpointManager, TrainState};
 use crate::plan::FaultPlan;
 use crate::{hash_params, ResilError};
 use candle::{
-    benchmark_dataset, build_rank_model, BenchDataKind, BenchId, DataMode, FuncScaling,
-    ParallelRunSpec,
+    benchmark_dataset, build_rank_model, rank_fit_config, BenchDataKind, BenchId, DataMode,
+    FuncScaling, ParallelRunSpec,
 };
 use collectives::{run_workers_owned, DistributedOptimizer};
-use dlframe::{FitConfig, Sequential};
+use dlframe::Sequential;
 use obs::{LogHistogram, Timeline};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -203,15 +203,7 @@ fn train_one_epoch(
             .take()
             .expect("replica present");
         let mut dist = DistributedOptimizer::new(comm);
-        // Must match candle::run_parallel's FitConfig field for field —
-        // anything else breaks the bit-exact equivalence with the
-        // uninterrupted pipeline.
-        let config = FitConfig {
-            epochs: 1,
-            batch_size: batch,
-            shuffle: true,
-            compute_accuracy: true,
-        };
+        let config = rank_fit_config(1, batch);
         let loss = model
             .fit(train, &config, &mut dist)
             .map(|h| h.epochs()[0].loss)

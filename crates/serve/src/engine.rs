@@ -138,10 +138,6 @@ impl Ticket {
 struct Request {
     features: Vec<f32>,
     enqueued: Instant,
-    /// Absolute per-request deadline; a request still queued past it is
-    /// answered with [`ServeError::DeadlineExceeded`] instead of being
-    /// included in a forward pass.
-    deadline: Option<Instant>,
     reply: Arc<Slot>,
 }
 
@@ -180,7 +176,7 @@ impl Shared {
             }
             // `depth` counts queued + executing requests, and a submission
             // that raced the stop flag has already reserved its slot
-            // (SeqCst pairing in `ServeHandle::submit_inner`), so leaving
+            // (SeqCst pairing in `ServeHandle::submit`), so leaving
             // only at depth zero strands nothing — including a request
             // pushed *after* the flag was set by a submit that won the
             // race.
@@ -243,27 +239,6 @@ impl ServeHandle {
     /// Submits one feature row for prediction, failing fast when the
     /// engine is at capacity ([`ServeError::Overloaded`]) or stopping.
     pub fn submit(&self, features: Vec<f32>) -> Result<Ticket, ServeError> {
-        self.submit_inner(features, None)
-    }
-
-    /// Submits one feature row with a latency `budget`: if the request is
-    /// still queued once the budget has elapsed, it is dropped before the
-    /// batch forward pass and answered with
-    /// [`ServeError::DeadlineExceeded`] — bounded staleness instead of a
-    /// reply nobody can use.
-    pub fn submit_with_deadline(
-        &self,
-        features: Vec<f32>,
-        budget: Duration,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_inner(features, Some(Instant::now() + budget))
-    }
-
-    fn submit_inner(
-        &self,
-        features: Vec<f32>,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, ServeError> {
         let shared = &*self.shared;
         // Reserve the in-flight slot BEFORE the stopping check (SeqCst,
         // Dekker-style pairing with the workers' exit condition): a worker
@@ -291,7 +266,6 @@ impl ServeHandle {
         let request = Request {
             features,
             enqueued: Instant::now(),
-            deadline,
             reply: Arc::clone(&slot),
         };
         shared.queue.lock().unwrap().push_back(request);
@@ -489,15 +463,6 @@ fn run_batch(batch: &mut Vec<Request>, rows: &mut Vec<f32>, lane: usize, ctx: &C
         requests: batch,
         ctx,
     };
-    // Expired requests are answered (and dropped) *before* the forward
-    // pass: running the model for a reply nobody can use wastes the
-    // batch's capacity exactly when the queue is deepest.
-    pending.reject(|r| {
-        r.deadline.is_some_and(|d| pulled >= d).then(|| {
-            stats.expired.fetch_add(1, Ordering::Relaxed);
-            ServeError::DeadlineExceeded
-        })
-    });
     // All rows in a batch must share the first row's width; stragglers
     // are answered individually so they cannot poison the forward pass.
     let Some(width) = pending.requests.first().map(|r| r.features.len()) else {
@@ -922,76 +887,6 @@ mod tests {
         let report = engine.shutdown();
         assert_eq!(report.worker_restarts, 1);
         assert_eq!(report.completed, 11);
-    }
-
-    /// Sleeps until `budget` after now has certainly elapsed.
-    fn outlast(budget: Duration) {
-        std::thread::sleep(budget + Duration::from_millis(5));
-    }
-
-    #[test]
-    fn expired_requests_drop_before_batch_forward() {
-        let gate = Gate::shut();
-        let engine = ServeEngine::start(
-            gated_model(&gate, 11, 4, 2),
-            ServeConfig {
-                max_batch: 8,
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let handle = engine.handle();
-        // Both requests queue behind the parked worker; the first one's
-        // deadline elapses there.
-        let plug = gate.plug(&handle, row(9, 4));
-        let budget = Duration::from_millis(1);
-        let expired = handle.submit_with_deadline(row(0, 4), budget).unwrap();
-        let fresh = handle
-            .submit_with_deadline(row(1, 4), Duration::from_secs(30))
-            .unwrap();
-        outlast(budget);
-        gate.open();
-        plug.wait().unwrap();
-        assert!(matches!(expired.wait(), Err(ServeError::DeadlineExceeded)));
-        assert_eq!(fresh.wait().unwrap().batch_size, 1);
-        assert_eq!(handle.depth(), 0, "expired request leaked its slot");
-        let report = engine.shutdown();
-        assert_eq!(report.deadline_expired, 1);
-        assert_eq!(report.completed, 2);
-        // The expired request never entered a forward pass: the latency
-        // histogram saw only the plug and the fresh request.
-        assert_eq!(report.latency.count, 2);
-    }
-
-    #[test]
-    fn fully_expired_batch_runs_no_forward() {
-        let gate = Gate::shut();
-        let engine = ServeEngine::start(
-            gated_model(&gate, 12, 4, 2),
-            ServeConfig {
-                max_batch: 16,
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let handle = engine.handle();
-        let plug = gate.plug(&handle, row(9, 4));
-        let budget = Duration::from_millis(1);
-        let tickets: Vec<_> = (0..4)
-            .map(|i| handle.submit_with_deadline(row(i, 4), budget).unwrap())
-            .collect();
-        outlast(budget);
-        gate.open();
-        plug.wait().unwrap();
-        for t in tickets {
-            assert!(matches!(t.wait(), Err(ServeError::DeadlineExceeded)));
-        }
-        assert_eq!(handle.depth(), 0);
-        let report = engine.shutdown();
-        assert_eq!(report.deadline_expired, 4);
-        assert_eq!(report.completed, 1);
-        // Only the plug ran a forward pass; the all-expired batch ran none.
-        assert_eq!(report.batches, 1);
     }
 
     #[test]

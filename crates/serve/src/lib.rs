@@ -30,10 +30,10 @@
 //! * **timeline integration** — each batch emits `enqueue_wait` and
 //!   `batch_forward` spans to an [`obs::Timeline`], viewable in
 //!   `chrome://tracing` exactly like the training-side traces;
-//! * a **deterministic load generator** — closed-loop and open-loop
-//!   drivers seeded from `xrng`, with an order-independent output hash so
-//!   tests can assert served predictions are bit-identical across batch
-//!   sizes and worker counts.
+//! * a **deterministic load generator** — a closed-loop driver seeded
+//!   from `xrng`, with an order-independent output hash so tests can
+//!   assert served predictions are bit-identical across batch sizes and
+//!   worker counts.
 //!
 //! Everything in the batch path preserves bit-exactness: `tensor`'s
 //! matmul accumulates each output row independently of the batch's other
@@ -47,9 +47,7 @@ mod stats;
 mod test_gate;
 
 pub use engine::{Prediction, ServeConfig, ServeEngine, ServeHandle, Ticket};
-pub use loadgen::{
-    request_row, run_closed_loop, run_open_loop, ClosedLoopConfig, LoadReport, OpenLoopConfig,
-};
+pub use loadgen::{request_row, run_closed_loop, ClosedLoopConfig, LoadReport};
 pub use stats::ServeReport;
 
 use dlframe::DlError;
@@ -68,10 +66,6 @@ pub enum ServeError {
     /// The engine is shutting down (or has shut down) and no longer
     /// accepts or answers requests.
     ShuttingDown,
-    /// The request's [`crate::ServeHandle::submit_with_deadline`] budget
-    /// elapsed while it was still queued; it was dropped before the
-    /// batch forward pass.
-    DeadlineExceeded,
     /// The request was malformed (e.g. feature width differs from the
     /// rest of its batch's — and therefore the model's — input width).
     BadRequest(String),
@@ -93,9 +87,6 @@ impl std::fmt::Display for ServeError {
                 )
             }
             ServeError::ShuttingDown => write!(f, "serving engine is shutting down"),
-            ServeError::DeadlineExceeded => {
-                write!(f, "request deadline elapsed before batch dispatch")
-            }
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             ServeError::Model(e) => write!(f, "model error: {e}"),
             ServeError::WorkerCrashed => {

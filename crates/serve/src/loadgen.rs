@@ -1,19 +1,12 @@
-//! Deterministic load generation.
+//! Deterministic closed-loop load generation.
 //!
-//! Two standard driver shapes from the serving literature:
-//!
-//! * **closed loop** — `clients` concurrent clients, each submitting its
-//!   next request only after the previous reply (throughput-oriented;
-//!   concurrency, not arrival rate, is the control variable);
-//! * **open loop** — requests arrive on an exponential (Poisson) arrival
-//!   process at a target rate regardless of completion, the shape that
-//!   exposes queueing collapse and makes load shedding observable.
-//!
-//! Both draw every feature row from `xrng` as a pure function of
-//! `(seed, request index)`, so two runs against the same model must
-//! produce bit-identical predictions — summarized in an
-//! order-independent [`LoadReport::output_hash`] that tests compare
-//! across batching configurations and worker counts.
+//! `clients` concurrent clients each submit their next request only after
+//! the previous reply: throughput-oriented, with concurrency rather than
+//! arrival rate as the control variable. Every feature row is drawn from
+//! `xrng` as a pure function of `(seed, request index)`, so two runs
+//! against the same model must produce bit-identical predictions —
+//! summarized in an order-independent [`LoadReport::output_hash`] that
+//! tests compare across batching configurations and worker counts.
 
 use crate::{ServeError, ServeHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,20 +33,7 @@ pub struct ClosedLoopConfig {
     pub seed: u64,
 }
 
-/// Open-loop driver parameters.
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// Target arrival rate, requests per second.
-    pub rate_rps: f64,
-    /// Total requests to issue.
-    pub requests: usize,
-    /// Feature width of every request row.
-    pub features: usize,
-    /// Workload seed for both rows and inter-arrival gaps.
-    pub seed: u64,
-}
-
-/// Outcome of one load-generation run.
+/// Outcome of one closed-loop run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     /// Requests admitted by the engine.
@@ -142,95 +122,16 @@ pub fn run_closed_loop(handle: &ServeHandle, cfg: &ClosedLoopConfig) -> LoadRepo
     }
 }
 
-/// Runs an open loop: submissions are paced on a Poisson arrival process
-/// at `rate_rps` and never retried — an overloaded engine sheds them,
-/// which is exactly the behaviour this driver exists to measure. Replies
-/// are collected on a separate thread so slow completions do not distort
-/// the arrival process.
-pub fn run_open_loop(handle: &ServeHandle, cfg: &OpenLoopConfig) -> LoadReport {
-    assert!(cfg.rate_rps > 0.0, "open loop needs a positive rate");
-    let completed = AtomicU64::new(0);
-    let errors = AtomicU64::new(0);
-    let hash = AtomicU64::new(0);
-    let mut shed = 0u64;
-    let mut submitted = 0u64;
-    let start = Instant::now();
-    let mut gap_rng = xrng::seeded(xrng::derive_seed(cfg.seed, u64::MAX));
-    std::thread::scope(|scope| {
-        let (tx, rx) = std::sync::mpsc::channel::<(u64, crate::Ticket)>();
-        let (completed, errors, hash) = (&completed, &errors, &hash);
-        scope.spawn(move || {
-            for (index, ticket) in rx {
-                match ticket.wait() {
-                    Ok(p) => {
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        hash.fetch_add(request_hash(index, &p.output), Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-        let mut next_arrival = 0.0f64;
-        for index in 0..cfg.requests as u64 {
-            // Exponential inter-arrival gap via inverse transform.
-            let u = gap_rng.next_f64();
-            next_arrival += -(1.0 - u).ln() / cfg.rate_rps;
-            let target = start + Duration::from_secs_f64(next_arrival);
-            let now = Instant::now();
-            if target > now {
-                std::thread::sleep(target - now);
-            }
-            let row = request_row(cfg.seed, index, cfg.features);
-            match handle.submit(row) {
-                Ok(ticket) => {
-                    submitted += 1;
-                    let _ = tx.send((index, ticket));
-                }
-                Err(ServeError::Overloaded { .. }) => shed += 1,
-                Err(_) => {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        drop(tx);
-    });
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let completed = completed.into_inner();
-    LoadReport {
-        submitted,
-        completed,
-        shed,
-        errors: errors.into_inner(),
-        elapsed_s,
-        throughput_rps: if elapsed_s > 0.0 {
-            completed as f64 / elapsed_s
-        } else {
-            0.0
-        },
-        output_hash: hash.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_gate::Gate;
     use crate::{ServeConfig, ServeEngine};
     use dlframe::{Activation, Dense, Loss, Optimizer, Sequential};
     use std::sync::Arc;
 
     fn model(seed: u64) -> Arc<Sequential> {
-        gated_model(seed, None)
-    }
-
-    fn gated_model(seed: u64, gate: Option<&Gate>) -> Arc<Sequential> {
         let mut rng = xrng::seeded(seed);
         let mut m = Sequential::new(seed);
-        if let Some(gate) = gate {
-            m.add(Box::new(gate.clone()));
-        }
         m.add(Box::new(Dense::new(6, 16, Activation::Relu, &mut rng)));
         m.add(Box::new(Dense::new(16, 3, Activation::Linear, &mut rng)));
         m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
@@ -270,67 +171,6 @@ mod tests {
             "served outputs must be bit-identical"
         );
         assert!(a.throughput_rps > 0.0);
-    }
-
-    #[test]
-    fn open_loop_paces_and_collects() {
-        let engine = ServeEngine::start(model(12), ServeConfig::default());
-        let r = run_open_loop(
-            &engine.handle(),
-            &OpenLoopConfig {
-                rate_rps: 2000.0,
-                requests: 100,
-                features: 6,
-                seed: 7,
-            },
-        );
-        engine.shutdown();
-        assert_eq!(r.submitted, 100);
-        assert_eq!(r.completed, 100);
-        assert_eq!(r.shed, 0);
-        // 100 requests at 2000 rps is ~50 ms of arrivals; allow slack.
-        assert!(r.elapsed_s < 10.0);
-    }
-
-    #[test]
-    fn open_loop_sheds_under_overload_without_deadlock() {
-        // Tiny capacity and the only worker parked at a gate: a fast burst
-        // fills the engine and must shed. The gate opens once it has.
-        let gate = Gate::shut();
-        let engine = ServeEngine::start(
-            gated_model(13, Some(&gate)),
-            ServeConfig {
-                max_batch: 64,
-                queue_capacity: 8,
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let handle = engine.handle();
-        let plug = gate.plug(&handle, request_row(8, 999, 6));
-        let r = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while engine.report().shed == 0 {
-                    std::thread::yield_now();
-                }
-                gate.open();
-            });
-            run_open_loop(
-                &handle,
-                &OpenLoopConfig {
-                    rate_rps: 1e6,
-                    requests: 500,
-                    features: 6,
-                    seed: 8,
-                },
-            )
-        });
-        plug.wait().unwrap();
-        let report = engine.shutdown();
-        assert!(r.shed > 0, "expected shedding at capacity 8");
-        assert_eq!(r.submitted + r.shed, 500);
-        assert_eq!(r.completed, r.submitted);
-        assert_eq!(report.shed, r.shed, "engine counts what the driver saw");
     }
 
     #[test]

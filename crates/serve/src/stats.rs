@@ -14,7 +14,6 @@ pub(crate) struct StatsInner {
     pub shed: AtomicU64,
     pub batches: AtomicU64,
     pub slo_violations: AtomicU64,
-    pub expired: AtomicU64,
     /// Workers that died mid-batch and carried on (see
     /// [`ServeReport::worker_restarts`]).
     pub restarts: AtomicU64,
@@ -54,7 +53,6 @@ impl StatsInner {
             shed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             slo_violations: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             histograms: Mutex::new(Histograms {
                 latency: LogHistogram::for_latency_seconds(),
@@ -86,7 +84,6 @@ impl StatsInner {
             shed: self.shed.load(Ordering::Relaxed),
             batches,
             slo_violations: self.slo_violations.load(Ordering::Relaxed),
-            deadline_expired: self.expired.load(Ordering::Relaxed),
             worker_restarts: self.restarts.load(Ordering::Relaxed),
             mean_batch: if batches == 0 {
                 0.0
@@ -118,9 +115,6 @@ pub struct ServeReport {
     /// Completed requests whose end-to-end latency exceeded the SLO
     /// target (0 when no SLO is configured).
     pub slo_violations: u64,
-    /// Requests dropped before their batch's forward pass because their
-    /// [`crate::ServeHandle::submit_with_deadline`] budget had elapsed.
-    pub deadline_expired: u64,
     /// Workers that died mid-batch and were restarted (0 in a healthy
     /// run; see [`crate::ServeError::WorkerCrashed`]).
     pub worker_restarts: u64,

@@ -1,4 +1,4 @@
-//! Test staging shared by the engine's and the load generators' tests.
+//! Test staging for the engine's tests.
 
 use crate::{ServeHandle, Ticket};
 use dlframe::{DlError, Layer};
@@ -9,7 +9,7 @@ use tensor::{Tensor, Workspace};
 /// shut. Tests stage their queues with it instead of with
 /// wall-clock: a worker parked inside a forward is busy for exactly as
 /// long as the test says, so requests submitted meanwhile stay queued
-/// — to coalesce, to expire or to fill the engine to capacity.
+/// — to coalesce or to fill the engine to capacity.
 #[derive(Clone)]
 pub(crate) struct Gate(Arc<GateState>);
 

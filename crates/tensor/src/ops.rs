@@ -21,11 +21,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a * b)
     }
 
-    /// In-place `self += other`.
-    pub fn add_assign(&mut self, other: &Tensor) -> Result<(), TensorError> {
-        self.zip_assign(other, |a, b| *a += b)
-    }
-
     /// In-place `self += scale * other` (axpy).
     pub fn axpy(&mut self, scale: f32, other: &Tensor) -> Result<(), TensorError> {
         self.zip_assign(other, |a, b| *a += scale * b)
@@ -79,24 +74,6 @@ impl Tensor {
     /// Sum of squares of all elements.
     pub fn sum_squares(&self) -> f64 {
         self.data().iter().map(|&x| (x as f64) * (x as f64)).sum()
-    }
-
-    /// Adds a length-`cols` bias row vector to every row of a rank-2 tensor.
-    pub fn add_row_broadcast(&mut self, bias: &Tensor) -> Result<(), TensorError> {
-        let (_, cols) = self.shape().as_2d();
-        if bias.len() != cols {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape().clone(),
-                right: bias.shape().clone(),
-            });
-        }
-        let b = bias.data().to_vec();
-        for row in self.data_mut().chunks_exact_mut(cols) {
-            for (x, bv) in row.iter_mut().zip(&b) {
-                *x += bv;
-            }
-        }
-        Ok(())
     }
 
     /// Sums a rank-2 tensor over rows, producing a length-`cols` vector.
@@ -220,8 +197,6 @@ mod tests {
         let a = t(vec![1.0, 2.0]);
         let b = t(vec![1.0, 2.0, 3.0]);
         assert!(a.add(&b).is_err());
-        let mut c = a.clone();
-        assert!(c.add_assign(&b).is_err());
     }
 
     #[test]
@@ -244,18 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn row_broadcast_and_sum_rows() {
-        let mut m = Tensor::from_fn([2, 3], |i| i as f32);
-        m.add_row_broadcast(&t(vec![10.0, 20.0, 30.0])).unwrap();
-        assert_eq!(m.data(), &[10.0, 21.0, 32.0, 13.0, 24.0, 35.0]);
-        let s = m.sum_rows();
-        assert_eq!(s.data(), &[23.0, 45.0, 67.0]);
-    }
-
-    #[test]
-    fn row_broadcast_validates_width() {
-        let mut m = Tensor::zeros([2, 3]);
-        assert!(m.add_row_broadcast(&t(vec![1.0, 2.0])).is_err());
+    fn sum_rows_adds_each_column() {
+        let m = Tensor::from_fn([2, 3], |i| i as f32);
+        assert_eq!(m.sum_rows().data(), &[3.0, 5.0, 7.0]);
     }
 
     #[test]

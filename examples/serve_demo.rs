@@ -1,5 +1,5 @@
 //! End-to-end serving demo: train a small classifier, serve it with
-//! dynamic micro-batching under closed- and open-loop load, print the
+//! dynamic micro-batching under closed-loop load, print the
 //! latency/throughput report, and dump a chrome://tracing timeline of
 //! the batch dispatches to `out/serve_timeline.json`.
 //!
@@ -8,9 +8,7 @@
 //! ```
 
 use dlframe::{Activation, Dataset, Dense, FitConfig, Loss, NoSync, Optimizer, Sequential};
-use serve::{
-    run_closed_loop, run_open_loop, ClosedLoopConfig, OpenLoopConfig, ServeConfig, ServeEngine,
-};
+use serve::{run_closed_loop, ClosedLoopConfig, ServeConfig, ServeEngine};
 use std::sync::Arc;
 use std::time::Duration;
 use tensor::Tensor;
@@ -94,21 +92,6 @@ fn main() {
     println!(
         "completed {} | shed-retries {} | {:.0} req/s | output hash {:#018x}",
         closed.completed, closed.shed, closed.throughput_rps, closed.output_hash
-    );
-
-    println!("\n== open loop: 4000 req/s Poisson arrivals, 800 requests ==");
-    let open = run_open_loop(
-        &handle,
-        &OpenLoopConfig {
-            rate_rps: 4000.0,
-            requests: 800,
-            features: FEATURES,
-            seed: 2,
-        },
-    );
-    println!(
-        "submitted {} | completed {} | shed {} | {:.0} req/s",
-        open.submitted, open.completed, open.shed, open.throughput_rps
     );
 
     let report = engine.shutdown();

@@ -4,14 +4,10 @@
 //! function of its config — bit-identical scaling-decision logs and
 //! request-outcome fingerprints at any worker thread count; the
 //! autoscaler's hysteresis band prevents flapping; admission control
-//! sheds load *before* admitted requests blow the SLO; and the same
-//! control stack drives a live fleet of real serving engines with every
-//! replica's energy accounted.
+//! sheds load *before* admitted requests blow the SLO.
 
 use fleet::sim::{run_fleet_sim, ScalePolicy, ServiceModel, SimFleetConfig};
-use fleet::{AutoscaleConfig, Burst, RealFleetConfig, RouterPolicy, TraceConfig};
-use std::sync::Arc;
-use std::time::Duration;
+use fleet::{AutoscaleConfig, Burst, RouterPolicy, TraceConfig};
 
 fn trace() -> TraceConfig {
     TraceConfig {
@@ -154,58 +150,4 @@ fn admission_control_sheds_before_the_slo_collapses() {
         unprotected.worst_window_p99_s
     );
     assert!(unprotected.worst_window_p99_s > shed.worst_window_p99_s);
-}
-
-#[test]
-fn live_fleet_smoke_serves_and_accounts_energy() {
-    use dlframe::{Activation, Dense, Loss, Optimizer, Sequential};
-
-    let features = 6;
-    let mut rng = xrng::seeded(5);
-    let mut m = Sequential::new(5);
-    m.add(Box::new(Dense::new(
-        features,
-        16,
-        Activation::Relu,
-        &mut rng,
-    )));
-    m.add(Box::new(Dense::new(16, 3, Activation::Linear, &mut rng)));
-    m.compile(Loss::SoftmaxCrossEntropy, Optimizer::sgd(0.1));
-
-    let config = RealFleetConfig {
-        engine: serve::ServeConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(1),
-            queue_capacity: 256,
-            workers: 1,
-            slo: None,
-            kill_batches: Vec::new(),
-        },
-        router: RouterPolicy::LeastLoaded,
-        scaling: ScalePolicy::Fixed(2),
-        slo_p99_s: 0.25,
-        shed_depth_frac: 0.5,
-        control_interval_s: 0.05,
-        stats_window_s: 0.5,
-        machine: cluster::Machine::Summit,
-        seed: 21,
-        features,
-    };
-    let short = TraceConfig {
-        seed: 13,
-        duration_s: 5.0,
-        base_rps: 120.0,
-        diurnal_amplitude: 0.0,
-        diurnal_period_s: 5.0,
-        bursts: Vec::new(),
-    };
-    let report = fleet::run_serve_fleet(Arc::new(m), &config, &short, 10.0);
-    assert!(report.offered > 200, "offered only {}", report.offered);
-    assert_eq!(
-        report.offered,
-        report.completed + report.shed + report.overloaded + report.failed
-    );
-    assert!(report.completed > 0);
-    assert!(report.energy_j > 0.0 && report.joules_per_request.is_finite());
-    assert!(report.replica_seconds > 0.0);
 }
